@@ -3,8 +3,9 @@
 Subpackages by theme:
 
 * ``geometry`` -- gauge, quasi-distance, anisotropic dilations, ellipsoids.
-* ``closedforms`` -- exact 2-jets: harmonic kernel, gauge powers,
-  supersolution, flat-boundary barrier; the operators applied to jets.
+* ``closedforms`` -- exact 2-jets over batches of points: harmonic kernel,
+  gauge powers, supersolution, flat-boundary barrier; the operators applied
+  to jets.
 * ``coefficients`` -- coefficient-field families and the ellipticity audit.
 * ``fdsolver`` -- monotone finite differences on half-space boxes.
 * ``experiments`` -- scripted measurements: boundary growth, Hoelder

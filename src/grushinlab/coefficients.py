@@ -74,12 +74,6 @@ class CoefficientField:
         if self.decay_s < 0.0:
             raise ValueError(f"decay_s must be >= 0, got {self.decay_s}")
 
-    def tangential_at(self, x: HalfSpacePoint) -> np.ndarray:
-        return np.asarray(self.tangential(x.tangential, np.asarray(x.normal)), dtype=float)
-
-    def mixed_at(self, x: HalfSpacePoint) -> np.ndarray:
-        return np.asarray(self.mixed(x.tangential, np.asarray(x.normal)), dtype=float)
-
 
 @dataclass(frozen=True)
 class AuditViolation:

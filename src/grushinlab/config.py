@@ -10,13 +10,14 @@ values before validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from .experiments import GridSpec
 from .geometry import GrushinParams
+from .reports import jsonable
 
 __all__ = ["ConfigError", "FieldConfig", "Tolerances", "RunConfig", "parse_config", "COMMANDS"]
 
@@ -49,6 +50,10 @@ def _object(value: Any, path: str) -> dict:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _reject_unknown(obj: dict, path: str, allowed) -> None:
@@ -155,7 +160,7 @@ class RunConfig:
 
 def _parse_params(raw: dict) -> GrushinParams:
     obj = _object(raw.get("params", {}), "params")
-    _reject_unknown(obj, "params", ("n", "alpha"))
+    _reject_unknown(obj, "params", _field_names(GrushinParams))
     n = _integer(obj, "params", "n", 2, lo=2)
     alpha = _number(obj, "params", "alpha", 1.0, lo=0.0)
     return GrushinParams(n, alpha)
@@ -163,7 +168,7 @@ def _parse_params(raw: dict) -> GrushinParams:
 
 def _parse_field(raw: dict, default_seed: int) -> FieldConfig:
     obj = _object(raw.get("field", {}), "field")
-    _reject_unknown(obj, "field", ("family", "s", "amplitude", "seed"))
+    _reject_unknown(obj, "field", _field_names(FieldConfig))
     family = _string(obj, "field", "family", "identity", ("identity", "decaying-perturbation"))
     s = _number(obj, "field", "s", 2.0, lo=0.0, lo_open=True)
     amplitude = _number(obj, "field", "amplitude", 0.3, lo=0.0, hi=1.0, lo_open=True)
@@ -181,7 +186,7 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
     if command not in _GRID_COMMANDS:
         raise ConfigError(f"grid: not accepted by command {command!r} (domain comes from experiment)")
     obj = _object(raw["grid"], "grid")
-    _reject_unknown(obj, "grid", ("box_lo", "box_hi", "counts", "grading"))
+    _reject_unknown(obj, "grid", _field_names(GridSpec))
     lo = _number_list(obj, "grid", "box_lo", None, length=n)
     hi = _number_list(obj, "grid", "box_hi", None, length=n)
     counts = _number_list(obj, "grid", "counts", None, length=n, lo=3, integer=True)
@@ -193,19 +198,7 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
 
 def _parse_tolerances(raw: dict) -> Tolerances:
     obj = _object(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(
-        obj,
-        "tolerances",
-        (
-            "solver_tol",
-            "residual_tol",
-            "fit_band",
-            "growth_band",
-            "stabilization",
-            "margin_tol",
-            "cross_scale_tol",
-        ),
-    )
+    _reject_unknown(obj, "tolerances", _field_names(Tolerances))
     return Tolerances(
         solver_tol=_number(obj, "tolerances", "solver_tol", 1e-10, lo=0.0, lo_open=True),
         residual_tol=_number(obj, "tolerances", "residual_tol", 1e-9, lo=0.0, lo_open=True),
@@ -345,34 +338,18 @@ def parse_config(
     tolerances = _parse_tolerances(raw)
     experiment = _parse_experiment(raw, command, params.n)
 
-    effective = {
-        "command": command,
-        "params": {"n": params.n, "alpha": params.alpha},
-        "field": {
-            "family": field.family,
-            "s": field.s,
-            "amplitude": field.amplitude,
-            "seed": field.seed,
-        },
-        "tolerances": {
-            "solver_tol": tolerances.solver_tol,
-            "residual_tol": tolerances.residual_tol,
-            "fit_band": tolerances.fit_band,
-            "growth_band": list(tolerances.growth_band),
-            "stabilization": tolerances.stabilization,
-            "margin_tol": tolerances.margin_tol,
-            "cross_scale_tol": tolerances.cross_scale_tol,
-        },
-        "experiment": {k: (list(v) if isinstance(v, tuple) else v) for k, v in experiment.items()},
-        "seed": seed,
-    }
-    if grid is not None:
-        effective["grid"] = {
-            "box_lo": list(grid.box_lo),
-            "box_hi": list(grid.box_hi),
-            "counts": list(grid.counts),
-            "grading": grid.grading,
+    effective = jsonable(
+        {
+            "command": command,
+            "params": params,
+            "field": field,
+            "tolerances": tolerances,
+            "experiment": experiment,
+            "seed": seed,
         }
+    )
+    if grid is not None:
+        effective["grid"] = jsonable(grid)
 
     return RunConfig(
         command=command,

@@ -39,18 +39,15 @@ from .fdsolver import (
     SparseSystem,
     assemble,
     build_grid,
-    check_dmp,
     grid_interpolator,
     solve,
 )
 from .geometry import (
     GrushinParams,
-    HalfSpacePoint,
     ellipsoid_level_arrays,
     gauge_arrays,
     quasi_distance_arrays,
 )
-from .runtime import map_chunks
 
 __all__ = [
     "PreconditionError",
@@ -147,13 +144,11 @@ def _solve_dirichlet(
     require_dmp: bool = True,
 ) -> tuple[np.ndarray, SolveReport, SparseSystem]:
     sys = assemble(field, grid, p, bc, extra_dirichlet=extra_dirichlet)
-    if require_dmp:
-        dmp = check_dmp(sys)
-        if not dmp.ok:
-            raise PreconditionError(
-                "discrete maximum principle fails on this grid/field: "
-                f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
-            )
+    if require_dmp and not sys.dmp.ok:
+        raise PreconditionError(
+            "discrete maximum principle fails on this grid/field: "
+            f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
+        )
     u, report = solve(sys, tol=tol)
     return u, report, sys
 
@@ -511,31 +506,17 @@ def run_supersolution_scan(
     per_shell: list[tuple[float, int, int, float]] = []
     for R in shells:
         xp, xn, d = _shell_sample(p, R, samples_per_shell, rng, normal_floor)
-
-        def eval_chunk(start: int, stop: int, R=R, xp=xp, xn=xn, d=d):
-            chunk_viol: list[ScanViolation] = []
-            worst = -np.inf
-            for k in range(start, stop):
-                x = HalfSpacePoint(xp[k], xn[k])
-                jet = supersolution_jet(x, rho, p)
-                base = apply_grushin(jet, x, p)
-                envelope = amplitude * min(1.0, float(d[k]) ** -s)
-                hess = jet.hessian
-                adversarial = envelope * (
-                    xn[k] ** (2.0 * p.alpha) * float(np.sum(np.abs(hess[:-1, :-1])))
-                    + 2.0 * xn[k] ** p.alpha * float(np.sum(np.abs(hess[:-1, -1])))
-                )
-                value = base + adversarial
-                worst = max(worst, value)
-                if value > 0.0:
-                    chunk_viol.append(ScanViolation(R, tuple(xp[k]), float(xn[k]), float(value)))
-            return chunk_viol, worst
-
-        pieces = map_chunks(eval_chunk, int(xn.size))
-        shell_viol = [v for piece in pieces for v in piece[0]]
-        worst = max(piece[1] for piece in pieces)
-        violations.extend(shell_viol)
-        per_shell.append((R, int(xn.size), len(shell_viol), float(worst)))
+        jet = supersolution_jet(xp, xn, rho, p)
+        hess = jet.hessian
+        envelope = amplitude * np.minimum(1.0, d**-s)
+        adversarial = envelope * (
+            xn ** (2.0 * p.alpha) * np.sum(np.abs(hess[:, :-1, :-1]), axis=(1, 2))
+            + 2.0 * xn**p.alpha * np.sum(np.abs(hess[:, :-1, -1]), axis=1)
+        )
+        value = apply_grushin(jet, xp, xn, p) + adversarial
+        bad = np.flatnonzero(value > 0.0)
+        violations.extend(ScanViolation(R, tuple(xp[k]), float(xn[k]), float(value[k])) for k in bad)
+        per_shell.append((R, int(xn.size), int(bad.size), float(np.max(value))))
 
     r0 = None
     for R, _, n_viol, _ in reversed(per_shell):
@@ -595,14 +576,46 @@ def decay_ray_points(
     return gauges, tang, norm
 
 
-def _exterior_domain(p: GrushinParams, inner_radius: float, outer_radius: float):
-    """Bounding boxes (in gauge units) of the exterior problem."""
+def _exterior_problem(
+    p: GrushinParams,
+    inner_radius: float,
+    outer_radius: float,
+    counts: tuple[int, ...] | None,
+    grading: float | None,
+    inner_data,
+):
+    """Grid, node coordinates, excised inner box and boundary data of an exterior problem.
+
+    The domain is the box of gauge radius ``outer_radius`` minus the inner box
+    of gauge radius ``inner_radius``.  Data are ``inner_data(x_n)`` on the
+    inner-box nodes with x_n > 0 and 0 on the flat face and the far faces.
+    Returns (grid, tangential, normal, inside mask, bc).
+    """
+    if counts is None:
+        counts = (1025,) * (p.n - 1) + (65,)
     stretch = (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
     outer_t = outer_radius ** (1.0 + p.alpha)
     outer_n = outer_radius * stretch
     inner_t = inner_radius ** (1.0 + p.alpha)
     inner_n = inner_radius * stretch
-    return outer_t, outer_n, inner_t, inner_n
+    grid = build_grid(
+        [-outer_t] * (p.n - 1) + [0.0],
+        [outer_t] * (p.n - 1) + [outer_n],
+        counts,
+        1.0 + p.alpha if grading is None else grading,
+    )
+
+    def in_box(xp, xn):
+        return np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n)
+
+    def bc(xp, xn):
+        values = np.zeros(xn.shape)
+        box = in_box(xp, xn) & (xn > 0.0)
+        values[box] = inner_data(xn[box])
+        return values
+
+    tang, norm = grid.node_coordinates()
+    return grid, tang, norm, in_box(tang, norm), bc
 
 
 def run_decay_fit(
@@ -628,24 +641,9 @@ def run_decay_fit(
     """
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
-    if counts is None:
-        counts = (1025,) * (p.n - 1) + (65,)
-    outer_t, outer_n, inner_t, inner_n = _exterior_domain(p, inner_radius, outer_radius)
-    grid = build_grid(
-        [-outer_t] * (p.n - 1) + [0.0],
-        [outer_t] * (p.n - 1) + [outer_n],
-        counts,
-        1.0 + p.alpha if grading is None else grading,
+    grid, _, _, inside, bc = _exterior_problem(
+        p, inner_radius, outer_radius, counts, grading, lambda xn: 1.0
     )
-    tang, norm = grid.node_coordinates()
-    inside = np.all(np.abs(tang) <= inner_t, axis=1) & (norm <= inner_n)
-
-    def bc(xp, xn):
-        values = np.zeros(xn.shape)
-        box = np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n) & (xn > 0.0)
-        values[box] = 1.0
-        return values
-
     u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside, tol=solver_tol)
 
     gauges, ray_t, ray_n = decay_ray_points(
@@ -732,24 +730,9 @@ def run_global_bound_check(
     """
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
-    if counts is None:
-        counts = (1025,) * (p.n - 1) + (65,)
-    outer_t, outer_n, inner_t, inner_n = _exterior_domain(p, inner_radius, outer_radius)
-    grid = build_grid(
-        [-outer_t] * (p.n - 1) + [0.0],
-        [outer_t] * (p.n - 1) + [outer_n],
-        counts,
-        1.0 + p.alpha if grading is None else grading,
+    grid, tang, norm, inside, bc = _exterior_problem(
+        p, inner_radius, outer_radius, counts, grading, lambda xn: np.minimum(1.0, inner_slope * xn)
     )
-    tang, norm = grid.node_coordinates()
-    inside = np.all(np.abs(tang) <= inner_t, axis=1) & (norm <= inner_n)
-
-    def bc(xp, xn):
-        values = np.zeros(xn.shape)
-        box = np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n) & (xn > 0.0)
-        values[box] = np.minimum(1.0, inner_slope * xn[box])
-        return values
-
     u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside, tol=solver_tol)
 
     with np.errstate(divide="ignore", invalid="ignore"):

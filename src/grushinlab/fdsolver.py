@@ -137,19 +137,30 @@ def build_grid(
     )
 
 
+@dataclass(frozen=True)
+class DmpReport:
+    """Structural discrete-maximum-principle check on the assembled rows."""
+
+    ok: bool
+    positive_offdiagonal_rows: np.ndarray
+    nonpositive_diagonal_rows: np.ndarray
+    negative_rowsum_rows: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """Assembled linear system: CSR matrix, right-hand side, Dirichlet mask.
-
-    ``mesh_ratio_offenders`` lists interior nodes whose assembled row carries
-    a positive off-diagonal entry, i.e. where the sign-split cross stencil
-    could not be dominated by the second-difference entries.
-    """
+    """Assembled linear system: CSR matrix, right-hand side, Dirichlet mask,
+    and the DMP check of its rows, computed once at assembly."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dirichlet_mask: np.ndarray
-    mesh_ratio_offenders: np.ndarray
+    dmp: DmpReport
+
+    @property
+    def mesh_ratio_offenders(self) -> np.ndarray:
+        """Interior nodes where the sign-split cross stencil left a positive off-diagonal."""
+        return self.dmp.positive_offdiagonal_rows
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,6 @@ class SolveReport:
     dmp_ok: bool
     wall_time_s: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class DmpReport:
-    """Structural discrete-maximum-principle check on the assembled rows."""
-
-    ok: bool
-    positive_offdiagonal_rows: np.ndarray
-    nonpositive_diagonal_rows: np.ndarray
-    negative_rowsum_rows: np.ndarray
 
 
 def _interior_multi_index(grid: AnisotropicGrid, interior_flat: np.ndarray):
@@ -280,12 +281,11 @@ def assemble(
     ).tocsr()
     matrix.sum_duplicates()
 
-    offenders = _positive_offdiagonal_rows(matrix, ~dirichlet)
     return SparseSystem(
         matrix=matrix,
         rhs=rhs,
         dirichlet_mask=dirichlet,
-        mesh_ratio_offenders=offenders,
+        dmp=_dmp_report(matrix, ~dirichlet),
     )
 
 
@@ -302,14 +302,7 @@ def _positive_offdiagonal_rows(matrix: sparse.csr_matrix, row_mask: np.ndarray) 
     return np.flatnonzero(row_mask & (row_max > tol))
 
 
-def check_dmp(sys: SparseSystem) -> DmpReport:
-    """Check positive diagonals, nonpositive off-diagonals, nonnegative row sums.
-
-    When the check passes the scheme is monotone: ordered boundary data give
-    ordered solutions, and zero data force the zero solution.
-    """
-    matrix = sys.matrix
-    interior = ~sys.dirichlet_mask
+def _dmp_report(matrix: sparse.csr_matrix, interior: np.ndarray) -> DmpReport:
     diag = matrix.diagonal()
     tol = 1e-13 * np.maximum(np.abs(diag), 1.0)
 
@@ -326,6 +319,16 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     )
 
 
+def check_dmp(sys: SparseSystem) -> DmpReport:
+    """Check positive diagonals, nonpositive off-diagonals, nonnegative row sums.
+
+    When the check passes the scheme is monotone: ordered boundary data give
+    ordered solutions, and zero data force the zero solution.  ``assemble``
+    stores this report as ``sys.dmp``; this recomputes it from the rows.
+    """
+    return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
+
+
 def solve(
     sys: SparseSystem, tol: float = 1e-10, max_iter: int = 50
 ) -> tuple[np.ndarray, SolveReport]:
@@ -339,7 +342,7 @@ def solve(
     start = time.perf_counter()
     matrix = sys.matrix
     b = sys.rhs
-    dmp_ok = check_dmp(sys).ok
+    dmp_ok = sys.dmp.ok
     denom = float(np.linalg.norm(b))
     if denom == 0.0:
         denom = 1.0

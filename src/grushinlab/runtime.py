@@ -1,4 +1,4 @@
-"""Process-level runtime knobs shared by the scan/audit style operations."""
+"""Worker-thread bound for the chunked ellipticity audit."""
 
 from __future__ import annotations
 

@@ -40,7 +40,6 @@ from grushinlab.experiments import (
 from grushinlab.fdsolver import assemble, build_grid, check_dmp, solve
 from grushinlab.geometry import (
     GrushinParams,
-    HalfSpacePoint,
     gauge_arrays,
     quasi_distance_arrays,
     sample_points_by_gauge,
@@ -76,12 +75,9 @@ def test_c01_exact_identities():
             rng = np.random.default_rng(1000 + 10 * n + int(10 * alpha))
             xp, xn = sample_points_by_gauge(p, rng, 1000, 0.01, 100.0, min_normal_fraction=1e-9)
             power = harmonic_gauge_power(p)
-            for k in range(xn.size):
-                x = HalfSpacePoint(xp[k], xn[k])
-                jw = kernel_jet(x, p)
-                worst = max(worst, abs(apply_grushin(jw, x, p)) / grushin_term_scale(jw, x, p))
-                jg = gauge_power_jet(x, p, power)
-                worst = max(worst, abs(apply_grushin(jg, x, p)) / grushin_term_scale(jg, x, p))
+            for jet in (kernel_jet(xp, xn, p), gauge_power_jet(xp, xn, p, power)):
+                residual = np.abs(apply_grushin(jet, xp, xn, p)) / grushin_term_scale(jet, xp, xn, p)
+                worst = max(worst, float(np.max(residual)))
     assert worst <= 1e-9
     clock.done(1, "exact identities", f"max normalized residual {worst:.2e} <= 1e-9")
 
@@ -90,22 +86,23 @@ def test_c02_derivative_table_vs_finite_differences():
     clock = Clock(10.0)
     rng = np.random.default_rng(2)
     worst = 0.0
-    for _ in range(100):
-        n = int(rng.choice(DIMS))
-        alpha = float(rng.choice(ALPHAS))
-        p = GrushinParams(n, alpha)
-        xp, xn = sample_points_by_gauge(p, rng, 1, 0.5, 3.0, min_normal_fraction=0.2)
-        x = HalfSpacePoint(xp[0], xn[0])
-        jet = kernel_jet(x, p)
+    for n in DIMS:
+        for alpha in ALPHAS:
+            p = GrushinParams(n, alpha)
+            xp, xn = sample_points_by_gauge(p, rng, 17, 0.5, 3.0, min_normal_fraction=0.2)
+            jet = kernel_jet(xp, xn, p)
 
-        def fn(v, p=p):
-            return float(kernel_value_arrays(v[:-1], v[-1], p))
+            def fn(v, p=p):
+                return float(kernel_value_arrays(v[:-1], v[-1], p))
 
-        grad_fd = fd_gradient(fn, x.coords())
-        hess_fd = fd_hessian(fn, x.coords())
-        for exact, approx in [(jet.gradient, grad_fd), (jet.hessian, hess_fd)]:
-            rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-12)
-            worst = max(worst, float(np.max(rel)))
+            for k in range(xn.size):
+                x = np.append(xp[k], xn[k])
+                for exact, approx in [
+                    (jet.gradient[k], fd_gradient(fn, x)),
+                    (jet.hessian[k], fd_hessian(fn, x)),
+                ]:
+                    rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-12)
+                    worst = max(worst, float(np.max(rel)))
     assert worst <= 1e-6
     clock.done(2, "derivative table", f"max relative FD mismatch {worst:.2e} <= 1e-6")
 

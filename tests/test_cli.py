@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grushinlab.cli import main, run
-from grushinlab.config import ConfigError, parse_config
+from grushinlab.config import COMMANDS, ConfigError, parse_config
 from grushinlab.reports import canonical_json, content_hash, jsonable, write_csv
 
 
@@ -62,6 +62,23 @@ class TestParseConfig:
         cfg = parse_config(raw={"command": "supersolution-scan"})
         assert cfg.effective["experiment"]["rho"] == 0.5
         assert cfg.effective["tolerances"]["solver_tol"] == 1e-10
+
+    def test_default_input_hashes_are_pinned(self):
+        # The echo of every default config, hashed; a change here changes the
+        # input_hash of every report written with that command's defaults.
+        expected = {
+            "audit-ellipticity": "af4458a1f0cfbdb5dc3d1fd0d6c8f399b353d7e1",
+            "boundary-growth": "65a312ed66d0324458ec43310eb258797c0c3e3a",
+            "decay-fit": "3ec07ba05736fec711c81cdc82146cb44d577f55",
+            "global-bound": "e8a8d8dac8b89563e5a34068df5a825bd8b5e51e",
+            "holder-modulus": "1d379222cda349ad16fa090a2f16d11fb55f336d",
+            "oscillation-decay": "aa166ba290bf9fc1008c4650d7c0a1d4daae2a6b",
+            "solve": "a5c57232b959b00a1d446a4b1865e260d5d5df98",
+            "supersolution-scan": "b57851e1a2ccc697a06c2b420e67bc18fb5db863",
+            "verify-closed-forms": "27bb6669c9a17ea12f7def6a9301ee264c4f77b9",
+        }
+        got = {c: content_hash(parse_config(raw={"command": c}).effective) for c in COMMANDS}
+        assert got == expected
 
 
 class TestReports:

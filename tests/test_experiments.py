@@ -175,6 +175,15 @@ class TestSupersolutionScan:
         b = run_supersolution_scan(P21, 0.5, 2.0, 1.0, self.SHELLS, 60, seed=9)
         assert a == b
 
+    def test_default_scan_onset_at_seed_zero(self):
+        # supersolution-scan defaults at seed 0 with 1000 samples per shell
+        shells = tuple(2.0**k for k in range(11))
+        scan = run_supersolution_scan(P21, 0.5, 2.0, 1.0, shells, 1000, seed=0)
+        assert scan.R0_empirical == 2.0
+        assert len(scan.violations) == 126
+        assert [per[1:3] for per in scan.per_shell] == [(1000, 126)] + [(1000, 0)] * 10
+        assert all(v.shell == 1.0 and v.value > 0.0 for v in scan.violations)
+
     def test_three_dimensional_onset_is_finite(self):
         p = GrushinParams(3, 1.0)
         scan = run_supersolution_scan(p, 0.4, 2.0, 1.0, tuple(2.0**k for k in range(10)), 150)
