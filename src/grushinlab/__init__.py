@@ -2,7 +2,8 @@
 
 Subpackages by theme:
 
-* ``geometry`` -- gauge, quasi-distance, anisotropic dilations, ellipsoids.
+* ``geometry`` -- gauge, quasi-distance, dilation factors and ellipsoid
+  levels over coordinate arrays.
 * ``closedforms`` -- exact 2-jets over batches of points: harmonic kernel,
   gauge powers, supersolution, flat-boundary barrier; the operators applied
   to jets.
@@ -14,7 +15,7 @@ Subpackages by theme:
 * ``cli`` -- JSON-configured command line front end.
 """
 
-from .geometry import GrushinParams, HalfSpacePoint
+from .geometry import GrushinParams
 
-__all__ = ["GrushinParams", "HalfSpacePoint"]
+__all__ = ["GrushinParams"]
 __version__ = "0.1.0"

@@ -23,12 +23,12 @@ checking bare positivity below the strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
-from .geometry import GrushinParams, HalfSpacePoint, gauge_arrays
+from .geometry import GrushinParams, gauge_arrays
 from .runtime import map_chunks
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "make_decaying_perturbation",
     "assemble_degenerate_matrix",
     "strip_bound",
-    "audit_ellipticity",
     "audit_ellipticity_arrays",
 ]
 
@@ -87,7 +86,11 @@ class AuditViolation:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Outcome of the strip ellipticity audit over a point sample."""
+    """Outcome of the strip ellipticity audit over a point sample.
+
+    ``lambda_min`` and ``lambda_max`` hold the extreme eigenvalues of A~ at
+    every sample point; they are left out of ``repr`` and ``==``.
+    """
 
     lower_bound_formula: float
     lower_bound_numeric: float
@@ -97,6 +100,8 @@ class EllipticityReport:
     violations: tuple[AuditViolation, ...]
     strip_count: int
     total_count: int
+    lambda_min: np.ndarray = dataclass_field(repr=False, compare=False)
+    lambda_max: np.ndarray = dataclass_field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -196,6 +201,13 @@ def assemble_degenerate_matrix(
     xn = np.asarray(normal, dtype=float)
     a_t = np.asarray(field.tangential(xp, xn), dtype=float)
     a_m = np.asarray(field.mixed(xp, xn), dtype=float)
+    return _degenerate_matrix(a_t, a_m, xn, p)
+
+
+def _degenerate_matrix(
+    a_t: np.ndarray, a_m: np.ndarray, xn: np.ndarray, p: GrushinParams
+) -> np.ndarray:
+    """A~ from the evaluated blocks a_ij (..., n-1, n-1) and a_in (..., n-1)."""
     out = np.zeros(xn.shape + (p.n, p.n))
     out[..., :-1, :-1] = a_t * xn[..., None, None] ** (2.0 * p.alpha)
     mix = a_m * xn[..., None] ** p.alpha
@@ -223,7 +235,12 @@ def audit_ellipticity_arrays(
     normal: np.ndarray,
     tau: float | None = None,
 ) -> EllipticityReport:
-    """Audit over coordinate arrays of shape (N, n-1) and (N,); see audit_ellipticity."""
+    """Run the ellipticity audit of ``field`` over points (N, n-1) and (N,).
+
+    Violations are collected into the report rather than raised; a passing
+    audit has an empty ``violations`` tuple.  The sample must be nonempty,
+    finite and inside the closed unit half-box.
+    """
     if not 0.0 < epsilon0 < 1.0:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
     delta = field.delta_const
@@ -233,8 +250,12 @@ def audit_ellipticity_arrays(
         raise ValueError(f"tau must lie in (1 - delta, 1) = ({1 - delta}, 1), got {tau}")
     xp = np.atleast_2d(np.asarray(tangential, dtype=float))
     xn = np.atleast_1d(np.asarray(normal, dtype=float))
+    if xn.size == 0:
+        raise ValueError("audit sample must be nonempty")
     if xp.shape != (xn.size, p.n - 1):
         raise ValueError(f"expected tangential shape {(xn.size, p.n - 1)}, got {xp.shape}")
+    if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(xn))):
+        raise ValueError("audit sample must be finite")
     if np.any(np.abs(xp) > 1.0 + 1e-12) or np.any(xn < 0.0) or np.any(xn > 1.0 + 1e-12):
         raise ValueError("audit sample must lie in the closed unit half-box")
 
@@ -249,15 +270,11 @@ def audit_ellipticity_arrays(
         # eigvalsh reads the lower triangle, so asymmetric blocks are flagged
         # via ``asym`` rather than poisoning the eigenvalues.
         eig_t = np.linalg.eigvalsh(a_t)
-        full = assemble_degenerate_matrix(field, cxp, cxn, p)
-        eig_f = np.linalg.eigvalsh(full)
-        return asym, eig_t, np.max(np.abs(a_m), axis=-1), a_m, eig_f
+        eig_f = np.linalg.eigvalsh(_degenerate_matrix(a_t, a_m, cxn, p))
+        return asym, eig_t, a_m, eig_f
 
     pieces = map_chunks(chunk, xn.size)
-    asym = np.concatenate([c[0] for c in pieces])
-    eig_t = np.concatenate([c[1] for c in pieces])
-    a_m = np.concatenate([c[3] for c in pieces])
-    eig_f = np.concatenate([c[4] for c in pieces])
+    asym, eig_t, a_m, eig_f = (np.concatenate(parts) for parts in zip(*pieces))
 
     violations: list[AuditViolation] = []
     for i in np.flatnonzero(asym > _SYM_SLACK):
@@ -295,24 +312,6 @@ def audit_ellipticity_arrays(
         violations=tuple(violations),
         strip_count=strip_count,
         total_count=int(xn.size),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
     )
-
-
-def audit_ellipticity(
-    field: CoefficientField,
-    p: GrushinParams,
-    epsilon0: float,
-    sample: Sequence[HalfSpacePoint],
-    tau: float | None = None,
-) -> EllipticityReport:
-    """Run the ellipticity audit of ``field`` over a sample of half-space points.
-
-    Violations are collected into the report rather than raised; a passing
-    audit has an empty ``violations`` tuple.  Sample points must lie in the
-    closed unit half-box.
-    """
-    if not sample:
-        raise ValueError("audit sample must be nonempty")
-    xp = np.stack([x.tangential for x in sample])
-    xn = np.array([x.normal for x in sample])
-    return audit_ellipticity_arrays(field, p, epsilon0, xp, xn, tau=tau)

@@ -20,13 +20,13 @@ assembled rows and reported, never silently accepted.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField
@@ -380,10 +380,36 @@ def solve(
     return u, report
 
 
-def grid_interpolator(grid: AnisotropicGrid, values: np.ndarray) -> RegularGridInterpolator:
-    """Multilinear interpolator of a flat grid function over the tensor grid."""
+def grid_interpolator(
+    grid: AnisotropicGrid, values: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Multilinear interpolator of a flat grid function over the tensor grid.
+
+    The returned function maps points (M, n) to values (M,) and raises
+    ``ValueError`` for a point outside the box.
+    """
     values = np.asarray(values, dtype=float).reshape(grid.shape)
-    return RegularGridInterpolator(grid.axes, values, method="linear", bounds_error=True)
+
+    def interpolate(points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[-1] != grid.dim:
+            raise ValueError(f"expected points of dimension {grid.dim}, got {points.shape[-1]}")
+        lower, frac = [], []
+        for axis, x in zip(grid.axes, points.T):
+            if not np.all((axis[0] <= x) & (x <= axis[-1])):
+                raise ValueError("interpolation point outside the grid box")
+            i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+            lower.append(i)
+            frac.append((x - axis[i]) / (axis[i + 1] - axis[i]))
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=grid.dim):
+            term = values[tuple(i + c for i, c in zip(lower, corner))]
+            for t, c in zip(frac, corner):
+                term = term * (t if c else 1.0 - t)
+            out = out + term
+        return out
+
+    return interpolate
 
 
 def write_grid_function(path, grid: AnisotropicGrid, values: np.ndarray) -> None:

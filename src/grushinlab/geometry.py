@@ -9,9 +9,10 @@ and the normal direction scale differently.  This module provides the exact
 closed-form pieces of that geometry: the gauge d(x), the quasi-distance
 d_a(y, z), the anisotropic dilations F_h and the comparison ellipsoids E_h.
 
-Every function exists in two forms: a scalar form taking ``HalfSpacePoint``
-and a vectorised ``*_arrays`` form taking coordinate arrays, broadcasting
-over leading axes.  All values are plain floats / float64 arrays.
+Points are coordinate arrays: ``tangential`` of shape (..., n-1) holds x'
+and ``normal`` of shape (...,) holds x_n; every function broadcasts over the
+leading axes and returns float64 arrays.  The dilation F_h multiplies x' and
+x_n by the two factors of ``scaling_factors``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import numpy as np
 
 __all__ = [
     "GrushinParams",
-    "HalfSpacePoint",
-    "gauge",
     "gauge_arrays",
-    "quasi_distance",
     "quasi_distance_arrays",
-    "apply_scaling",
     "scaling_factors",
-    "in_ellipsoid",
-    "ellipsoid_level",
     "ellipsoid_level_arrays",
     "sample_points_by_gauge",
 ]
@@ -79,49 +74,6 @@ class GrushinParams:
         return 4.0 ** (-2.0 * (1.0 + self.alpha))
 
 
-@dataclass(frozen=True, eq=False)
-class HalfSpacePoint:
-    """A point (x', x_n) of the closed upper half space, x_n >= 0.
-
-    ``tangential`` holds the n-1 tangential coordinates x'; ``normal`` is x_n.
-    Construction rejects negative ``normal``; callers needing whole-space
-    evaluation must reflect explicitly.
-    """
-
-    tangential: np.ndarray
-    normal: float
-
-    def __post_init__(self) -> None:
-        tang = np.asarray(self.tangential, dtype=float)
-        if tang.ndim != 1:
-            raise ValueError(f"tangential must be a 1-d vector, got shape {tang.shape}")
-        if not np.all(np.isfinite(tang)):
-            raise ValueError("tangential coordinates must be finite")
-        normal = float(self.normal)
-        if not np.isfinite(normal) or normal < 0.0:
-            raise ValueError(f"normal coordinate must be finite and >= 0, got {self.normal}")
-        tang = tang.copy()
-        tang.flags.writeable = False
-        object.__setattr__(self, "tangential", tang)
-        object.__setattr__(self, "normal", normal)
-
-    @property
-    def dim(self) -> int:
-        return self.tangential.size + 1
-
-    def coords(self) -> np.ndarray:
-        """Full coordinate vector (x', x_n) of length n."""
-        return np.concatenate([self.tangential, [self.normal]])
-
-    def is_origin(self) -> bool:
-        return self.normal == 0.0 and not np.any(self.tangential)
-
-
-def _check_dim(x: HalfSpacePoint, p: GrushinParams) -> None:
-    if x.dim != p.n:
-        raise ValueError(f"point has dimension {x.dim}, params have n={p.n}")
-
-
 def gauge_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
     """Gauge d(x) = (|x'|^2 + beta * x_n^{2(alpha+1)})^{1/(2(alpha+1))}, vectorised.
 
@@ -132,12 +84,6 @@ def gauge_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -
     e = 2.0 * (p.alpha + 1.0)
     level = np.sum(tangential**2, axis=-1) + p.beta * normal**e
     return level ** (1.0 / e)
-
-
-def gauge(x: HalfSpacePoint, p: GrushinParams) -> float:
-    """Gauge d(x); zero exactly at the origin."""
-    _check_dim(x, p)
-    return float(gauge_arrays(x.tangential, x.normal, p))
 
 
 def quasi_distance_arrays(
@@ -152,27 +98,11 @@ def quasi_distance_arrays(
     return tang + np.abs(yn ** (1.0 + alpha) - zn ** (1.0 + alpha))
 
 
-def quasi_distance(y: HalfSpacePoint, z: HalfSpacePoint, alpha: float) -> float:
-    """Quasi-distance d_a(y, z); symmetric, zero iff y == z."""
-    if y.dim != z.dim:
-        raise ValueError(f"dimension mismatch: {y.dim} vs {z.dim}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return float(quasi_distance_arrays(y.tangential, y.normal, z.tangential, z.normal, alpha))
-
-
 def scaling_factors(h: float, p: GrushinParams) -> tuple[float, float]:
     """Per-direction factors (h^{1/2}, h^{1/(2(1+alpha))}) of the dilation F_h."""
     if h <= 0.0:
         raise ValueError(f"scaling parameter h must be > 0, got {h}")
     return float(h) ** 0.5, float(h) ** (1.0 / (2.0 * (1.0 + p.alpha)))
-
-
-def apply_scaling(h: float, x: HalfSpacePoint, p: GrushinParams) -> HalfSpacePoint:
-    """Anisotropic dilation F_h x: tangential * h^{1/2}, normal * h^{1/(2(1+alpha))}."""
-    _check_dim(x, p)
-    ft, fn = scaling_factors(h, p)
-    return HalfSpacePoint(x.tangential * ft, x.normal * fn)
 
 
 def ellipsoid_level_arrays(
@@ -189,22 +119,6 @@ def ellipsoid_level_arrays(
         tangential = tangential - np.asarray(center_tangential, dtype=float)
     normal = normal - center_normal
     return np.sum(tangential**2, axis=-1) + np.abs(normal) ** (2.0 * (1.0 + p.alpha))
-
-
-def ellipsoid_level(x: HalfSpacePoint, center: HalfSpacePoint, p: GrushinParams) -> float:
-    """Ellipsoid level of ``x`` about ``center``; x in E_h(center) iff level < h."""
-    _check_dim(x, p)
-    _check_dim(center, p)
-    return float(
-        ellipsoid_level_arrays(x.tangential, x.normal, p, center.tangential, center.normal)
-    )
-
-
-def in_ellipsoid(x: HalfSpacePoint, h: float, center: HalfSpacePoint, p: GrushinParams) -> bool:
-    """Strict membership x in E_h(center) = {|x'-c'|^2 + |x_n-c_n|^{2(1+alpha)} < h}."""
-    if h <= 0.0:
-        raise ValueError(f"ellipsoid parameter h must be > 0, got {h}")
-    return ellipsoid_level(x, center, p) < h
 
 
 def sample_points_by_gauge(

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grushinlab
 from grushinlab.cli import main, run
+from grushinlab.coefficients import assemble_degenerate_matrix
 from grushinlab.config import COMMANDS, ConfigError, parse_config
 from grushinlab.reports import canonical_json, content_hash, jsonable, write_csv
 
@@ -181,6 +187,58 @@ class TestMain:
                 }
             )
             assert run(cfg) == 0
+
+    def test_audit_csv_matches_recomputed_spectrum(self, tmp_path):
+        out = tmp_path / "audit"
+        cfg = parse_config(
+            raw={
+                "command": "audit-ellipticity",
+                "params": {"n": 3, "alpha": 1.5},
+                "field": {"family": "decaying-perturbation", "amplitude": 0.3, "s": 2.0, "seed": 3},
+                "experiment": {"points": 400},
+                "seed": 3,
+                "output_dir": str(out),
+            }
+        )
+        assert run(cfg) == 0
+        lines = (out / "samples.csv").read_text().splitlines()
+        assert lines[0] == "x_1,x_2,x_n,lambda_min,lambda_max,on_strip"
+        cells = [line.split(",") for line in lines[1:]]
+        assert len(cells) == 400
+        data = np.array([[float(c) for c in row[:-1]] for row in cells])
+        xp, xn = data[:, :2], data[:, 2]
+        eigs = np.linalg.eigvalsh(assemble_degenerate_matrix(cfg.build_field(), xp, xn, cfg.params))
+        np.testing.assert_array_equal(data[:, 3], eigs[:, 0])
+        np.testing.assert_array_equal(data[:, 4], eigs[:, -1])
+        on_strip = xn >= cfg.experiment["epsilon0"]
+        assert [row[-1] for row in cells] == ["true" if s else "false" for s in on_strip]
+        assert 0 < np.count_nonzero(on_strip) < 400
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["result"]) == {
+            "lower_bound_formula",
+            "lower_bound_numeric",
+            "upper_bound_numeric",
+            "epsilon0",
+            "tau",
+            "violations",
+            "strip_count",
+            "total_count",
+        }
+        assert report["result"]["total_count"] == 400
+        assert report["result"]["lower_bound_numeric"] == float(np.min(eigs[on_strip, 0]))
+
+    def test_cli_import_leaves_out_scipy_interpolate(self):
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = "import sys, grushinlab.cli; print('scipy.interpolate' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_solve_writes_grid_function(self, tmp_path):
         out = tmp_path / "solve"

@@ -4,13 +4,12 @@ import pytest
 from grushinlab.coefficients import (
     CoefficientField,
     assemble_degenerate_matrix,
-    audit_ellipticity,
     audit_ellipticity_arrays,
     make_decaying_perturbation,
     make_identity_field,
     strip_bound,
 )
-from grushinlab.geometry import GrushinParams, HalfSpacePoint, gauge_arrays
+from grushinlab.geometry import GrushinParams, gauge_arrays
 
 P21 = GrushinParams(2, 1.0)
 P31 = GrushinParams(3, 1.0)
@@ -139,11 +138,31 @@ class TestDecayingPerturbation:
 class TestAudit:
     def test_point_interface(self):
         f = make_identity_field(P21)
-        pts = [HalfSpacePoint([0.3], 0.7), HalfSpacePoint([-0.5], 0.0), HalfSpacePoint([0.9], 0.2)]
-        rep = audit_ellipticity(f, P21, 0.5, pts)
+        xp, xn = np.array([[0.3], [-0.5], [0.9]]), np.array([0.7, 0.0, 0.2])
+        rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
         assert rep.passed
         assert rep.total_count == 3
         assert rep.strip_count == 1
+        # A~ = diag(x_n^2, 1) for the identity field at alpha = 1.
+        np.testing.assert_array_equal(rep.lambda_min, xn**2)
+        np.testing.assert_array_equal(rep.lambda_max, [1.0, 1.0, 1.0])
+        assert "lambda_min" not in repr(rep)
+
+    def test_rejects_empty_sample(self):
+        f = make_identity_field(P21)
+        with pytest.raises(ValueError, match="nonempty"):
+            audit_ellipticity_arrays(f, P21, 0.5, np.empty((0, 1)), np.empty(0))
+
+    def test_rejects_nonfinite_points(self):
+        f = make_identity_field(P21)
+        xp = np.array([[0.1], [np.nan], [0.2]])
+        xn = np.array([0.7, 0.6, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
+        with pytest.raises(ValueError, match="finite"):
+            audit_ellipticity_arrays(f, P21, 0.5, xp[[0, 2]], np.array([0.7, np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            audit_ellipticity_arrays(f, P21, 0.5, np.array([[np.inf]]), np.array([0.5]))
 
     def test_boundary_degeneracy_allowed(self):
         f = make_decaying_perturbation(P21, 2.0, 0.5, 23)
@@ -214,3 +233,5 @@ class TestThreading:
         monkeypatch.setenv("GRUSHINLAB_THREADS", "4")
         threaded = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
         assert serial == threaded
+        np.testing.assert_array_equal(serial.lambda_min, threaded.lambda_min)
+        np.testing.assert_array_equal(serial.lambda_max, threaded.lambda_max)

@@ -310,3 +310,23 @@ class TestInterpolation:
         np.testing.assert_allclose(
             interp(pts), 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 1.0, rtol=1e-13
         )
+
+    def test_trilinear_reproduces_products(self):
+        # Multilinear interpolation is exact for products of one linear factor per axis.
+        g = build_grid([-1, 0, 0], [2, 1, 3], (5, 7, 6), 1.5)
+        tang, norm = g.node_coordinates()
+        f = lambda c: (c[:, 0] + 1.0) * (c[:, 1] - 2.0) * c[:, 2] + c[:, 0]
+        interp = grid_interpolator(g, f(np.column_stack([tang, norm])))
+        rng = np.random.default_rng(4)
+        pts = rng.uniform([-1, 0, 0], [2, 1, 3], (200, 3))
+        pts[0] = [2.0, 1.0, 3.0]  # the far corner of the box
+        np.testing.assert_allclose(interp(pts), f(pts), rtol=1e-12, atol=1e-12)
+
+    def test_point_outside_box_raises(self):
+        g = build_grid([1, 0], [3, 2], (9, 9), 2.0)
+        interp = grid_interpolator(g, np.zeros(g.num_nodes))
+        for bad in ([3.0 + 1e-12, 1.0], [1.5, -1e-300], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="outside the grid box"):
+                interp(np.array([[2.0, 1.0], bad]))
+        with pytest.raises(ValueError, match="dimension"):
+            interp(np.array([[2.0, 1.0, 0.5]]))

@@ -4,13 +4,8 @@ from hypothesis import given, strategies as st
 
 from grushinlab.geometry import (
     GrushinParams,
-    HalfSpacePoint,
-    apply_scaling,
-    ellipsoid_level,
-    gauge,
+    ellipsoid_level_arrays,
     gauge_arrays,
-    in_ellipsoid,
-    quasi_distance,
     quasi_distance_arrays,
     sample_points_by_gauge,
     scaling_factors,
@@ -22,10 +17,20 @@ finite_alpha = st.floats(0.0, 4.0)
 positive_h = st.floats(1e-6, 1e6)
 coord = st.floats(-50.0, 50.0)
 normal_coord = st.floats(0.0, 50.0)
+# Batches of 2-D points (x_1, x_n) with x_n >= 0.
+point_rows = st.lists(st.tuples(coord, normal_coord), min_size=1, max_size=6)
 
 
-def pt(tangential, normal):
-    return HalfSpacePoint(np.atleast_1d(np.asarray(tangential, dtype=float)), normal)
+def split(rows):
+    """Tangential (N, 1) and normal (N,) arrays of a list of (x_1, x_n) rows."""
+    a = np.array(rows, dtype=float).reshape(-1, 2)
+    return a[:, :1], a[:, 1]
+
+
+def dilate(h, xp, xn, p):
+    """The anisotropic dilation F_h applied to coordinate arrays."""
+    ft, fn = scaling_factors(h, p)
+    return xp * ft, xn * fn
 
 
 class TestParams:
@@ -51,72 +56,75 @@ class TestParams:
             GrushinParams(2.5, 1.0)
 
 
-class TestHalfSpacePoint:
-    def test_rejects_negative_normal(self):
-        with pytest.raises(ValueError):
-            pt([1.0], -1e-12)
-
-    def test_coords_and_immutability(self):
-        x = pt([1.0, 2.0], 3.0)
-        assert x.dim == 3
-        np.testing.assert_array_equal(x.coords(), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            x.tangential[0] = 5.0
-
-
 class TestGauge:
     def test_tangential_unit(self):
-        assert gauge(pt([1.0], 0.0), P21) == pytest.approx(1.0, abs=0)
+        d = gauge_arrays(*split([(1.0, 0.0), (-1.0, 0.0)]), P21)
+        np.testing.assert_array_equal(d, [1.0, 1.0])
 
     def test_normal_unit(self):
-        assert gauge(pt([0.0], 1.0), P21) == pytest.approx(0.25**0.25, rel=1e-15)
+        d = gauge_arrays(*split([(0.0, 1.0), (0.0, 2.0)]), P21)
+        np.testing.assert_allclose(d, [0.25**0.25, 2.0 * 0.25**0.25], rtol=1e-15)
 
     def test_alpha_zero_is_euclidean(self):
         p = GrushinParams(2, 0.0)
-        assert gauge(pt([3.0], 4.0), p) == pytest.approx(5.0, rel=1e-15)
+        d = gauge_arrays(*split([(3.0, 4.0), (-5.0, 12.0), (0.0, 7.0)]), p)
+        np.testing.assert_allclose(d, [5.0, 13.0, 7.0], rtol=1e-15)
 
     def test_zero_only_at_origin(self):
-        assert gauge(pt([0.0], 0.0), P21) == 0.0
-        assert gauge(pt([1e-8], 0.0), P21) > 0.0
+        d = gauge_arrays(*split([(0.0, 0.0), (1e-8, 0.0), (0.0, 1e-8), (-1e-8, 0.0)]), P21)
+        assert d[0] == 0.0
+        assert np.all(d[1:] > 0.0)
 
-    @given(x1=coord, xn=normal_coord, h=positive_h, alpha=finite_alpha)
-    def test_scaling_homogeneity(self, x1, xn, h, alpha):
+    @given(rows=point_rows, h=positive_h, alpha=finite_alpha)
+    def test_scaling_homogeneity(self, rows, h, alpha):
         p = GrushinParams(2, alpha)
-        x = pt([x1], xn)
-        lhs = gauge(apply_scaling(h, x, p), p)
-        rhs = h ** (1.0 / (2.0 * (1.0 + alpha))) * gauge(x, p)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+        xp, xn = split(rows)
+        lhs = gauge_arrays(*dilate(h, xp, xn, p), p)
+        rhs = h ** (1.0 / (2.0 * (1.0 + alpha))) * gauge_arrays(xp, xn, p)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
 class TestQuasiDistance:
     def test_tangential_separation(self):
-        assert quasi_distance(pt([0.0], 0.0), pt([1.0], 0.0), 1.0) == 1.0
+        yp, yn = split([(0.0, 0.0), (2.0, 0.5)])
+        zp, zn = split([(1.0, 0.0), (-1.0, 0.5)])
+        np.testing.assert_array_equal(quasi_distance_arrays(yp, yn, zp, zn, 1.0), [1.0, 3.0])
 
     def test_normal_separation(self):
-        assert quasi_distance(pt([0.0], 0.0), pt([0.0], 1.0), 1.0) == 1.0
+        yp, yn = split([(0.0, 0.0), (0.0, 1.0)])
+        zp, zn = split([(0.0, 1.0), (0.0, 0.0)])
+        np.testing.assert_array_equal(quasi_distance_arrays(yp, yn, zp, zn, 1.0), [1.0, 1.0])
 
     def test_normal_power_difference(self):
-        assert quasi_distance(pt([0.0], 1.0), pt([0.0], 2.0), 1.0) == pytest.approx(3.0, rel=1e-15)
+        yp, yn = split([(0.0, 1.0), (0.0, 2.0)])
+        zp, zn = split([(0.0, 2.0), (0.0, 3.0)])
+        got = quasi_distance_arrays(yp, yn, zp, zn, 1.0)
+        np.testing.assert_allclose(got, [3.0, 5.0], rtol=1e-15)
 
     def test_alpha_zero_reduction(self):
-        got = quasi_distance(pt([1.0], 0.5), pt([3.0], 2.0), 0.0)
-        assert got == pytest.approx(2.0 + 1.5, rel=1e-15)
+        yp, yn = split([(1.0, 0.5), (0.0, 0.0)])
+        zp, zn = split([(3.0, 2.0), (-2.0, 4.0)])
+        got = quasi_distance_arrays(yp, yn, zp, zn, 0.0)
+        np.testing.assert_allclose(got, [2.0 + 1.5, 2.0 + 4.0], rtol=1e-15)
 
-    @given(
-        y1=coord, yn=normal_coord, z1=coord, zn=normal_coord, h=positive_h, alpha=finite_alpha
-    )
-    def test_scaling_law(self, y1, yn, z1, zn, h, alpha):
+    @given(ys=point_rows, zs=point_rows, h=positive_h, alpha=finite_alpha)
+    def test_scaling_law(self, ys, zs, h, alpha):
         p = GrushinParams(2, alpha)
-        y, z = pt([y1], yn), pt([z1], zn)
-        lhs = quasi_distance(y, z, alpha)
-        rhs = h**-0.5 * quasi_distance(apply_scaling(h, y, p), apply_scaling(h, z, p), alpha)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+        k = min(len(ys), len(zs))
+        (yp, yn), (zp, zn) = split(ys[:k]), split(zs[:k])
+        lhs = quasi_distance_arrays(yp, yn, zp, zn, alpha)
+        rhs = h**-0.5 * quasi_distance_arrays(*dilate(h, yp, yn, p), *dilate(h, zp, zn, p), alpha)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
-    @given(y1=coord, yn=normal_coord, z1=coord, zn=normal_coord, alpha=finite_alpha)
-    def test_symmetry_and_diagonal(self, y1, yn, z1, zn, alpha):
-        y, z = pt([y1], yn), pt([z1], zn)
-        assert quasi_distance(y, z, alpha) == quasi_distance(z, y, alpha)
-        assert quasi_distance(y, y, alpha) == 0.0
+    @given(ys=point_rows, zs=point_rows, alpha=finite_alpha)
+    def test_symmetry_and_diagonal(self, ys, zs, alpha):
+        k = min(len(ys), len(zs))
+        (yp, yn), (zp, zn) = split(ys[:k]), split(zs[:k])
+        np.testing.assert_array_equal(
+            quasi_distance_arrays(yp, yn, zp, zn, alpha),
+            quasi_distance_arrays(zp, zn, yp, yn, alpha),
+        )
+        np.testing.assert_array_equal(quasi_distance_arrays(yp, yn, yp, yn, alpha), 0.0)
 
     def test_two_sided_euclidean_comparison(self):
         # Empirically tightest constants over the closed unit half-box;
@@ -141,55 +149,56 @@ class TestQuasiDistance:
 
 class TestScaling:
     def test_identity(self):
-        x = pt([1.5], 0.5)
-        y = apply_scaling(1.0, x, P21)
-        np.testing.assert_allclose(y.coords(), x.coords(), rtol=0)
+        xp, xn = split([(1.5, 0.5), (-2.0, 0.0), (0.0, 3.0)])
+        yp, yn = dilate(1.0, xp, xn, P21)
+        np.testing.assert_array_equal(yp, xp)
+        np.testing.assert_array_equal(yn, xn)
 
     def test_explicit_factors(self):
-        y = apply_scaling(16.0, pt([1.0], 1.0), P21)
-        np.testing.assert_allclose(y.coords(), [4.0, 2.0], rtol=1e-15)
+        assert scaling_factors(16.0, P21) == (4.0, 2.0)
+        yp, yn = dilate(16.0, *split([(1.0, 1.0), (-0.5, 3.0)]), P21)
+        np.testing.assert_allclose(yp[:, 0], [4.0, -2.0], rtol=1e-15)
+        np.testing.assert_allclose(yn, [2.0, 6.0], rtol=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            apply_scaling(0.0, pt([1.0], 1.0), P21)
+            scaling_factors(0.0, P21)
         with pytest.raises(ValueError):
             scaling_factors(-1.0, P21)
 
-    @given(x1=coord, xn=normal_coord, h=positive_h)
-    def test_round_trip(self, x1, xn, h):
-        x = pt([x1], xn)
-        back = apply_scaling(1.0 / h, apply_scaling(h, x, P21), P21)
-        np.testing.assert_allclose(back.coords(), x.coords(), rtol=1e-12, atol=1e-300)
+    @given(rows=point_rows, h=positive_h)
+    def test_round_trip(self, rows, h):
+        xp, xn = split(rows)
+        bp, bn = dilate(1.0 / h, *dilate(h, xp, xn, P21), P21)
+        np.testing.assert_allclose(bp, xp, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(bn, xn, rtol=1e-12, atol=1e-300)
 
 
 class TestEllipsoid:
     def test_center_is_inside(self):
-        c = pt([0.3], 0.2)
-        assert in_ellipsoid(c, 1e-9, c, P21)
+        xp, xn = split([(0.3, 0.2), (0.3 + 1e-6, 0.2), (0.3, 0.2 - 1e-3)])
+        level = ellipsoid_level_arrays(xp, xn, P21, center_tangential=[0.3], center_normal=0.2)
+        assert level[0] == 0.0
+        assert np.all(level < 1e-9)
 
     def test_boundary_point_excluded(self):
-        origin = pt([0.0], 0.0)
-        assert not in_ellipsoid(pt([0.0], 1.0), 1.0, origin, P21)
-
-    def test_rejects_bad_h(self):
-        with pytest.raises(ValueError):
-            in_ellipsoid(pt([0.0], 0.0), 0.0, pt([0.0], 0.0), P21)
+        # E_1 about the origin is open: boundary points have level exactly 1.
+        level = ellipsoid_level_arrays(*split([(0.0, 1.0), (1.0, 0.0), (-1.0, 0.0)]), P21)
+        np.testing.assert_array_equal(level, 1.0)
+        assert not np.any(level < 1.0)
 
     def test_dilation_maps_unit_ellipsoid(self):
         # membership in E_1 transported by the dilation equals membership in E_h
         rng = np.random.default_rng(3)
-        origin = pt([0.0], 0.0)
-        checked = 0
-        while checked < 100:
-            x = pt(rng.uniform(-1.2, 1.2, 1), rng.uniform(0, 1.2))
-            h = rng.uniform(0.1, 10.0)
-            level = ellipsoid_level(x, origin, P21)
-            if abs(level - 1.0) < 1e-6:
-                continue  # skip the measure-zero boundary where rounding decides
-            assert in_ellipsoid(x, 1.0, origin, P21) == in_ellipsoid(
-                apply_scaling(h, x, P21), h, origin, P21
-            )
-            checked += 1
+        xp = rng.uniform(-1.2, 1.2, (400, 1))
+        xn = rng.uniform(0.0, 1.2, 400)
+        level = ellipsoid_level_arrays(xp, xn, P21)
+        keep = np.abs(level - 1.0) >= 1e-6  # skip the boundary, where rounding decides
+        assert np.count_nonzero(keep) >= 100
+        for h in rng.uniform(0.1, 10.0, 5):
+            yp, yn = dilate(h, xp, xn, P21)
+            inside_h = ellipsoid_level_arrays(yp, yn, P21) < h
+            np.testing.assert_array_equal(inside_h[keep], (level < 1.0)[keep])
 
 
 class TestSampling:
