@@ -112,7 +112,7 @@ def ellipsoid_level_arrays(
     center_tangential: np.ndarray | None = None,
     center_normal: float = 0.0,
 ) -> np.ndarray:
-    """Level |x'-c'|^2 + |x_n-c_n|^{2(1+alpha)} whose sublevel sets are the E_h."""
+    """Level |x'-c'|^2 + |x_n-c_n|^{2(1+alpha)}; x lies in E_h(c) iff it is < h."""
     tangential = np.asarray(tangential, dtype=float)
     normal = np.asarray(normal, dtype=float)
     if center_tangential is not None:
