@@ -32,7 +32,7 @@ from .experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from .fdsolver import assemble, solve, solve_report_to_json, write_grid_function
+from .fdsolver import assemble, solve, write_grid_function
 from .geometry import sample_points_by_gauge
 from .reports import content_hash, jsonable, write_csv, write_json_report
 
@@ -70,7 +70,7 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
     rg = _normalized_residual(apply_grushin(jg, xp, xn, p), grushin_term_scale(jg, xp, xn, p))
     worst_kernel = float(np.max(rw))
     worst_power = float(np.max(rg))
-    rows = np.column_stack([xp, xn, rw, rg])
+    columns = [*xp.T, xn, rw, rg]
     tol = cfg.tolerances.residual_tol
     passed = worst_kernel <= tol and worst_power <= tol
     result = {
@@ -84,7 +84,7 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
         f"verify-closed-forms: max residuals kernel={worst_kernel:.3e} "
         f"gauge-power={worst_power:.3e} tol={tol:.1e}"
     )
-    return passed, result, header, rows, summary
+    return passed, result, header, columns, summary
 
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
@@ -98,13 +98,7 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
     xn[: max(1, count // 50)] = 0.0  # exercise the degenerate boundary case
     report = audit_ellipticity_arrays(field, p, exp["epsilon0"], xp, xn, tau=exp["tau"])
     on_strip = xn >= exp["epsilon0"]
-    rows = zip(
-        *xp.T.tolist(),
-        xn.tolist(),
-        report.lambda_min.tolist(),
-        report.lambda_max.tolist(),
-        on_strip.tolist(),
-    )
+    columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
     result = jsonable(
         {k: v for k, v in vars(report).items() if k not in ("lambda_min", "lambda_max")}
     )
@@ -113,7 +107,7 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
         f"audit-ellipticity: formula bound {report.lower_bound_formula:.6g}, "
         f"numeric min {report.lower_bound_numeric:.6g}, violations {len(report.violations)}"
     )
-    return report.passed, result, header, rows, summary
+    return report.passed, result, header, columns, summary
 
 
 def _cmd_solve(cfg: RunConfig):
@@ -124,23 +118,20 @@ def _cmd_solve(cfg: RunConfig):
     sys_ = assemble(field, grid, p, bc)
     u, report = solve(sys_, tol=cfg.tolerances.solver_tol)
     out = cfg.output_dir / "solution.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_grid_function(out, grid, u)
     result = {
-        "solve": solve_report_to_json(report),
+        "solve": jsonable(report),
         "mesh_ratio_offenders": int(sys_.mesh_ratio_offenders.size),
         "solution_file": str(out),
         "max_abs_u": float(np.max(np.abs(u))),
     }
-    rows = [
-        (a, grid.counts[a], float(np.min(np.diff(grid.axes[a]))), float(np.max(np.diff(grid.axes[a]))))
-        for a in range(grid.dim)
-    ]
+    spacings = [np.diff(axis) for axis in grid.axes]
+    columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
     summary = (
         f"solve: residual {report.final_residual:.3e} after {report.iterations} refinements, "
         f"dmp_ok={report.dmp_ok}"
     )
-    return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], rows, summary
+    return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
 
 
 def _cmd_boundary_growth(cfg: RunConfig):
@@ -158,7 +149,7 @@ def _cmd_boundary_growth(cfg: RunConfig):
     lo, hi = cfg.tolerances.growth_band
     passed = (not report.refused) and report.fit is not None and lo <= report.fit.exponent <= hi
     result = jsonable(report)
-    rows = list(zip(report.ray_heights, report.ray_values))
+    columns = [report.ray_heights, report.ray_values]
     if report.refused:
         summary = "boundary-growth: fit refused (degenerate ray data)"
     else:
@@ -166,7 +157,7 @@ def _cmd_boundary_growth(cfg: RunConfig):
             f"boundary-growth: C={report.bound_constant:.6g}, "
             f"ray exponent {report.fit.exponent:.4f} in [{lo}, {hi}]"
         )
-    return passed, result, ["height", "abs_u"], rows, summary
+    return passed, result, ["height", "abs_u"], columns, summary
 
 
 def _cmd_holder_modulus(cfg: RunConfig):
@@ -186,14 +177,13 @@ def _cmd_holder_modulus(cfg: RunConfig):
         solver_tol=cfg.tolerances.solver_tol,
     )
     passed = report.final_change < cfg.tolerances.stabilization
-    rows = [
-        ("x".join(str(c) for c in lv.counts), lv.max_quotient, lv.pair_count) for lv in report.levels
-    ]
+    grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
+    columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
     summary = (
         f"holder-modulus: exponent {report.exponent:.4f}, "
         f"max quotient change {report.final_change:.3%} at finest levels"
     )
-    return passed, jsonable(report), ["grid", "max_quotient", "pairs"], rows, summary
+    return passed, jsonable(report), ["grid", "max_quotient", "pairs"], columns, summary
 
 
 def _cmd_oscillation_decay(cfg: RunConfig):
@@ -229,17 +219,16 @@ def _cmd_oscillation_decay(cfg: RunConfig):
             "limit statement at infinity is not directly testable on finite grids"
         ),
     }
-    rows = []
-    for r in reports:
-        for level, xn, val in r.shell_samples:
-            rows.append((r.shells[0], level, xn, val))
+    radius = np.repeat([r.shells[0] for r in reports], [len(r.shell_samples) for r in reports])
+    samples = np.concatenate([np.reshape(r.shell_samples, (-1, 3)) for r in reports])
+    columns = [radius, *samples.T]
     spread_text = "" if spread is None else f", cross-scale spread {spread:.3%}"
     summary = (
         "oscillation-decay: c0 = "
         + ", ".join(f"{c:.6g}" for c in c0s)
         + f" at R = {', '.join(str(r) for r in exp['radii'])}{spread_text}"
     )
-    return passed, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], rows, summary
+    return passed, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, summary
 
 
 def _cmd_supersolution_scan(cfg: RunConfig):
@@ -256,13 +245,13 @@ def _cmd_supersolution_scan(cfg: RunConfig):
     )
     passed = report.R0_empirical is not None
     result = jsonable(report)
-    rows = list(report.per_shell)
+    columns = list(zip(*report.per_shell))
     r0_text = "none" if report.R0_empirical is None else f"{report.R0_empirical:g}"
     summary = (
         f"supersolution-scan: R0={r0_text}, {len(report.violations)} violations over "
         f"{len(report.shells_tested)} shells (amplitude {report.amplitude:g})"
     )
-    return passed, result, ["R", "samples", "violations", "worst_value"], rows, summary
+    return passed, result, ["R", "samples", "violations", "worst_value"], columns, summary
 
 
 def _cmd_decay_fit(cfg: RunConfig):
@@ -287,10 +276,9 @@ def _cmd_decay_fit(cfg: RunConfig):
         and report.fit is not None
         and abs(report.fit.exponent - report.expected_exponent) <= band * abs(report.expected_exponent)
     )
-    rows = [
-        (g, xn, v, v / xn)
-        for g, xn, v in zip(report.ray_gauges, report.ray_normals, report.ray_values)
-    ]
+    xn = np.asarray(report.ray_normals)
+    u = np.asarray(report.ray_values)
+    columns = [report.ray_gauges, xn, u, u / xn]
     if report.refused:
         summary = "decay-fit: fit refused (fewer than 5 usable ray points)"
     else:
@@ -298,7 +286,7 @@ def _cmd_decay_fit(cfg: RunConfig):
             f"decay-fit: slope {report.fit.exponent:.4f} vs expected "
             f"{report.expected_exponent:g} (band {band:.0%})"
         )
-    return passed, jsonable(report), ["gauge", "x_n", "u", "u_over_xn"], rows, summary
+    return passed, jsonable(report), ["gauge", "x_n", "u", "u_over_xn"], columns, summary
 
 
 def _cmd_global_bound(cfg: RunConfig):
@@ -319,12 +307,12 @@ def _cmd_global_bound(cfg: RunConfig):
     )
     passed = report.passed and report.falsification_failed
     result = {k: v for k, v in jsonable(report).items() if k != "interface_samples"}
-    rows = list(report.interface_samples)
+    columns = list(zip(*report.interface_samples))
     summary = (
         f"global-bound: C={report.comparison_constant:.6g}, worst margin "
         f"{report.worst_margin:.3e}, falsification margin {report.falsification_margin:.3e}"
     )
-    return passed, result, ["tangential_norm", "x_n", "u", "supersolution"], rows, summary
+    return passed, result, ["tangential_norm", "x_n", "u", "supersolution"], columns, summary
 
 
 _RUNNERS = {
@@ -342,7 +330,7 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one validated config; write report.json and samples.csv."""
-    passed, result, header, rows, summary = _RUNNERS[cfg.command](cfg)
+    passed, result, header, columns, summary = _RUNNERS[cfg.command](cfg)
     payload = {
         "command": cfg.command,
         "config": cfg.effective,
@@ -352,7 +340,7 @@ def run(cfg: RunConfig) -> int:
         "result": result,
     }
     write_json_report(cfg.output_dir / "report.json", payload)
-    write_csv(cfg.output_dir / "samples.csv", header, rows)
+    write_csv(cfg.output_dir / "samples.csv", header, columns)
     print(summary + (" -> PASS" if passed else " -> FAIL"))
     if not passed:
         print(f"{cfg.command}: criterion failed; see {cfg.output_dir / 'report.json'}", file=sys.stderr)

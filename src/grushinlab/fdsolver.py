@@ -31,6 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField
 from .geometry import GrushinParams
+from .reports import write_csv
 
 __all__ = [
     "AnisotropicGrid",
@@ -44,10 +45,10 @@ __all__ = [
     "grid_interpolator",
     "write_grid_function",
     "read_grid_function",
-    "solve_report_to_json",
 ]
 
 MAX_NODES_DEFAULT = 2_000_000
+MAX_REFINEMENTS = 50
 
 BoundaryValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -329,15 +330,14 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
 
 
-def solve(
-    sys: SparseSystem, tol: float = 1e-10, max_iter: int = 50
-) -> tuple[np.ndarray, SolveReport]:
+def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Solve the assembled system to a relative residual <= tol.
 
-    Direct sparse factorisation plus iterative refinement; ``iterations``
-    counts refinement sweeps after the first solve.  Deterministic for
-    identical inputs.  On breakdown the best iterate is returned with
-    ``converged=False`` instead of raising.
+    Direct sparse factorisation plus at most ``MAX_REFINEMENTS`` sweeps of
+    iterative refinement; ``iterations`` counts the sweeps after the first
+    solve, and ``converged`` says whether the residual reached ``tol``.
+    Deterministic for identical inputs.  A singular factorisation raises
+    SuperLU's ``RuntimeError``.
     """
     start = time.perf_counter()
     matrix = sys.matrix
@@ -347,28 +347,21 @@ def solve(
     if denom == 0.0:
         denom = 1.0
 
-    def rel_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(b - matrix @ x)) / denom
-
     if bool(sys.dirichlet_mask.all()):
         u = b.copy()
-        report = SolveReport(0, rel_residual(u), dmp_ok, time.perf_counter() - start, True)
-        return u, report
+        residual = float(np.linalg.norm(b - matrix @ u)) / denom
+        return u, SolveReport(0, residual, dmp_ok, time.perf_counter() - start, True)
 
+    lu = splu(matrix.tocsc())
+    u = lu.solve(b)
+    r = b - matrix @ u
+    residual = float(np.linalg.norm(r)) / denom
     iterations = 0
-    try:
-        lu = splu(matrix.tocsc())
-        u = lu.solve(b)
-        residual = rel_residual(u)
-        while residual > tol and iterations < max_iter:
-            u = u + lu.solve(b - matrix @ u)
-            iterations += 1
-            residual = rel_residual(u)
-    except RuntimeError:
-        # Singular or badly pivoted factorisation: fall back to least squares
-        # on the best-effort iterate.
-        u = sparse.linalg.lsqr(matrix, b, atol=tol, btol=tol)[0]
-        residual = rel_residual(u)
+    while residual > tol and iterations < MAX_REFINEMENTS:
+        u = u + lu.solve(r)
+        iterations += 1
+        r = b - matrix @ u
+        residual = float(np.linalg.norm(r)) / denom
 
     report = SolveReport(
         iterations=iterations,
@@ -413,15 +406,12 @@ def grid_interpolator(
 
 
 def write_grid_function(path, grid: AnisotropicGrid, values: np.ndarray) -> None:
-    """Write one line per node: ``x_1 ... x_n u`` with 17 significant digits."""
+    """Write one line per node, ``x_1 ... x_n u``, space-separated and atomically."""
     values = np.asarray(values, dtype=float).ravel()
     if values.size != grid.num_nodes:
         raise ValueError(f"expected {grid.num_nodes} values, got {values.size}")
     tang, norm = grid.node_coordinates()
-    with open(path, "w", encoding="ascii") as handle:
-        for k in range(values.size):
-            coords = [f"{c:.17g}" for c in tang[k]] + [f"{norm[k]:.17g}", f"{values[k]:.17g}"]
-            handle.write(" ".join(coords) + "\n")
+    write_csv(path, None, [*tang.T, norm, values], sep=" ")
 
 
 def read_grid_function(path) -> tuple[np.ndarray, np.ndarray]:
@@ -431,13 +421,3 @@ def read_grid_function(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("grid function file must have at least two columns")
     return data[:, :-1], data[:, -1]
 
-
-def solve_report_to_json(report: SolveReport) -> dict:
-    """JSON form with keys iterations, final_residual, dmp_ok, wall_time_ms."""
-    return {
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "dmp_ok": report.dmp_ok,
-        "wall_time_ms": report.wall_time_s * 1e3,
-        "converged": report.converged,
-    }

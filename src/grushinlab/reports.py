@@ -1,14 +1,16 @@
 """Report serialisation: canonical JSON, content hashes, atomic file writes.
 
-Reports are written whole or not at all (write to a temp file in the target
-directory, then rename), and CSV cells carry 17 significant digits so reruns
-of the same config produce byte-identical files.
+Every output file is written whole or not at all (lines streamed into a temp
+file in the target directory, then renamed).  ``write_csv`` alone turns
+numbers into table text, one format per column, floats with 17 significant
+digits, so reruns of the same config produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -21,7 +23,7 @@ __all__ = [
     "jsonable",
     "canonical_json",
     "content_hash",
-    "atomic_write_text",
+    "atomic_write_lines",
     "write_json_report",
     "write_csv",
 ]
@@ -57,14 +59,18 @@ def content_hash(payload: Any) -> str:
     return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a sibling temp file, then rename it over ``path``.
+
+    Readers never see a partial file: on any error the temp file is removed
+    and ``path`` keeps its old content.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,18 +79,39 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_json_report(path: Path, payload: Any) -> None:
-    atomic_write_text(Path(path), json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
+    atomic_write_lines(path, [json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"])
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return str(value)
+def _column_format(index: int, column: Sequence[Any]) -> tuple[str, list]:
+    """The ``%`` format of one column and its cells as plain Python values."""
+    values = np.asarray(column)
+    if values.ndim != 1:
+        raise ValueError(f"column {index} must be 1-d, got shape {values.shape}")
+    kind = values.dtype.kind
+    if kind == "f":
+        return "%.17g", values.tolist()
+    if kind == "b":
+        return "%s", np.where(values, "true", "false").tolist()
+    if kind in "iuU":
+        return "%s", values.tolist()
+    raise ValueError(f"column {index} has unsupported dtype {values.dtype}")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: str = ",") -> None:
+    """Write equal-length columns as ``sep``-separated lines, atomically.
+
+    Float columns carry 17 significant digits (``%.17g``), bool columns
+    ``true``/``false``, integer and string columns ``str``; any other dtype
+    raises ``ValueError``.  ``header=None`` writes no header line.
+    """
+    formatted = [_column_format(i, c) for i, c in enumerate(columns)]
+    cells = [values for _, values in formatted]
+    if header is not None and len(header) != len(cells):
+        raise ValueError(f"header has {len(header)} names for {len(cells)} columns")
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"columns have unequal lengths {[len(c) for c in cells]}")
+    row = sep.join(fmt for fmt, _ in formatted) + "\n"
+    lines = (row % cell for cell in zip(*cells))
+    if header is not None:
+        lines = itertools.chain([sep.join(header) + "\n"], lines)
+    atomic_write_lines(path, lines)

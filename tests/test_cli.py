@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,21 @@ import grushinlab
 from grushinlab.cli import main, run
 from grushinlab.coefficients import assemble_degenerate_matrix
 from grushinlab.config import COMMANDS, ConfigError, parse_config
-from grushinlab.reports import canonical_json, content_hash, jsonable, write_csv
+from grushinlab.reports import atomic_write_lines, canonical_json, content_hash, jsonable, write_csv
+
+# Every command at small sizes, for the rerun test.
+SMALL_BOX = {"box_lo": [1, 0], "box_hi": [3, 2]}
+SMALL_RAW = {
+    "verify-closed-forms": {"experiment": {"points": 50}},
+    "audit-ellipticity": {"experiment": {"points": 200}},
+    "solve": {"grid": {**SMALL_BOX, "counts": [9, 9]}},
+    "boundary-growth": {"grid": {**SMALL_BOX, "counts": [17, 17]}},
+    "holder-modulus": {"grid": {**SMALL_BOX, "counts": [9, 9]}, "experiment": {"levels": 2, "pairs": 300}},
+    "oscillation-decay": {"experiment": {"counts": [33, 13], "radii": [1, 4]}},
+    "supersolution-scan": {"experiment": {"shells": [1, 2, 4, 8], "samples_per_shell": 50}},
+    "decay-fit": {"experiment": {"counts": [129, 17], "outer_radius": 16}},
+    "global-bound": {"experiment": {"counts": [129, 17], "outer_radius": 16}},
+}
 
 
 class TestParseConfig:
@@ -110,9 +125,57 @@ class TestReports:
     def test_csv_17_digit_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
         value = 0.1 + 0.2  # not exactly representable story
-        write_csv(path, ["v"], [(value,)])
+        write_csv(path, ["v"], [[value]])
         text = path.read_text()
         assert float(text.splitlines()[1]) == value
+
+    def test_csv_text_per_column_kind(self, tmp_path):
+        floats = [0.1 + 0.2, np.inf, -np.inf, np.nan, -0.0, 1e17, 2.0]
+        bools = np.array([True, False, True, True, False, False, True])
+        ints = np.arange(7) - 3
+        names = ["a", "b c", "d", "e", "f", "g", "9x9"]
+        path = tmp_path / "kinds.csv"
+        write_csv(path, ["f", "b", "i", "s"], [floats, bools, ints, names])
+        assert path.read_text() == (
+            "f,b,i,s\n"
+            "0.30000000000000004,true,-3,a\n"
+            "inf,false,-2,b c\n"
+            "-inf,true,-1,d\n"
+            "nan,true,0,e\n"
+            "-0,false,1,f\n"
+            "1e+17,false,2,g\n"
+            "2,true,3,9x9\n"
+        )
+        write_csv(path, None, [np.array([1.5, -0.0]), (7, 8)], sep=" ")
+        assert path.read_text() == "1.5 7\n-0 8\n"
+
+    @pytest.mark.parametrize(
+        "header, columns, match",
+        [
+            (["a", "b"], [[1.0, 2.0], [1.0]], "unequal lengths"),
+            (["a"], [np.zeros((2, 2))], "1-d"),
+            (["a"], [np.array([1.0, None], dtype=object)], "dtype"),
+            (["a", "b"], [[1.0], [2.0], [3.0]], "header"),
+        ],
+        ids=["unequal-lengths", "two-dimensional", "object", "header-mismatch"],
+    )
+    def test_csv_rejects_bad_columns(self, tmp_path, header, columns, match):
+        with pytest.raises(ValueError, match=match):
+            write_csv(tmp_path / "bad.csv", header, columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+
+        def lines():
+            yield "new\n"
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            atomic_write_lines(path, lines())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 class TestMain:
@@ -255,24 +318,28 @@ class TestMain:
         assert len(lines) == 81
         assert len(lines[0].split()) == 3
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reruns_are_byte_identical(self, tmp_path, command):
+        out = tmp_path / "run"
+        cfg = parse_config(raw={"command": command, **SMALL_RAW[command], "seed": 5, "output_dir": str(out)})
+        files = ["report.json", "samples.csv"] + (["solution.txt"] if command == "solve" else [])
         blobs = []
-        for k in range(2):
-            out = tmp_path / f"r{k}"
-            cfg = parse_config(
-                raw={
-                    "command": "supersolution-scan",
-                    "experiment": {"shells": [1, 2, 4, 8], "samples_per_shell": 50},
-                    "seed": 5,
-                    "output_dir": str(out),
-                }
-            )
+        for _ in range(2):
             run(cfg)
-            blobs.append(
-                ((out / "samples.csv").read_bytes(), (out / "report.json").read_bytes())
-            )
-        assert blobs[0][0] == blobs[1][0]
-        assert blobs[0][1] == blobs[1][1]
+            assert sorted(p.name for p in out.iterdir()) == sorted(files)
+            blobs.append([(out / name).read_bytes() for name in files])
+        wall_time = re.compile(rb'("wall_time_\w+": )[^,\n]+')
+        for first, second in zip(*blobs):
+            assert wall_time.sub(rb"\1null", first) == wall_time.sub(rb"\1null", second)
+
+    def test_solve_report_keys_match_across_commands(self, tmp_path):
+        keys = []
+        for command in ("solve", "boundary-growth"):
+            out = tmp_path / command
+            run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+            keys.append(set(json.loads((out / "report.json").read_text())["result"]["solve"]))
+        assert keys[0] == keys[1]
+        assert keys[0] == {"iterations", "final_residual", "dmp_ok", "wall_time_s", "converged"}
 
     def test_boundary_growth_command(self, tmp_path):
         out = tmp_path / "bg"

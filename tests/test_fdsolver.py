@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from grushinlab.closedforms import kernel_value_arrays
 from grushinlab.coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from grushinlab.fdsolver import (
+    DmpReport,
+    SparseSystem,
     assemble,
     build_grid,
     check_dmp,
     grid_interpolator,
     read_grid_function,
     solve,
-    solve_report_to_json,
     write_grid_function,
 )
 from grushinlab.geometry import GrushinParams
@@ -101,6 +103,19 @@ class TestAssembleAndSolve:
         u, rep = solve(sys)
         assert rep.iterations == 0
         np.testing.assert_array_equal(u, sys.rhs)
+
+    def test_singular_factorisation_raises(self):
+        # Rows 0 and 2 are Dirichlet identity rows; interior row 1 is all zeros.
+        matrix = sparse.csr_matrix(np.diag([1.0, 0.0, 1.0]))
+        none = np.array([], dtype=np.int64)
+        sys = SparseSystem(
+            matrix=matrix,
+            rhs=np.array([1.0, 0.0, 1.0]),
+            dirichlet_mask=np.array([True, False, True]),
+            dmp=DmpReport(False, none, np.array([1]), none),
+        )
+        with pytest.raises(RuntimeError):
+            solve(sys)
 
     def test_one_column_reduction_gives_exact_linear(self):
         # one interior tangential column: a pinned tridiagonal problem in x_n
@@ -291,13 +306,10 @@ class TestSerialization:
         np.testing.assert_array_equal(back, values)  # 17 digits round-trip float64
         np.testing.assert_array_equal(coords[:, 0], tang[:, 0])
         np.testing.assert_array_equal(coords[:, 1], norm)
-
-    def test_solve_report_json_keys(self):
-        g = build_grid([0, 0], [1, 1], (3, 3), 1.0)
-        sys = assemble(IDENT, g, P21, lambda xp, xn: np.zeros(xn.shape))
-        _, rep = solve(sys)
-        payload = solve_report_to_json(rep)
-        assert set(payload) == {"iterations", "final_residual", "dmp_ok", "wall_time_ms", "converged"}
+        expected = [
+            f"{x:.17g} {y:.17g} {v:.17g}" for x, y, v in zip(tang[:, 0], norm, values)
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestInterpolation:
