@@ -117,12 +117,10 @@ def _cmd_solve(cfg: RunConfig):
     bc = _named_bc(cfg.experiment["bc"], p)
     sys_ = assemble(field, grid, p, bc)
     u, report = solve(sys_, tol=cfg.tolerances.solver_tol)
-    out = cfg.output_dir / "solution.txt"
-    write_grid_function(out, grid, u)
+    write_grid_function(cfg.output_dir / "solution.txt", grid, u)
     result = {
         "solve": jsonable(report),
         "mesh_ratio_offenders": int(sys_.mesh_ratio_offenders.size),
-        "solution_file": str(out),
         "max_abs_u": float(np.max(np.abs(u))),
     }
     spacings = [np.diff(axis) for axis in grid.axes]

@@ -16,6 +16,17 @@ as an excised inner box) is an identity row carrying Dirichlet data.  The
 sign-split cross stencil preserves the M-matrix pattern exactly when the
 local mesh-ratio condition holds; nodes where it fails are detected on the
 assembled rows and reported, never silently accepted.
+
+``solve`` factorises with SuperLU under a symmetric minimum-degree ordering
+of A^T + A and no off-diagonal pivoting.  That is stable here: where the DMP
+check passes, interior rows are weakly row diagonally dominant M-matrix
+rows and boundary rows are identity rows, so elimination on the diagonal
+has growth factor at most 2 (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., Thm 9.9); the residual of every answer is still
+checked, on systems the DMP check flags as well.  Pivoting would cost
+fill: a Dirichlet column holds interior entries of size 1/h^2 against a
+unit diagonal, so any positive pivot threshold leaves the diagonal and
+breaks the symmetric ordering.
 """
 
 from __future__ import annotations
@@ -333,7 +344,10 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
 def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Solve the assembled system to a relative residual <= tol.
 
-    Direct sparse factorisation plus at most ``MAX_REFINEMENTS`` sweeps of
+    SuperLU factorisation with the ``MMD_AT_PLUS_A`` ordering and pivots
+    kept on the diagonal (``diag_pivot_thresh=0``, ``SymmetricMode``), which
+    the row diagonally dominant M-matrix rows make stable (growth <= 2; see
+    the module docstring), plus at most ``MAX_REFINEMENTS`` sweeps of
     iterative refinement; ``iterations`` counts the sweeps after the first
     solve, and ``converged`` says whether the residual reached ``tol``.
     Deterministic for identical inputs.  A singular factorisation raises
@@ -352,7 +366,12 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
         residual = float(np.linalg.norm(b - matrix @ u)) / denom
         return u, SolveReport(0, residual, dmp_ok, time.perf_counter() - start, True)
 
-    lu = splu(matrix.tocsc())
+    lu = splu(
+        matrix.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
     u = lu.solve(b)
     r = b - matrix @ u
     residual = float(np.linalg.norm(r)) / denom

@@ -82,18 +82,23 @@ def write_json_report(path: Path, payload: Any) -> None:
     atomic_write_lines(path, [json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"])
 
 
-def _column_format(index: int, column: Sequence[Any]) -> tuple[str, list]:
-    """The ``%`` format of one column and its cells as plain Python values."""
+# Rows converted to Python values at a time: the text is the same for any
+# block size, and only one block of cells is held as Python objects.
+_BLOCK_ROWS = 4096
+
+
+def _column_format(index: int, column: Sequence[Any]) -> tuple[str, np.ndarray]:
+    """The ``%`` format of one column and its cells as a 1-d array."""
     values = np.asarray(column)
     if values.ndim != 1:
         raise ValueError(f"column {index} must be 1-d, got shape {values.shape}")
     kind = values.dtype.kind
     if kind == "f":
-        return "%.17g", values.tolist()
+        return "%.17g", values
     if kind == "b":
-        return "%s", np.where(values, "true", "false").tolist()
+        return "%s", np.where(values, "true", "false")
     if kind in "iuU":
-        return "%s", values.tolist()
+        return "%s", values
     raise ValueError(f"column {index} has unsupported dtype {values.dtype}")
 
 
@@ -102,7 +107,9 @@ def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: 
 
     Float columns carry 17 significant digits (``%.17g``), bool columns
     ``true``/``false``, integer and string columns ``str``; any other dtype
-    raises ``ValueError``.  ``header=None`` writes no header line.
+    raises ``ValueError``.  ``header=None`` writes no header line.  Cells
+    are converted a block of rows at a time, so memory does not grow with
+    the table beyond the columns themselves.
     """
     formatted = [_column_format(i, c) for i, c in enumerate(columns)]
     cells = [values for _, values in formatted]
@@ -111,7 +118,9 @@ def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: 
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"columns have unequal lengths {[len(c) for c in cells]}")
     row = sep.join(fmt for fmt, _ in formatted) + "\n"
-    lines = (row % cell for cell in zip(*cells))
+    starts = range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS)
+    blocks = ([c[i : i + _BLOCK_ROWS].tolist() for c in cells] for i in starts)
+    lines = (row % cell for block in blocks for cell in zip(*block))
     if header is not None:
         lines = itertools.chain([sep.join(header) + "\n"], lines)
     atomic_write_lines(path, lines)

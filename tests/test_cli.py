@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import grushinlab
+from grushinlab import reports
 from grushinlab.cli import main, run
 from grushinlab.coefficients import assemble_degenerate_matrix
 from grushinlab.config import COMMANDS, ConfigError, parse_config
@@ -148,6 +149,25 @@ class TestReports:
         )
         write_csv(path, None, [np.array([1.5, -0.0]), (7, 8)], sep=" ")
         assert path.read_text() == "1.5 7\n-0 8\n"
+
+    def test_csv_blocks_give_one_block_text(self, tmp_path, monkeypatch):
+        block = reports._BLOCK_ROWS
+        rows = 2 * block + 3
+        rng = np.random.default_rng(3)
+        floats = rng.normal(size=rows)
+        floats[block - 1 : block + 1] = [-0.0, np.nan]  # the rows either side of a block edge
+        names = np.repeat(["p", "q r"], [block, rows - block])
+        columns = [floats, rng.uniform(size=rows) < 0.5, np.arange(rows), names]
+        header = ["f", "b", "i", "s"]
+        write_csv(tmp_path / "blocks.csv", header, columns)
+        monkeypatch.setattr(reports, "_BLOCK_ROWS", rows)
+        write_csv(tmp_path / "one.csv", header, columns)
+        text = (tmp_path / "blocks.csv").read_bytes()
+        assert text == (tmp_path / "one.csv").read_bytes()
+        lines = text.decode().splitlines()
+        assert len(lines) == rows + 1
+        assert lines[block].startswith("-0,") and lines[block].endswith(f",{block - 1},p")
+        assert lines[block + 1].startswith("nan,") and lines[block + 1].endswith(f",{block},q r")
 
     @pytest.mark.parametrize(
         "header, columns, match",
@@ -331,6 +351,16 @@ class TestMain:
         wall_time = re.compile(rb'("wall_time_\w+": )[^,\n]+')
         for first, second in zip(*blobs):
             assert wall_time.sub(rb"\1null", first) == wall_time.sub(rb"\1null", second)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_report_is_independent_of_output_dir(self, tmp_path, command):
+        blobs = []
+        for name in ("a", "b/nested"):
+            out = tmp_path / name
+            run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+            blobs.append((out / "report.json").read_bytes())
+        wall_time = re.compile(rb'("wall_time_s": )[^,\n]+')
+        assert wall_time.sub(rb"\1null", blobs[0]) == wall_time.sub(rb"\1null", blobs[1])
 
     def test_solve_report_keys_match_across_commands(self, tmp_path):
         keys = []
