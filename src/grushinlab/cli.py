@@ -127,7 +127,7 @@ def _cmd_solve(cfg: RunConfig):
     columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
     summary = (
         f"solve: residual {report.final_residual:.3e} after {report.iterations} refinements, "
-        f"dmp_ok={report.dmp_ok}"
+        f"dmp_ok={report.dmp_ok}, method {report.method}"
     )
     return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
 
@@ -207,9 +207,7 @@ def _cmd_oscillation_decay(cfg: RunConfig):
         spread = (max(c0s) - min(c0s)) / max(c0s)
         passed = passed and spread <= cfg.tolerances.cross_scale_tol
     result = {
-        "runs": [
-            {k: v for k, v in jsonable(r).items() if k != "shell_samples"} for r in reports
-        ],
+        "runs": [jsonable({k: v for k, v in vars(r).items() if k != "shell_samples"}) for r in reports],
         "c0_values": c0s,
         "cross_scale_spread": spread,
         "note": (
@@ -218,7 +216,7 @@ def _cmd_oscillation_decay(cfg: RunConfig):
         ),
     }
     radius = np.repeat([r.shells[0] for r in reports], [len(r.shell_samples) for r in reports])
-    samples = np.concatenate([np.reshape(r.shell_samples, (-1, 3)) for r in reports])
+    samples = np.concatenate([r.shell_samples for r in reports])
     columns = [radius, *samples.T]
     spread_text = "" if spread is None else f", cross-scale spread {spread:.3%}"
     summary = (
@@ -304,8 +302,8 @@ def _cmd_global_bound(cfg: RunConfig):
         margin_tolerance=cfg.tolerances.margin_tol,
     )
     passed = report.passed and report.falsification_failed
-    result = {k: v for k, v in jsonable(report).items() if k != "interface_samples"}
-    columns = list(zip(*report.interface_samples))
+    result = jsonable({k: v for k, v in vars(report).items() if k != "interface_samples"})
+    columns = list(report.interface_samples.T)
     summary = (
         f"global-bound: C={report.comparison_constant:.6g}, worst margin "
         f"{report.worst_margin:.3e}, falsification margin {report.falsification_margin:.3e}"

@@ -237,6 +237,7 @@ class HolderLevel:
     counts: tuple[int, ...]
     max_quotient: float
     pair_count: int
+    solve: SolveReport
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def run_holder_modulus(
     for level in range(levels):
         spec = grid_spec.refined(2**level)
         grid = spec.build(p)
-        u, _, sys = _solve_dirichlet(field, grid, p, bc, tol=solver_tol)
+        u, report, sys = _solve_dirichlet(field, grid, p, bc, tol=solver_tol)
         tang, norm = grid.node_coordinates()
         flat = norm == 0.0
         if np.max(np.abs(sys.rhs[flat])) > 1e-12:
@@ -320,7 +321,7 @@ def run_holder_modulus(
         a, b = _holder_pairs(grid, p, rng, pairs)
         dist = quasi_distance_arrays(tang[a], norm[a], tang[b], norm[b], p.alpha)
         quot = np.abs(u[a] - u[b]) / dist**expo
-        out.append(HolderLevel(grid.counts, float(np.max(quot)), int(a.size)))
+        out.append(HolderLevel(grid.counts, float(np.max(quot)), int(a.size), report))
     change = abs(out[-1].max_quotient - out[-2].max_quotient) / out[-2].max_quotient
     return HolderReport(exponent=expo, levels=tuple(out), final_change=float(change), seed=seed)
 
@@ -332,15 +333,19 @@ def run_holder_modulus(
 
 @dataclass(frozen=True)
 class OscillationReport:
-    """Sup of the normalised solution on the middle shell of an annulus."""
+    """Sup of the normalised solution on the middle shell of an annulus.
+
+    ``shell_samples`` holds (ellipsoid level, x_n, u/M) of every measured
+    shell node as a (k, 3) array, left out of ``repr`` and ``==``.
+    """
 
     sup_inner: float
     c0_empirical: float
     shells: tuple[float, float, float]
     shell_node_count: int
     data_scale: float
-    dmp_ok: bool
-    shell_samples: tuple[tuple[float, float, float], ...] = dc_field(repr=False)
+    solve: SolveReport
+    shell_samples: np.ndarray = dc_field(repr=False, compare=False)
 
 
 def run_oscillation_decay(
@@ -361,7 +366,7 @@ def run_oscillation_decay(
     Realised on the bounding box of E_{4R}+ with the inner/outer regions
     excised by Dirichlet masks; the mixed-term mesh-ratio condition is not
     required here (perturbed fields legitimately break it near the flat
-    face), so the solve proceeds with dmp_ok merely reported.
+    face), so the solve proceeds with ``solve.dmp_ok`` merely reported.
     """
     if R <= 0.0:
         raise ValueError(f"shell scale R must be > 0, got {R}")
@@ -400,17 +405,14 @@ def run_oscillation_decay(
     if not shell.any():
         raise PreconditionError("no grid nodes fall on the measured middle shell; refine the grid")
     sup = float(np.max(u[shell])) / scale
-    samples = tuple(
-        (float(level[k]), float(norm[k]), float(u[k]) / scale) for k in np.flatnonzero(shell)
-    )
     return OscillationReport(
         sup_inner=sup,
         c0_empirical=1.0 - sup,
         shells=(R, 2.0 * R, 4.0 * R),
         shell_node_count=int(np.count_nonzero(shell)),
         data_scale=scale,
-        dmp_ok=report.dmp_ok,
-        shell_samples=samples,
+        solve=report,
+        shell_samples=np.column_stack([level[shell], norm[shell], u[shell] / scale]),
     )
 
 
@@ -691,7 +693,11 @@ def comparison_margin(
 
 @dataclass(frozen=True)
 class GlobalBoundReport:
-    """Check of |u| <= C (w - w^{1+rho}) + eps at every exterior node."""
+    """Check of |u| <= C (w - w^{1+rho}) + eps at every exterior node.
+
+    ``interface_samples`` holds (|x'|, x_n, u, w - w^{1+rho}) of every
+    inner-interface node as a (k, 4) array, left out of ``repr`` and ``==``.
+    """
 
     passed: bool
     comparison_constant: float
@@ -701,7 +707,7 @@ class GlobalBoundReport:
     falsification_failed: bool
     margin_tolerance: float
     interface_count: int
-    interface_samples: tuple[tuple[float, float, float, float], ...] = dc_field(repr=False)
+    interface_samples: np.ndarray = dc_field(repr=False, compare=False)
     solve: SolveReport | None = None
 
 
@@ -756,15 +762,11 @@ def run_global_bound_check(
 
     worst = comparison_margin(u[exterior], barrier[exterior], constant, epsilon)
     falsified = comparison_margin(u[exterior], barrier[exterior], 0.5 * constant, epsilon)
-    samples = tuple(
-        (
-            float(np.linalg.norm(tang[k])),
-            float(norm[k]),
-            float(u[k]),
-            float(barrier[k]),
-        )
-        for k in interface
-    )
+    # |x'| per row as sqrt(x'.x'), rounded as np.linalg.norm rounds one vector
+    # (np.linalg.norm(..., axis=1) sums the squares differently).
+    t = tang[interface]
+    tangential_norm = np.sqrt((t[:, None, :] @ t[:, :, None]).ravel())
+    samples = np.column_stack([tangential_norm, norm[interface], u[interface], barrier[interface]])
     return GlobalBoundReport(
         passed=bool(worst >= -margin_tolerance),
         comparison_constant=constant,

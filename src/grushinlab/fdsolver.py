@@ -17,23 +17,39 @@ sign-split cross stencil preserves the M-matrix pattern exactly when the
 local mesh-ratio condition holds; nodes where it fails are detected on the
 assembled rows and reported, never silently accepted.
 
-``solve`` factorises with SuperLU under a symmetric minimum-degree ordering
-of A^T + A and no off-diagonal pivoting.  That is stable here: where the DMP
-check passes, interior rows are weakly row diagonally dominant M-matrix
-rows and boundary rows are identity rows, so elimination on the diagonal
-has growth factor at most 2 (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., Thm 9.9); the residual of every answer is still
-checked, on systems the DMP check flags as well.  Pivoting would cost
-fill: a Dirichlet column holds interior entries of size 1/h^2 against a
-unit diagonal, so any positive pivot threshold leaves the diagonal and
-breaks the symmetric ordering.
+``solve`` has two exact direct solvers and picks one from the assembled
+system alone.
+
+* **Fast diagonalization** where the operator is separable: every
+  Dirichlet node lies on a box face and the evaluated coefficients are
+  exactly the identity (a_ij = delta_ij, a_in = 0) at every interior node.
+  The interior block is then the Kronecker sum of uniform 3-point
+  tangential differences weighted by x_n^{2a} and graded 3-point normal
+  differences.  An orthonormal sine transform along each tangential axis
+  diagonalises the tangential part, leaving one tridiagonal system
+  lambda x_n^{2a} + T_n in x_n per mode (Lynch, Rice & Thomas, *Numer.
+  Math.* 6, 1964; Buzbee, Golub & Nielson, *SIAM J. Numer. Anal.* 7,
+  1970).  Each is a row diagonally dominant M-matrix, so the Thomas sweep
+  without pivoting is stable (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, 2nd ed., Thm 9.9), and the sine basis is orthogonal.
+* **SuperLU** everywhere else, under a symmetric minimum-degree ordering
+  of A^T + A and no off-diagonal pivoting.  That is stable here too: where
+  the DMP check passes, interior rows are weakly row diagonally dominant
+  M-matrix rows and boundary rows are identity rows, so elimination on the
+  diagonal has growth factor at most 2 (same theorem).  Pivoting would
+  cost fill: a Dirichlet column holds interior entries of size 1/h^2
+  against a unit diagonal, so any positive pivot threshold leaves the
+  diagonal and breaks the symmetric ordering.
+
+Either way the residual of every answer is checked against the assembled
+matrix, on systems the DMP check flags as well.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +63,7 @@ from .reports import write_csv
 __all__ = [
     "AnisotropicGrid",
     "SparseSystem",
+    "SeparableOperator",
     "SolveReport",
     "DmpReport",
     "build_grid",
@@ -160,14 +177,25 @@ class DmpReport:
 
 
 @dataclass(frozen=True, eq=False)
+class SeparableOperator:
+    """What the fast solver needs of a separable system: its grid and the
+    exponent a of the weight x_n^{2a} on the tangential differences."""
+
+    grid: AnisotropicGrid
+    alpha: float
+
+
+@dataclass(frozen=True, eq=False)
 class SparseSystem:
     """Assembled linear system: CSR matrix, right-hand side, Dirichlet mask,
-    and the DMP check of its rows, computed once at assembly."""
+    the DMP check of its rows, computed once at assembly, and, when the
+    operator is separable, what the fast solver needs (else ``None``)."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dirichlet_mask: np.ndarray
     dmp: DmpReport
+    separable: SeparableOperator | None = None
 
     @property
     def mesh_ratio_offenders(self) -> np.ndarray:
@@ -177,13 +205,18 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one linear solve."""
+    """Outcome of one linear solve; ``==`` ignores the wall time.
+
+    ``method`` names the solver: ``"lu"``, ``"fast-diagonalization"``, or
+    ``"dirichlet"`` when every node carries Dirichlet data.
+    """
 
     iterations: int
     final_residual: float
     dmp_ok: bool
-    wall_time_s: float
+    wall_time_s: float = dc_field(compare=False)
     converged: bool
+    method: str = "lu"
 
 
 def _interior_multi_index(grid: AnisotropicGrid, interior_flat: np.ndarray):
@@ -203,7 +236,9 @@ def assemble(
     ``extra_dirichlet`` is an optional flat boolean mask of additional
     Dirichlet nodes (e.g. the nodes of an excised inner obstacle), valued by
     the same ``bc``.  The field evaluation is assumed to have passed the
-    ellipticity audit on this grid's nodes.
+    ellipticity audit on this grid's nodes.  The system is marked separable
+    (``separable`` set) when no Dirichlet node lies inside the box and the
+    evaluated coefficients are exactly the identity at every interior node.
     """
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
@@ -212,12 +247,13 @@ def assemble(
     num = grid.num_nodes
     shape = grid.shape
 
-    dirichlet = grid.face_mask()
+    faces = grid.face_mask()
+    dirichlet = faces
     if extra_dirichlet is not None:
         extra = np.asarray(extra_dirichlet, dtype=bool).ravel()
         if extra.size != num:
             raise ValueError(f"extra_dirichlet must have {num} entries, got {extra.size}")
-        dirichlet = dirichlet | extra
+        dirichlet = faces | extra
 
     tang_all, norm_all = grid.node_coordinates()
     rhs = np.zeros(num)
@@ -227,6 +263,7 @@ def assemble(
     rows: list[np.ndarray] = [np.flatnonzero(dirichlet)]
     cols: list[np.ndarray] = [np.flatnonzero(dirichlet)]
     vals: list[np.ndarray] = [np.ones(int(np.count_nonzero(dirichlet)))]
+    separable = None
 
     if interior.size:
         multi = _interior_multi_index(grid, interior)
@@ -243,6 +280,8 @@ def assemble(
         a_m = np.asarray(field.mixed(xp, xn), dtype=float)
         xn_2a = xn ** (2.0 * p.alpha)
         xn_a = xn**p.alpha
+        if not np.any(dirichlet & ~faces) and not np.any(a_m) and np.all(a_t == np.eye(m)):
+            separable = SeparableOperator(grid, p.alpha)
 
         def push(col_offset: np.ndarray, values: np.ndarray) -> None:
             rows.append(interior)
@@ -298,6 +337,7 @@ def assemble(
         rhs=rhs,
         dirichlet_mask=dirichlet,
         dmp=_dmp_report(matrix, ~dirichlet),
+        separable=separable,
     )
 
 
@@ -341,17 +381,78 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
 
 
+def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of a separable system by fast diagonalization.
+
+    Acts on full vectors like an LU solve: u_D = r_D and
+    u_I = T^{-1} (r_I - A_ID r_D), with A_ID read from the assembled matrix
+    and T the Kronecker sum of the module docstring.  Tangential axis a with
+    c nodes has the orthonormal sine basis sqrt(2/(c-1)) sin(pi j k/(c-1))
+    and eigenvalues (4/h^2) sin^2(pi k/(2(c-1))); each mode's tridiagonal
+    system in x_n is factored once by a Thomas sweep over all modes at once.
+    """
+    grid, alpha = sys.separable.grid, sys.separable.alpha
+    dirichlet = sys.dirichlet_mask
+    interior = ~dirichlet
+    inner = tuple(c - 2 for c in grid.counts)
+
+    bases = []
+    eig = np.zeros(())
+    for lo, hi, c in zip(grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1]):
+        k = np.arange(1, c - 1)
+        bases.append(np.sqrt(2.0 / (c - 1)) * np.sin(np.pi * np.outer(k, k) / (c - 1)))
+        h = (hi - lo) / (c - 1)
+        eig = np.add.outer(eig, (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (c - 1))) ** 2)
+    eig = eig.ravel()
+
+    z = grid.axes[-1]
+    hm, hp = np.diff(z)[:-1], np.diff(z)[1:]
+    lower = -2.0 / (hm * (hm + hp))
+    upper = -2.0 / (hp * (hm + hp))
+    pivot = (2.0 / (hm * hp))[:, None] + (z[1:-1] ** (2.0 * alpha))[:, None] * eig
+    ratio = np.zeros_like(pivot)
+    for j in range(1, pivot.shape[0]):
+        ratio[j] = lower[j] / pivot[j - 1]
+        pivot[j] -= ratio[j] * upper[j - 1]
+
+    def sine_transform(g: np.ndarray) -> np.ndarray:
+        # g has the normal axis first; each contraction moves the next
+        # tangential axis to the end, so after all of them the order is back.
+        for basis in bases:
+            g = np.tensordot(g, basis, axes=(1, 0))
+        return g
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        u = np.where(dirichlet, r, 0.0)
+        f = (r - sys.matrix @ u)[interior].reshape(inner)
+        y = sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape)
+        for j in range(1, y.shape[0]):
+            y[j] -= ratio[j] * y[j - 1]
+        y[-1] /= pivot[-1]
+        for j in range(y.shape[0] - 2, -1, -1):
+            y[j] = (y[j] - upper[j] * y[j + 1]) / pivot[j]
+        u[interior] = np.moveaxis(sine_transform(y.reshape(inner[-1:] + inner[:-1])), 0, -1).ravel()
+        return u
+
+    return apply
+
+
 def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Solve the assembled system to a relative residual <= tol.
 
-    SuperLU factorisation with the ``MMD_AT_PLUS_A`` ordering and pivots
-    kept on the diagonal (``diag_pivot_thresh=0``, ``SymmetricMode``), which
-    the row diagonally dominant M-matrix rows make stable (growth <= 2; see
-    the module docstring), plus at most ``MAX_REFINEMENTS`` sweeps of
-    iterative refinement; ``iterations`` counts the sweeps after the first
-    solve, and ``converged`` says whether the residual reached ``tol``.
-    Deterministic for identical inputs.  A singular factorisation raises
-    SuperLU's ``RuntimeError``.
+    A separable system (``sys.separable`` set by ``assemble``: Dirichlet
+    nodes on the box faces only, identity coefficients) is solved by fast
+    diagonalization, every other one by a SuperLU factorisation with the
+    ``MMD_AT_PLUS_A`` ordering and pivots kept on the diagonal
+    (``diag_pivot_thresh=0``, ``SymmetricMode``); both are stable on these
+    row diagonally dominant M-matrix rows (see the module docstring), and
+    ``method`` names the one used.  The first answer is followed by at most
+    ``MAX_REFINEMENTS`` sweeps of iterative refinement against the
+    assembled matrix, at least one after a fast solve, whose first answer
+    carries a residual up to ten times the LU one; ``iterations`` counts the
+    sweeps after the first solve, and ``converged`` says whether the
+    residual reached ``tol``.  Deterministic for identical inputs.  A
+    singular factorisation raises SuperLU's ``RuntimeError``.
     """
     start = time.perf_counter()
     matrix = sys.matrix
@@ -364,20 +465,25 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     if bool(sys.dirichlet_mask.all()):
         u = b.copy()
         residual = float(np.linalg.norm(b - matrix @ u)) / denom
-        return u, SolveReport(0, residual, dmp_ok, time.perf_counter() - start, True)
+        return u, SolveReport(0, residual, dmp_ok, time.perf_counter() - start, True, "dirichlet")
 
-    lu = splu(
-        matrix.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    u = lu.solve(b)
+    if sys.separable is not None:
+        method, min_sweeps = "fast-diagonalization", 1
+        inverse = _fast_inverse(sys)
+    else:
+        method, min_sweeps = "lu", 0
+        inverse = splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).solve
+    u = inverse(b)
     r = b - matrix @ u
     residual = float(np.linalg.norm(r)) / denom
     iterations = 0
-    while residual > tol and iterations < MAX_REFINEMENTS:
-        u = u + lu.solve(r)
+    while (residual > tol or iterations < min_sweeps) and iterations < MAX_REFINEMENTS:
+        u = u + inverse(r)
         iterations += 1
         r = b - matrix @ u
         residual = float(np.linalg.norm(r)) / denom
@@ -388,6 +494,7 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
         dmp_ok=dmp_ok,
         wall_time_s=time.perf_counter() - start,
         converged=bool(residual <= tol),
+        method=method,
     )
     return u, report
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import grushinlab
-from grushinlab import reports
+from grushinlab import experiments, reports
 from grushinlab.cli import main, run
 from grushinlab.coefficients import assemble_degenerate_matrix
 from grushinlab.config import COMMANDS, ConfigError, parse_config
+from grushinlab.fdsolver import solve
 from grushinlab.reports import atomic_write_lines, canonical_json, content_hash, jsonable, write_csv
 
 # Every command at small sizes, for the rerun test.
@@ -369,7 +370,24 @@ class TestMain:
             run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
             keys.append(set(json.loads((out / "report.json").read_text())["result"]["solve"]))
         assert keys[0] == keys[1]
-        assert keys[0] == {"iterations", "final_residual", "dmp_ok", "wall_time_s", "converged"}
+        assert keys[0] == {"iterations", "final_residual", "dmp_ok", "wall_time_s", "converged", "method"}
+
+    @pytest.mark.parametrize("command, key", [("holder-modulus", "levels"), ("oscillation-decay", "runs")])
+    def test_every_solve_report_is_kept(self, tmp_path, monkeypatch, command, key):
+        made = []
+
+        def record(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            made.append(result[1])
+            return result
+
+        monkeypatch.setattr(experiments, "solve", record)
+        out = tmp_path / command
+        run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+        kept = [entry["solve"] for entry in json.loads((out / "report.json").read_text())["result"][key]]
+        assert len(kept) == len(made) == 2
+        for got, expected in zip(kept, made):
+            assert got == jsonable(expected)
 
     def test_boundary_growth_command(self, tmp_path):
         out = tmp_path / "bg"

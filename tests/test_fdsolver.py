@@ -28,6 +28,12 @@ def bc_kernel(xp, xn):
     return kernel_value_arrays(xp, xn, P21)
 
 
+def inner_box(grid):
+    """Nodes with |x' - 2| <= 1/4 and x_n <= 1/2: an excised box, so the system is not separable."""
+    tang, norm = grid.node_coordinates()
+    return np.all(np.abs(tang - 2.0) <= 0.25, axis=1) & (norm <= 0.5)
+
+
 def constant_field(p, a11=1.0, a1n=0.0):
     m = p.n - 1
 
@@ -232,22 +238,26 @@ def factors(monkeypatch):
 
 
 class TestFactorisation:
+    # The identity systems get an excised inner box, which keeps them off the
+    # fast path and on SuperLU.
     @pytest.mark.parametrize(
-        "field, p, counts",
+        "field, p, counts, excise",
         [
-            (IDENT, P21, (33, 33)),
-            (make_identity_field(P31), P31, (9, 9, 9)),
-            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33)),
+            (IDENT, P21, (33, 33), True),
+            (make_identity_field(P31), P31, (9, 9, 9), True),
+            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33), False),
         ],
         ids=["identity-2d", "identity-3d", "perturbed-2d"],
     )
-    def test_no_offdiagonal_pivots_and_bounded_growth(self, factors, field, p, counts):
+    def test_no_offdiagonal_pivots_and_bounded_growth(self, factors, field, p, counts, excise):
         # Row diagonally dominant M-matrix rows plus identity rows: elimination
         # on the diagonal has growth factor <= 2 (Higham, 2nd ed., Thm 9.9).
         grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
-        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p))
+        extra = inner_box(grid) if excise else None
+        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
         tol = 1e-10
         u, rep = solve(sys, tol=tol)
+        assert rep.method == "lu"
         (lu,) = factors
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         assert abs(lu.U).max() <= 2.0 * abs(sys.matrix).max()
@@ -257,14 +267,65 @@ class TestFactorisation:
 
     def test_fill_is_below_the_default_ordering(self, factors):
         # The symmetric minimum-degree ordering halves the fill of SuperLU's
-        # default (COLAMD with partial pivoting) on the 13^3 identity system:
-        # 104,490 against 211,379 nonzeros in L + U.
+        # default (COLAMD with partial pivoting) on the 13^3 identity system
+        # with a 54-node inner box excised: 89,836 against 185,587 nonzeros in
+        # L + U.
         g = build_grid([1, 1, 0], [3, 3, 2], (13, 13, 13), 2.0)
-        sys = assemble(make_identity_field(P31), g, P31, lambda xp, xn: kernel_value_arrays(xp, xn, P31))
+        bc = lambda xp, xn: kernel_value_arrays(xp, xn, P31)
+        sys = assemble(make_identity_field(P31), g, P31, bc, extra_dirichlet=inner_box(g))
         solve(sys)
         (lu,) = factors
         default = splu(sys.matrix.tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("counts", [(3, 21), (13, 9), (5, 7, 6), (4, 3, 9)], ids=str)
+    def test_matches_dense_solve(self, factors, alpha, graded, counts):
+        p = GrushinParams(len(counts), alpha)
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 1.0 + alpha * graded)
+        sys = assemble(make_identity_field(p), grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p))
+        dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        # The fast inverse alone is already exact up to round-off ...
+        first = fdsolver._fast_inverse(sys)(sys.rhs)
+        assert np.linalg.norm(first - dense) <= 1e-12 * np.linalg.norm(dense)
+        # ... and solve adds its one refinement sweep without calling SuperLU.
+        u, rep = solve(sys)
+        assert factors == []
+        assert rep.method == "fast-diagonalization"
+        assert rep.converged and rep.iterations == 1
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_selection(self, factors):
+        grid = build_grid([1, 0], [3, 2], (17, 17), 2.0)
+        perturbed = make_decaying_perturbation(P21, 2.0, 0.3, 42)
+        faces_only = grid.face_mask()
+        faces_only[:17] = False  # a mask that names some face nodes again
+        cases = [
+            (perturbed, None, "lu"),
+            (IDENT, inner_box(grid), "lu"),
+            (IDENT, None, "fast-diagonalization"),
+            (IDENT, faces_only, "fast-diagonalization"),
+        ]
+        for field, extra, method in cases:
+            sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=extra)
+            assert (sys.separable is not None) == (method != "lu")
+            _, rep = solve(sys)
+            assert rep.method == method and rep.converged
+        assert len(factors) == 2
+
+    def test_identity_3d_at_65_65_33(self):
+        # The 3-D identity size SuperLU cannot factor in memory.
+        p = P31
+        grid = build_grid([1, 1, 0], [3, 3, 2], (65, 65, 33), 2.0)
+        sys = assemble(make_identity_field(p), grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p))
+        u, rep = solve(sys)
+        assert rep.method == "fast-diagonalization"
+        assert rep.converged and rep.dmp_ok
+        tang, norm = grid.node_coordinates()
+        assert np.max(np.abs(u - kernel_value_arrays(tang, norm, p))) <= 1e-4
 
 
 class TestDmp:
