@@ -20,18 +20,24 @@ assembled rows and reported, never silently accepted.
 ``solve`` has two exact direct solvers and picks one from the assembled
 system alone.
 
-* **Fast diagonalization** where the operator is separable: every
-  Dirichlet node lies on a box face and the evaluated coefficients are
-  exactly the identity (a_ij = delta_ij, a_in = 0) at every interior node.
-  The interior block is then the Kronecker sum of uniform 3-point
-  tangential differences weighted by x_n^{2a} and graded 3-point normal
-  differences.  An orthonormal sine transform along each tangential axis
-  diagonalises the tangential part, leaving one tridiagonal system
-  lambda x_n^{2a} + T_n in x_n per mode (Lynch, Rice & Thomas, *Numer.
-  Math.* 6, 1964; Buzbee, Golub & Nielson, *SIAM J. Numer. Anal.* 7,
-  1970).  Each is a row diagonally dominant M-matrix, so the Thomas sweep
-  without pivoting is stable (Higham, *Accuracy and Stability of Numerical
-  Algorithms*, 2nd ed., Thm 9.9), and the sine basis is orthogonal.
+* **Fast diagonalization** where the coefficients are exactly the identity
+  (a_ij = delta_ij, a_in = 0) at every interior node and at most k obstacle
+  nodes (Dirichlet nodes off the box faces) remain, with k^2 <= N, the
+  number of non-face nodes.  On the non-face nodes the operator T is then
+  the Kronecker sum of uniform 3-point tangential differences weighted by
+  x_n^{2a} and graded 3-point normal differences.  An orthonormal sine
+  transform along each tangential axis diagonalises the tangential part,
+  leaving one tridiagonal system lambda x_n^{2a} + T_n in x_n per mode
+  (Lynch, Rice & Thomas, *Numer. Math.* 6, 1964; Buzbee, Golub & Nielson,
+  *SIAM J. Numer. Anal.* 7, 1970).  Each is a row diagonally dominant
+  M-matrix, so the Thomas sweep without pivoting is stable (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.9), and
+  the sine basis is orthogonal.  The obstacle nodes S are imposed by the
+  capacitance matrix C = (T^{-1})_SS (Buzbee, Dorr, George & Golub, *SIAM
+  J. Numer. Anal.* 8, 1971; Proskurowski & Widlund, *Math. Comp.* 30,
+  1976): with w = T^{-1} f and C beta = -w_S, T^{-1}(f + E_S beta)
+  vanishes on S and solves the other rows.  k^2 <= N is the cost
+  crossover: the dense C is no larger than one grid vector.
 * **SuperLU** everywhere else, under a symmetric minimum-degree ordering
   of A^T + A and no off-diagonal pivoting.  That is stable here too: where
   the DMP check passes, interior rows are weakly row diagonally dominant
@@ -54,6 +60,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField
@@ -237,8 +244,10 @@ def assemble(
     Dirichlet nodes (e.g. the nodes of an excised inner obstacle), valued by
     the same ``bc``.  The field evaluation is assumed to have passed the
     ellipticity audit on this grid's nodes.  The system is marked separable
-    (``separable`` set) when no Dirichlet node lies inside the box and the
-    evaluated coefficients are exactly the identity at every interior node.
+    (``separable`` set) when the evaluated coefficients are exactly the
+    identity at every interior node and the k Dirichlet nodes off the box
+    faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
+    rule of the module docstring).
     """
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
@@ -280,7 +289,8 @@ def assemble(
         a_m = np.asarray(field.mixed(xp, xn), dtype=float)
         xn_2a = xn ** (2.0 * p.alpha)
         xn_a = xn**p.alpha
-        if not np.any(dirichlet & ~faces) and not np.any(a_m) and np.all(a_t == np.eye(m)):
+        obstacles = int(np.count_nonzero(dirichlet & ~faces))
+        if obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m)):
             separable = SeparableOperator(grid, p.alpha)
 
         def push(col_offset: np.ndarray, values: np.ndarray) -> None:
@@ -381,28 +391,41 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
 
 
+def _sine_basis(c: int) -> np.ndarray:
+    """Orthonormal sine basis sqrt(2/(c-1)) sin(pi j k/(c-1)), j, k = 1 .. c-2,
+    with j k reduced modulo the period 2(c-1) so the basis stays orthogonal."""
+    k = np.arange(1, c - 1)
+    table = np.sqrt(2.0 / (c - 1)) * np.sin(np.pi * np.arange(2 * (c - 1)) / (c - 1))
+    return table[np.outer(k, k) % (2 * (c - 1))]
+
+
 def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of a separable system by fast diagonalization.
 
-    Acts on full vectors like an LU solve: u_D = r_D and
-    u_I = T^{-1} (r_I - A_ID r_D), with A_ID read from the assembled matrix
-    and T the Kronecker sum of the module docstring.  Tangential axis a with
-    c nodes has the orthonormal sine basis sqrt(2/(c-1)) sin(pi j k/(c-1))
-    and eigenvalues (4/h^2) sin^2(pi k/(2(c-1))); each mode's tridiagonal
-    system in x_n is factored once by a Thomas sweep over all modes at once.
+    Acts on full vectors like an LU solve: u_D = r_D and u_I solves
+    A_II u_I = r_I - A_ID r_D, with A_ID read from the assembled matrix and
+    T, C as in the module docstring.  Tangential axis a with c nodes has the
+    basis of ``_sine_basis`` and eigenvalues (4/h^2) sin^2(pi k/(2(c-1)));
+    each mode's tridiagonal system in x_n is factored once by a Thomas sweep
+    over all modes at once.  C is built from the transformed obstacle unit
+    vectors (``modes``) and one Thomas solve per distinct obstacle height.
     """
     grid, alpha = sys.separable.grid, sys.separable.alpha
-    dirichlet = sys.dirichlet_mask
-    interior = ~dirichlet
+    interior = ~sys.dirichlet_mask
+    nonface = ~grid.face_mask()
+    free = interior[nonface]
     inner = tuple(c - 2 for c in grid.counts)
+    obstacle = np.unravel_index(np.flatnonzero(~free), inner)
 
     bases = []
     eig = np.zeros(())
-    for lo, hi, c in zip(grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1]):
+    modes = np.ones((obstacle[0].size, 1))  # row s: the transform of e_s, (k, M)
+    for lo, hi, c, t in zip(grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1], obstacle[:-1]):
         k = np.arange(1, c - 1)
-        bases.append(np.sqrt(2.0 / (c - 1)) * np.sin(np.pi * np.outer(k, k) / (c - 1)))
+        bases.append(_sine_basis(c))
         h = (hi - lo) / (c - 1)
         eig = np.add.outer(eig, (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (c - 1))) ** 2)
+        modes = (modes[:, :, None] * bases[-1][t][:, None, :]).reshape(t.size, eig.size)
     eig = eig.ravel()
 
     z = grid.axes[-1]
@@ -415,6 +438,14 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
         ratio[j] = lower[j] / pivot[j - 1]
         pivot[j] -= ratio[j] * upper[j - 1]
 
+    def thomas(y: np.ndarray) -> np.ndarray:
+        for j in range(1, y.shape[0]):
+            y[j] -= ratio[j] * y[j - 1]
+        y[-1] /= pivot[-1]
+        for j in range(y.shape[0] - 2, -1, -1):
+            y[j] = (y[j] - upper[j] * y[j + 1]) / pivot[j]
+        return y
+
     def sine_transform(g: np.ndarray) -> np.ndarray:
         # g has the normal axis first; each contraction moves the next
         # tangential axis to the end, so after all of them the order is back.
@@ -422,16 +453,25 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
             g = np.tensordot(g, basis, axes=(1, 0))
         return g
 
+    height = obstacle[-1]
+    if height.size:
+        capacitance = np.empty((height.size, height.size))
+        for level in np.unique(height):
+            unit = np.zeros(pivot.shape)
+            unit[level] = 1.0
+            capacitance[:, height == level] = (thomas(unit)[height] * modes) @ modes[height == level].T
+        capacitance_lu = lu_factor(capacitance)
+
     def apply(r: np.ndarray) -> np.ndarray:
-        u = np.where(dirichlet, r, 0.0)
-        f = (r - sys.matrix @ u)[interior].reshape(inner)
+        u = np.where(interior, 0.0, r)
+        f = (r - sys.matrix @ u)[nonface].reshape(inner)  # zero on the obstacle rows
         y = sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape)
-        for j in range(1, y.shape[0]):
-            y[j] -= ratio[j] * y[j - 1]
-        y[-1] /= pivot[-1]
-        for j in range(y.shape[0] - 2, -1, -1):
-            y[j] = (y[j] - upper[j] * y[j + 1]) / pivot[j]
-        u[interior] = np.moveaxis(sine_transform(y.reshape(inner[-1:] + inner[:-1])), 0, -1).ravel()
+        if height.size:
+            w = np.einsum("sm,sm->s", thomas(y.copy())[height], modes)
+            np.add.at(y, height, lu_solve(capacitance_lu, -w)[:, None] * modes)
+        y = thomas(y)
+        v = np.moveaxis(sine_transform(y.reshape(inner[-1:] + inner[:-1])), 0, -1).ravel()
+        u[interior] = v[free]
         return u
 
     return apply
@@ -440,10 +480,10 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
 def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Solve the assembled system to a relative residual <= tol.
 
-    A separable system (``sys.separable`` set by ``assemble``: Dirichlet
-    nodes on the box faces only, identity coefficients) is solved by fast
-    diagonalization, every other one by a SuperLU factorisation with the
-    ``MMD_AT_PLUS_A`` ordering and pivots kept on the diagonal
+    A separable system (``sys.separable`` set by ``assemble``: identity
+    coefficients, k^2 <= N obstacle nodes) is solved by fast diagonalization
+    plus a capacitance matrix, every other one by a SuperLU factorisation
+    with the ``MMD_AT_PLUS_A`` ordering and pivots kept on the diagonal
     (``diag_pivot_thresh=0``, ``SymmetricMode``); both are stable on these
     row diagonally dominant M-matrix rows (see the module docstring), and
     ``method`` names the one used.  The first answer is followed by at most

@@ -431,6 +431,23 @@ class TestMain:
         assert report["result"]["falsification_failed"] is True
         assert "interface_samples" not in report["result"]
 
+    def test_three_dimensional_decay_fit(self, tmp_path):
+        # An exterior 3-D problem SuperLU cannot factor in memory at this size.
+        out = tmp_path / "decay3"
+        cfg = parse_config(
+            raw={
+                "command": "decay-fit",
+                "params": {"n": 3, "alpha": 1},
+                "experiment": {"counts": [65, 65, 33], "outer_radius": 16},
+                "output_dir": str(out),
+            }
+        )
+        assert run(cfg) == 0
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert result["solve"]["method"] == "fast-diagonalization"
+        assert result["solve"]["converged"]
+        assert result["fit"]["exponent"] == pytest.approx(-5.0, rel=0.15)
+
     def test_oscillation_command_identity_spread(self, tmp_path):
         out = tmp_path / "osc"
         cfg = parse_config(

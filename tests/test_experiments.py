@@ -251,3 +251,20 @@ class TestGlobalBound:
         # w >= 1 on the inner boundary makes the supersolution useless there
         with pytest.raises(PreconditionError):
             run_global_bound_check(IDENT, P21, 0.5, 1.0, 16.0, counts=(257, 33))
+
+
+class TestSolverSelection:
+    # Exterior problems with the identity field excise a few nodes, which the
+    # fast solver absorbs; an annulus excises most of the box and stays on LU.
+    @pytest.mark.parametrize("command", ["decay-fit", "global-bound"])
+    def test_identity_exterior_solves_are_fast(self, command):
+        if command == "decay-fit":
+            rep = run_decay_fit(IDENT, P21, 1.0, 16.0, counts=(129, 17))
+        else:
+            rep = run_global_bound_check(IDENT, P21, 0.5, 2.0, 16.0, counts=(129, 17))
+        assert rep.solve.method == "fast-diagonalization"
+        assert rep.solve.converged and rep.solve.iterations == 1
+
+    def test_identity_annulus_stays_on_lu(self):
+        rep = run_oscillation_decay(IDENT, P21, 1.0, counts=(33, 13))
+        assert rep.solve.method == "lu" and rep.solve.converged

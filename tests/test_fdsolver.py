@@ -316,6 +316,71 @@ class TestFastDiagonalization:
             assert rep.method == method and rep.converged
         assert len(factors) == 2
 
+    def test_sine_basis_is_orthogonal_to_round_off(self):
+        # sin(pi j k/(c-1)) taken at the reduced argument j k mod 2(c-1);
+        # the unreduced argument gives 9.8e-14 at this size.
+        basis = fdsolver._sine_basis(2049)
+        assert np.abs(basis @ basis - np.eye(2047)).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("counts", [(13, 9), (7, 6, 8)], ids=str)
+    @pytest.mark.parametrize("shape", ["single", "flat-face-column", "next-to-far-face", "several-heights"])
+    def test_obstacles_match_dense_solve(self, factors, alpha, graded, counts, shape):
+        # Dirichlet nodes off the box faces are handled by the capacitance
+        # matrix on top of the same fast inverse.
+        p = GrushinParams(len(counts), alpha)
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 1.0 + alpha * graded)
+        mid, top, far = tuple(c // 2 for c in counts[:-1]), counts[-1] - 2, tuple(c - 2 for c in counts[:-1])
+        nodes = {
+            "single": [mid + (top // 2,)],
+            "flat-face-column": [mid + (j,) for j in range(4)],  # the node at j = 0 is a face node
+            "next-to-far-face": [far + (top,)],
+            "several-heights": [
+                (1,) * len(mid) + (1,),
+                (1,) * len(mid) + (2,),
+                mid + (2,),
+                far + (top // 2,),
+                mid + (top,),
+            ],
+        }[shape]
+        extra = np.zeros(counts, dtype=bool)
+        for node in nodes:
+            extra[node] = True
+        bc = lambda xp, xn: kernel_value_arrays(xp, xn, p)
+        sys = assemble(make_identity_field(p), grid, p, bc, extra_dirichlet=extra.ravel())
+        assert sys.separable is not None
+        dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        first = fdsolver._fast_inverse(sys)(sys.rhs)
+        assert np.linalg.norm(first - dense) <= 1e-12 * np.linalg.norm(dense)
+        u, rep = solve(sys)
+        assert factors == []
+        assert rep.method == "fast-diagonalization"
+        assert rep.converged and rep.iterations == 1
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize(
+        "counts, obstacles, perturbed, method",
+        [
+            ((18, 18), 16, False, "fast-diagonalization"),  # k^2 = N = 256
+            ((17, 19), 16, False, "lu"),  # k^2 = N + 1 = 256
+            ((17, 19), 15, False, "fast-diagonalization"),
+            ((17, 19), 1, True, "lu"),
+        ],
+        ids=["k2-eq-N", "k2-eq-N+1", "k2-below-N", "perturbed"],
+    )
+    def test_selection_by_obstacle_count(self, factors, counts, obstacles, perturbed, method):
+        grid = build_grid([1, 0], [3, 2], counts, 2.0)
+        field = make_decaying_perturbation(P21, 2.0, 0.3, 42) if perturbed else IDENT
+        extra = np.zeros(grid.num_nodes, dtype=bool)
+        extra[np.flatnonzero(~grid.face_mask())[:obstacles]] = True
+        sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=extra)
+        u, rep = solve(sys)
+        assert rep.method == method and rep.converged
+        assert len(factors) == (method == "lu")
+        dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
     def test_identity_3d_at_65_65_33(self):
         # The 3-D identity size SuperLU cannot factor in memory.
         p = P31
