@@ -143,6 +143,8 @@ def _solve_dirichlet(
     tol: float = 1e-10,
     require_dmp: bool = True,
 ) -> tuple[np.ndarray, SolveReport, SparseSystem]:
+    """Assemble and solve; refuse a failed DMP check (when required) and an
+    unconverged solve, so no verdict rests on an unchecked answer."""
     sys = assemble(field, grid, p, bc, extra_dirichlet=extra_dirichlet)
     if require_dmp and not sys.dmp.ok:
         raise PreconditionError(
@@ -150,6 +152,11 @@ def _solve_dirichlet(
             f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
         )
     u, report = solve(sys, tol=tol)
+    if not report.converged:
+        raise PreconditionError(
+            f"{report.method} solve did not converge: componentwise backward error "
+            f"{report.backward_error:.3e} > {tol:.3e} after {report.iterations} refinement sweeps"
+        )
     return u, report, sys
 
 
@@ -745,9 +752,11 @@ def run_global_bound_check(
         barrier = supersolution_value_arrays(tang, norm, rho, p)
     exterior = ~inside
 
-    interior_rows = np.flatnonzero(~sys.dirichlet_mask)
-    referenced = np.unique(sys.matrix[interior_rows].indices)
-    interface = referenced[inside[referenced] & (norm[referenced] > 0.0)]
+    # Interface: the inner-box nodes above the flat face that some interior row references.
+    referenced = np.zeros(inside.size, dtype=bool)
+    interior_entries = np.repeat(~sys.dirichlet_mask, np.diff(sys.matrix.indptr))
+    referenced[sys.matrix.indices[interior_entries]] = True
+    interface = np.flatnonzero(referenced & inside & (norm > 0.0))
     if interface.size == 0:
         raise PreconditionError("inner box is invisible to the grid; refine or enlarge it")
     if np.min(barrier[interface]) <= 0.0:

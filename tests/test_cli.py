@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_fdsolver import tiny_pivot_system
 
 import grushinlab
 from grushinlab import experiments, reports
@@ -239,6 +240,18 @@ class TestMain:
         )
         assert main(["--config", str(cfgfile)]) == 2
 
+    def test_unconverged_solve_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The runner's system is swapped for one whose refinement stagnates.
+        monkeypatch.setattr(experiments, "assemble", lambda *args, **kwargs: tiny_pivot_system())
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"command": "oscillation-decay", **SMALL_RAW["oscillation-decay"]}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "did not converge" in captured.err
+        assert not (out / "report.json").exists()
+
     def test_failed_criterion_exits_1_but_writes_report(self, tmp_path):
         out = tmp_path / "fail"
         cfg = parse_config(
@@ -370,7 +383,16 @@ class TestMain:
             run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
             keys.append(set(json.loads((out / "report.json").read_text())["result"]["solve"]))
         assert keys[0] == keys[1]
-        assert keys[0] == {"iterations", "final_residual", "dmp_ok", "wall_time_s", "converged", "method"}
+        assert keys[0] == {
+            "iterations",
+            "final_residual",
+            "dmp_ok",
+            "wall_time_s",
+            "converged",
+            "method",
+            "backward_error",
+            "backward_error_history",
+        }
 
     @pytest.mark.parametrize("command, key", [("holder-modulus", "levels"), ("oscillation-decay", "runs")])
     def test_every_solve_report_is_kept(self, tmp_path, monkeypatch, command, key):

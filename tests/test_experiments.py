@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from grushinlab import experiments
 from grushinlab.closedforms import kernel_value_arrays, supersolution_value_arrays
 from grushinlab.coefficients import make_decaying_perturbation, make_identity_field
 from grushinlab.experiments import (
@@ -17,6 +20,7 @@ from grushinlab.experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
+from grushinlab.fdsolver import solve
 from grushinlab.geometry import GrushinParams
 
 P21 = GrushinParams(2, 1.0)
@@ -268,3 +272,22 @@ class TestSolverSelection:
     def test_identity_annulus_stays_on_lu(self):
         rep = run_oscillation_decay(IDENT, P21, 1.0, counts=(33, 13))
         assert rep.solve.method == "lu" and rep.solve.converged
+
+    @pytest.mark.parametrize("counts", [(65, 25), (257, 97)], ids=str)
+    def test_perturbed_annulus_converges_within_two_sweeps(self, counts):
+        # At 257 x 97 the relative residual of this solve stays above 1e-10
+        # however many sweeps run; its componentwise backward error does not.
+        field = make_decaying_perturbation(P21, 2.0, 0.3, 0)
+        rep = run_oscillation_decay(field, P21, 1.0, counts=counts)
+        assert rep.solve.method == "lu"
+        assert rep.solve.converged and rep.solve.iterations <= 2
+        assert rep.solve.backward_error <= 1e-10
+
+    def test_unconverged_solve_is_refused(self, monkeypatch):
+        def stuck(sys, tol):
+            u, report = solve(sys, tol=tol)
+            return u, dataclasses.replace(report, converged=False)
+
+        monkeypatch.setattr(experiments, "solve", stuck)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            run_oscillation_decay(IDENT, P21, 1.0, counts=(33, 13))

@@ -279,6 +279,129 @@ class TestFactorisation:
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
+def tiny_pivot_system(pivot: float = 1e-20, coupling: float = 0.0) -> SparseSystem:
+    """A tiny pivot eliminated first (node 0 has the smallest degree) and kept
+    on the diagonal: its Schur update swamps the block of nodes 1 and 2.  At
+    1e-20 that block is lost, and refinement with those factors cannot
+    restore it."""
+    a = np.zeros((5, 5))
+    a[0, 0] = pivot
+    a[0, 1] = a[0, 2] = a[1, 0] = a[2, 0] = 1.0
+    a[1:, 1:] = 4.0 * np.eye(4) + 0.5
+    a[1, 1] = a[2, 2] = 1.0
+    a[1, 2] = a[2, 1] = coupling
+    none = np.array([], dtype=np.int64)
+    return SparseSystem(
+        matrix=sparse.csr_matrix(a),
+        rhs=np.arange(1.0, 6.0),
+        dirichlet_mask=np.zeros(5, dtype=bool),
+        dmp=DmpReport(False, none, none, none),
+    )
+
+
+def recomputed_backward_error(sys: SparseSystem, u: np.ndarray) -> float:
+    """max |r| / (|A||u| + |b|) with 0/0 rows counted as 0."""
+    r = np.abs(sys.rhs - sys.matrix @ u)
+    scale = abs(sys.matrix) @ np.abs(u) + np.abs(sys.rhs)
+    assert not np.any(r[scale == 0.0])
+    return float(np.max(np.divide(r, scale, out=np.zeros_like(r), where=scale > 0.0)))
+
+
+class TestRefinementStop:
+    @pytest.mark.parametrize("excise", [False, True], ids=["fast", "lu"])
+    def test_backward_error_is_recomputed_exactly(self, excise):
+        # Zero data on the flat face: those rows have r = 0 over a zero
+        # scale, which counts as 0.
+        g = build_grid([1, 0], [3, 2], (33, 33), 2.0)
+        extra = inner_box(g) if excise else None
+        sys = assemble(IDENT, g, P21, lambda xp, xn: np.sin(3.0 * xp[:, 0]) * xn, extra_dirichlet=extra)
+        u, rep = solve(sys)
+        scale = abs(sys.matrix) @ np.abs(u) + np.abs(sys.rhs)
+        assert np.count_nonzero(scale == 0.0) > 0
+        assert rep.backward_error == recomputed_backward_error(sys, u)
+        assert rep.backward_error_history[-1] == rep.backward_error
+        assert len(rep.backward_error_history) == rep.iterations + 1
+        assert rep.converged == (rep.backward_error <= 1e-10)
+        assert rep.final_residual == np.linalg.norm(sys.rhs - sys.matrix @ u) / np.linalg.norm(sys.rhs)
+
+    def test_zero_scale_rows(self):
+        # Row 0 has a zero scale: r = 0 there counts as 0, r != 0 as inf.
+        abs_matrix = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        u, b = np.array([0.0, 1.0]), np.array([0.0, 4.0])
+        assert fdsolver._backward_error(np.array([0.0, 1.0]), abs_matrix, u, b) == 1.0 / 6.0
+        assert fdsolver._backward_error(np.array([1e-300, 0.0]), abs_matrix, u, b) == np.inf
+
+    def test_stagnation_stops_unconverged(self):
+        sys = tiny_pivot_system()
+        u, rep = solve(sys)
+        assert not rep.converged and rep.method == "lu"
+        assert 1 <= rep.iterations < fdsolver.MAX_REFINEMENTS
+        history = rep.backward_error_history
+        assert min(history) > 1e-10
+        assert history[-1] > 0.5 * history[-2]  # the last sweep did not halve it
+        assert all(new <= 0.5 * old for old, new in zip(history[:-2], history[1:-1]))
+        assert rep.backward_error == recomputed_backward_error(sys, u)
+
+    def test_max_refinements_caps_the_loop(self, monkeypatch):
+        # A 1e-14 pivot: every sweep shrinks the backward error about
+        # tenfold, and several are needed to reach the tolerance.
+        sys = tiny_pivot_system(1e-14, 0.9)
+        _, free = solve(sys)
+        assert free.converged and free.iterations > 3
+        monkeypatch.setattr(fdsolver, "MAX_REFINEMENTS", 3)
+        _, capped = solve(sys)
+        assert capped.iterations == 3 and not capped.converged
+        assert capped.backward_error_history == free.backward_error_history[:4]
+
+    def test_fast_path_keeps_its_forced_sweep(self):
+        g = build_grid([1, 0], [3, 2], (33, 33), 2.0)
+        sys = assemble(IDENT, g, P21, bc_kernel)
+        _, rep = solve(sys, tol=1.0)
+        assert rep.method == "fast-diagonalization"
+        assert rep.iterations == 1 and rep.backward_error_history[0] <= 1.0
+
+
+class TestDmpScan:
+    @staticmethod
+    def copied_report(matrix, interior):
+        """The DMP report with the off-diagonal scan run on a copy of the
+        matrix whose diagonal is dropped."""
+        diag = matrix.diagonal()
+        tol = 1e-13 * np.maximum(np.abs(diag), 1.0)
+        off = matrix.copy()
+        off.setdiag(0.0)
+        off.eliminate_zeros()
+        row_max = np.asarray(off.max(axis=1).todense()).ravel()
+        bad_off = np.flatnonzero(interior & (row_max > tol))
+        bad_diag = np.flatnonzero(interior & (diag <= 0.0))
+        bad_sum = np.flatnonzero(interior & (matrix @ np.ones(matrix.shape[0]) < -tol))
+        ok = bad_off.size == 0 and bad_diag.size == 0 and bad_sum.size == 0
+        return DmpReport(ok, bad_off, bad_diag, bad_sum)
+
+    @pytest.mark.parametrize(
+        "field, p, counts, excise, monotone",
+        [
+            (IDENT, P21, (33, 33), False, True),
+            (IDENT, P21, (33, 33), True, True),
+            (make_identity_field(P31), P31, (9, 9, 9), True, True),
+            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33), False, False),
+            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33), True, False),
+            (make_decaying_perturbation(P31, 2.0, 0.3, 7), P31, (9, 9, 9), False, False),
+        ],
+        ids=["identity-2d", "excised-2d", "excised-3d", "perturbed-2d", "perturbed-excised-2d", "perturbed-3d"],
+    )
+    def test_report_matches_the_copied_scan(self, field, p, counts, excise, monotone):
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
+        extra = inner_box(grid) if excise else None
+        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
+        expected = self.copied_report(sys.matrix, ~sys.dirichlet_mask)
+        assert expected.ok == monotone
+        for got in (sys.dmp, check_dmp(sys)):
+            assert got.ok == expected.ok
+            for name in ("positive_offdiagonal_rows", "nonpositive_diagonal_rows", "negative_rowsum_rows"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+
 class TestFastDiagonalization:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
