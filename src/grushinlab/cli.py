@@ -24,6 +24,7 @@ from .closedforms import (
 from .coefficients import audit_ellipticity_arrays
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
+    MIN_FIT_SAMPLES,
     PreconditionError,
     run_boundary_growth,
     run_decay_fit,
@@ -58,11 +59,10 @@ def _normalized_residual(op_value: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _cmd_verify_closed_forms(cfg: RunConfig):
     p = cfg.params
-    exp = cfg.experiment
+    exp = dict(cfg.experiment)
+    count = exp.pop("points")
     rng = np.random.default_rng(cfg.seed)
-    xp, xn = sample_points_by_gauge(
-        p, rng, exp["points"], exp["gauge_lo"], exp["gauge_hi"], min_normal_fraction=1e-6
-    )
+    xp, xn = sample_points_by_gauge(p, rng, count, min_normal_fraction=1e-6, **exp)
     power = harmonic_gauge_power(p)
     jw = kernel_jet(xp, xn, p)
     rw = _normalized_residual(apply_grushin(jw, xp, xn, p), grushin_term_scale(jw, xp, xn, p))
@@ -89,14 +89,14 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
     p = cfg.params
-    exp = cfg.experiment
+    exp = dict(cfg.experiment)
+    count = exp.pop("points")
     field = cfg.build_field()
     rng = np.random.default_rng(cfg.seed)
-    count = exp["points"]
     xp = rng.uniform(-1.0, 1.0, (count, p.n - 1))
     xn = rng.uniform(0.0, 1.0, count)
     xn[: max(1, count // 50)] = 0.0  # exercise the degenerate boundary case
-    report = audit_ellipticity_arrays(field, p, exp["epsilon0"], xp, xn, tau=exp["tau"])
+    report = audit_ellipticity_arrays(field, p, tangential=xp, normal=xn, **exp)
     on_strip = xn >= exp["epsilon0"]
     columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
     result = jsonable(
@@ -126,7 +126,7 @@ def _cmd_solve(cfg: RunConfig):
     spacings = [np.diff(axis) for axis in grid.axes]
     columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
     summary = (
-        f"solve: residual {report.final_residual:.3e} after {report.iterations} refinements, "
+        f"solve: backward error {report.backward_error:.3e} after {report.iterations} refinements, "
         f"dmp_ok={report.dmp_ok}, method {report.method}"
     )
     return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
@@ -135,15 +135,8 @@ def _cmd_solve(cfg: RunConfig):
 def _cmd_boundary_growth(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    bc = _named_bc(cfg.experiment["bc"], p)
-    report = run_boundary_growth(
-        field,
-        p,
-        cfg.grid,
-        bc,
-        ray_height_fraction=cfg.experiment["ray_height_fraction"],
-        solver_tol=cfg.tolerances.solver_tol,
-    )
+    exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
+    report = run_boundary_growth(field, p, cfg.grid, solver_tol=cfg.tolerances.solver_tol, **exp)
     lo, hi = cfg.tolerances.growth_band
     passed = (not report.refused) and report.fit is not None and lo <= report.fit.exponent <= hi
     result = jsonable(report)
@@ -161,18 +154,9 @@ def _cmd_boundary_growth(cfg: RunConfig):
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = cfg.experiment
-    bc = _named_bc(exp["bc"], p)
+    exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
     report = run_holder_modulus(
-        field,
-        p,
-        cfg.grid,
-        bc,
-        exponent=exp["exponent"],
-        levels=exp["levels"],
-        pairs=exp["pairs"],
-        seed=cfg.seed,
-        solver_tol=cfg.tolerances.solver_tol,
+        field, p, cfg.grid, seed=cfg.seed, solver_tol=cfg.tolerances.solver_tol, **exp
     )
     passed = report.final_change < cfg.tolerances.stabilization
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
@@ -187,18 +171,10 @@ def _cmd_holder_modulus(cfg: RunConfig):
 def _cmd_oscillation_decay(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = cfg.experiment
+    exp = dict(cfg.experiment)
+    radii = exp.pop("radii")
     reports = [
-        run_oscillation_decay(
-            field,
-            p,
-            R,
-            counts=exp["counts"],
-            shell_band=exp["shell_band"],
-            data_scale=exp["data_scale"],
-            solver_tol=cfg.tolerances.solver_tol,
-        )
-        for R in exp["radii"]
+        run_oscillation_decay(field, p, R, solver_tol=cfg.tolerances.solver_tol, **exp) for R in radii
     ]
     c0s = [r.c0_empirical for r in reports]
     passed = all(c > 0.0 for c in c0s)
@@ -222,23 +198,14 @@ def _cmd_oscillation_decay(cfg: RunConfig):
     summary = (
         "oscillation-decay: c0 = "
         + ", ".join(f"{c:.6g}" for c in c0s)
-        + f" at R = {', '.join(str(r) for r in exp['radii'])}{spread_text}"
+        + f" at R = {', '.join(str(r) for r in radii)}{spread_text}"
     )
     return passed, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, summary
 
 
 def _cmd_supersolution_scan(cfg: RunConfig):
     p = cfg.params
-    exp = cfg.experiment
-    report = run_supersolution_scan(
-        p,
-        exp["rho"],
-        exp["s"],
-        exp["amplitude"],
-        exp["shells"],
-        exp["samples_per_shell"],
-        seed=cfg.seed,
-    )
+    report = run_supersolution_scan(p, seed=cfg.seed, **cfg.experiment)
     passed = report.R0_empirical is not None
     result = jsonable(report)
     columns = list(zip(*report.per_shell))
@@ -253,19 +220,7 @@ def _cmd_supersolution_scan(cfg: RunConfig):
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = cfg.experiment
-    report = run_decay_fit(
-        field,
-        p,
-        exp["inner_radius"],
-        exp["outer_radius"],
-        counts=exp["counts"],
-        grading=exp["grading"],
-        ray_lo_factor=exp["ray_lo_factor"],
-        ray_hi_factor=exp["ray_hi_factor"],
-        ray_points=exp["ray_points"],
-        solver_tol=cfg.tolerances.solver_tol,
-    )
+    report = run_decay_fit(field, p, solver_tol=cfg.tolerances.solver_tol, **cfg.experiment)
     band = cfg.tolerances.fit_band
     passed = (
         not report.refused
@@ -276,7 +231,7 @@ def _cmd_decay_fit(cfg: RunConfig):
     u = np.asarray(report.ray_values)
     columns = [report.ray_gauges, xn, u, u / xn]
     if report.refused:
-        summary = "decay-fit: fit refused (fewer than 5 usable ray points)"
+        summary = f"decay-fit: fit refused (fewer than {MIN_FIT_SAMPLES} usable ray points)"
     else:
         summary = (
             f"decay-fit: slope {report.fit.exponent:.4f} vs expected "
@@ -288,18 +243,12 @@ def _cmd_decay_fit(cfg: RunConfig):
 def _cmd_global_bound(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = cfg.experiment
     report = run_global_bound_check(
         field,
         p,
-        exp["rho"],
-        exp["inner_radius"],
-        exp["outer_radius"],
-        counts=exp["counts"],
-        grading=exp["grading"],
-        inner_slope=exp["inner_slope"],
         solver_tol=cfg.tolerances.solver_tol,
         margin_tolerance=cfg.tolerances.margin_tol,
+        **cfg.experiment,
     )
     passed = report.passed and report.falsification_failed
     result = jsonable({k: v for k, v in vars(report).items() if k != "interface_samples"})

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
-from .experiments import GridSpec
+from .experiments import MIN_FIT_SAMPLES, GridSpec
 from .geometry import GrushinParams
 from .reports import jsonable
 
@@ -211,53 +211,43 @@ def _parse_tolerances(raw: dict) -> Tolerances:
 
 
 def _parse_experiment(raw: dict, command: str, n: int) -> dict:
+    """The ``experiment`` block of ``command``: its parse lines declare the
+    allowed keys, each named as the keyword of the runner it configures."""
     obj = _object(raw.get("experiment", {}), "experiment")
     path = "experiment"
     out: dict[str, Any] = {}
     if command == "verify-closed-forms":
-        _reject_unknown(obj, path, ("points", "gauge_lo", "gauge_hi"))
         out["points"] = _integer(obj, path, "points", 1000, lo=10)
         out["gauge_lo"] = _number(obj, path, "gauge_lo", 0.01, lo=0.0, lo_open=True)
         out["gauge_hi"] = _number(obj, path, "gauge_hi", 100.0, lo=out["gauge_lo"], lo_open=True)
     elif command == "audit-ellipticity":
-        _reject_unknown(obj, path, ("points", "epsilon0", "tau"))
         out["points"] = _integer(obj, path, "points", 1000, lo=10)
         out["epsilon0"] = _number(obj, path, "epsilon0", 0.5, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
         out["tau"] = _number(obj, path, "tau", None, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     elif command == "solve":
-        _reject_unknown(obj, path, ("bc",))
         out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
     elif command == "boundary-growth":
-        _reject_unknown(obj, path, ("bc", "ray_height_fraction"))
         out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
         out["ray_height_fraction"] = _number(
             obj, path, "ray_height_fraction", 0.25, lo=0.0, hi=1.0, lo_open=True
         )
     elif command == "holder-modulus":
-        _reject_unknown(obj, path, ("bc", "exponent", "levels", "pairs"))
         out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
         out["exponent"] = _number(obj, path, "exponent", None, lo=0.0, lo_open=True)
         out["levels"] = _integer(obj, path, "levels", 3, lo=2)
         out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100)
     elif command == "oscillation-decay":
-        _reject_unknown(obj, path, ("radii", "counts", "shell_band", "data_scale"))
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0)
         out["counts"] = _number_list(obj, path, "counts", None, length=n, lo=3, integer=True)
         out["shell_band"] = _number(obj, path, "shell_band", 0.15, lo=0.0, hi=0.5, lo_open=True)
         out["data_scale"] = _number(obj, path, "data_scale", 1.0, lo=0.0, lo_open=True)
     elif command == "supersolution-scan":
-        _reject_unknown(obj, path, ("rho", "s", "amplitude", "shells", "samples_per_shell"))
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
         out["s"] = _number(obj, path, "s", 2.0, lo=0.0, lo_open=True)
         out["amplitude"] = _number(obj, path, "amplitude", 1.0, lo=0.0)
         out["shells"] = _number_list(obj, path, "shells", tuple(2.0**k for k in range(11)), lo=1.0)
         out["samples_per_shell"] = _integer(obj, path, "samples_per_shell", 300, lo=10)
     elif command == "decay-fit":
-        _reject_unknown(
-            obj,
-            path,
-            ("inner_radius", "outer_radius", "counts", "grading", "ray_lo_factor", "ray_hi_factor", "ray_points"),
-        )
         out["inner_radius"] = _number(obj, path, "inner_radius", 1.0, lo=0.0, lo_open=True)
         out["outer_radius"] = _number(
             obj, path, "outer_radius", 32.0, lo=out["inner_radius"], lo_open=True
@@ -266,11 +256,8 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         out["grading"] = _number(obj, path, "grading", None, lo=1.0)
         out["ray_lo_factor"] = _number(obj, path, "ray_lo_factor", 2.5, lo=1.0)
         out["ray_hi_factor"] = _number(obj, path, "ray_hi_factor", 0.35, lo=0.0, hi=1.0, lo_open=True)
-        out["ray_points"] = _integer(obj, path, "ray_points", 13, lo=5)
+        out["ray_points"] = _integer(obj, path, "ray_points", 13, lo=MIN_FIT_SAMPLES)
     elif command == "global-bound":
-        _reject_unknown(
-            obj, path, ("rho", "inner_radius", "outer_radius", "counts", "grading", "inner_slope")
-        )
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
         out["inner_radius"] = _number(obj, path, "inner_radius", 2.0, lo=0.0, lo_open=True)
         out["outer_radius"] = _number(
@@ -281,6 +268,7 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         out["inner_slope"] = _number(obj, path, "inner_slope", 1.0, lo=0.0, lo_open=True)
     else:  # pragma: no cover - command validated before dispatch
         raise ConfigError(f"command: unknown command {command!r}")
+    _reject_unknown(obj, path, out)
     return out
 
 

@@ -50,6 +50,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "MIN_FIT_SAMPLES",
     "PreconditionError",
     "FitResult",
     "GridSpec",
@@ -73,6 +74,9 @@ __all__ = [
 ]
 
 
+MIN_FIT_SAMPLES = 5  # fewest samples a log-log fit accepts; fewer make a runner refuse
+
+
 class PreconditionError(ValueError):
     """An experiment hypothesis does not hold for the given inputs."""
 
@@ -88,8 +92,10 @@ class FitResult:
     range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.sample_count < 5:
-            raise ValueError(f"a log-log fit needs >= 5 samples, got {self.sample_count}")
+        if self.sample_count < MIN_FIT_SAMPLES:
+            raise ValueError(
+                f"a log-log fit needs >= {MIN_FIT_SAMPLES} samples, got {self.sample_count}"
+            )
         lo, hi = self.range
         if not hi > lo:
             raise ValueError(f"fit range must be nondegenerate, got ({lo}, {hi})")
@@ -189,8 +195,9 @@ def run_boundary_growth(
     """Solve with |bc| <= 1, zero on the flat face; measure |u| <= C x_n.
 
     The ray fit follows the inward normal from the boundary point with the
-    strongest first-layer response; the fit is refused (fit=None) when fewer
-    than five ray nodes carry |u| > 1e-12.
+    strongest first-layer response; the fit is refused (fit=None, the whole
+    ray reported) when fewer than ``MIN_FIT_SAMPLES`` ray nodes carry
+    |u| > 1e-12.  A solution with max |u| <= 1e-12 has C = 0.
     """
     grid = grid_spec.build(p)
     u, report, sys = _solve_dirichlet(field, grid, p, bc, tol=solver_tol)
@@ -202,7 +209,9 @@ def run_boundary_growth(
         raise PreconditionError("boundary-growth problems need |bc| <= 1")
 
     positive = norm > 0.0
-    bound_c = float(np.max(np.abs(u[positive]) / norm[positive])) if positive.any() else 0.0
+    bound_c = 0.0
+    if positive.any() and np.max(np.abs(u)) > 1e-12:
+        bound_c = float(np.max(np.abs(u[positive]) / norm[positive]))
 
     columns = u.reshape(-1, grid.shape[-1])
     col = int(np.argmax(np.abs(columns[:, 1])))
@@ -212,21 +221,13 @@ def run_boundary_growth(
 
     cutoff = ray_height_fraction * grid.box_hi[-1]
     sel = (heights <= cutoff) & (values > 1e-12)
-    if np.count_nonzero(sel) < 5:
-        return BoundaryGrowthReport(
-            bound_constant=0.0 if np.max(np.abs(u)) <= 1e-12 else bound_c,
-            fit=None,
-            refused=True,
-            ray_anchor=tuple(anchor),
-            ray_heights=tuple(heights),
-            ray_values=tuple(values),
-            solve=report,
-        )
-    fit = fit_loglog(heights[sel], values[sel])
+    refused = np.count_nonzero(sel) < MIN_FIT_SAMPLES
+    if refused:
+        sel[:] = True
     return BoundaryGrowthReport(
         bound_constant=bound_c,
-        fit=fit,
-        refused=False,
+        fit=None if refused else fit_loglog(heights[sel], values[sel]),
+        refused=refused,
         ray_anchor=tuple(anchor),
         ray_heights=tuple(heights[sel]),
         ray_values=tuple(values[sel]),
@@ -255,10 +256,6 @@ class HolderReport:
     levels: tuple[HolderLevel, ...]
     final_change: float
     seed: int
-
-    @property
-    def stabilizes(self) -> bool:
-        return self.final_change < 0.25
 
 
 def _holder_pairs(
@@ -660,23 +657,13 @@ def run_decay_fit(
     )
     values = grid_interpolator(grid, u)(np.column_stack([ray_t, ray_n]))
     usable = values > min_ray_value
-    if np.count_nonzero(usable) < 5:
-        return DecayFitReport(
-            fit=None,
-            expected_exponent=-p.Q,
-            refused=True,
-            inner_radius=inner_radius,
-            outer_radius=outer_radius,
-            ray_gauges=tuple(gauges),
-            ray_normals=tuple(ray_n),
-            ray_values=tuple(values),
-            solve=report,
-        )
-    fit = fit_loglog(gauges[usable], values[usable] / ray_n[usable])
+    refused = np.count_nonzero(usable) < MIN_FIT_SAMPLES
+    if refused:
+        usable[:] = True
     return DecayFitReport(
-        fit=fit,
+        fit=None if refused else fit_loglog(gauges[usable], values[usable] / ray_n[usable]),
         expected_exponent=-p.Q,
-        refused=False,
+        refused=refused,
         inner_radius=inner_radius,
         outer_radius=outer_radius,
         ray_gauges=tuple(gauges[usable]),

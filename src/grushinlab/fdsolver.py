@@ -239,10 +239,6 @@ class SolveReport:
     backward_error_history: tuple[float, ...] = ()
 
 
-def _interior_multi_index(grid: AnisotropicGrid, interior_flat: np.ndarray):
-    return np.unravel_index(interior_flat, grid.shape)
-
-
 def assemble(
     field: CoefficientField,
     grid: AnisotropicGrid,
@@ -288,7 +284,7 @@ def assemble(
     separable = None
 
     if interior.size:
-        multi = _interior_multi_index(grid, interior)
+        multi = np.unravel_index(interior, shape)
         strides = np.array(
             [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)], dtype=np.int64
         )
@@ -326,10 +322,8 @@ def assemble(
             for b in range(a + 1, n):
                 if b < m:
                     c = 2.0 * a_t[:, a, b] * xn_2a
-                elif b == n - 1 and a < m:
+                else:  # b = n - 1: tangential-normal term
                     c = 2.0 * a_m[:, a] * xn_a
-                else:
-                    continue
                 if not np.any(c):
                     continue
                 cpos = np.maximum(c, 0.0)
@@ -364,15 +358,15 @@ def assemble(
     )
 
 
-def _positive_offdiagonal_rows(matrix: sparse.csr_matrix, row_mask: np.ndarray) -> np.ndarray:
-    """Rows of ``row_mask`` holding an off-diagonal entry above 1e-13 max(|diag|, 1).
+def _positive_offdiagonal_rows(
+    matrix: sparse.csr_matrix, row_mask: np.ndarray, tol: np.ndarray
+) -> np.ndarray:
+    """Rows of ``row_mask`` holding an off-diagonal entry above their ``tol``.
 
     Read straight off the CSR arrays of a matrix without duplicate entries
-    (``assemble`` sums them): no threshold is below 1e-13, so only entries
-    above it are located in their rows.
+    (``assemble`` sums them): no threshold of ``_dmp_report`` is below
+    1e-13, so only entries above it are located in their rows.
     """
-    diag = matrix.diagonal()
-    tol = 1e-13 * np.maximum(np.abs(diag), 1.0)
     entry = np.flatnonzero(matrix.data > 1e-13)
     row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))[entry]
     hit = (matrix.indices[entry] != row) & (matrix.data[entry] > tol[row])
@@ -386,7 +380,7 @@ def _dmp_report(matrix: sparse.csr_matrix, interior: np.ndarray) -> DmpReport:
     tol = 1e-13 * np.maximum(np.abs(diag), 1.0)
 
     bad_diag = np.flatnonzero(interior & (diag <= 0.0))
-    bad_off = _positive_offdiagonal_rows(matrix, interior)
+    bad_off = _positive_offdiagonal_rows(matrix, interior, tol)
     row_sums = matrix @ np.ones(matrix.shape[0])
     bad_sum = np.flatnonzero(interior & (row_sums < -tol))
     ok = bad_diag.size == 0 and bad_off.size == 0 and bad_sum.size == 0

@@ -50,6 +50,9 @@ class TestParseConfig:
             parse_config(raw={"command": "solve", "bogus": 1})
         with pytest.raises(ConfigError, match=r"experiment\.rho: unknown key"):
             parse_config(raw={"command": "decay-fit", "experiment": {"rho": 0.5}})
+        for command in COMMANDS:
+            with pytest.raises(ConfigError, match=r"experiment\.bogus: unknown key"):
+                parse_config(raw={"command": command, "experiment": {"bogus": 1}})
 
     def test_type_mismatch_reports_path(self):
         with pytest.raises(ConfigError, match=r"params\.n: must be an integer"):
@@ -393,6 +396,14 @@ class TestMain:
             "backward_error",
             "backward_error_history",
         }
+
+    def test_solve_summary_quotes_the_converged_quantity(self, tmp_path):
+        # ``converged`` tests the backward error, so the summary quotes it.
+        out = tmp_path / "solve"
+        run(parse_config(raw={"command": "solve", **SMALL_RAW["solve"], "output_dir": str(out)}))
+        report = json.loads((out / "report.json").read_text())
+        omega = report["result"]["solve"]["backward_error"]
+        assert report["summary"].startswith(f"solve: backward error {omega:.3e} after ")
 
     @pytest.mark.parametrize("command, key", [("holder-modulus", "levels"), ("oscillation-decay", "runs")])
     def test_every_solve_report_is_kept(self, tmp_path, monkeypatch, command, key):

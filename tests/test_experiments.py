@@ -108,7 +108,6 @@ class TestHolderModulus:
         rep = run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=3, pairs=30_000)
         assert rep.exponent == pytest.approx(0.5, abs=0)
         assert rep.final_change < 0.25
-        assert rep.stabilizes
 
     def test_oversized_exponent_blows_up(self):
         rep = run_holder_modulus(
