@@ -19,10 +19,9 @@ from .closedforms import (
     grushin_term_scale,
     harmonic_gauge_power,
     kernel_jet,
-    kernel_value_arrays,
 )
 from .coefficients import audit_ellipticity_arrays
-from .config import ConfigError, RunConfig, parse_config
+from .config import BOUNDARY_DATA, ConfigError, RunConfig, parse_config
 from .experiments import (
     MIN_FIT_SAMPLES,
     PreconditionError,
@@ -40,14 +39,20 @@ from .reports import content_hash, jsonable, write_csv, write_json_report
 __all__ = ["main", "run"]
 
 
+# (flag, config path, type, help) of each flag that overrides one config value.
+_OVERRIDES = (
+    ("--command", "command", str, "command to run (overrides config)"),
+    ("--alpha", "params.alpha", float, "degeneracy exponent (overrides params.alpha)"),
+    ("--n", "params.n", int, "space dimension (overrides params.n)"),
+    ("--out", "output_dir", str, "output directory (overrides output_dir)"),
+    ("--seed", "seed", int, "random seed (overrides seed)"),
+    ("--tol", "tolerances.solver_tol", float, "solver tolerance (overrides tolerances.solver_tol)"),
+)
+
+
 def _named_bc(name: str, p):
-    if name == "kernel":
-        return lambda xp, xn: kernel_value_arrays(xp, xn, p)
-    if name == "linear":
-        return lambda xp, xn: np.asarray(xn, dtype=float)
-    if name == "constant":
-        return lambda xp, xn: np.ones(np.shape(xn))
-    return lambda xp, xn: np.zeros(np.shape(xn))
+    data = BOUNDARY_DATA[name]
+    return lambda xp, xn: data(xp, xn, p)
 
 
 def _normalized_residual(op_value: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -298,30 +303,13 @@ def main(argv=None) -> int:
         description="Numerical experiments for a degenerate elliptic operator on the half space.",
     )
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--command", help="command to run (overrides config)")
-    parser.add_argument("--alpha", type=float, help="degeneracy exponent (overrides params.alpha)")
-    parser.add_argument("--n", type=int, help="space dimension (overrides params.n)")
-    parser.add_argument("--out", help="output directory (overrides output_dir)")
-    parser.add_argument("--seed", type=int, help="random seed (overrides seed)")
-    parser.add_argument("--tol", type=float, help="solver tolerance (overrides tolerances.solver_tol)")
-    args = parser.parse_args(argv)
-
-    overrides = {}
-    if args.command is not None:
-        overrides["command"] = args.command
-    if args.alpha is not None:
-        overrides["params.alpha"] = args.alpha
-    if args.n is not None:
-        overrides["params.n"] = args.n
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tol is not None:
-        overrides["tolerances.solver_tol"] = args.tol
+    for flag, _, kind, text in _OVERRIDES:
+        parser.add_argument(flag, type=kind, help=text)
+    args = vars(parser.parse_args(argv))
+    overrides = {path: args[flag[2:]] for flag, path, _, _ in _OVERRIDES if args[flag[2:]] is not None}
 
     try:
-        cfg = parse_config(path=args.config, overrides=overrides)
+        cfg = parse_config(path=args["config"], overrides=overrides)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Exact 2-jets of the closed-form functions attached to the operator.
 
-Everything here is hand-differentiated closed forms, no numerics: the
-harmonic kernel w(x) = x_n / (|x'|^2 + beta x_n^{2+2a})^gamma, powers of the
-gauge, the far-field supersolution w - w^{1+rho}, and the flat-boundary
-barrier C x_n + B|x'-x0'|^2 - (C/2) x_n^{2+a}.  The operators
+Closed forms only, no numerics: the harmonic kernel
+w(x) = x_n / (|x'|^2 + beta x_n^{2+2a})^gamma, powers of the gauge, the
+far-field supersolution w - w^{1+rho}, and the flat-boundary barrier
+C x_n + B|x'-x0'|^2 - (C/2) x_n^{2+a}.  The operators
 
     G u = x_n^{2a} Delta' u + D_nn u                  (Grushin model)
     L u = x_n^{2a} sum a_ij D_ij u + 2 x_n^a sum a_in D_in u + D_nn u
@@ -15,9 +15,11 @@ normal (N,), and a jet holds one row per point; every row is checked.
 
 Writing r = |x'|^2 + beta x_n^{2+2a}, the kernel is w = x_n r^{-gamma} and a
 gauge power d^t equals r^{t/(2(1+a))} because Q = 2(1+a)*gamma; evaluating
-through r avoids nesting fractional powers.  The unique exponent t != 0 with
-G(d^t) = 0 is t = 2 - Q (for the Laplacian, a = 0, this is the familiar
-|x|^{2-n}).
+through r avoids nesting fractional powers.  So one jet of r builds all three:
+the chain rule D f(g) = f'(g) Dg, D^2 f(g) = f'(g) D^2 g + f''(g) Dg (x) Dg
+gives r^k and w - w^{1+rho} from the jets of r and w, and the product rule
+gives x_n r^{-gamma}.  The unique exponent t != 0 with G(d^t) = 0 is
+t = 2 - Q (for the Laplacian, a = 0, this is the familiar |x|^{2-n}).
 """
 
 from __future__ import annotations
@@ -150,6 +152,38 @@ def kernel_value_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinPa
     return normal * base ** (-p.gamma)
 
 
+def _chain(g, f: np.ndarray, df: np.ndarray, d2f: np.ndarray):
+    """Jet of f(g) from f, f' and f'' at the value of the jet g, by the chain rule."""
+    _, dg, hg = g
+    outer = dg[:, :, None] * dg[:, None, :]
+    return f, df[:, None] * dg, df[:, None, None] * hg + d2f[:, None, None] * outer
+
+
+def _times_normal(xn: np.ndarray, g):
+    """Jet of the product x_n g: Dg joins the x_n row and column of the Hessian."""
+    value, dg, hg = g
+    grad = xn[:, None] * dg
+    grad[:, -1] += value
+    hess = xn[:, None, None] * hg
+    hess[:, -1, :] += dg
+    hess[:, :, -1] += dg
+    return xn * value, grad, hess
+
+
+def _r_power(xp: np.ndarray, xn: np.ndarray, p: GrushinParams, k: float):
+    """Jet of r^k, r = |x'|^2 + beta x_n^{2+2a}: the jet of r through the chain rule."""
+    e = 2.0 + 2.0 * p.alpha
+    r = np.sum(xp**2, axis=1) + p.beta * xn**e
+    dr = np.empty((xn.size, p.n))
+    dr[:, :-1] = 2.0 * xp
+    dr[:, -1] = p.beta * e * xn ** (1.0 + 2.0 * p.alpha)
+    hr = np.zeros((xn.size, p.n, p.n))
+    diag = np.arange(p.n - 1)
+    hr[:, diag, diag] = 2.0
+    hr[:, -1, -1] = p.beta * e * (1.0 + 2.0 * p.alpha) * xn ** (2.0 * p.alpha)
+    return _chain((r, dr, hr), r**k, k * r ** (k - 1.0), k * (k - 1.0) * r ** (k - 2.0))
+
+
 def kernel_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> Jet2:
     """2-jets of the harmonic kernel w = x_n r^{-gamma}, r = |x'|^2 + beta x_n^{2+2a}.
 
@@ -158,37 +192,7 @@ def kernel_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> 
     rejected.
     """
     xp, xn = _points(tangential, normal, p.n, singular_at_origin="kernel jet")
-    alpha, beta, gamma = p.alpha, p.beta, p.gamma
-    e = 2.0 + 2.0 * alpha
-    xne = xn**e
-    r = np.sum(xp**2, axis=1) + beta * xne
-    rg = r**-gamma
-    rg1 = r ** -(gamma + 1.0)
-    rg2 = r ** -(gamma + 2.0)
-
-    value = xn * rg
-    grad = np.empty((xn.size, p.n))
-    grad[:, :-1] = -2.0 * gamma * xp * xn[:, None] * rg1[:, None]
-    grad[:, -1] = rg - gamma * beta * e * xne * rg1
-
-    hess = np.empty((xn.size, p.n, p.n))
-    outer = xp[:, :, None] * xp[:, None, :]
-    tt = 4.0 * gamma * (gamma + 1.0) * outer * xn[:, None, None] * rg2[:, None, None]
-    diag = np.arange(p.n - 1)
-    tt[:, diag, diag] -= (2.0 * gamma * xn * rg1)[:, None]
-    hess[:, :-1, :-1] = tt
-    mixed = (
-        -2.0 * gamma * xp * rg1[:, None]
-        + 2.0 * gamma * (gamma + 1.0) * beta * e * xp * xne[:, None] * rg2[:, None]
-    )
-    hess[:, :-1, -1] = mixed
-    hess[:, -1, :-1] = mixed
-    hess[:, -1, -1] = (
-        -gamma * beta * e * xn ** (1.0 + 2.0 * alpha) * rg1
-        - gamma * beta * e**2 * xn ** (1.0 + 2.0 * alpha) * rg1
-        + gamma * (gamma + 1.0) * beta**2 * e**2 * xn ** (3.0 + 4.0 * alpha) * rg2
-    )
-    return Jet2(value, grad, hess)
+    return Jet2(*_times_normal(xn, _r_power(xp, xn, p, -p.gamma)))
 
 
 def harmonic_gauge_power(p: GrushinParams) -> float:
@@ -208,33 +212,7 @@ def gauge_power_jet(
     Grushin operator.
     """
     xp, xn = _points(tangential, normal, p.n, singular_at_origin="gauge power jet")
-    alpha, beta = p.alpha, p.beta
-    k = power / (2.0 * (1.0 + alpha))
-    e = 2.0 + 2.0 * alpha
-    r = np.sum(xp**2, axis=1) + beta * xn**e
-    rk1 = r ** (k - 1.0)
-    rk2 = r ** (k - 2.0)
-    dr_n = beta * e * xn ** (1.0 + 2.0 * alpha)
-
-    value = r**k
-    grad = np.empty((xn.size, p.n))
-    grad[:, :-1] = 2.0 * k * xp * rk1[:, None]
-    grad[:, -1] = k * dr_n * rk1
-
-    hess = np.empty((xn.size, p.n, p.n))
-    outer = xp[:, :, None] * xp[:, None, :]
-    tt = 4.0 * k * (k - 1.0) * outer * rk2[:, None, None]
-    diag = np.arange(p.n - 1)
-    tt[:, diag, diag] += (2.0 * k * rk1)[:, None]
-    hess[:, :-1, :-1] = tt
-    mixed = 2.0 * k * (k - 1.0) * xp * dr_n[:, None] * rk2[:, None]
-    hess[:, :-1, -1] = mixed
-    hess[:, -1, :-1] = mixed
-    hess[:, -1, -1] = (
-        k * beta * e * (1.0 + 2.0 * alpha) * xn ** (2.0 * alpha) * rk1
-        + k * (k - 1.0) * dr_n**2 * rk2
-    )
-    return Jet2(value, grad, hess)
+    return Jet2(*_r_power(xp, xn, p, power / (2.0 * (1.0 + p.alpha))))
 
 
 def apply_grushin(j: Jet2, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
@@ -285,33 +263,24 @@ def supersolution_value_arrays(
 def supersolution_jet(
     tangential: np.ndarray, normal: np.ndarray, rho: float, p: GrushinParams
 ) -> Jet2:
-    """2-jets of the supersolution w - w^{1+rho}, assembled by the chain rule.
+    """2-jets of the supersolution f(w) = w - w^{1+rho}, by the chain rule on the kernel.
 
-    D(w^{1+rho}) = (1+rho) w^rho Dw and
-    D^2(w^{1+rho}) = (1+rho) w^rho D^2 w + rho(1+rho) w^{rho-1} Dw (x) Dw.
-    For rho < 1 the factor w^{rho-1} blows up as w -> 0, so points on the flat
-    boundary are rejected; the sign property L(w - w^{1+rho}) <= 0 needs
-    0 < rho < min(s/(n-1), 1) and only holds far enough out, which is the
-    caller's responsibility.
+    f'(w) = 1 - (1+rho) w^rho and f''(w) = -rho(1+rho) w^{rho-1}.  For rho < 1
+    the factor w^{rho-1} blows up as w -> 0, so points on the flat boundary
+    are rejected (for rho >= 1 only the origin is); the sign property
+    L(w - w^{1+rho}) <= 0 needs 0 < rho < min(s/(n-1), 1) and only holds far
+    enough out, which is the caller's responsibility.
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    flat = "supersolution jet needs x_n > 0 when rho < 1 (w^{rho-1} singular)"
-    xp, xn = _points(tangential, normal, p.n, positive_normal=flat if rho < 1.0 else None)
-    base = kernel_jet(xp, xn, p)
-    w = base.value
-    dw = base.gradient
-    hw = base.hessian
-    wr = w**rho
-    wr1 = w ** (rho - 1.0)
-    value = w - w ** (1.0 + rho)
-    grad = dw - ((1.0 + rho) * wr)[:, None] * dw
-    hess = (
-        hw
-        - ((1.0 + rho) * wr)[:, None, None] * hw
-        - (rho * (1.0 + rho) * wr1)[:, None, None] * (dw[:, :, None] * dw[:, None, :])
-    )
-    return Jet2(value, grad, hess)
+    singular, flat = "kernel jet", None
+    if rho < 1.0:
+        singular, flat = None, "supersolution jet needs x_n > 0 when rho < 1 (w^{rho-1} singular)"
+    xp, xn = _points(tangential, normal, p.n, singular, flat)
+    w = _times_normal(xn, _r_power(xp, xn, p, -p.gamma))
+    v = w[0]
+    df = 1.0 - (1.0 + rho) * v**rho
+    return Jet2(*_chain(w, v - v ** (1.0 + rho), df, -rho * (1.0 + rho) * v ** (rho - 1.0)))
 
 
 def boundary_barrier_jet(tangential: np.ndarray, normal: np.ndarray, spec: BarrierSpec) -> Jet2:

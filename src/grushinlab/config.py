@@ -14,12 +14,15 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from .closedforms import kernel_value_arrays
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from .experiments import MIN_FIT_SAMPLES, GridSpec
 from .geometry import GrushinParams
 from .reports import jsonable
 
-__all__ = ["ConfigError", "FieldConfig", "Tolerances", "RunConfig", "parse_config", "COMMANDS"]
+__all__ = ["ConfigError", "FieldConfig", "Tolerances", "RunConfig", "parse_config", "COMMANDS", "BOUNDARY_DATA"]
 
 COMMANDS = (
     "verify-closed-forms",
@@ -35,7 +38,13 @@ COMMANDS = (
 
 _GRID_COMMANDS = ("solve", "boundary-growth", "holder-modulus")
 
-_BC_NAMES = ("kernel", "linear", "constant", "zero")
+# Boundary data by the name ``experiment.bc`` gives: functions of (tangential, normal, params).
+BOUNDARY_DATA = {
+    "kernel": lambda xp, xn, p: kernel_value_arrays(xp, xn, p),
+    "linear": lambda xp, xn, p: np.asarray(xn, dtype=float),
+    "constant": lambda xp, xn, p: np.ones(np.shape(xn)),
+    "zero": lambda xp, xn, p: np.zeros(np.shape(xn)),
+}
 
 
 class ConfigError(ValueError):
@@ -64,7 +73,7 @@ def _reject_unknown(obj: dict, path: str, allowed) -> None:
 
 def _number(obj, path, key, default, *, lo=None, hi=None, lo_open=False, hi_open=False):
     value = obj.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_join(path, key)}: must be a number")
@@ -96,9 +105,9 @@ def _string(obj, path, key, default, choices=None):
     return value
 
 
-def _number_list(obj, path, key, default, *, length=None, lo=None, integer=False):
+def _number_list(obj, path, key, default, *, length=None, lo=None, lo_open=False, integer=False):
     value = obj.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{_join(path, key)}: must be an array")
@@ -108,11 +117,13 @@ def _number_list(obj, path, key, default, *, length=None, lo=None, integer=False
             raise ConfigError(f"{_join(path, key)}[{i}]: must be a number")
         if integer and not isinstance(item, int):
             raise ConfigError(f"{_join(path, key)}[{i}]: must be an integer")
-        if lo is not None and item < lo:
-            raise ConfigError(f"{_join(path, key)}[{i}]: must be >= {lo}")
+        if lo is not None and (item <= lo if lo_open else item < lo):
+            raise ConfigError(f"{_join(path, key)}[{i}]: must be {'>' if lo_open else '>='} {lo}")
         out.append(int(item) if integer else float(item))
     if length is not None and len(out) != length:
         raise ConfigError(f"{_join(path, key)}: must have length {length}")
+    if not out:
+        raise ConfigError(f"{_join(path, key)}: must not be empty")
     return tuple(out)
 
 
@@ -225,19 +236,19 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         out["epsilon0"] = _number(obj, path, "epsilon0", 0.5, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
         out["tau"] = _number(obj, path, "tau", None, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     elif command == "solve":
-        out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
+        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
     elif command == "boundary-growth":
-        out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
+        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
         out["ray_height_fraction"] = _number(
             obj, path, "ray_height_fraction", 0.25, lo=0.0, hi=1.0, lo_open=True
         )
     elif command == "holder-modulus":
-        out["bc"] = _string(obj, path, "bc", "kernel", _BC_NAMES)
+        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
         out["exponent"] = _number(obj, path, "exponent", None, lo=0.0, lo_open=True)
         out["levels"] = _integer(obj, path, "levels", 3, lo=2)
         out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100)
     elif command == "oscillation-decay":
-        out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0)
+        out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", None, length=n, lo=3, integer=True)
         out["shell_band"] = _number(obj, path, "shell_band", 0.15, lo=0.0, hi=0.5, lo_open=True)
         out["data_scale"] = _number(obj, path, "data_scale", 1.0, lo=0.0, lo_open=True)

@@ -586,7 +586,7 @@ def _exterior_problem(
     p: GrushinParams,
     inner_radius: float,
     outer_radius: float,
-    counts: tuple[int, ...] | None,
+    counts: tuple[int, ...],
     grading: float | None,
     inner_data,
 ):
@@ -597,8 +597,6 @@ def _exterior_problem(
     inner-box nodes with x_n > 0 and 0 on the flat face and the far faces.
     Returns (grid, tangential, normal, inside mask, bc).
     """
-    if counts is None:
-        counts = (1025,) * (p.n - 1) + (65,)
     stretch = (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
     outer_t = outer_radius ** (1.0 + p.alpha)
     outer_n = outer_radius * stretch
@@ -629,7 +627,7 @@ def run_decay_fit(
     p: GrushinParams,
     inner_radius: float,
     outer_radius: float,
-    counts: tuple[int, ...] | None = None,
+    counts: tuple[int, ...],
     grading: float | None = None,
     ray_lo_factor: float = 2.5,
     ray_hi_factor: float = 0.35,
@@ -711,7 +709,7 @@ def run_global_bound_check(
     rho: float,
     inner_radius: float,
     outer_radius: float,
-    counts: tuple[int, ...] | None = None,
+    counts: tuple[int, ...],
     grading: float | None = None,
     inner_slope: float = 1.0,
     solver_tol: float = 1e-10,

@@ -86,7 +86,6 @@ __all__ = [
     "check_dmp",
     "grid_interpolator",
     "write_grid_function",
-    "read_grid_function",
 ]
 
 MAX_NODES_DEFAULT = 2_000_000
@@ -618,12 +617,3 @@ def write_grid_function(path, grid: AnisotropicGrid, values: np.ndarray) -> None
         raise ValueError(f"expected {grid.num_nodes} values, got {values.size}")
     tang, norm = grid.node_coordinates()
     write_csv(path, None, [*tang.T, norm, values], sep=" ")
-
-
-def read_grid_function(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a grid-function file back as (coordinates (N, n), values (N,))."""
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError("grid function file must have at least two columns")
-    return data[:, :-1], data[:, -1]
-

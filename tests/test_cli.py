@@ -32,6 +32,31 @@ SMALL_RAW = {
 }
 
 
+def _non_null_defaults(command):
+    """Dotted path of every value of the default config that is not null,
+    except ``command`` and the ``grid`` keys (declared with a null default)."""
+    effective = parse_config(raw={"command": command}).effective
+    paths = []
+    for block, value in effective.items():
+        if block in ("command", "grid"):
+            continue
+        if not isinstance(value, dict):
+            value = {None: value}
+        paths += [block if key is None else f"{block}.{key}" for key, v in value.items() if v is not None]
+    return paths
+
+
+def _with_value(raw, dotted, value):
+    """Copy of ``raw`` with the dotted path set to ``value``."""
+    raw = json.loads(json.dumps(raw))
+    *parents, key = dotted.split(".")
+    node = raw
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return raw
+
+
 class TestParseConfig:
     def test_minimal_file_gets_defaults(self):
         cfg = parse_config(raw={"command": "verify-closed-forms", "params": {"n": 2, "alpha": 1}})
@@ -53,6 +78,51 @@ class TestParseConfig:
         for command in COMMANDS:
             with pytest.raises(ConfigError, match=r"experiment\.bogus: unknown key"):
                 parse_config(raw={"command": command, "experiment": {"bogus": 1}})
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_null_is_an_error_where_the_default_is_not_null(self, tmp_path, command, capsys):
+        paths = _non_null_defaults(command)
+        assert {"params.alpha", "tolerances.margin_tol", "seed"} <= set(paths)
+        for dotted in paths:
+            raw = _with_value({"command": command}, dotted, None)
+            with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)}: must be "):
+                parse_config(raw=raw)
+            cfgfile = tmp_path / "null.json"
+            cfgfile.write_text(json.dumps(raw))
+            assert main(["--config", str(cfgfile)]) == 2
+            assert f"configuration error: {dotted}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, dotted",
+        [
+            ("audit-ellipticity", "experiment.tau"),
+            ("holder-modulus", "experiment.exponent"),
+            ("oscillation-decay", "experiment.counts"),
+            ("decay-fit", "experiment.grading"),
+            ("global-bound", "experiment.grading"),
+        ],
+    )
+    def test_null_is_the_default_where_the_default_is_null(self, command, dotted):
+        cfg = parse_config(raw=_with_value({"command": command}, dotted, None))
+        assert cfg.effective == parse_config(raw={"command": command}).effective
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("oscillation-decay", "radii", [0, 4], r"experiment\.radii\[0\]: must be > 0"),
+            ("oscillation-decay", "radii", [], r"experiment\.radii: must not be empty"),
+            ("supersolution-scan", "shells", [], r"experiment\.shells: must not be empty"),
+        ],
+        ids=["zero-radius", "no-radii", "no-shells"],
+    )
+    def test_zero_or_empty_radii_are_config_errors(self, tmp_path, capsys, command, key, value, message):
+        raw = {"command": command, "experiment": {key: value}}
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw=raw)
+        cfgfile = tmp_path / "radii.json"
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["--config", str(cfgfile)]) == 2
+        assert re.search("configuration error: " + message, capsys.readouterr().err)
 
     def test_type_mismatch_reports_path(self):
         with pytest.raises(ConfigError, match=r"params\.n: must be an integer"):

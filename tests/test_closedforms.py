@@ -313,6 +313,10 @@ class TestSupersolution:
             supersolution_jet(xp, xn, 0.5, P21)
         supersolution_jet(xp, xn, 1.0, P21)  # integer rho is fine
 
+    def test_rejects_origin_for_integer_rho(self):
+        with pytest.raises(ValueError, match="kernel jet is singular at the origin"):
+            supersolution_jet(*pts([[1.0], [0.0]], [0.5, 0.0]), 1.0, P21)
+
     def test_model_operator_drop_is_exact_gradient_square(self):
         # G(w - w^{1+rho}) = -rho(1+rho) w^{rho-1} (x_n^{2a}|D'w|^2 + (D_n w)^2)
         rng = np.random.default_rng(29)
@@ -327,6 +331,17 @@ class TestSupersolution:
                 got = apply_grushin(j, xp, xn, p)
                 np.testing.assert_allclose(got, expect, rtol=1e-9)
                 assert np.all(got <= 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0 / 3.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jet_values_equal_value_functions_bit_for_bit(alpha, n):
+    p = GrushinParams(n, alpha)
+    xp, xn = random_points(p, np.random.default_rng(31), 2000, 0.1, 50.0)
+    assert np.array_equal(kernel_jet(xp, xn, p).value, kernel_value_arrays(xp, xn, p))
+    for rho in (0.5, 1.0):
+        jet = supersolution_jet(xp, xn, rho, p).value
+        assert np.array_equal(jet, supersolution_value_arrays(xp, xn, rho, p))
 
 
 class TestBarrier:

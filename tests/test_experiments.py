@@ -207,7 +207,7 @@ class TestDecayFit:
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
-            run_decay_fit(IDENT, P21, 8.0, 4.0)
+            run_decay_fit(IDENT, P21, 8.0, 4.0, counts=(129, 17))
 
     def test_fractional_alpha_slope(self):
         p = GrushinParams(2, 0.5)
