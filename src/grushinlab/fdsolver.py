@@ -191,11 +191,13 @@ class DmpReport:
 
 @dataclass(frozen=True, eq=False)
 class SeparableOperator:
-    """What the fast solver needs of a separable system: its grid and the
-    exponent a of the weight x_n^{2a} on the tangential differences."""
+    """What the fast solver needs of a separable system: its grid, the
+    exponent a of the weight x_n^{2a} on the tangential differences and the
+    sine basis (``_sine_basis``) of each tangential axis."""
 
     grid: AnisotropicGrid
     alpha: float
+    bases: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +301,12 @@ def assemble(
         xn_a = xn**p.alpha
         obstacles = int(np.count_nonzero(dirichlet & ~faces))
         if obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m)):
-            separable = SeparableOperator(grid, p.alpha)
+            # Built before the stencil arrays: built in ``solve``, a dense
+            # basis went into the heap hole those arrays leave when freed
+            # whenever the hole happened to be large enough, so peak memory
+            # varied from run to run with the heap layout.
+            bases = tuple(_sine_basis(c) for c in grid.counts[:-1])
+            separable = SeparableOperator(grid, p.alpha, bases)
 
         def push(col_offset: np.ndarray, values: np.ndarray) -> None:
             rows.append(interior)
@@ -415,7 +422,7 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     Acts on full vectors like an LU solve: u_D = r_D and u_I solves
     A_II u_I = r_I - A_ID r_D, with A_ID read from the assembled matrix and
     T, C as in the module docstring.  Tangential axis a with c nodes has the
-    basis of ``_sine_basis`` and eigenvalues (4/h^2) sin^2(pi k/(2(c-1)));
+    basis ``sys.separable.bases[a]`` and eigenvalues (4/h^2) sin^2(pi k/(2(c-1)));
     each mode's tridiagonal system in x_n is factored once by a Thomas sweep
     over all modes at once.  C is built from the transformed obstacle unit
     vectors (``modes``) and one Thomas solve per distinct obstacle height.
@@ -427,15 +434,16 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     inner = tuple(c - 2 for c in grid.counts)
     obstacle = np.unravel_index(np.flatnonzero(~free), inner)
 
-    bases = []
+    bases = sys.separable.bases
     eig = np.zeros(())
     modes = np.ones((obstacle[0].size, 1))  # row s: the transform of e_s, (k, M)
-    for lo, hi, c, t in zip(grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1], obstacle[:-1]):
+    for lo, hi, c, t, basis in zip(
+        grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1], obstacle[:-1], bases
+    ):
         k = np.arange(1, c - 1)
-        bases.append(_sine_basis(c))
         h = (hi - lo) / (c - 1)
         eig = np.add.outer(eig, (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (c - 1))) ** 2)
-        modes = (modes[:, :, None] * bases[-1][t][:, None, :]).reshape(t.size, eig.size)
+        modes = (modes[:, :, None] * basis[t][:, None, :]).reshape(t.size, eig.size)
     eig = eig.ravel()
 
     z = grid.axes[-1]
