@@ -37,7 +37,6 @@ __all__ = [
     "EllipticityReport",
     "make_identity_field",
     "make_decaying_perturbation",
-    "assemble_degenerate_matrix",
     "strip_bound",
     "audit_ellipticity_arrays",
 ]
@@ -191,17 +190,6 @@ def make_decaying_perturbation(
         delta_const=delta,
         decay_s=s,
     )
-
-
-def assemble_degenerate_matrix(
-    field: CoefficientField, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams
-) -> np.ndarray:
-    """Degenerate matrices A~(x) of shape (..., n, n) at the given points."""
-    xp = np.asarray(tangential, dtype=float)
-    xn = np.asarray(normal, dtype=float)
-    a_t = np.asarray(field.tangential(xp, xn), dtype=float)
-    a_m = np.asarray(field.mixed(xp, xn), dtype=float)
-    return _degenerate_matrix(a_t, a_m, xn, p)
 
 
 def _degenerate_matrix(

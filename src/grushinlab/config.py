@@ -1,8 +1,10 @@
 """Strict JSON run configuration for the command line front end.
 
 A config is one JSON object; unknown keys anywhere are errors, type and
-range violations report the JSON path of the offending field.  Every field
-has a documented default, so the minimal config is just
+range violations report the JSON path of the offending field, and so do
+the non-finite numbers ``NaN`` and ``Infinity`` that Python's JSON parser
+accepts and integers beyond the float range.  Every field has a documented
+default, so the minimal config is just
 ``{"command": "verify-closed-forms"}``.  Command line flags override file
 values before validation.
 """
@@ -10,6 +12,7 @@ values before validation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -71,12 +74,20 @@ def _reject_unknown(obj: dict, path: str, allowed) -> None:
             raise ConfigError(f"{_join(path, key)}: unknown key")
 
 
+def _finite(value) -> bool:
+    """False for NaN, +-inf and an integer beyond the float range (an exact
+    comparison: no conversion that could overflow)."""
+    return abs(value) <= sys.float_info.max
+
+
 def _number(obj, path, key, default, *, lo=None, hi=None, lo_open=False, hi_open=False):
     value = obj.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_join(path, key)}: must be a number")
+    if not _finite(value):
+        raise ConfigError(f"{_join(path, key)}: must be finite")
     value = float(value)
     if lo is not None and (value <= lo if lo_open else value < lo):
         op = ">" if lo_open else ">="
@@ -115,6 +126,8 @@ def _number_list(obj, path, key, default, *, length=None, lo=None, lo_open=False
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{_join(path, key)}[{i}]: must be a number")
+        if not _finite(item):
+            raise ConfigError(f"{_join(path, key)}[{i}]: must be finite")
         if integer and not isinstance(item, int):
             raise ConfigError(f"{_join(path, key)}[{i}]: must be an integer")
         if lo is not None and (item <= lo if lo_open else item < lo):

@@ -56,6 +56,11 @@ suffices).  A relative residual ||r|| / ||b|| is no stopping test here:
 its floor grows with ||A|| ||u|| / ||b||, and on the R = 1 annulus of
 ``run_oscillation_decay`` at 257 x 97 (||A||_inf = 5.7e7) it stays above
 1e-10 on an answer whose backward error is 5e-16.
+
+SciPy is imported on the first assembly or solve, not with this module:
+the pointwise commands (closed forms, ellipticity audit, supersolution
+scan) import the package but never assemble, and SciPy would be most of
+their start-up time.
 """
 
 from __future__ import annotations
@@ -63,16 +68,16 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField
 from .geometry import GrushinParams
 from .reports import write_csv
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "AnisotropicGrid",
@@ -259,6 +264,8 @@ def assemble(
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
     rule of the module docstring).
     """
+    from scipy import sparse
+
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
     n = p.n
@@ -427,6 +434,8 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     over all modes at once.  C is built from the transformed obstacle unit
     vectors (``modes``) and one Thomas solve per distinct obstacle height.
     """
+    from scipy.linalg import lu_factor, lu_solve
+
     grid, alpha = sys.separable.grid, sys.separable.alpha
     interior = ~sys.dirichlet_mask
     nonface = ~grid.face_mask()
@@ -539,6 +548,9 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     Deterministic for identical inputs.  A singular factorisation raises
     SuperLU's ``RuntimeError``.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     start = time.perf_counter()
     matrix = sys.matrix
     b = sys.rhs

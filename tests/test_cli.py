@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_coefficients import degenerate_matrix
 from test_fdsolver import tiny_pivot_system
 
 import grushinlab
 from grushinlab import experiments, reports
 from grushinlab.cli import main, run
-from grushinlab.coefficients import assemble_degenerate_matrix
 from grushinlab.config import COMMANDS, ConfigError, parse_config
 from grushinlab.fdsolver import solve
 from grushinlab.reports import atomic_write_lines, canonical_json, content_hash, jsonable, write_csv
@@ -43,6 +44,22 @@ def _non_null_defaults(command):
         if not isinstance(value, dict):
             value = {None: value}
         paths += [block if key is None else f"{block}.{key}" for key, v in value.items() if v is not None]
+    return paths
+
+
+def _numeric_paths(command):
+    """(dotted path, value) of every number and number list of the small
+    config of ``command``; a null value stands for a number."""
+    effective = parse_config(raw={"command": command, **SMALL_RAW[command]}).effective
+    paths = []
+    for block, value in effective.items():
+        if not isinstance(value, dict):
+            value = {None: value}
+        paths += [
+            (block if key is None else f"{block}.{key}", v)
+            for key, v in value.items()
+            if v is None or (isinstance(v, (int, float, list)) and not isinstance(v, bool))
+        ]
     return paths
 
 
@@ -91,6 +108,56 @@ class TestParseConfig:
             cfgfile.write_text(json.dumps(raw))
             assert main(["--config", str(cfgfile)]) == 2
             assert f"configuration error: {dotted}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_numbers_are_errors(self, tmp_path, command, capsys):
+        paths = _numeric_paths(command)
+        assert {"params.alpha", "tolerances.residual_tol", "tolerances.growth_band"} <= {p for p, _ in paths}
+        cfgfile = tmp_path / "non-finite.json"
+        for dotted, value in paths:
+            for bad in (math.nan, math.inf, -math.inf):
+                if isinstance(value, list):
+                    where, message, bad_value = f"{dotted}[0]", "must be finite", [bad, *value[1:]]
+                else:
+                    # An integer key rejects any float, so the type check names it.
+                    message = "must be an integer" if isinstance(value, int) else "must be finite"
+                    where, bad_value = dotted, bad
+                raw = _with_value({"command": command, **SMALL_RAW[command]}, dotted, bad_value)
+                with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: {message}$"):
+                    parse_config(raw=raw)
+                cfgfile.write_text(json.dumps(raw))  # NaN, Infinity, -Infinity
+                assert main(["--config", str(cfgfile)]) == 2
+                assert f"configuration error: {where}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, dotted, value, where",
+        [
+            ("verify-closed-forms", "params.alpha", 10**400, "params.alpha"),
+            ("oscillation-decay", "experiment.radii", [1, 10**400], "experiment.radii[1]"),
+        ],
+        ids=["alpha", "radius"],
+    )
+    def test_integer_beyond_float_range_is_an_error(self, tmp_path, capsys, command, dotted, value, where):
+        raw = _with_value({"command": command}, dotted, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: must be finite$"):
+            parse_config(raw=raw)
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["--config", str(cfgfile)]) == 2
+        assert f"configuration error: {where}: must be finite\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--command", "verify-closed-forms", "--alpha", "nan"], "params.alpha: must be finite"),
+            (["--command", "solve", "--tol", "inf"], "tolerances.solver_tol: must be finite"),
+        ],
+        ids=["alpha-nan", "tol-inf"],
+    )
+    def test_non_finite_flags_are_errors(self, tmp_path, capsys, flags, message):
+        assert main([*flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, dotted",
@@ -377,7 +444,7 @@ class TestMain:
         assert len(cells) == 400
         data = np.array([[float(c) for c in row[:-1]] for row in cells])
         xp, xn = data[:, :2], data[:, 2]
-        eigs = np.linalg.eigvalsh(assemble_degenerate_matrix(cfg.build_field(), xp, xn, cfg.params))
+        eigs = np.linalg.eigvalsh(degenerate_matrix(cfg.build_field(), xp, xn, cfg.params))
         np.testing.assert_array_equal(data[:, 3], eigs[:, 0])
         np.testing.assert_array_equal(data[:, 4], eigs[:, -1])
         on_strip = xn >= cfg.experiment["epsilon0"]
@@ -397,18 +464,44 @@ class TestMain:
         assert report["result"]["total_count"] == 400
         assert report["result"]["lower_bound_numeric"] == float(np.min(eigs[on_strip, 0]))
 
-    def test_cli_import_leaves_out_scipy_interpolate(self):
+    def test_pointwise_commands_never_load_scipy(self, tmp_path):
+        # A fresh interpreter imports the CLI, parses every default config and
+        # runs the commands of the given configs, then lists the SciPy modules
+        # it holds.  The same probe after a solve shows that it can fail.
         src = str(Path(grushinlab.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        probe = "import sys, grushinlab.cli; print('scipy.interpolate' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
+        probe = (
+            "import json, sys\n"
+            "from grushinlab.cli import main\n"
+            "from grushinlab.config import COMMANDS, parse_config\n"
+            "for command in COMMANDS:\n"
+            "    parse_config(raw={'command': command})\n"
+            "codes = [main(['--config', cfg]) for cfg in sys.argv[1:]]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
         )
-        assert done.stdout.strip() == "False"
+
+        def probe_after(commands):
+            configs = []
+            for command in commands:
+                cfgfile = tmp_path / f"{command}.json"
+                raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / command)}
+                cfgfile.write_text(json.dumps(raw))
+                configs.append(str(cfgfile))
+            done = subprocess.run(
+                [sys.executable, "-c", probe, *configs],
+                env={**os.environ, "PYTHONPATH": path},
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            codes, modules = json.loads(done.stdout.splitlines()[-1])
+            assert codes == [0] * len(commands)
+            return modules
+
+        pointwise = ["verify-closed-forms", "audit-ellipticity", "supersolution-scan"]
+        assert probe_after(pointwise) == []
+        assert "scipy.sparse.linalg" in probe_after(pointwise + ["solve"])
 
     def test_solve_writes_grid_function(self, tmp_path):
         out = tmp_path / "solve"

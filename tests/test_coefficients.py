@@ -3,7 +3,6 @@ import pytest
 
 from grushinlab.coefficients import (
     CoefficientField,
-    assemble_degenerate_matrix,
     audit_ellipticity_arrays,
     make_decaying_perturbation,
     make_identity_field,
@@ -13,6 +12,17 @@ from grushinlab.geometry import GrushinParams, gauge_arrays
 
 P21 = GrushinParams(2, 1.0)
 P31 = GrushinParams(3, 1.0)
+
+
+def degenerate_matrix(field, xp, xn, p):
+    """A~(x) of shape (N, n, n) from the field's blocks and the powers of x_n."""
+    out = np.zeros(xn.shape + (p.n, p.n))
+    out[:, :-1, :-1] = field.tangential(xp, xn) * (xn ** (2.0 * p.alpha))[:, None, None]
+    mix = field.mixed(xp, xn) * (xn**p.alpha)[:, None]
+    out[:, :-1, -1] = mix
+    out[:, -1, :-1] = mix
+    out[:, -1, -1] = 1.0
+    return out
 
 
 def unit_box_sample(p, count, seed, strip_only=False):
@@ -33,7 +43,7 @@ class TestIdentityField:
     def test_degenerate_matrix_eigenvalues(self):
         f = make_identity_field(P31)
         xn = np.array([0.0, 0.3, 1.0])
-        mats = assemble_degenerate_matrix(f, np.zeros((3, 2)), xn, P31)
+        mats = degenerate_matrix(f, np.zeros((3, 2)), xn, P31)
         for k, t in enumerate(xn):
             expect = sorted([t**2, t**2, 1.0])
             np.testing.assert_allclose(sorted(np.linalg.eigvalsh(mats[k])), expect, atol=1e-14)

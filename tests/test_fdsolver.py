@@ -225,14 +225,18 @@ class TestAssembleAndSolve:
 
 @pytest.fixture
 def factors(monkeypatch):
-    """The SuperLU factor objects that ``solve`` makes, in call order."""
+    """The SuperLU factor objects that ``solve`` makes, in call order.
+
+    ``solve`` imports ``splu`` from ``scipy.sparse.linalg`` at call time, so
+    the patch goes there.
+    """
     made = []
 
     def record(*args, **kwargs):
         made.append(splu(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(fdsolver, "splu", record)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", record)
     return made
 
 
