@@ -25,19 +25,20 @@ system alone.
   nodes (Dirichlet nodes off the box faces) remain, with k^2 <= N, the
   number of non-face nodes.  On the non-face nodes the operator T is then
   the Kronecker sum of uniform 3-point tangential differences weighted by
-  x_n^{2a} and graded 3-point normal differences.  An orthonormal sine
-  transform along each tangential axis diagonalises the tangential part,
-  leaving one tridiagonal system lambda x_n^{2a} + T_n in x_n per mode
-  (Lynch, Rice & Thomas, *Numer. Math.* 6, 1964; Buzbee, Golub & Nielson,
-  *SIAM J. Numer. Anal.* 7, 1970).  Each is a row diagonally dominant
-  M-matrix, so the Thomas sweep without pivoting is stable (Higham,
-  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.9), and
-  the sine basis is orthogonal.  The obstacle nodes S are imposed by the
-  capacitance matrix C = (T^{-1})_SS (Buzbee, Dorr, George & Golub, *SIAM
-  J. Numer. Anal.* 8, 1971; Proskurowski & Widlund, *Math. Comp.* 30,
-  1976): with w = T^{-1} f and C beta = -w_S, T^{-1}(f + E_S beta)
-  vanishes on S and solves the other rows.  k^2 <= N is the cost
-  crossover: the dense C is no larger than one grid vector.
+  x_n^{2a} and graded 3-point normal differences.  The orthonormal DST-I
+  along each tangential axis, computed by FFT in O(M log M) per line of M
+  nodes with no dense basis (Swarztrauber, *SIAM Rev.* 19, 1977), leaves
+  one tridiagonal system lambda x_n^{2a} + T_n in x_n per mode (Lynch,
+  Rice & Thomas, *Numer. Math.* 6, 1964; Buzbee, Golub & Nielson, *SIAM J.
+  Numer. Anal.* 7, 1970).  Each is a row diagonally dominant M-matrix, so
+  the Thomas sweep without pivoting is stable (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, 2nd ed., Thm 9.9), and the DST-I is
+  orthogonal.  The obstacle nodes S are imposed by the capacitance matrix
+  C = (T^{-1})_SS (Buzbee, Dorr, George & Golub, *SIAM J. Numer. Anal.* 8,
+  1971; Proskurowski & Widlund, *Math. Comp.* 30, 1976): with w = T^{-1} f
+  and C beta = -w_S, T^{-1}(f + E_S beta) vanishes on S and solves the
+  other rows.  k^2 <= N is the cost crossover: the dense C is no larger
+  than one grid vector.
 * **SuperLU** everywhere else, under a symmetric minimum-degree ordering
   of A^T + A and no off-diagonal pivoting.  That is stable here too: where
   the DMP check passes, interior rows are weakly row diagonally dominant
@@ -196,13 +197,12 @@ class DmpReport:
 
 @dataclass(frozen=True, eq=False)
 class SeparableOperator:
-    """What the fast solver needs of a separable system: its grid, the
-    exponent a of the weight x_n^{2a} on the tangential differences and the
-    sine basis (``_sine_basis``) of each tangential axis."""
+    """What the fast solver needs of a separable system: its grid and the
+    exponent a of the weight x_n^{2a} on the tangential differences; no array,
+    as the orthonormal DST-I is computed by FFT, O(M log M) per line."""
 
     grid: AnisotropicGrid
     alpha: float
-    bases: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,12 +308,7 @@ def assemble(
         xn_a = xn**p.alpha
         obstacles = int(np.count_nonzero(dirichlet & ~faces))
         if obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m)):
-            # Built before the stencil arrays: built in ``solve``, a dense
-            # basis went into the heap hole those arrays leave when freed
-            # whenever the hole happened to be large enough, so peak memory
-            # varied from run to run with the heap layout.
-            bases = tuple(_sine_basis(c) for c in grid.counts[:-1])
-            separable = SeparableOperator(grid, p.alpha, bases)
+            separable = SeparableOperator(grid, p.alpha)
 
         def push(col_offset: np.ndarray, values: np.ndarray) -> None:
             rows.append(interior)
@@ -415,12 +410,12 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
 
 
-def _sine_basis(c: int) -> np.ndarray:
-    """Orthonormal sine basis sqrt(2/(c-1)) sin(pi j k/(c-1)), j, k = 1 .. c-2,
-    with j k reduced modulo the period 2(c-1) so the basis stays orthogonal."""
+def _sine_rows(c: int, rows: np.ndarray) -> np.ndarray:
+    """Rows j - 1 = ``rows`` of the DST-I basis sqrt(2/(c-1)) sin(pi j k/(c-1)),
+    k = 1 .. c-2, read at j k reduced modulo 2(c-1) to keep them orthonormal."""
     k = np.arange(1, c - 1)
     table = np.sqrt(2.0 / (c - 1)) * np.sin(np.pi * np.arange(2 * (c - 1)) / (c - 1))
-    return table[np.outer(k, k) % (2 * (c - 1))]
+    return table[np.outer(rows + 1, k) % (2 * (c - 1))]
 
 
 def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -429,11 +424,13 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     Acts on full vectors like an LU solve: u_D = r_D and u_I solves
     A_II u_I = r_I - A_ID r_D, with A_ID read from the assembled matrix and
     T, C as in the module docstring.  Tangential axis a with c nodes has the
-    basis ``sys.separable.bases[a]`` and eigenvalues (4/h^2) sin^2(pi k/(2(c-1)));
-    each mode's tridiagonal system in x_n is factored once by a Thomas sweep
-    over all modes at once.  C is built from the transformed obstacle unit
-    vectors (``modes``) and one Thomas solve per distinct obstacle height.
+    orthonormal DST-I (``scipy.fft.dst``, FFT in O(c log c) per line, no dense
+    basis) and eigenvalues (4/h^2) sin^2(pi k/(2(c-1))); each mode's
+    tridiagonal system in x_n is factored once by a Thomas sweep over all
+    modes at once.  C is built from the k obstacle rows of each basis
+    (``modes``) and one Thomas solve per distinct obstacle height.
     """
+    from scipy.fft import dst
     from scipy.linalg import lu_factor, lu_solve
 
     grid, alpha = sys.separable.grid, sys.separable.alpha
@@ -443,16 +440,13 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     inner = tuple(c - 2 for c in grid.counts)
     obstacle = np.unravel_index(np.flatnonzero(~free), inner)
 
-    bases = sys.separable.bases
     eig = np.zeros(())
     modes = np.ones((obstacle[0].size, 1))  # row s: the transform of e_s, (k, M)
-    for lo, hi, c, t, basis in zip(
-        grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1], obstacle[:-1], bases
-    ):
+    for lo, hi, c, t in zip(grid.box_lo[:-1], grid.box_hi[:-1], grid.counts[:-1], obstacle[:-1]):
         k = np.arange(1, c - 1)
         h = (hi - lo) / (c - 1)
         eig = np.add.outer(eig, (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (c - 1))) ** 2)
-        modes = (modes[:, :, None] * basis[t][:, None, :]).reshape(t.size, eig.size)
+        modes = (modes[:, :, None] * _sine_rows(c, t)[:, None, :]).reshape(t.size, eig.size)
     eig = eig.ravel()
 
     z = grid.axes[-1]
@@ -473,11 +467,9 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
             y[j] = (y[j] - upper[j] * y[j + 1]) / pivot[j]
         return y
 
-    def sine_transform(g: np.ndarray) -> np.ndarray:
-        # g has the normal axis first; each contraction moves the next
-        # tangential axis to the end, so after all of them the order is back.
-        for basis in bases:
-            g = np.tensordot(g, basis, axes=(1, 0))
+    def sine_transform(g: np.ndarray) -> np.ndarray:  # normal axis first; its own inverse
+        for axis in range(1, g.ndim):
+            g = dst(g, type=1, norm="ortho", axis=axis)
         return g
 
     height = obstacle[-1]

@@ -82,8 +82,8 @@ def write_json_report(path: Path, payload: Any) -> None:
     atomic_write_lines(path, [json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"])
 
 
-# Rows converted to Python values at a time: the text is the same for any
-# block size, and only one block of cells is held as Python objects.
+# Rows converted to Python values and formatted by one ``%`` at a time: the
+# text is the same for any block size, and memory stays bounded by a block.
 _BLOCK_ROWS = 4096
 
 
@@ -108,8 +108,9 @@ def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: 
     Float columns carry 17 significant digits (``%.17g``), bool columns
     ``true``/``false``, integer and string columns ``str``; any other dtype
     raises ``ValueError``.  ``header=None`` writes no header line.  Cells
-    are converted a block of rows at a time, so memory does not grow with
-    the table beyond the columns themselves.
+    are converted and formatted a block of rows at a time, one ``%`` per
+    block, so memory does not grow with the table beyond the columns
+    themselves.
     """
     formatted = [_column_format(i, c) for i, c in enumerate(columns)]
     cells = [values for _, values in formatted]
@@ -118,9 +119,15 @@ def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: 
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"columns have unequal lengths {[len(c) for c in cells]}")
     row = sep.join(fmt for fmt, _ in formatted) + "\n"
-    starts = range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS)
-    blocks = ([c[i : i + _BLOCK_ROWS].tolist() for c in cells] for i in starts)
-    lines = (row % cell for block in blocks for cell in zip(*block))
+
+    def block_text(start: int) -> str:
+        block = [c[start : start + _BLOCK_ROWS].tolist() for c in cells]
+        flat = [None] * sum(map(len, block))
+        for j, column in enumerate(block):
+            flat[j :: len(block)] = column
+        return row * len(block[0]) % tuple(flat)
+
+    lines = map(block_text, range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS))
     if header is not None:
         lines = itertools.chain([sep.join(header) + "\n"], lines)
     atomic_write_lines(path, lines)

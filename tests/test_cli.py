@@ -311,6 +311,23 @@ class TestReports:
         assert lines[block].startswith("-0,") and lines[block].endswith(f",{block - 1},p")
         assert lines[block + 1].startswith("nan,") and lines[block + 1].endswith(f",{block},q r")
 
+    @pytest.mark.parametrize("offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)], ids=str)
+    def test_csv_matches_per_row_formatting(self, tmp_path, monkeypatch, offset):
+        # (blocks, extra rows): 0, 1, B - 1, B, B + 1 and 2B + 3 rows for B = 4.
+        monkeypatch.setattr(reports, "_BLOCK_ROWS", 4)
+        rows = 4 * offset[0] + offset[1]
+        rng = np.random.default_rng(rows)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        bools = rng.uniform(size=rows) < 0.5
+        ints = rng.integers(-(2**62), 2**62, size=rows)
+        names = np.array([f"{k}% of %s" for k in range(rows)], dtype=str)
+        write_csv(tmp_path / "t.csv", ["f", "b", "i", "s"], [floats, bools, ints, names])
+        expected = "f,b,i,s\n" + "".join(
+            "%.17g,%s,%d,%s\n" % (f, "true" if b else "false", i, s)
+            for f, b, i, s in zip(floats.tolist(), bools.tolist(), ints.tolist(), names.tolist())
+        )
+        assert (tmp_path / "t.csv").read_text() == expected
+
     @pytest.mark.parametrize(
         "header, columns, match",
         [

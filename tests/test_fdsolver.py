@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.fft import dst
 from scipy.sparse.linalg import splu
 
 from grushinlab import fdsolver
@@ -442,11 +445,37 @@ class TestFastDiagonalization:
             assert rep.method == method and rep.converged
         assert len(factors) == 2
 
-    def test_sine_basis_is_orthogonal_to_round_off(self):
-        # sin(pi j k/(c-1)) taken at the reduced argument j k mod 2(c-1);
-        # the unreduced argument gives 9.8e-14 at this size.
-        basis = fdsolver._sine_basis(2049)
-        assert np.abs(basis @ basis - np.eye(2047)).max() <= 1e-15
+    @pytest.mark.parametrize("c", [2049, 100])
+    def test_sine_transform_matches_dense_basis(self, c):
+        # The dense orthonormal DST-I basis sqrt(2/(c-1)) sin(pi j k/(c-1)),
+        # in long double so that it is a reference for the FFT transform.
+        j = np.arange(1, c - 1, dtype=np.longdouble)
+        angle = np.pi * (np.outer(j, j) % (2 * (c - 1))) / (c - 1)
+        basis = (np.sqrt(np.longdouble(2) / (c - 1)) * np.sin(angle)).astype(float)
+        x = np.random.default_rng(c).standard_normal((c - 2, 4))
+        y = dst(x, type=1, norm="ortho", axis=0)
+        assert np.linalg.norm(y - basis @ x) <= 1e-15 * np.linalg.norm(x)
+        twice = dst(y, type=1, norm="ortho", axis=0)
+        assert np.linalg.norm(twice - x) <= 1e-15 * np.linalg.norm(x)
+        rows = np.array([0, c // 3, c - 3])
+        np.testing.assert_allclose(fdsolver._sine_rows(c, rows), basis[rows], rtol=0, atol=1e-15)
+
+    def test_exterior_solve_builds_no_dense_basis(self):
+        # One dense basis at 2049 nodes is 2047^2 doubles, 33.5 MB.
+        p = GrushinParams(2, 1.0)
+        grid = build_grid([-4, 0], [4, 4], (2049, 17), 2.0)
+        tang, norm = grid.node_coordinates()
+        box = (np.abs(tang[:, 0]) <= 0.03) & (norm <= 1.0)  # 15 x 8 obstacle nodes
+        tracemalloc.start()
+        try:
+            sys = assemble(make_identity_field(p), grid, p, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), box)
+            u, rep = solve(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.separable is not None and np.count_nonzero(box & ~grid.face_mask()) == 120
+        assert rep.method == "fast-diagonalization" and rep.converged
+        assert peak < 16e6
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])

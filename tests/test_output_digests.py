@@ -1,0 +1,45 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "output_digests", Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+)
+digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(digests)
+
+
+def changes(tmp_path, name, old, new):
+    for side, text in (("old", old), ("new", new)):
+        (tmp_path / side).mkdir(exist_ok=True)
+        (tmp_path / side / name).write_text(text)
+    return digests.changes(digests._leaves(tmp_path / "old" / name), digests._leaves(tmp_path / "new" / name))
+
+
+def report(final_change, passed=True, wall=1.0):
+    result = {"final_change": final_change, "levels": [{"q": 2.0, "wall_time_s": wall}, {"q": 3.0}]}
+    return json.dumps({"passed": passed, "result": result, "summary": f"change {final_change:.3e}"})
+
+
+class TestChanges:
+    def test_report_leaves_by_key(self, tmp_path):
+        # wall_time_s is left out, and the summary's "1.000e-05" is unchanged.
+        got = changes(tmp_path, "report.json", report(1.0e-5), report(1.0e-5 * (1 + 4e-9), wall=9.0))
+        assert [(key, where) for key, _, where in got] == [("result.final_change", "result.final_change")]
+        assert float(got[0][1]) == pytest.approx(4e-9, rel=1e-2)
+        got = changes(tmp_path, "report.json", report(1.0), report(1.25))
+        assert got == [("result.final_change", "2.00e-01", "result.final_change"), ("summary", "2.00e-01", "summary:7")]
+
+    def test_verdict_change_is_text(self, tmp_path):
+        got = changes(tmp_path, "report.json", report(1.0), report(2.0, passed=False))
+        assert got[0] == ("passed", "text", "passed")
+        assert ("result.final_change", "5.00e-01", "result.final_change") in got
+
+    def test_csv_columns_and_stdout_words(self, tmp_path):
+        old, new = "u,flag\n1.5,true\n-2,false\n", "u,flag\n1.5,true\n-2.5,false\n"
+        assert changes(tmp_path, "samples.csv", old, new) == [("u", "2.00e-01", "3:0")]
+        assert changes(tmp_path, "samples.csv", old, old.replace("false", "true")) == [("text", "text", "3")]
+        assert changes(tmp_path, "stdout", "c=1 -> PASS\n", "c=1 -> FAIL\n") == [("text", "text", "1")]
+        assert changes(tmp_path, "solution.txt", "0 1\n0 2\n", "0 1\n0 2\n0 3\n") == [("layout", "text", "length")]

@@ -18,8 +18,26 @@ diff of two listings is the comparison::
     diff old.txt new.txt
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/workloads.py``
-are run (default: the one holding this file).  Nothing is written outside a
-temporary directory.
+are run (default: the one holding this file).  ``--outputs DIR`` keeps every
+job's outputs under ``DIR/seed<seed>/<job>/`` (stdout and the exit code as
+the files ``stdout`` and ``exit_code``); otherwise nothing is written outside
+a temporary directory.
+
+``--against OLD_ROOT`` runs both checkouts, each in its own process, and
+for each output whose bytes differ prints one line per changed key::
+
+    <seed> <job> <output> <key> <largest relative change> <where>
+
+The change is max |a - b| / max(|a|, |b|) over the numbers of the key, so
+the first line of an output is the largest change among all its numbers.
+The keys of ``report.json`` are its leaves other than ``wall_time_s``, named
+by key path without list indices; ``<where>`` is the full path.  In
+``samples.csv`` a key is a column, in ``solution.txt`` a column ``col<c>``,
+in stdout a line ``line<i>``, and ``<where>`` is ``line:column``.  A change
+of anything but a number (a key, a line count, a word such as PASS) prints
+``text`` in place of the change, before the numbers::
+
+    python3 tools/output_digests.py --against ../parent --seeds 0 1 2 3
 """
 
 from __future__ import annotations
@@ -30,11 +48,16 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 OUTPUT_FILES = ("report.json", "samples.csv", "solution.txt")
+OUTPUTS = OUTPUT_FILES + ("exit_code", "stdout")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _without_wall_times(obj):
@@ -84,12 +107,103 @@ def digests(cli, jobs: list[tuple[str, dict]]):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main(["--config", str(config)])
-        outputs = {name: _file_bytes(out_dir / name) for name in OUTPUT_FILES}
-        outputs["exit_code"] = str(code).encode()
-        outputs["stdout"] = stdout.getvalue().encode()
-        for name, data in outputs.items():
+        (out_dir / "exit_code").write_text(str(code), encoding="utf-8")
+        (out_dir / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
+        for name in OUTPUTS:
+            data = _file_bytes(out_dir / name)
             digest = "absent" if data is None else hashlib.sha256(data).hexdigest()
             yield label, name, digest
+
+
+def _json_leaves(obj, path: str = ""):
+    """(key, where, value) of every leaf of a report: ``where`` is the key
+    path, ``key`` the path without list indices.  A string leaf gives its
+    numbers (``where`` ends in ``:<offset>``) and then itself with its
+    numbers blanked out."""
+    if isinstance(obj, dict):
+        for name in sorted(obj):
+            yield from _json_leaves(obj[name], f"{path}.{name}" if path else name)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _json_leaves(value, f"{path}[{i}]")
+    else:
+        key = re.sub(r"\[\d+\]", "", path)
+        if isinstance(obj, str):
+            for match in NUMBER.finditer(obj):
+                yield key, f"{path}:{match.start()}", float(match.group())
+            obj = NUMBER.sub("#", obj)
+        yield key, path, obj
+
+
+def _text_leaves(name: str, text: str):
+    """(key, where, value) of every number of a text output, ``where`` its
+    ``line:column`` and ``key`` its CSV header name, ``col<c>`` or
+    ``line<i>``; then each line with its numbers blanked out (key ``text``)."""
+    lines = text.splitlines()
+    sep = "," if name.endswith(".csv") else " " if name == "solution.txt" else None
+    header = lines[0].split(",") if sep == "," and lines else []
+    for i, line in enumerate(lines, 1):
+        for match in NUMBER.finditer(line):
+            column = line.count(sep, 0, match.start()) if sep else match.start()
+            key = header[column] if 1 < i and column < len(header) else f"col{column}" if sep else f"line{i}"
+            yield key, f"{i}:{column}", float(match.group())
+        yield "text", f"{i}", NUMBER.sub("#", line)
+
+
+def _leaves(path: Path) -> list:
+    data = _file_bytes(path)
+    if data is None:
+        return [("absent", "", None)]
+    if path.name == "report.json":
+        return list(_json_leaves(json.loads(data)))
+    return list(_text_leaves(path.name, data.decode()))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def changes(old: list, new: list) -> list[tuple[str, str, str]]:
+    """(key, largest relative change, where) of each key whose leaves differ
+    between two outputs, largest first; the change is ``text`` where
+    anything but a number differs, or the leaves do not line up."""
+    if [w for _, w, _ in old] != [w for _, w, _ in new]:
+        where = next((a for (_, a, _), (_, b, _) in zip(old, new) if a != b), "length")
+        return [("layout", "text", where)]
+    worst: dict[str, tuple[float, str]] = {}
+    for (key, where, a), (_, _, b) in zip(old, new):
+        if a == b:
+            continue
+        if _is_number(a) and _is_number(b):
+            change = abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
+        else:
+            change = math.nan  # sorts first below, printed as text
+        if key not in worst or not change <= worst[key][0]:
+            worst[key] = (change, where)
+    ranked = sorted(worst.items(), key=lambda item: -math.inf if math.isnan(item[1][0]) else -item[1][0])
+    return [(k, "text" if math.isnan(c) else f"{c:.2e}", w) for k, (c, w) in ranked]
+
+
+def _run_checkout(root: Path, seeds: list[int], outputs: Path) -> dict:
+    """{(seed, job, output): digest} of ``root``, its outputs kept under ``outputs``."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--outputs", str(outputs)]
+    listing = subprocess.run(
+        command + ["--seeds", *map(str, seeds)], check=True, capture_output=True, text=True
+    ).stdout
+    return {tuple(line.split()[:3]): line.split()[3] for line in listing.splitlines()}
+
+
+def compare(old_root: Path, new_root: Path, seeds: list[int], tmp: Path):
+    """Yield (seed, job, output, key, change, where) for each changed key of
+    each output whose bytes differ, the largest change of an output first."""
+    old = _run_checkout(old_root, seeds, tmp / "old")
+    new = _run_checkout(new_root, seeds, tmp / "new")
+    for label in sorted(old.keys() | new.keys(), key=lambda k: (int(k[0]), k[1], OUTPUTS.index(k[2]))):
+        if old.get(label) != new.get(label):
+            seed, job, name = label
+            files = [side / f"seed{seed}" / job / name for side in (tmp / "old", tmp / "new")]
+            for change in changes(*map(_leaves, files)):
+                yield (*label, *change)
 
 
 def main(argv=None) -> int:
@@ -101,16 +215,29 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent,
         help="checkout to run (default: the one holding this script)",
     )
+    parser.add_argument("--outputs", type=Path, help="keep the outputs under this directory")
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="OLD_ROOT",
+        help="print the largest relative change of each key of each output that differs from OLD_ROOT's",
+    )
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.against is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            for line in compare(args.against.resolve(), root, args.seeds, Path(tmp)):
+                print(*line, flush=True)
+        return 0
     sys.path.insert(0, str(root / "src"))
     from grushinlab import cli
     from grushinlab.config import COMMANDS
 
     workloads = _load_workloads(root)
-    with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.ExitStack() as stack:
+        outputs = args.outputs or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         for seed in args.seeds:
-            out_root = Path(tmp) / f"seed{seed}"
+            out_root = outputs / f"seed{seed}"
             for line in digests(cli, _jobs(workloads, COMMANDS, seed, out_root)):
                 print(seed, *line, flush=True)
     return 0
