@@ -62,6 +62,13 @@ SciPy is imported on the first assembly or solve, not with this module:
 the pointwise commands (closed forms, ellipticity audit, supersolution
 scan) import the package but never assemble, and SciPy would be most of
 their start-up time.
+
+``solve`` takes its residual norms with numpy's pairwise sum, not a BLAS
+dot such as ``np.linalg.norm``: OpenBLAS splits a long dot product across
+threads, whose rounding then depends on the thread count, and whose idle
+workers spin between solves, doubling the CPU time of a solver run.  The
+pairwise sum is single-threaded and its error bound grows only with
+log n (Higham, *SIAM J. Sci. Comput.* 14, 1993).
 """
 
 from __future__ import annotations
@@ -262,7 +269,10 @@ def assemble(
     (``separable`` set) when the evaluated coefficients are exactly the
     identity at every interior node and the k Dirichlet nodes off the box
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
-    rule of the module docstring).
+    rule of the module docstring).  Each interior stencil is summed into one
+    weight array per column offset, in a fixed order, and the canonical CSR
+    arrays (sorted indices, no duplicates, zero weights kept) are written
+    from those arrays directly.
     """
     from scipy import sparse
 
@@ -286,16 +296,12 @@ def assemble(
     rhs[dirichlet] = np.asarray(bc(tang_all[dirichlet], norm_all[dirichlet]), dtype=float)
 
     interior = np.flatnonzero(~dirichlet)
-    rows: list[np.ndarray] = [np.flatnonzero(dirichlet)]
-    cols: list[np.ndarray] = [np.flatnonzero(dirichlet)]
-    vals: list[np.ndarray] = [np.ones(int(np.count_nonzero(dirichlet)))]
+    stencil: dict[int, np.ndarray] = {}  # column offset -> interior-row weights
     separable = None
 
     if interior.size:
         multi = np.unravel_index(interior, shape)
-        strides = np.array(
-            [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)], dtype=np.int64
-        )
+        strides = [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)]
         spacings = [np.diff(ax) for ax in grid.axes]
         h_minus = [spacings[a][multi[a] - 1] for a in range(n)]
         h_plus = [spacings[a][multi[a]] for a in range(n)]
@@ -310,10 +316,11 @@ def assemble(
         if obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m)):
             separable = SeparableOperator(grid, p.alpha)
 
-        def push(col_offset: np.ndarray, values: np.ndarray) -> None:
-            rows.append(interior)
-            cols.append(interior + col_offset)
-            vals.append(values)
+        def push(col_offset: int, values: np.ndarray) -> None:
+            if col_offset in stencil:
+                stencil[col_offset] += values
+            else:
+                stencil[col_offset] = values
 
         # Second differences: -C * D_aa u.
         for a in range(n):
@@ -321,7 +328,7 @@ def assemble(
             hm, hp = h_minus[a], h_plus[a]
             span = hm + hp
             push(-strides[a], -2.0 * coeff / (hm * span))
-            push(np.zeros_like(strides[a]), 2.0 * coeff / (hm * hp))
+            push(0, 2.0 * coeff / (hm * hp))
             push(+strides[a], -2.0 * coeff / (hp * span))
 
         # Mixed differences: -c_ab * D_ab u, c split by sign across the two
@@ -345,17 +352,26 @@ def assemble(
                 push(-sa - sb, -w_mm)
                 push(sa - sb, -w_pm)
                 push(-sa + sb, -w_mp)
-                push(np.zeros_like(sa), -(w_pp + w_mm + w_pm + w_mp))
+                push(0, -(w_pp + w_mm + w_pm + w_mp))
                 push(+sa, w_pp + w_pm)
                 push(-sa, w_mm + w_mp)
                 push(+sb, w_pp + w_mp)
                 push(-sb, w_mm + w_pm)
 
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(num, num),
-    ).tocsr()
-    matrix.sum_duplicates()
+    # Canonical CSR: a Dirichlet row holds its unit diagonal, an interior row
+    # one entry per offset, in increasing offset and so column order.
+    row_nnz = np.where(dirichlet, 1, len(stencil))
+    index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(num + 1, dtype=index)
+    np.cumsum(row_nnz, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=index)
+    indices[indptr[:-1][dirichlet]] = np.flatnonzero(dirichlet)
+    data = np.ones(indices.size)
+    start = indptr[interior]
+    for k, offset in enumerate(sorted(stencil)):
+        indices[start + k] = interior + offset
+        data[start + k] = stencil.pop(offset)
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(num, num))
 
     return SparseSystem(
         matrix=matrix,
@@ -536,7 +552,8 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     ``iterations`` counts the sweeps, ``backward_error`` is the final w and
     ``backward_error_history`` holds w of the first answer and after each
     sweep, ``converged`` says whether w <= ``tol``, and ``final_residual`` is
-    the relative residual ||r||_2 / ||b||_2 of the answer returned.
+    the relative residual ||r||_2 / ||b||_2 of the answer returned (b = 0
+    divides by 1), its norms taken by a pairwise sum, with no BLAS call.
     Deterministic for identical inputs.  A singular factorisation raises
     SuperLU's ``RuntimeError``.
     """
@@ -579,7 +596,7 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     omega = history[-1]
     report = SolveReport(
         iterations=len(history) - 1,
-        final_residual=float(np.linalg.norm(r)) / (float(np.linalg.norm(b)) or 1.0),
+        final_residual=float(np.sqrt(np.sum(r * r))) / (float(np.sqrt(np.sum(b * b))) or 1.0),
         dmp_ok=sys.dmp.ok,
         wall_time_s=time.perf_counter() - start,
         converged=bool(omega <= tol),

@@ -520,6 +520,30 @@ class TestMain:
         assert probe_after(pointwise) == []
         assert "scipy.sparse.linalg" in probe_after(pointwise + ["solve"])
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for a threaded BLAS")
+    def test_report_is_independent_of_blas_threads(self, tmp_path):
+        # Vectors of 33,153 nodes, above the size at which OpenBLAS splits a
+        # dot product across threads, which changes its rounding.
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        raw = {"command": "boundary-growth", "grid": {**SMALL_BOX, "counts": [257, 129]}}
+        probe = "import sys; from grushinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cfgfile = tmp_path / f"threads{threads}.json"
+            cfgfile.write_text(json.dumps({**raw, "output_dir": str(out)}))
+            subprocess.run(
+                [sys.executable, "-c", probe, "--config", str(cfgfile)],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                cwd=tmp_path,
+                capture_output=True,
+                check=True,
+            )
+            blobs.append((out / "report.json").read_bytes())
+        wall_time = re.compile(rb'("wall_time_s": )[^,\n]+')
+        assert wall_time.sub(rb"\1null", blobs[0]) == wall_time.sub(rb"\1null", blobs[1])
+
     def test_solve_writes_grid_function(self, tmp_path):
         out = tmp_path / "solve"
         cfg = parse_config(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,36 @@ class TestAssembleAndSolve:
             errs.append(np.max(np.abs(u - kernel_value_arrays(tang, norm, p))))
         assert errs[0] > errs[1]
 
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["identity", "perturbed"])
+    @pytest.mark.parametrize("p, counts", [(P21, (17, 13)), (P31, (7, 6, 8))], ids=["2d", "3d"])
+    def test_matrix_is_canonical_csr(self, p, counts, perturbed):
+        field = make_decaying_perturbation(p, 2.0, 0.3, 42) if perturbed else make_identity_field(p)
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
+        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p))
+        matrix = sys.matrix
+        assert matrix.has_canonical_format
+        row_nnz = np.diff(matrix.indptr)
+        stencil = 2 * p.n + 1 + (2 * p.n * (p.n - 1) if perturbed else 0)  # 4 corners per axis pair
+        np.testing.assert_array_equal(row_nnz, np.where(sys.dirichlet_mask, 1, stencil))
+        dirichlet = np.flatnonzero(sys.dirichlet_mask)
+        np.testing.assert_array_equal(matrix.indices[matrix.indptr[dirichlet]], dirichlet)
+        np.testing.assert_array_equal(matrix.data[matrix.indptr[dirichlet]], 1.0)
+
+    def test_large_exterior_assembly_peak(self):
+        # The matrix is 4.1 MB; the COO build through per-stencil row,
+        # column and value arrays peaked at 27.8 MB here.
+        grid = build_grid([-4, 0], [4, 4], (2049, 33), 2.0)
+        tang, norm = grid.node_coordinates()
+        box = (np.abs(tang[:, 0]) <= 0.03) & (norm <= 1.0)
+        tracemalloc.start()
+        try:
+            sys = assemble(IDENT, grid, P21, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.separable is not None and sys.matrix.has_canonical_format
+        assert peak < 25e6
+
     def test_solver_is_deterministic(self):
         g = build_grid([1, 0], [3, 2], (21, 21), 2.0)
         sys = assemble(IDENT, g, P21, bc_kernel)
@@ -328,7 +359,28 @@ class TestRefinementStop:
         assert rep.backward_error_history[-1] == rep.backward_error
         assert len(rep.backward_error_history) == rep.iterations + 1
         assert rep.converged == (rep.backward_error <= 1e-10)
-        assert rep.final_residual == np.linalg.norm(sys.rhs - sys.matrix @ u) / np.linalg.norm(sys.rhs)
+        r = sys.rhs - sys.matrix @ u
+        assert rep.final_residual == np.sqrt(np.sum(r * r)) / np.sqrt(np.sum(sys.rhs * sys.rhs))
+
+    @pytest.mark.parametrize("counts", [(33, 33), (257, 129)], ids=str)
+    def test_final_residual_matches_exact_sum(self, counts):
+        # math.fsum is correctly rounded; the pairwise sum that ``solve`` uses
+        # has a relative error bound growing with log n, and no thread count
+        # enters it.
+        g = build_grid([1, 0], [3, 2], counts, 2.0)
+        sys = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=inner_box(g))
+        u, rep = solve(sys)
+        r = sys.rhs - sys.matrix @ u
+        exact = math.sqrt(math.fsum(r * r)) / math.sqrt(math.fsum(sys.rhs * sys.rhs))
+        assert exact > 0.0
+        assert abs(rep.final_residual - exact) <= 1e-15 * exact
+
+    def test_zero_data_divide_by_one(self):
+        g = build_grid([1, 0], [3, 2], (17, 17), 2.0)
+        sys = assemble(IDENT, g, P21, lambda xp, xn: np.zeros(xn.shape))
+        u, rep = solve(sys)
+        assert not np.any(sys.rhs) and not np.any(u)
+        assert rep.final_residual == 0.0 and rep.converged
 
     def test_zero_scale_rows(self):
         # Row 0 has a zero scale: r = 0 there counts as 0, r != 0 as inf.
