@@ -157,13 +157,9 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Numerical settings of the solve; verdict gates are constants of the code."""
+
     solver_tol: float
-    residual_tol: float
-    fit_band: float
-    growth_band: tuple[float, float]
-    stabilization: float
-    margin_tol: float
-    cross_scale_tol: float
 
 
 @dataclass(frozen=True)
@@ -225,12 +221,6 @@ def _parse_tolerances(raw: dict) -> Tolerances:
     _reject_unknown(obj, "tolerances", _field_names(Tolerances))
     return Tolerances(
         solver_tol=_number(obj, "tolerances", "solver_tol", 1e-10, lo=0.0, lo_open=True),
-        residual_tol=_number(obj, "tolerances", "residual_tol", 1e-9, lo=0.0, lo_open=True),
-        fit_band=_number(obj, "tolerances", "fit_band", 0.15, lo=0.0, lo_open=True),
-        growth_band=_number_list(obj, "tolerances", "growth_band", (0.95, 1.05), length=2),
-        stabilization=_number(obj, "tolerances", "stabilization", 0.25, lo=0.0, lo_open=True),
-        margin_tol=_number(obj, "tolerances", "margin_tol", 1e-6, lo=0.0, lo_open=True),
-        cross_scale_tol=_number(obj, "tolerances", "cross_scale_tol", 0.2, lo=0.0, lo_open=True),
     )
 
 

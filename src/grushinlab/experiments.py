@@ -326,6 +326,12 @@ def run_holder_modulus(
         dist = quasi_distance_arrays(tang[a], norm[a], tang[b], norm[b], p.alpha)
         quot = np.abs(u[a] - u[b]) / dist**expo
         out.append(HolderLevel(grid.counts, float(np.max(quot)), int(a.size), report))
+    if out[-2].max_quotient == 0.0:
+        grid_text = "x".join(str(c) for c in out[-2].counts)
+        raise PreconditionError(
+            f"every sampled two-point quotient is 0 on the {grid_text} grid (u is constant "
+            "there), so the change of the maximum quotient is undefined"
+        )
     change = abs(out[-1].max_quotient - out[-2].max_quotient) / out[-2].max_quotient
     return HolderReport(exponent=expo, levels=tuple(out), final_change=float(change), seed=seed)
 
@@ -447,12 +453,11 @@ class SupersolutionScan:
     seed: int
 
 
+SHELL_NORMAL_FLOOR = 1e-3  # shell samples keep x_n >= this fraction of the shell's normal extent
+
+
 def _shell_sample(
-    p: GrushinParams,
-    R: float,
-    count: int,
-    rng: np.random.Generator,
-    normal_floor: float,
+    p: GrushinParams, R: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rejection sample of points with gauge in [R, 2R], x_n > 0 and w < 1."""
     lim_t = (2.0 * R) ** (1.0 + p.alpha)
@@ -462,7 +467,7 @@ def _shell_sample(
     for _ in range(200):
         m = max(4 * need, 64)
         xp = rng.uniform(-lim_t, lim_t, (m, p.n - 1))
-        xn = rng.uniform(normal_floor * lim_n, lim_n, m)
+        xn = rng.uniform(SHELL_NORMAL_FLOOR * lim_n, lim_n, m)
         d = gauge_arrays(xp, xn, p)
         w = kernel_value_arrays(xp, xn, p)
         ok = (d >= R) & (d <= 2.0 * R) & (w < 1.0)
@@ -486,7 +491,6 @@ def run_supersolution_scan(
     shells,
     samples_per_shell: int,
     seed: int = 0,
-    normal_floor: float = 1e-3,
 ) -> SupersolutionScan:
     """Scan L(w - w^{1+rho}) with coefficients at their adversarial envelope.
 
@@ -511,7 +515,7 @@ def run_supersolution_scan(
     violations: list[ScanViolation] = []
     per_shell: list[tuple[float, int, int, float]] = []
     for R in shells:
-        xp, xn, d = _shell_sample(p, R, samples_per_shell, rng, normal_floor)
+        xp, xn, d = _shell_sample(p, R, samples_per_shell, rng)
         jet = supersolution_jet(xp, xn, rho, p)
         hess = jet.hessian
         envelope = amplitude * np.minimum(1.0, d**-s)
@@ -676,6 +680,9 @@ def run_decay_fit(
 # ----------------------------------------------------------------------
 
 
+MARGIN_TOLERANCE = 1e-6  # the global bound holds when its worst margin is >= -MARGIN_TOLERANCE
+
+
 def comparison_margin(
     values: np.ndarray, barrier: np.ndarray, constant: float, epsilon: float
 ) -> float:
@@ -713,7 +720,6 @@ def run_global_bound_check(
     grading: float | None = None,
     inner_slope: float = 1.0,
     solver_tol: float = 1e-10,
-    margin_tolerance: float = 1e-6,
 ) -> GlobalBoundReport:
     """Exterior solve with data min(1, slope * x_n) on the inner box, then the
     comparison: C is the smallest constant with |u| <= C (w - w^{1+rho}) on
@@ -756,19 +762,17 @@ def run_global_bound_check(
 
     worst = comparison_margin(u[exterior], barrier[exterior], constant, epsilon)
     falsified = comparison_margin(u[exterior], barrier[exterior], 0.5 * constant, epsilon)
-    # |x'| per row as sqrt(x'.x'), rounded as np.linalg.norm rounds one vector
-    # (np.linalg.norm(..., axis=1) sums the squares differently).
     t = tang[interface]
-    tangential_norm = np.sqrt((t[:, None, :] @ t[:, :, None]).ravel())
+    tangential_norm = np.sqrt(np.sum(t * t, axis=1))
     samples = np.column_stack([tangential_norm, norm[interface], u[interface], barrier[interface]])
     return GlobalBoundReport(
-        passed=bool(worst >= -margin_tolerance),
+        passed=bool(worst >= -MARGIN_TOLERANCE),
         comparison_constant=constant,
         epsilon=epsilon,
         worst_margin=worst,
         falsification_margin=falsified,
-        falsification_failed=bool(falsified < -margin_tolerance),
-        margin_tolerance=float(margin_tolerance),
+        falsification_failed=bool(falsified < -MARGIN_TOLERANCE),
+        margin_tolerance=MARGIN_TOLERANCE,
         interface_count=int(interface.size),
         interface_samples=samples,
         solve=report,

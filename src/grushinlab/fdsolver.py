@@ -101,7 +101,7 @@ __all__ = [
     "write_grid_function",
 ]
 
-MAX_NODES_DEFAULT = 2_000_000
+MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
 MAX_REFINEMENTS = 50
 
 BoundaryValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -147,13 +147,7 @@ class AnisotropicGrid:
         return mask.ravel()
 
 
-def build_grid(
-    box_lo,
-    box_hi,
-    counts,
-    grading_exponent: float = 1.0,
-    max_nodes: int = MAX_NODES_DEFAULT,
-) -> AnisotropicGrid:
+def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> AnisotropicGrid:
     """Build the tensor grid; normal nodes sit at H*(k/K)^grading_exponent.
 
     Tangential axes are uniform.  Grading 1 is uniform in x_n too; larger
@@ -175,8 +169,8 @@ def build_grid(
     if grading_exponent < 1.0:
         raise ValueError(f"grading_exponent must be >= 1, got {grading_exponent}")
     total = int(np.prod(counts))
-    if total > max_nodes:
-        raise ValueError(f"grid has {total} nodes, exceeding the budget of {max_nodes}")
+    if total > MAX_NODES:
+        raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(lo.size - 1)]
     k = np.arange(counts[-1], dtype=float) / (counts[-1] - 1)
     axes.append(hi[-1] * k**grading_exponent)

@@ -99,7 +99,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_null_is_an_error_where_the_default_is_not_null(self, tmp_path, command, capsys):
         paths = _non_null_defaults(command)
-        assert {"params.alpha", "tolerances.margin_tol", "seed"} <= set(paths)
+        assert {"params.alpha", "tolerances.solver_tol", "seed"} <= set(paths)
         for dotted in paths:
             raw = _with_value({"command": command}, dotted, None)
             with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)}: must be "):
@@ -112,7 +112,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_finite_numbers_are_errors(self, tmp_path, command, capsys):
         paths = _numeric_paths(command)
-        assert {"params.alpha", "tolerances.residual_tol", "tolerances.growth_band"} <= {p for p, _ in paths}
+        assert {"params.alpha", "params.n", "tolerances.solver_tol"} <= {p for p, _ in paths}
         cfgfile = tmp_path / "non-finite.json"
         for dotted, value in paths:
             for bad in (math.nan, math.inf, -math.inf):
@@ -231,15 +231,15 @@ class TestParseConfig:
         # The echo of every default config, hashed; a change here changes the
         # input_hash of every report written with that command's defaults.
         expected = {
-            "audit-ellipticity": "af4458a1f0cfbdb5dc3d1fd0d6c8f399b353d7e1",
-            "boundary-growth": "65a312ed66d0324458ec43310eb258797c0c3e3a",
-            "decay-fit": "3ec07ba05736fec711c81cdc82146cb44d577f55",
-            "global-bound": "e8a8d8dac8b89563e5a34068df5a825bd8b5e51e",
-            "holder-modulus": "1d379222cda349ad16fa090a2f16d11fb55f336d",
-            "oscillation-decay": "aa166ba290bf9fc1008c4650d7c0a1d4daae2a6b",
-            "solve": "a5c57232b959b00a1d446a4b1865e260d5d5df98",
-            "supersolution-scan": "b57851e1a2ccc697a06c2b420e67bc18fb5db863",
-            "verify-closed-forms": "27bb6669c9a17ea12f7def6a9301ee264c4f77b9",
+            "audit-ellipticity": "62787063e0fc9b5dcd6a36db666b191b6f56a4cc",
+            "boundary-growth": "cb1908b7cbc9d83579116f7427f5fd0511625f8e",
+            "decay-fit": "f4291efba49a69c70c1d62ffcc4c6c950c7c1cad",
+            "global-bound": "c8b13d53283f4ed5d116bf179a61baa29d193479",
+            "holder-modulus": "f6b055763843ca766a98876c2c0973891e49c566",
+            "oscillation-decay": "378ea3c5d022ddab29adf2d9b2eea6faac316375",
+            "solve": "0085128db66d370f5ea6172abdc94b1a6b848c9b",
+            "supersolution-scan": "2ec237d5b5cb652dc8a7011e41f1fe84926000ce",
+            "verify-closed-forms": "790fdd82c4ee8b8e8cd72c336499df4bcbef42ae",
         }
         got = {c: content_hash(parse_config(raw={"command": c}).effective) for c in COMMANDS}
         assert got == expected
@@ -409,25 +409,62 @@ class TestMain:
         assert "did not converge" in captured.err
         assert not (out / "report.json").exists()
 
-    def test_failed_criterion_exits_1_but_writes_report(self, tmp_path):
+    def test_failed_criterion_exits_1_but_writes_report(self, tmp_path, capsys):
+        # Past the natural exponent 1/(1+alpha) = 0.5 the quotients do not settle.
         out = tmp_path / "fail"
         cfg = parse_config(
-            raw={
-                "command": "decay-fit",
-                "experiment": {
-                    "inner_radius": 1.0,
-                    "outer_radius": 8.0,
-                    "counts": [129, 33],
-                    "ray_points": 7,
-                },
-                "tolerances": {"fit_band": 1e-9},  # unreachable band forces failure
-                "output_dir": str(out),
-            }
+            raw={"command": "holder-modulus", "experiment": {"exponent": 0.8}, "output_dir": str(out)}
         )
         assert run(cfg) == 1
+        assert "max quotient change 45.801% at finest levels -> FAIL" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
+        assert report["result"]["final_change"] > report["result"]["stabilization"]
         assert (out / "samples.csv").exists()
+
+    def test_holder_on_zero_data_is_refused(self, tmp_path, capsys):
+        cfgfile = tmp_path / "zero.json"
+        raw = {"command": "holder-modulus", **SMALL_RAW["holder-modulus"], "output_dir": str(tmp_path / "o")}
+        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.bc", "zero")))
+        assert main(["--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every sampled two-point quotient is 0 on the 9x9 grid")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, result_key",
+        [
+            ("verify-closed-forms", "residual_tol", 1e-9, "tolerance"),
+            ("boundary-growth", "growth_band", [0.95, 1.05], "growth_band"),
+            ("holder-modulus", "stabilization", 0.25, "stabilization"),
+            ("oscillation-decay", "cross_scale_tol", 0.2, "cross_scale_tol"),
+            ("decay-fit", "fit_band", 0.15, "fit_band"),
+            ("global-bound", "margin_tol", 1e-6, "margin_tolerance"),
+        ],
+    )
+    def test_verdict_gates_are_constants_recorded_in_the_result(
+        self, tmp_path, capsys, command, key, value, result_key
+    ):
+        # A config cannot set a gate, even to its own value ...
+        raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / "o")}
+        cfgfile = tmp_path / "gate.json"
+        cfgfile.write_text(json.dumps(_with_value(raw, f"tolerances.{key}", value)))
+        assert main(["--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"configuration error: tolerances.{key}: unknown key\n"
+        assert not (tmp_path / "o").exists()
+        # ... and the report names the gate its verdict applied.
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["--config", str(cfgfile)]) == 0
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["result"][result_key] == value
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+        configs = [b for b in blocks if isinstance(b, dict) and "command" in b]
+        assert len(configs) >= 2
+        for raw in configs:
+            assert parse_config(raw=raw).command == raw["command"]
 
     def test_audit_command_runs_both_families(self, tmp_path):
         for family in ("identity", "decaying-perturbation"):

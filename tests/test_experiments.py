@@ -119,6 +119,11 @@ class TestHolderModulus:
         ]
         assert min(growth) > 1.2  # sharpness probe: reported, grows per level
 
+    def test_zero_data_is_refused(self):
+        # u = 0 makes every quotient 0, so the relative change has no denominator.
+        with pytest.raises(PreconditionError, match="every sampled two-point quotient is 0 on the 33x33 grid"):
+            run_holder_modulus(IDENT, P21, WBOX, bc_zero, levels=2, pairs=300)
+
     def test_deterministic_given_seed(self):
         a = run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=10_000, seed=3)
         b = run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=10_000, seed=3)

@@ -82,8 +82,8 @@ class TestBuildGrid:
             build_grid([0, 0.1], [1, 1], (3, 3))  # box off the flat face
         with pytest.raises(ValueError):
             build_grid([0, 0], [0, 1], (3, 3))  # degenerate box
-        with pytest.raises(ValueError):
-            build_grid([0, 0], [1, 1], (2000, 2000), max_nodes=10_000)
+        with pytest.raises(ValueError, match="budget"):
+            build_grid([0, 0], [1, 1], (1500, 1500))  # over the node budget
 
 
 class TestAssembleAndSolve:
