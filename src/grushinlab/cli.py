@@ -25,6 +25,7 @@ from .config import BOUNDARY_DATA, ConfigError, RunConfig, parse_config
 from .experiments import (
     MIN_FIT_SAMPLES,
     PreconditionError,
+    require_monotone,
     run_boundary_growth,
     run_decay_fit,
     run_global_bound_check,
@@ -128,6 +129,7 @@ def _cmd_solve(cfg: RunConfig):
     field = cfg.build_field()
     bc = _named_bc(cfg.experiment["bc"], p)
     sys_ = assemble(field, grid, p, bc)
+    require_monotone(sys_)
     u, report = solve(sys_, tol=cfg.tolerances.solver_tol)
     write_grid_function(cfg.output_dir / "solution.txt", grid, u)
     result = {

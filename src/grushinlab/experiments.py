@@ -52,6 +52,7 @@ from .geometry import (
 __all__ = [
     "MIN_FIT_SAMPLES",
     "PreconditionError",
+    "require_monotone",
     "FitResult",
     "GridSpec",
     "BoundaryGrowthReport",
@@ -140,6 +141,15 @@ class GridSpec:
         return GridSpec(self.box_lo, self.box_hi, counts, self.grading)
 
 
+def require_monotone(sys: SparseSystem) -> None:
+    """Refuse a system that fails the DMP check: its scheme is not monotone."""
+    if not sys.dmp.ok:
+        raise PreconditionError(
+            "discrete maximum principle fails on this grid/field: "
+            f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
+        )
+
+
 def _solve_dirichlet(
     field: CoefficientField,
     grid: AnisotropicGrid,
@@ -152,11 +162,8 @@ def _solve_dirichlet(
     """Assemble and solve; refuse a failed DMP check (when required) and an
     unconverged solve, so no verdict rests on an unchecked answer."""
     sys = assemble(field, grid, p, bc, extra_dirichlet=extra_dirichlet)
-    if require_dmp and not sys.dmp.ok:
-        raise PreconditionError(
-            "discrete maximum principle fails on this grid/field: "
-            f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
-        )
+    if require_dmp:
+        require_monotone(sys)
     u, report = solve(sys, tol=tol)
     if not report.converged:
         raise PreconditionError(
@@ -744,10 +751,7 @@ def run_global_bound_check(
     exterior = ~inside
 
     # Interface: the inner-box nodes above the flat face that some interior row references.
-    referenced = np.zeros(inside.size, dtype=bool)
-    interior_entries = np.repeat(~sys.dirichlet_mask, np.diff(sys.matrix.indptr))
-    referenced[sys.matrix.indices[interior_entries]] = True
-    interface = np.flatnonzero(referenced & inside & (norm > 0.0))
+    interface = np.flatnonzero(sys.referenced_dirichlet() & inside & (norm > 0.0))
     if interface.size == 0:
         raise PreconditionError("inner box is invisible to the grid; refine or enlarge it")
     if np.min(barrier[interface]) <= 0.0:

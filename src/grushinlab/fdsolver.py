@@ -26,8 +26,8 @@ system alone.
   number of non-face nodes.  On the non-face nodes the operator T is then
   the Kronecker sum of uniform 3-point tangential differences weighted by
   x_n^{2a} and graded 3-point normal differences.  The orthonormal DST-I
-  along each tangential axis, computed by FFT in O(M log M) per line of M
-  nodes with no dense basis (Swarztrauber, *SIAM Rev.* 19, 1977), leaves
+  along each tangential axis, computed by a real FFT in O(M log M) per line
+  of M nodes with no dense basis (Swarztrauber, *SIAM Rev.* 19, 1977), leaves
   one tridiagonal system lambda x_n^{2a} + T_n in x_n per mode (Lynch,
   Rice & Thomas, *Numer. Math.* 6, 1964; Buzbee, Golub & Nielson, *SIAM J.
   Numer. Anal.* 7, 1970).  Each is a row diagonally dominant M-matrix, so
@@ -48,7 +48,7 @@ system alone.
   against a unit diagonal, so any positive pivot threshold leaves the
   diagonal and breaks the symmetric ordering.
 
-Either way every answer is checked against the assembled matrix, on
+Either way every answer is checked against the assembled operator, on
 systems the DMP check flags as well, by its componentwise backward error
 max_i |r_i| / (|A||u| + |b|)_i (Oettli & Prager, *Numer. Math.* 6, 1964),
 and refined while that exceeds the tolerance and keeps halving (Skeel,
@@ -58,9 +58,14 @@ its floor grows with ||A|| ||u|| / ||b||, and on the R = 1 annulus of
 ``run_oscillation_decay`` at 257 x 97 (||A||_inf = 5.7e7) it stays above
 1e-10 on an answer whose backward error is 5e-16.
 
-SciPy is imported on the first assembly or solve, not with this module:
-the pointwise commands (closed forms, ellipticity audit, supersolution
-scan) import the package but never assemble, and SciPy would be most of
+The assembled system is a stencil operator: one weight array per column
+offset.  Products with A and |A|, the DMP check and the separability test
+read those arrays directly, by contiguous slices of the grid vector.  The
+fast path needs nothing else but ``numpy.fft`` (the DST-I) and
+``numpy.linalg`` (the capacitance solve).  SciPy is imported only by the
+SuperLU branch, which builds the CSR form of the operator
+(``SparseSystem.matrix``) to factor it: the pointwise commands and every
+identity command whose solve is fast load no SciPy, which would be most of
 their start-up time.
 
 ``solve`` takes its residual norms with numpy's pairwise sum, not a BLAS
@@ -76,6 +81,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -208,20 +214,94 @@ class SeparableOperator:
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """Assembled linear system: CSR matrix, right-hand side, Dirichlet mask,
-    the DMP check of its rows, computed once at assembly, and, when the
-    operator is separable, what the fast solver needs (else ``None``)."""
+    """Assembled linear system A u = rhs, held as a stencil operator.
 
-    matrix: sparse.csr_matrix
+    Row i of A is sum_k weights[k, i] u[i + offsets[k]] over the sorted
+    column ``offsets`` (0 among them); a weight whose column i + offsets[k]
+    leaves the grid is ignored.  A Dirichlet row (``dirichlet_mask``) holds
+    its unit diagonal and zero weights elsewhere.  ``dmp`` is the DMP check
+    of the rows, computed once by ``from_stencil``, and ``separable`` what the
+    fast solver needs when the operator is separable (else ``None``).
+    ``matrix`` is the CSR form, built on first use; only the SuperLU branch
+    of ``solve`` needs it, and it alone imports SciPy.
+    """
+
+    offsets: tuple[int, ...]
+    weights: np.ndarray  # (len(offsets), N)
     rhs: np.ndarray
     dirichlet_mask: np.ndarray
     dmp: DmpReport
     separable: SeparableOperator | None = None
 
+    @classmethod
+    def from_stencil(
+        cls,
+        offsets,
+        weights: np.ndarray,
+        rhs: np.ndarray,
+        dirichlet_mask: np.ndarray,
+        separable: SeparableOperator | None = None,
+    ) -> "SparseSystem":
+        """The system of these stencil weights, with its DMP check."""
+        offsets = tuple(offsets)
+        dmp = _dmp_report(offsets, weights, ~dirichlet_mask)
+        return cls(offsets, weights, rhs, dirichlet_mask, dmp, separable)
+
     @property
     def mesh_ratio_offenders(self) -> np.ndarray:
         """Interior nodes where the sign-split cross stencil left a positive off-diagonal."""
         return self.dmp.positive_offdiagonal_rows
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u, equal to the CSR product bit for bit (see ``_stencil_product``)."""
+        return _stencil_product(self.offsets, self.weights, u)
+
+    def referenced_dirichlet(self) -> np.ndarray:
+        """Mask of the Dirichlet nodes that some interior row references,
+        zero weights included, as in the CSR pattern."""
+        interior = ~self.dirichlet_mask
+        referenced = np.zeros(interior.size, dtype=bool)
+        for offset in self.offsets:
+            lo, hi = _rows_in_grid(offset, interior.size)
+            referenced[lo + offset : hi + offset] |= interior[lo:hi]
+        return referenced & self.dirichlet_mask
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """Canonical CSR form: a Dirichlet row holds its unit diagonal, an
+        interior row one entry per offset whose column lies in the grid, in
+        increasing column order, zero weights kept."""
+        from scipy import sparse
+
+        num = self.rhs.size
+        offsets = np.array(self.offsets)
+        columns = np.arange(num)[:, None] + offsets
+        keep = (columns >= 0) & (columns < num) & ~self.dirichlet_mask[:, None] | (offsets == 0)
+        indptr = np.zeros(num + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return sparse.csr_matrix((self.weights.T[keep], columns[keep], indptr), shape=(num, num))
+
+
+def _rows_in_grid(offset: int, num: int) -> tuple[int, int]:
+    """The rows lo <= i < hi whose column i + offset lies in a grid of ``num`` nodes."""
+    return max(0, -offset), min(num, num - offset)
+
+
+def _stencil_product(offsets, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k weights[k, i] u[i + offsets[k]] for every row i.
+
+    Each row is summed in increasing offset order starting from +0.0, as
+    SciPy's ``csr_matvec`` sums a canonical CSR row, so for finite u the
+    result equals the product with the CSR form bit for bit, signed zeros
+    included: the zero weights of a Dirichlet row add only zeros.
+    """
+    out = np.zeros(u.size)
+    term = np.empty(u.size)
+    for offset, w in zip(offsets, weights):
+        lo, hi = _rows_in_grid(offset, u.size)
+        np.multiply(w[lo:hi], u[lo + offset : hi + offset], out=term[lo:hi])
+        out[lo:hi] += term[lo:hi]
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,12 +344,9 @@ def assemble(
     identity at every interior node and the k Dirichlet nodes off the box
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
     rule of the module docstring).  Each interior stencil is summed into one
-    weight array per column offset, in a fixed order, and the canonical CSR
-    arrays (sorted indices, no duplicates, zero weights kept) are written
-    from those arrays directly.
+    weight array per column offset, in a fixed order; those arrays, zero
+    weights kept, are the returned operator.
     """
-    from scipy import sparse
-
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
     n = p.n
@@ -352,54 +429,33 @@ def assemble(
                 push(+sb, w_pp + w_mp)
                 push(-sb, w_mm + w_pm)
 
-    # Canonical CSR: a Dirichlet row holds its unit diagonal, an interior row
-    # one entry per offset, in increasing offset and so column order.
-    row_nnz = np.where(dirichlet, 1, len(stencil))
-    index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(num + 1, dtype=index)
-    np.cumsum(row_nnz, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=index)
-    indices[indptr[:-1][dirichlet]] = np.flatnonzero(dirichlet)
-    data = np.ones(indices.size)
-    start = indptr[interior]
-    for k, offset in enumerate(sorted(stencil)):
-        indices[start + k] = interior + offset
-        data[start + k] = stencil.pop(offset)
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(num, num))
-
-    return SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        dirichlet_mask=dirichlet,
-        dmp=_dmp_report(matrix, ~dirichlet),
-        separable=separable,
-    )
+    offsets = sorted({0, *stencil})
+    weights = np.zeros((len(offsets), num))
+    for k, offset in enumerate(offsets):
+        weights[k, interior] = stencil.pop(offset, 0.0)
+    weights[offsets.index(0), dirichlet] = 1.0
+    return SparseSystem.from_stencil(offsets, weights, rhs, dirichlet, separable)
 
 
 def _positive_offdiagonal_rows(
-    matrix: sparse.csr_matrix, row_mask: np.ndarray, tol: np.ndarray
+    offsets, weights: np.ndarray, row_mask: np.ndarray, tol: np.ndarray
 ) -> np.ndarray:
-    """Rows of ``row_mask`` holding an off-diagonal entry above their ``tol``.
-
-    Read straight off the CSR arrays of a matrix without duplicate entries
-    (``assemble`` sums them): no threshold of ``_dmp_report`` is below
-    1e-13, so only entries above it are located in their rows.
-    """
-    entry = np.flatnonzero(matrix.data > 1e-13)
-    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))[entry]
-    hit = (matrix.indices[entry] != row) & (matrix.data[entry] > tol[row])
-    offending = np.zeros(matrix.shape[0], dtype=bool)
-    offending[row[hit]] = True
+    """Rows of ``row_mask`` holding an off-diagonal weight above their ``tol``."""
+    offending = np.zeros(row_mask.size, dtype=bool)
+    for offset, w in zip(offsets, weights):
+        if offset:
+            lo, hi = _rows_in_grid(offset, row_mask.size)
+            offending[lo:hi] |= w[lo:hi] > tol[lo:hi]
     return np.flatnonzero(row_mask & offending)
 
 
-def _dmp_report(matrix: sparse.csr_matrix, interior: np.ndarray) -> DmpReport:
-    diag = matrix.diagonal()
+def _dmp_report(offsets, weights: np.ndarray, interior: np.ndarray) -> DmpReport:
+    diag = weights[offsets.index(0)]
     tol = 1e-13 * np.maximum(np.abs(diag), 1.0)
 
     bad_diag = np.flatnonzero(interior & (diag <= 0.0))
-    bad_off = _positive_offdiagonal_rows(matrix, interior, tol)
-    row_sums = matrix @ np.ones(matrix.shape[0])
+    bad_off = _positive_offdiagonal_rows(offsets, weights, interior, tol)
+    row_sums = _stencil_product(offsets, weights, np.ones(diag.size))
     bad_sum = np.flatnonzero(interior & (row_sums < -tol))
     ok = bad_diag.size == 0 and bad_off.size == 0 and bad_sum.size == 0
     return DmpReport(
@@ -417,7 +473,7 @@ def check_dmp(sys: SparseSystem) -> DmpReport:
     ordered solutions, and zero data force the zero solution.  ``assemble``
     stores this report as ``sys.dmp``; this recomputes it from the rows.
     """
-    return _dmp_report(sys.matrix, ~sys.dirichlet_mask)
+    return _dmp_report(sys.offsets, sys.weights, ~sys.dirichlet_mask)
 
 
 def _sine_rows(c: int, rows: np.ndarray) -> np.ndarray:
@@ -428,21 +484,34 @@ def _sine_rows(c: int, rows: np.ndarray) -> np.ndarray:
     return table[np.outer(rows + 1, k) % (2 * (c - 1))]
 
 
+def _dst1(g: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, its own inverse.
+
+    The real FFT of the odd extension [0, g, 0, -g reversed], of length
+    2(M+1), has imaginary part -2 sum_j g_j sin(pi j k/(M+1)); it is scaled
+    by 1/sqrt(2(M+1)) rounded from long double, as pocketfft scales it, so
+    the result equals ``scipy.fft.dst(g, type=1, norm="ortho")`` bit for bit.
+    """
+    m = g.shape[-1]
+    zero = np.zeros(g.shape[:-1] + (1,))
+    spectrum = np.fft.rfft(np.concatenate([zero, g, zero, -g[..., ::-1]], axis=-1))
+    return spectrum.imag[..., 1 : m + 1] * -float(1 / np.sqrt(np.longdouble(2 * (m + 1))))
+
+
 def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of a separable system by fast diagonalization.
 
     Acts on full vectors like an LU solve: u_D = r_D and u_I solves
-    A_II u_I = r_I - A_ID r_D, with A_ID read from the assembled matrix and
-    T, C as in the module docstring.  Tangential axis a with c nodes has the
-    orthonormal DST-I (``scipy.fft.dst``, FFT in O(c log c) per line, no dense
-    basis) and eigenvalues (4/h^2) sin^2(pi k/(2(c-1))); each mode's
-    tridiagonal system in x_n is factored once by a Thomas sweep over all
-    modes at once.  C is built from the k obstacle rows of each basis
-    (``modes``) and one Thomas solve per distinct obstacle height.
+    A_II u_I = r_I - A_ID r_D, with A_ID r_D the product of the assembled
+    operator with r_D, and T, C as in the module docstring.  Tangential axis
+    a with c nodes has the orthonormal DST-I (``_dst1``, a ``numpy.fft`` real
+    FFT in O(c log c) per line, no dense basis) and eigenvalues (4/h^2)
+    sin^2(pi k/(2(c-1))); each mode's tridiagonal system in x_n is factored
+    once by a Thomas sweep over all modes at once.  C is built from the k
+    obstacle rows of each basis (``modes``) and one Thomas solve per distinct
+    obstacle height, and each application solves with it by
+    ``numpy.linalg.solve`` (LAPACK's LU with partial pivoting).
     """
-    from scipy.fft import dst
-    from scipy.linalg import lu_factor, lu_solve
-
     grid, alpha = sys.separable.grid, sys.separable.alpha
     interior = ~sys.dirichlet_mask
     nonface = ~grid.face_mask()
@@ -479,7 +548,7 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     def sine_transform(g: np.ndarray) -> np.ndarray:  # normal axis first; its own inverse
         for axis in range(1, g.ndim):
-            g = dst(g, type=1, norm="ortho", axis=axis)
+            g = np.moveaxis(_dst1(np.moveaxis(g, axis, -1)), -1, axis)
         return g
 
     height = obstacle[-1]
@@ -489,15 +558,14 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
             unit = np.zeros(pivot.shape)
             unit[level] = 1.0
             capacitance[:, height == level] = (thomas(unit)[height] * modes) @ modes[height == level].T
-        capacitance_lu = lu_factor(capacitance)
 
     def apply(r: np.ndarray) -> np.ndarray:
         u = np.where(interior, 0.0, r)
-        f = (r - sys.matrix @ u)[nonface].reshape(inner)  # zero on the obstacle rows
+        f = (r - sys.matvec(u))[nonface].reshape(inner)  # zero on the obstacle rows
         y = sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape)
         if height.size:
             w = np.einsum("sm,sm->s", thomas(y.copy())[height], modes)
-            np.add.at(y, height, lu_solve(capacitance_lu, -w)[:, None] * modes)
+            np.add.at(y, height, np.linalg.solve(capacitance, -w)[:, None] * modes)
         y = thomas(y)
         v = np.moveaxis(sine_transform(y.reshape(inner[-1:] + inner[:-1])), 0, -1).ravel()
         u[interior] = v[free]
@@ -506,16 +574,13 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _backward_error(
-    residual: np.ndarray, abs_matrix: sparse.csr_matrix, u: np.ndarray, b: np.ndarray
-) -> float:
-    """Componentwise backward error max_i |r_i| / (|A||u| + |b|)_i.
+def _backward_error(residual: np.ndarray, scale: np.ndarray) -> float:
+    """Componentwise backward error max_i |r_i| / scale_i, scale = |A||u| + |b|.
 
     By Oettli & Prager (*Numer. Math.* 6, 1964) it is the smallest w such
     that u solves some (A + dA) u = b + db with |dA| <= w|A| and |db| <= w|b|.
     A row whose scale is 0 counts as 0 when r_i = 0 there, else as inf.
     """
-    scale = abs_matrix @ np.abs(u) + np.abs(b)
     zero = scale == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(residual) / scale
@@ -535,7 +600,7 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     ``method`` names the one used.
 
     The first answer u is followed by sweeps of fixed-precision iterative
-    refinement against the assembled matrix, u += inverse(b - A u), while
+    refinement against the assembled operator, u += inverse(b - A u), while
     its componentwise backward error w = max_i |r_i| / (|A||u| + |b|)_i
     (``_backward_error``) exceeds ``tol`` and the last sweep at least
     halved it, for at most ``MAX_REFINEMENTS`` sweeps.  A fast solve always
@@ -548,14 +613,11 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     sweep, ``converged`` says whether w <= ``tol``, and ``final_residual`` is
     the relative residual ||r||_2 / ||b||_2 of the answer returned (b = 0
     divides by 1), its norms taken by a pairwise sum, with no BLAS call.
-    Deterministic for identical inputs.  A singular factorisation raises
+    Deterministic for identical inputs.  Only the SuperLU branch imports
+    SciPy and builds ``sys.matrix``.  A singular factorisation raises
     SuperLU's ``RuntimeError``.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     start = time.perf_counter()
-    matrix = sys.matrix
     b = sys.rhs
     if bool(sys.dirichlet_mask.all()):
         method, min_sweeps, inverse = "dirichlet", 0, np.copy
@@ -563,28 +625,31 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
         method, min_sweeps = "fast-diagonalization", 1
         inverse = _fast_inverse(sys)
     else:
+        from scipy.sparse.linalg import splu
+
         method, min_sweeps = "lu", 0
         inverse = splu(
-            matrix.tocsc(),
+            sys.matrix.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         ).solve
-    # |A| shares the index arrays of A: one extra nnz-sized array.
-    abs_matrix = sparse.csr_matrix(
-        (np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape
-    )
+    abs_weights = np.abs(sys.weights)
+
+    def backward_error(r: np.ndarray, u: np.ndarray) -> float:
+        return _backward_error(r, _stencil_product(sys.offsets, abs_weights, np.abs(u)) + np.abs(b))
+
     u = inverse(b)
-    r = b - matrix @ u
-    history = [_backward_error(r, abs_matrix, u, b)]
+    r = b - sys.matvec(u)
+    history = [backward_error(r, u)]
     halved = True
     # len(history) - 1 sweeps are done.
     while len(history) <= MAX_REFINEMENTS and (
         len(history) <= min_sweeps or (history[-1] > tol and halved)
     ):
         u = u + inverse(r)
-        r = b - matrix @ u
-        history.append(_backward_error(r, abs_matrix, u, b))
+        r = b - sys.matvec(u)
+        history.append(backward_error(r, u))
         halved = history[-1] <= 0.5 * history[-2]
 
     omega = history[-1]

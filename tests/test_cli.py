@@ -409,6 +409,22 @@ class TestMain:
         assert "did not converge" in captured.err
         assert not (out / "report.json").exists()
 
+    def test_non_monotone_solve_exits_2(self, tmp_path, capsys):
+        # The perturbed field breaks the mesh-ratio condition near the flat
+        # face; solve refuses it with the error boundary-growth gives.
+        field = {"family": "decaying-perturbation", "s": 2.0, "amplitude": 0.3}
+        errors = []
+        for command in ("solve", "boundary-growth"):
+            cfgfile = tmp_path / f"{command}.json"
+            out = tmp_path / command
+            cfgfile.write_text(json.dumps({"command": command, **SMALL_RAW["solve"], "field": field}))
+            assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            errors.append(captured.err)
+        assert errors[0].startswith("error: discrete maximum principle fails on this grid/field: ")
+        assert errors[0] == errors[1]
+
     def test_failed_criterion_exits_1_but_writes_report(self, tmp_path, capsys):
         # Past the natural exponent 1/(1+alpha) = 0.5 the quotients do not settle.
         out = tmp_path / "fail"
@@ -521,7 +537,10 @@ class TestMain:
     def test_pointwise_commands_never_load_scipy(self, tmp_path):
         # A fresh interpreter imports the CLI, parses every default config and
         # runs the commands of the given configs, then lists the SciPy modules
-        # it holds.  The same probe after a solve shows that it can fail.
+        # it holds.  The pointwise commands never assemble, and the default
+        # solver commands take the fast solver, which needs numpy alone.  The
+        # same probe after oscillation-decay, whose annulus takes SuperLU,
+        # shows that it can fail.
         src = str(Path(grushinlab.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         probe = (
@@ -534,11 +553,12 @@ class TestMain:
             "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
         )
 
-        def probe_after(commands):
+        def probe_after(commands, small=True):
             configs = []
             for command in commands:
                 cfgfile = tmp_path / f"{command}.json"
-                raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / command)}
+                sizes = SMALL_RAW[command] if small else {}
+                raw = {"command": command, **sizes, "output_dir": str(tmp_path / command)}
                 cfgfile.write_text(json.dumps(raw))
                 configs.append(str(cfgfile))
             done = subprocess.run(
@@ -555,15 +575,28 @@ class TestMain:
 
         pointwise = ["verify-closed-forms", "audit-ellipticity", "supersolution-scan"]
         assert probe_after(pointwise) == []
-        assert "scipy.sparse.linalg" in probe_after(pointwise + ["solve"])
+        solvers = ["boundary-growth", "holder-modulus", "decay-fit", "global-bound", "solve"]
+        assert parse_config(raw={"command": "solve"}).field.family == "identity"
+        assert probe_after(solvers, small=False) == []
+        assert "scipy.sparse.linalg" in probe_after(pointwise + ["oscillation-decay"])
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for a threaded BLAS")
-    def test_report_is_independent_of_blas_threads(self, tmp_path):
-        # Vectors of 33,153 nodes, above the size at which OpenBLAS splits a
-        # dot product across threads, which changes its rounding.
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # Vectors of 33,153 nodes, above the size at which OpenBLAS
+            # splits a dot product across threads, which changes its rounding.
+            {"command": "boundary-growth", "grid": {**SMALL_BOX, "counts": [257, 129]}},
+            # The default decay-fit: 11 obstacle nodes, so the fast solver
+            # builds its capacitance matrix by a matrix product and solves
+            # with it by LAPACK.
+            {"command": "decay-fit"},
+        ],
+        ids=["boundary-growth", "decay-fit"],
+    )
+    def test_report_is_independent_of_blas_threads(self, tmp_path, raw):
         src = str(Path(grushinlab.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        raw = {"command": "boundary-growth", "grid": {**SMALL_BOX, "counts": [257, 129]}}
         probe = "import sys; from grushinlab.cli import main; sys.exit(main(sys.argv[1:]))"
         blobs = []
         for threads in ("1", "2"):

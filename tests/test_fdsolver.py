@@ -118,14 +118,14 @@ class TestAssembleAndSolve:
 
     def test_singular_factorisation_raises(self):
         # Rows 0 and 2 are Dirichlet identity rows; interior row 1 is all zeros.
-        matrix = sparse.csr_matrix(np.diag([1.0, 0.0, 1.0]))
-        none = np.array([], dtype=np.int64)
-        sys = SparseSystem(
-            matrix=matrix,
-            rhs=np.array([1.0, 0.0, 1.0]),
-            dirichlet_mask=np.array([True, False, True]),
-            dmp=DmpReport(False, none, np.array([1]), none),
+        sys = SparseSystem.from_stencil(
+            [0], np.array([[1.0, 0.0, 1.0]]), np.array([1.0, 0.0, 1.0]), np.array([True, False, True])
         )
+        none = np.array([], dtype=np.int64)
+        assert not sys.dmp.ok
+        np.testing.assert_array_equal(sys.dmp.nonpositive_diagonal_rows, [1])
+        for name in ("positive_offdiagonal_rows", "negative_rowsum_rows"):
+            np.testing.assert_array_equal(getattr(sys.dmp, name), none)
         with pytest.raises(RuntimeError):
             solve(sys)
 
@@ -235,8 +235,8 @@ class TestAssembleAndSolve:
         np.testing.assert_array_equal(matrix.data[matrix.indptr[dirichlet]], 1.0)
 
     def test_large_exterior_assembly_peak(self):
-        # The matrix is 4.1 MB; the COO build through per-stencil row,
-        # column and value arrays peaked at 27.8 MB here.
+        # The weights are 2.7 MB and their CSR form 4.1 MB; the assembly
+        # peaked at 14.6 MB here.
         grid = build_grid([-4, 0], [4, 4], (2049, 33), 2.0)
         tang, norm = grid.node_coordinates()
         box = (np.abs(tang[:, 0]) <= 0.03) & (norm <= 1.0)
@@ -317,23 +317,22 @@ class TestFactorisation:
 
 
 def tiny_pivot_system(pivot: float = 1e-20, coupling: float = 0.0) -> SparseSystem:
-    """A tiny pivot eliminated first (node 0 has the smallest degree) and kept
-    on the diagonal: its Schur update swamps the block of nodes 1 and 2.  At
-    1e-20 that block is lost, and refinement with those factors cannot
-    restore it."""
+    """A tiny pivot kept on the diagonal and eliminated before nodes 1 and 2
+    (the minimum-degree order is 4, 0, 3, 1, 2): its Schur update swamps the
+    block of nodes 1 and 2.  At 1e-20 that block is lost, and refinement with
+    those factors cannot restore it.  Every row is an interior row, and the
+    stencil holds each diagonal of the matrix that has a nonzero entry."""
     a = np.zeros((5, 5))
     a[0, 0] = pivot
     a[0, 1] = a[0, 2] = a[1, 0] = a[2, 0] = 1.0
     a[1:, 1:] = 4.0 * np.eye(4) + 0.5
     a[1, 1] = a[2, 2] = 1.0
     a[1, 2] = a[2, 1] = coupling
-    none = np.array([], dtype=np.int64)
-    return SparseSystem(
-        matrix=sparse.csr_matrix(a),
-        rhs=np.arange(1.0, 6.0),
-        dirichlet_mask=np.zeros(5, dtype=bool),
-        dmp=DmpReport(False, none, none, none),
-    )
+    offsets = [k for k in range(-4, 5) if np.any(a.diagonal(k))]
+    weights = np.zeros((len(offsets), 5))
+    for row, k in zip(weights, offsets):
+        row[max(0, -k) : 5 - max(0, k)] = a.diagonal(k)
+    return SparseSystem.from_stencil(offsets, weights, np.arange(1.0, 6.0), np.zeros(5, dtype=bool))
 
 
 def recomputed_backward_error(sys: SparseSystem, u: np.ndarray) -> float:
@@ -384,10 +383,9 @@ class TestRefinementStop:
 
     def test_zero_scale_rows(self):
         # Row 0 has a zero scale: r = 0 there counts as 0, r != 0 as inf.
-        abs_matrix = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 2.0]]))
-        u, b = np.array([0.0, 1.0]), np.array([0.0, 4.0])
-        assert fdsolver._backward_error(np.array([0.0, 1.0]), abs_matrix, u, b) == 1.0 / 6.0
-        assert fdsolver._backward_error(np.array([1e-300, 0.0]), abs_matrix, u, b) == np.inf
+        scale = np.array([0.0, 6.0])
+        assert fdsolver._backward_error(np.array([0.0, 1.0]), scale) == 1.0 / 6.0
+        assert fdsolver._backward_error(np.array([1e-300, 0.0]), scale) == np.inf
 
     def test_stagnation_stops_unconverged(self):
         sys = tiny_pivot_system()
@@ -419,7 +417,16 @@ class TestRefinementStop:
         assert rep.iterations == 1 and rep.backward_error_history[0] <= 1.0
 
 
-class TestDmpScan:
+def assert_same_bits(got, expected):
+    """Equal as IEEE bit patterns: the sign of a zero counts."""
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestStencilOperator:
+    """The operator's products, DMP report and referenced Dirichlet nodes
+    against the same computations on its CSR form."""
+
     @staticmethod
     def copied_report(matrix, interior):
         """The DMP report with the off-diagonal scan run on a copy of the
@@ -436,28 +443,37 @@ class TestDmpScan:
         ok = bad_off.size == 0 and bad_diag.size == 0 and bad_sum.size == 0
         return DmpReport(ok, bad_off, bad_diag, bad_sum)
 
-    @pytest.mark.parametrize(
-        "field, p, counts, excise, monotone",
-        [
-            (IDENT, P21, (33, 33), False, True),
-            (IDENT, P21, (33, 33), True, True),
-            (make_identity_field(P31), P31, (9, 9, 9), True, True),
-            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33), False, False),
-            (make_decaying_perturbation(P21, 2.0, 0.3, 42), P21, (33, 33), True, False),
-            (make_decaying_perturbation(P31, 2.0, 0.3, 7), P31, (9, 9, 9), False, False),
-        ],
-        ids=["identity-2d", "excised-2d", "excised-3d", "perturbed-2d", "perturbed-excised-2d", "perturbed-3d"],
-    )
-    def test_report_matches_the_copied_scan(self, field, p, counts, excise, monotone):
-        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
+    @pytest.mark.parametrize("excise", [False, True], ids=["box", "excised"])
+    @pytest.mark.parametrize("grading", [1.0, 2.0], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["identity", "perturbed"])
+    @pytest.mark.parametrize("p, counts", [(P21, (33, 17)), (P31, (9, 8, 7))], ids=["2d", "3d"])
+    def test_matches_csr_bit_for_bit(self, p, counts, perturbed, grading, excise):
+        field = make_decaying_perturbation(p, 2.0, 0.3, 42) if perturbed else make_identity_field(p)
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, grading)
         extra = inner_box(grid) if excise else None
         sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
-        expected = self.copied_report(sys.matrix, ~sys.dirichlet_mask)
-        assert expected.ok == monotone
+        matrix = sys.matrix
+        u = np.random.default_rng(sum(counts)).standard_normal(grid.num_nodes)
+        u[::7] = 0.0
+        u[3::7] = -0.0
+        ones = np.ones(grid.num_nodes)
+
+        assert_same_bits(sys.matvec(u), matrix @ u)
+        abs_product = fdsolver._stencil_product(sys.offsets, np.abs(sys.weights), np.abs(u))
+        assert_same_bits(abs_product, abs(matrix) @ np.abs(u))
+        assert_same_bits(fdsolver._stencil_product(sys.offsets, sys.weights, ones), matrix @ ones)
+
+        expected = self.copied_report(matrix, ~sys.dirichlet_mask)
+        assert expected.ok == (not perturbed or grading == 1.0)  # grading breaks the mesh ratio
         for got in (sys.dmp, check_dmp(sys)):
             assert got.ok == expected.ok
             for name in ("positive_offdiagonal_rows", "nonpositive_diagonal_rows", "negative_rowsum_rows"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+        referenced = np.zeros(grid.num_nodes, dtype=bool)
+        referenced[matrix.indices[np.repeat(~sys.dirichlet_mask, np.diff(matrix.indptr))]] = True
+        np.testing.assert_array_equal(sys.referenced_dirichlet(), referenced & sys.dirichlet_mask)
+        assert np.any(sys.referenced_dirichlet() & ~grid.face_mask()) == excise
 
 
 class TestFastDiagonalization:
@@ -504,13 +520,21 @@ class TestFastDiagonalization:
         j = np.arange(1, c - 1, dtype=np.longdouble)
         angle = np.pi * (np.outer(j, j) % (2 * (c - 1))) / (c - 1)
         basis = (np.sqrt(np.longdouble(2) / (c - 1)) * np.sin(angle)).astype(float)
-        x = np.random.default_rng(c).standard_normal((c - 2, 4))
-        y = dst(x, type=1, norm="ortho", axis=0)
-        assert np.linalg.norm(y - basis @ x) <= 1e-15 * np.linalg.norm(x)
-        twice = dst(y, type=1, norm="ortho", axis=0)
+        x = np.random.default_rng(c).standard_normal((4, c - 2))
+        y = fdsolver._dst1(x)
+        assert np.linalg.norm(y - x @ basis) <= 1e-15 * np.linalg.norm(x)
+        twice = fdsolver._dst1(y)
         assert np.linalg.norm(twice - x) <= 1e-15 * np.linalg.norm(x)
         rows = np.array([0, c // 3, c - 3])
         np.testing.assert_allclose(fdsolver._sine_rows(c, rows), basis[rows], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [*range(1, 40), 95, 255, 1023, 2047])
+    def test_sine_transform_matches_scipy_bit_for_bit(self, m):
+        # The numpy FFT and its long-double scale reproduce SciPy's DST-I,
+        # which the fast solver used before, on every line of a batch.
+        x = np.random.default_rng(m).standard_normal((7, m))
+        x[0] = 0.0
+        assert_same_bits(fdsolver._dst1(x), dst(x, type=1, norm="ortho", axis=-1))
 
     def test_exterior_solve_builds_no_dense_basis(self):
         # One dense basis at 2049 nodes is 2047^2 doubles, 33.5 MB.
