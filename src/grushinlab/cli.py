@@ -24,6 +24,9 @@ from .coefficients import audit_ellipticity_arrays
 from .config import BOUNDARY_DATA, ConfigError, RunConfig, parse_config
 from .experiments import (
     MIN_FIT_SAMPLES,
+    RAY_HEIGHT_FRACTION,
+    RAY_WINDOW,
+    SHELL_BAND,
     PreconditionError,
     require_monotone,
     run_boundary_growth,
@@ -54,7 +57,6 @@ _OVERRIDES = (
     ("--n", "params.n", int, "space dimension (overrides params.n)"),
     ("--out", "output_dir", str, "output directory (overrides output_dir)"),
     ("--seed", "seed", int, "random seed (overrides seed)"),
-    ("--tol", "tolerances.solver_tol", float, "solver tolerance (overrides tolerances.solver_tol)"),
 )
 
 
@@ -130,18 +132,14 @@ def _cmd_solve(cfg: RunConfig):
     bc = _named_bc(cfg.experiment["bc"], p)
     sys_ = assemble(field, grid, p, bc)
     require_monotone(sys_)
-    u, report = solve(sys_, tol=cfg.tolerances.solver_tol)
+    u, report = solve(sys_)
     write_grid_function(cfg.output_dir / "solution.txt", grid, u)
-    result = {
-        "solve": jsonable(report),
-        "mesh_ratio_offenders": int(sys_.mesh_ratio_offenders.size),
-        "max_abs_u": float(np.max(np.abs(u))),
-    }
+    result = {"solve": jsonable(report), "max_abs_u": float(np.max(np.abs(u)))}
     spacings = [np.diff(axis) for axis in grid.axes]
     columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
     summary = (
         f"solve: backward error {report.backward_error:.3e} after {report.iterations} refinements, "
-        f"dmp_ok={report.dmp_ok}, method {report.method}"
+        f"method {report.method}"
     )
     return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
 
@@ -150,10 +148,10 @@ def _cmd_boundary_growth(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
     exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
-    report = run_boundary_growth(field, p, cfg.grid, solver_tol=cfg.tolerances.solver_tol, **exp)
+    report = run_boundary_growth(field, p, cfg.grid, **exp)
     lo, hi = GROWTH_BAND
     passed = (not report.refused) and report.fit is not None and lo <= report.fit.exponent <= hi
-    result = {**jsonable(report), "growth_band": [lo, hi]}
+    result = {**jsonable(report), "growth_band": [lo, hi], "ray_height_fraction": RAY_HEIGHT_FRACTION}
     columns = [report.ray_heights, report.ray_values]
     if report.refused:
         summary = "boundary-growth: fit refused (degenerate ray data)"
@@ -169,9 +167,7 @@ def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
     exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
-    report = run_holder_modulus(
-        field, p, cfg.grid, seed=cfg.seed, solver_tol=cfg.tolerances.solver_tol, **exp
-    )
+    report = run_holder_modulus(field, p, cfg.grid, seed=cfg.seed, **exp)
     passed = report.final_change < STABILIZATION
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
@@ -188,9 +184,7 @@ def _cmd_oscillation_decay(cfg: RunConfig):
     field = cfg.build_field()
     exp = dict(cfg.experiment)
     radii = exp.pop("radii")
-    reports = [
-        run_oscillation_decay(field, p, R, solver_tol=cfg.tolerances.solver_tol, **exp) for R in radii
-    ]
+    reports = [run_oscillation_decay(field, p, R, **exp) for R in radii]
     c0s = [r.c0_empirical for r in reports]
     passed = all(c > 0.0 for c in c0s)
     spread = None
@@ -202,6 +196,7 @@ def _cmd_oscillation_decay(cfg: RunConfig):
         "c0_values": c0s,
         "cross_scale_spread": spread,
         "cross_scale_tol": CROSS_SCALE_TOL,
+        "shell_band": SHELL_BAND,
         "note": (
             "the middle-shell drop is the engine of far-field convergence; the full "
             "limit statement at infinity is not directly testable on finite grids"
@@ -236,7 +231,7 @@ def _cmd_supersolution_scan(cfg: RunConfig):
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    report = run_decay_fit(field, p, solver_tol=cfg.tolerances.solver_tol, **cfg.experiment)
+    report = run_decay_fit(field, p, **cfg.experiment)
     band = FIT_BAND
     passed = (
         not report.refused
@@ -253,14 +248,14 @@ def _cmd_decay_fit(cfg: RunConfig):
             f"decay-fit: slope {report.fit.exponent:.4f} vs expected "
             f"{report.expected_exponent:g} (band {band:.0%})"
         )
-    result = {**jsonable(report), "fit_band": band}
+    result = {**jsonable(report), "fit_band": band, "ray_window": list(RAY_WINDOW)}
     return passed, result, ["gauge", "x_n", "u", "u_over_xn"], columns, summary
 
 
 def _cmd_global_bound(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    report = run_global_bound_check(field, p, solver_tol=cfg.tolerances.solver_tol, **cfg.experiment)
+    report = run_global_bound_check(field, p, **cfg.experiment)
     passed = report.passed and report.falsification_failed
     result = jsonable({k: v for k, v in vars(report).items() if k != "interface_samples"})
     columns = list(report.interface_samples.T)

@@ -25,7 +25,7 @@ from .experiments import MIN_FIT_SAMPLES, GridSpec
 from .geometry import GrushinParams
 from .reports import jsonable
 
-__all__ = ["ConfigError", "FieldConfig", "Tolerances", "RunConfig", "parse_config", "COMMANDS", "BOUNDARY_DATA"]
+__all__ = ["ConfigError", "FieldConfig", "RunConfig", "parse_config", "COMMANDS", "BOUNDARY_DATA"]
 
 COMMANDS = (
     "verify-closed-forms",
@@ -156,19 +156,11 @@ class FieldConfig:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Numerical settings of the solve; verdict gates are constants of the code."""
-
-    solver_tol: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     command: str
     params: GrushinParams
     field: FieldConfig
     grid: GridSpec | None
-    tolerances: Tolerances
     experiment: dict
     seed: int
     output_dir: Path
@@ -216,14 +208,6 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
     return GridSpec(lo, hi, counts, grading)
 
 
-def _parse_tolerances(raw: dict) -> Tolerances:
-    obj = _object(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(obj, "tolerances", _field_names(Tolerances))
-    return Tolerances(
-        solver_tol=_number(obj, "tolerances", "solver_tol", 1e-10, lo=0.0, lo_open=True),
-    )
-
-
 def _parse_experiment(raw: dict, command: str, n: int) -> dict:
     """The ``experiment`` block of ``command``: its parse lines declare the
     allowed keys, each named as the keyword of the runner it configures."""
@@ -242,9 +226,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
     elif command == "boundary-growth":
         out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
-        out["ray_height_fraction"] = _number(
-            obj, path, "ray_height_fraction", 0.25, lo=0.0, hi=1.0, lo_open=True
-        )
     elif command == "holder-modulus":
         out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
         out["exponent"] = _number(obj, path, "exponent", None, lo=0.0, lo_open=True)
@@ -253,7 +234,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
     elif command == "oscillation-decay":
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", None, length=n, lo=3, integer=True)
-        out["shell_band"] = _number(obj, path, "shell_band", 0.15, lo=0.0, hi=0.5, lo_open=True)
         out["data_scale"] = _number(obj, path, "data_scale", 1.0, lo=0.0, lo_open=True)
     elif command == "supersolution-scan":
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
@@ -268,8 +248,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         )
         out["counts"] = _number_list(obj, path, "counts", (1025,) * (n - 1) + (65,), length=n, lo=3, integer=True)
         out["grading"] = _number(obj, path, "grading", None, lo=1.0)
-        out["ray_lo_factor"] = _number(obj, path, "ray_lo_factor", 2.5, lo=1.0)
-        out["ray_hi_factor"] = _number(obj, path, "ray_hi_factor", 0.35, lo=0.0, hi=1.0, lo_open=True)
         out["ray_points"] = _integer(obj, path, "ray_points", 13, lo=MIN_FIT_SAMPLES)
     elif command == "global-bound":
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
@@ -320,11 +298,7 @@ def parse_config(
                 raise ConfigError(f"{dotted}: cannot override a non-object field")
         node[parts[-1]] = value
 
-    _reject_unknown(
-        raw,
-        "",
-        ("command", "params", "field", "grid", "tolerances", "experiment", "seed", "output_dir"),
-    )
+    _reject_unknown(raw, "", ("command", "params", "field", "grid", "experiment", "seed", "output_dir"))
     if "command" not in raw:
         raise ConfigError("command: required")
     command = _string(raw, "", "command", None, COMMANDS)
@@ -337,7 +311,6 @@ def parse_config(
     params = _parse_params(raw)
     field = _parse_field(raw, seed)
     grid = _parse_grid(raw, params.n, command)
-    tolerances = _parse_tolerances(raw)
     experiment = _parse_experiment(raw, command, params.n)
 
     effective = jsonable(
@@ -345,7 +318,6 @@ def parse_config(
             "command": command,
             "params": params,
             "field": field,
-            "tolerances": tolerances,
             "experiment": experiment,
             "seed": seed,
         }
@@ -358,7 +330,6 @@ def parse_config(
         params=params,
         field=field,
         grid=grid,
-        tolerances=tolerances,
         experiment=experiment,
         seed=seed,
         output_dir=Path(output_dir),

@@ -34,6 +34,7 @@ from .closedforms import (
 )
 from .coefficients import CoefficientField
 from .fdsolver import (
+    SOLVER_TOL,
     AnisotropicGrid,
     SolveReport,
     SparseSystem,
@@ -51,6 +52,9 @@ from .geometry import (
 
 __all__ = [
     "MIN_FIT_SAMPLES",
+    "SHELL_BAND",
+    "RAY_HEIGHT_FRACTION",
+    "RAY_WINDOW",
     "PreconditionError",
     "require_monotone",
     "FitResult",
@@ -76,6 +80,11 @@ __all__ = [
 
 
 MIN_FIT_SAMPLES = 5  # fewest samples a log-log fit accepts; fewer make a runner refuse
+
+# Measurement windows.  Each is a constant, recorded in the result of its command.
+SHELL_BAND = 0.15  # oscillation-decay: nodes with |level - 2R| <= band * 2R form the middle shell
+RAY_HEIGHT_FRACTION = 0.25  # boundary-growth: the ray fit stops at this fraction of the box height
+RAY_WINDOW = (2.5, 0.35)  # decay-fit: the ray runs from 2.5 * inner to 0.35 * outer radius
 
 
 class PreconditionError(ValueError):
@@ -142,11 +151,15 @@ class GridSpec:
 
 
 def require_monotone(sys: SparseSystem) -> None:
-    """Refuse a system that fails the DMP check: its scheme is not monotone."""
-    if not sys.dmp.ok:
+    """Refuse a system that fails the DMP check: its scheme is not monotone.
+    The message counts the interior rows of each failure kind."""
+    dmp = sys.dmp
+    if not dmp.ok:
         raise PreconditionError(
             "discrete maximum principle fails on this grid/field: "
-            f"{sys.mesh_ratio_offenders.size} nodes break the mesh-ratio condition"
+            f"{dmp.positive_offdiagonal_rows.size} rows with a positive off-diagonal "
+            f"(mesh-ratio condition), {dmp.nonpositive_diagonal_rows.size} with a "
+            f"nonpositive diagonal, {dmp.negative_rowsum_rows.size} with a negative row sum"
         )
 
 
@@ -156,7 +169,6 @@ def _solve_dirichlet(
     p: GrushinParams,
     bc,
     extra_dirichlet=None,
-    tol: float = 1e-10,
     require_dmp: bool = True,
 ) -> tuple[np.ndarray, SolveReport, SparseSystem]:
     """Assemble and solve; refuse a failed DMP check (when required) and an
@@ -164,11 +176,11 @@ def _solve_dirichlet(
     sys = assemble(field, grid, p, bc, extra_dirichlet=extra_dirichlet)
     if require_dmp:
         require_monotone(sys)
-    u, report = solve(sys, tol=tol)
+    u, report = solve(sys)
     if not report.converged:
         raise PreconditionError(
             f"{report.method} solve did not converge: componentwise backward error "
-            f"{report.backward_error:.3e} > {tol:.3e} after {report.iterations} refinement sweeps"
+            f"{report.backward_error:.3e} > {SOLVER_TOL:.3e} after {report.iterations} refinement sweeps"
         )
     return u, report, sys
 
@@ -196,18 +208,16 @@ def run_boundary_growth(
     p: GrushinParams,
     grid_spec: GridSpec,
     bc,
-    ray_height_fraction: float = 0.25,
-    solver_tol: float = 1e-10,
 ) -> BoundaryGrowthReport:
     """Solve with |bc| <= 1, zero on the flat face; measure |u| <= C x_n.
 
     The ray fit follows the inward normal from the boundary point with the
-    strongest first-layer response; the fit is refused (fit=None, the whole
-    ray reported) when fewer than ``MIN_FIT_SAMPLES`` ray nodes carry
-    |u| > 1e-12.  A solution with max |u| <= 1e-12 has C = 0.
+    strongest first-layer response, up to ``RAY_HEIGHT_FRACTION`` of the box
+    height; the fit is refused (fit=None, the whole ray reported) when fewer
+    than ``MIN_FIT_SAMPLES`` ray nodes carry |u| > 1e-12.  A solution with max |u| <= 1e-12 has C = 0.
     """
     grid = grid_spec.build(p)
-    u, report, sys = _solve_dirichlet(field, grid, p, bc, tol=solver_tol)
+    u, report, sys = _solve_dirichlet(field, grid, p, bc)
     tang, norm = grid.node_coordinates()
     flat = norm == 0.0
     if np.max(np.abs(sys.rhs[flat])) > 1e-12:
@@ -226,7 +236,7 @@ def run_boundary_growth(
     values = np.abs(columns[col, 1:])
     anchor = tang.reshape(-1, grid.shape[-1], p.n - 1)[col, 0]
 
-    cutoff = ray_height_fraction * grid.box_hi[-1]
+    cutoff = RAY_HEIGHT_FRACTION * grid.box_hi[-1]
     sel = (heights <= cutoff) & (values > 1e-12)
     refused = np.count_nonzero(sel) < MIN_FIT_SAMPLES
     if refused:
@@ -311,7 +321,6 @@ def run_holder_modulus(
     levels: int = 3,
     pairs: int = 100_000,
     seed: int = 0,
-    solver_tol: float = 1e-10,
 ) -> HolderReport:
     """Two-point quotient maxima across a refinement sequence.
 
@@ -323,7 +332,7 @@ def run_holder_modulus(
     for level in range(levels):
         spec = grid_spec.refined(2**level)
         grid = spec.build(p)
-        u, report, sys = _solve_dirichlet(field, grid, p, bc, tol=solver_tol)
+        u, report, sys = _solve_dirichlet(field, grid, p, bc)
         tang, norm = grid.node_coordinates()
         flat = norm == 0.0
         if np.max(np.abs(sys.rhs[flat])) > 1e-12:
@@ -370,15 +379,14 @@ def run_oscillation_decay(
     p: GrushinParams,
     R: float,
     counts: tuple[int, ...] | None = None,
-    shell_band: float = 0.15,
     data_scale: float = 1.0,
     curved_value: float = 1.0,
     flat_value: float = 0.5,
-    solver_tol: float = 1e-10,
 ) -> OscillationReport:
     """Annulus E_{4R}+ minus E_R+ with data M*curved_value on the curved
     parts and M*flat_value on the flat ring (M = data_scale); returns
-    1 - sup(u/M) over nodes near the middle shell E_{2R}.
+    1 - sup(u/M) over the nodes within ``SHELL_BAND`` (relative) of the middle
+    shell E_{2R}.
 
     Realised on the bounding box of E_{4R}+ with the inner/outer regions
     excised by Dirichlet masks; the mixed-term mesh-ratio condition is not
@@ -415,10 +423,8 @@ def run_oscillation_decay(
         values[ring] = scale * flat_value
         return values
 
-    u, report, _ = _solve_dirichlet(
-        field, grid, p, bc, extra_dirichlet=hole, tol=solver_tol, require_dmp=False
-    )
-    shell = np.abs(level - 2.0 * R) <= shell_band * 2.0 * R
+    u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=hole, require_dmp=False)
+    shell = np.abs(level - 2.0 * R) <= SHELL_BAND * 2.0 * R
     if not shell.any():
         raise PreconditionError("no grid nodes fall on the measured middle shell; refine the grid")
     sup = float(np.max(u[shell])) / scale
@@ -640,10 +646,7 @@ def run_decay_fit(
     outer_radius: float,
     counts: tuple[int, ...],
     grading: float | None = None,
-    ray_lo_factor: float = 2.5,
-    ray_hi_factor: float = 0.35,
     ray_points: int = 13,
-    solver_tol: float = 1e-10,
     min_ray_value: float = 1e-10,
 ) -> DecayFitReport:
     """Exterior problem with unit data on an inner box; fit u/x_n ~ gauge^{-Q}.
@@ -651,19 +654,19 @@ def run_decay_fit(
     The domain is the box of gauge radius ``outer_radius`` minus the inner
     box of gauge radius ``inner_radius``; data are 1 on the inner-box faces
     (x_n > 0), 0 on the flat face and the far faces.  The far faces truncate
-    the true problem, so the ray stops at ``ray_hi_factor * outer_radius``
-    and the systematic deviation shows up in the fit residual.
+    the true problem, so the ray runs from gauge lo * inner_radius to
+    hi * outer_radius, (lo, hi) = ``RAY_WINDOW``, and the systematic
+    deviation shows up in the fit residual.
     """
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
     grid, _, _, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, grading, lambda xn: 1.0
     )
-    u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside, tol=solver_tol)
+    u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
 
-    gauges, ray_t, ray_n = decay_ray_points(
-        p, ray_lo_factor * inner_radius, ray_hi_factor * outer_radius, ray_points
-    )
+    lo, hi = RAY_WINDOW
+    gauges, ray_t, ray_n = decay_ray_points(p, lo * inner_radius, hi * outer_radius, ray_points)
     values = grid_interpolator(grid, u)(np.column_stack([ray_t, ray_n]))
     usable = values > min_ray_value
     refused = np.count_nonzero(usable) < MIN_FIT_SAMPLES
@@ -726,7 +729,6 @@ def run_global_bound_check(
     counts: tuple[int, ...],
     grading: float | None = None,
     inner_slope: float = 1.0,
-    solver_tol: float = 1e-10,
 ) -> GlobalBoundReport:
     """Exterior solve with data min(1, slope * x_n) on the inner box, then the
     comparison: C is the smallest constant with |u| <= C (w - w^{1+rho}) on
@@ -744,7 +746,7 @@ def run_global_bound_check(
     grid, tang, norm, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, grading, lambda xn: np.minimum(1.0, inner_slope * xn)
     )
-    u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside, tol=solver_tol)
+    u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         barrier = supersolution_value_arrays(tang, norm, rho, p)

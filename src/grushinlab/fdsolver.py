@@ -51,9 +51,9 @@ system alone.
 Either way every answer is checked against the assembled operator, on
 systems the DMP check flags as well, by its componentwise backward error
 max_i |r_i| / (|A||u| + |b|)_i (Oettli & Prager, *Numer. Math.* 6, 1964),
-and refined while that exceeds the tolerance and keeps halving (Skeel,
-*Math. Comp.* 35, 1980: one sweep of fixed-precision refinement usually
-suffices).  A relative residual ||r|| / ||b|| is no stopping test here:
+and refined while that exceeds ``SOLVER_TOL`` = 1e-10, a constant, and
+keeps halving (Skeel, *Math. Comp.* 35, 1980: one sweep of fixed-precision
+refinement usually suffices).  A relative residual ||r|| / ||b|| is no stopping test here:
 its floor grows with ||A|| ||u|| / ||b||, and on the R = 1 annulus of
 ``run_oscillation_decay`` at 257 x 97 (||A||_inf = 5.7e7) it stays above
 1e-10 on an answer whose backward error is 5e-16.
@@ -109,6 +109,7 @@ __all__ = [
 
 MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
 MAX_REFINEMENTS = 50
+SOLVER_TOL = 1e-10  # componentwise backward error at which refinement stops; "converged" below it
 
 BoundaryValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -588,8 +589,8 @@ def _backward_error(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(ratio))
 
 
-def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
-    """Solve the assembled system to a componentwise backward error <= tol.
+def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
+    """Solve the assembled system to a componentwise backward error <= ``SOLVER_TOL``.
 
     A separable system (``sys.separable`` set by ``assemble``: identity
     coefficients, k^2 <= N obstacle nodes) is solved by fast diagonalization
@@ -602,15 +603,15 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     The first answer u is followed by sweeps of fixed-precision iterative
     refinement against the assembled operator, u += inverse(b - A u), while
     its componentwise backward error w = max_i |r_i| / (|A||u| + |b|)_i
-    (``_backward_error``) exceeds ``tol`` and the last sweep at least
+    (``_backward_error``) exceeds ``SOLVER_TOL`` and the last sweep at least
     halved it, for at most ``MAX_REFINEMENTS`` sweeps.  A fast solve always
     gets one sweep: its first answer carries a residual up to ten times the
     LU one.  One sweep usually brings w to the round-off level (Skeel,
     *Math. Comp.* 35, 1980), while a relative residual ||r|| / ||b|| has a
-    floor that grows with ||A|| ||u|| / ||b|| and may never reach ``tol``.
+    floor that grows with ||A|| ||u|| / ||b|| and may never reach ``SOLVER_TOL``.
     ``iterations`` counts the sweeps, ``backward_error`` is the final w and
     ``backward_error_history`` holds w of the first answer and after each
-    sweep, ``converged`` says whether w <= ``tol``, and ``final_residual`` is
+    sweep, ``converged`` says whether w <= ``SOLVER_TOL``, and ``final_residual`` is
     the relative residual ||r||_2 / ||b||_2 of the answer returned (b = 0
     divides by 1), its norms taken by a pairwise sum, with no BLAS call.
     Deterministic for identical inputs.  Only the SuperLU branch imports
@@ -645,7 +646,7 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
     halved = True
     # len(history) - 1 sweeps are done.
     while len(history) <= MAX_REFINEMENTS and (
-        len(history) <= min_sweeps or (history[-1] > tol and halved)
+        len(history) <= min_sweeps or (history[-1] > SOLVER_TOL and halved)
     ):
         u = u + inverse(r)
         r = b - sys.matvec(u)
@@ -658,7 +659,7 @@ def solve(sys: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveRepor
         final_residual=float(np.sqrt(np.sum(r * r))) / (float(np.sqrt(np.sum(b * b))) or 1.0),
         dmp_ok=sys.dmp.ok,
         wall_time_s=time.perf_counter() - start,
-        converged=bool(omega <= tol),
+        converged=bool(omega <= SOLVER_TOL),
         method=method,
         backward_error=omega,
         backward_error_history=tuple(history),

@@ -68,11 +68,6 @@ class GrushinParams:
         """Homogeneous dimension (alpha+1)(n-1) + 1."""
         return (self.alpha + 1.0) * (self.n - 1) + 1.0
 
-    @property
-    def alpha_prime(self) -> float:
-        """Comparison-ellipsoid scale 4^{-2(1+alpha)}."""
-        return 4.0 ** (-2.0 * (1.0 + self.alpha))
-
 
 def gauge_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
     """Gauge d(x) = (|x'|^2 + beta * x_n^{2(alpha+1)})^{1/(2(alpha+1))}, vectorised.

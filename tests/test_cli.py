@@ -78,7 +78,6 @@ class TestParseConfig:
     def test_minimal_file_gets_defaults(self):
         cfg = parse_config(raw={"command": "verify-closed-forms", "params": {"n": 2, "alpha": 1}})
         assert cfg.params.n == 2 and cfg.params.alpha == 1.0
-        assert cfg.tolerances.solver_tol == 1e-10
         assert cfg.field.family == "identity"
         assert cfg.seed == 0
         assert cfg.experiment["points"] == 1000
@@ -90,6 +89,8 @@ class TestParseConfig:
     def test_unknown_keys_are_errors(self):
         with pytest.raises(ConfigError, match="bogus: unknown key"):
             parse_config(raw={"command": "solve", "bogus": 1})
+        with pytest.raises(ConfigError, match="^tolerances: unknown key$"):
+            parse_config(raw={"command": "solve", "tolerances": {"solver_tol": 1e-10}})
         with pytest.raises(ConfigError, match=r"experiment\.rho: unknown key"):
             parse_config(raw={"command": "decay-fit", "experiment": {"rho": 0.5}})
         for command in COMMANDS:
@@ -99,7 +100,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_null_is_an_error_where_the_default_is_not_null(self, tmp_path, command, capsys):
         paths = _non_null_defaults(command)
-        assert {"params.alpha", "tolerances.solver_tol", "seed"} <= set(paths)
+        assert {"params.alpha", "seed"} <= set(paths)
         for dotted in paths:
             raw = _with_value({"command": command}, dotted, None)
             with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)}: must be "):
@@ -112,7 +113,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_finite_numbers_are_errors(self, tmp_path, command, capsys):
         paths = _numeric_paths(command)
-        assert {"params.alpha", "params.n", "tolerances.solver_tol"} <= {p for p, _ in paths}
+        assert {"params.alpha", "params.n"} <= {p for p, _ in paths}
         cfgfile = tmp_path / "non-finite.json"
         for dotted, value in paths:
             for bad in (math.nan, math.inf, -math.inf):
@@ -150,9 +151,9 @@ class TestParseConfig:
         "flags, message",
         [
             (["--command", "verify-closed-forms", "--alpha", "nan"], "params.alpha: must be finite"),
-            (["--command", "solve", "--tol", "inf"], "tolerances.solver_tol: must be finite"),
+            (["--command", "verify-closed-forms", "--alpha", "inf"], "params.alpha: must be finite"),
         ],
-        ids=["alpha-nan", "tol-inf"],
+        ids=["alpha-nan", "alpha-inf"],
     )
     def test_non_finite_flags_are_errors(self, tmp_path, capsys, flags, message):
         assert main([*flags, "--out", str(tmp_path / "out")]) == 2
@@ -225,21 +226,21 @@ class TestParseConfig:
     def test_effective_config_echoes_defaults(self):
         cfg = parse_config(raw={"command": "supersolution-scan"})
         assert cfg.effective["experiment"]["rho"] == 0.5
-        assert cfg.effective["tolerances"]["solver_tol"] == 1e-10
+        assert set(cfg.effective) == {"command", "params", "field", "experiment", "seed"}
 
     def test_default_input_hashes_are_pinned(self):
         # The echo of every default config, hashed; a change here changes the
         # input_hash of every report written with that command's defaults.
         expected = {
-            "audit-ellipticity": "62787063e0fc9b5dcd6a36db666b191b6f56a4cc",
-            "boundary-growth": "cb1908b7cbc9d83579116f7427f5fd0511625f8e",
-            "decay-fit": "f4291efba49a69c70c1d62ffcc4c6c950c7c1cad",
-            "global-bound": "c8b13d53283f4ed5d116bf179a61baa29d193479",
-            "holder-modulus": "f6b055763843ca766a98876c2c0973891e49c566",
-            "oscillation-decay": "378ea3c5d022ddab29adf2d9b2eea6faac316375",
-            "solve": "0085128db66d370f5ea6172abdc94b1a6b848c9b",
-            "supersolution-scan": "2ec237d5b5cb652dc8a7011e41f1fe84926000ce",
-            "verify-closed-forms": "790fdd82c4ee8b8e8cd72c336499df4bcbef42ae",
+            "audit-ellipticity": "8fcaa4caa95874201758e45f85981a1d84e564e2",
+            "boundary-growth": "e800958110f3ea682ebcc993b265411e8c72ebf6",
+            "decay-fit": "560b6d2dd2090258a622cb817efac3eae78cc6d2",
+            "global-bound": "c4fec563f23f9966479ab90b170bdd7c011f0468",
+            "holder-modulus": "fd1f09c369b8efd18c6db03c2ba1c55fee451f26",
+            "oscillation-decay": "b894b9aead4b2a45d586ab13c00126eb61c30128",
+            "solve": "b34777ac67a6f7dcd5975f5e7926de693fa2dfae",
+            "supersolution-scan": "ce9a9b47d5ac600e97880aca154ec1bb6ed6a0f4",
+            "verify-closed-forms": "444d11346f5210c96fb5232200d7e7c76c9bfa61",
         }
         got = {c: content_hash(parse_config(raw={"command": c}).effective) for c in COMMANDS}
         assert got == expected
@@ -378,11 +379,23 @@ class TestMain:
         assert (out / "samples.csv").exists()
         assert "PASS" in capsys.readouterr().out
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "verify-closed-forms", "params": {"alpha": -3}}))
         assert main(["--config", str(bad)]) == 2
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
+        # The solver tolerance is a constant: neither a config key nor a flag sets it.
+        out = str(tmp_path / "out")
+        raw = {"command": "solve", "tolerances": {"solver_tol": 1e-10}, "output_dir": out}
+        bad.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["--config", str(bad)]) == 2
+        assert capsys.readouterr().err == "configuration error: tolerances: unknown key\n"
+        with pytest.raises(SystemExit) as exited:
+            main(["--command", "solve", "--tol", "1e-10", "--out", out])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_scan_hypothesis_violation_exits_2(self, tmp_path):
         cfgfile = tmp_path / "scan.json"
@@ -449,30 +462,48 @@ class TestMain:
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "command, key, value, result_key",
+        "command, dotted, value, result_key, recorded",
         [
-            ("verify-closed-forms", "residual_tol", 1e-9, "tolerance"),
-            ("boundary-growth", "growth_band", [0.95, 1.05], "growth_band"),
-            ("holder-modulus", "stabilization", 0.25, "stabilization"),
-            ("oscillation-decay", "cross_scale_tol", 0.2, "cross_scale_tol"),
-            ("decay-fit", "fit_band", 0.15, "fit_band"),
-            ("global-bound", "margin_tol", 1e-6, "margin_tolerance"),
+            # Verdict gates.
+            ("verify-closed-forms", "experiment.residual_tol", 1e-9, "tolerance", 1e-9),
+            ("boundary-growth", "experiment.growth_band", [0.95, 1.05], "growth_band", [0.95, 1.05]),
+            ("holder-modulus", "experiment.stabilization", 0.25, "stabilization", 0.25),
+            ("oscillation-decay", "experiment.cross_scale_tol", 0.2, "cross_scale_tol", 0.2),
+            ("decay-fit", "experiment.fit_band", 0.15, "fit_band", 0.15),
+            ("global-bound", "experiment.margin_tol", 1e-6, "margin_tolerance", 1e-6),
+            # Measurement windows.
+            ("boundary-growth", "experiment.ray_height_fraction", 0.25, "ray_height_fraction", 0.25),
+            ("oscillation-decay", "experiment.shell_band", 0.15, "shell_band", 0.15),
+            ("decay-fit", "experiment.ray_lo_factor", 2.5, "ray_window", [2.5, 0.35]),
+            ("decay-fit", "experiment.ray_hi_factor", 0.35, "ray_window", [2.5, 0.35]),
+        ],
+        ids=[
+            "residual_tol",
+            "growth_band",
+            "stabilization",
+            "cross_scale_tol",
+            "fit_band",
+            "margin_tol",
+            "ray_height_fraction",
+            "shell_band",
+            "ray_lo_factor",
+            "ray_hi_factor",
         ],
     )
     def test_verdict_gates_are_constants_recorded_in_the_result(
-        self, tmp_path, capsys, command, key, value, result_key
+        self, tmp_path, capsys, command, dotted, value, result_key, recorded
     ):
-        # A config cannot set a gate, even to its own value ...
+        # A config cannot set a gate or a window, even to its own value ...
         raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / "o")}
         cfgfile = tmp_path / "gate.json"
-        cfgfile.write_text(json.dumps(_with_value(raw, f"tolerances.{key}", value)))
+        cfgfile.write_text(json.dumps(_with_value(raw, dotted, value)))
         assert main(["--config", str(cfgfile)]) == 2
-        assert capsys.readouterr().err == f"configuration error: tolerances.{key}: unknown key\n"
+        assert capsys.readouterr().err == f"configuration error: {dotted}: unknown key\n"
         assert not (tmp_path / "o").exists()
-        # ... and the report names the gate its verdict applied.
+        # ... and the report names the constant its verdict applied.
         cfgfile.write_text(json.dumps(raw))
         assert main(["--config", str(cfgfile)]) == 0
-        assert json.loads((tmp_path / "o" / "report.json").read_text())["result"][result_key] == value
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["result"][result_key] == recorded
 
     def test_readme_configs_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -678,6 +709,9 @@ class TestMain:
         report = json.loads((out / "report.json").read_text())
         omega = report["result"]["solve"]["backward_error"]
         assert report["summary"].startswith(f"solve: backward error {omega:.3e} after ")
+        # A DMP failure is refused before the solve, so the report carries no DMP count.
+        assert "dmp_ok" not in report["summary"]
+        assert set(report["result"]) == {"solve", "max_abs_u"}
 
     @pytest.mark.parametrize("command, key", [("holder-modulus", "levels"), ("oscillation-decay", "runs")])
     def test_every_solve_report_is_kept(self, tmp_path, monkeypatch, command, key):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from test_fdsolver import three_node_system
 
 from grushinlab import experiments
 from grushinlab.closedforms import kernel_value_arrays, supersolution_value_arrays
@@ -57,6 +58,26 @@ class TestFitLogLog:
             FitResult(1.0, 0.0, 0.0, 4, (0.1, 1.0))
         with pytest.raises(ValueError):
             FitResult(1.0, 0.0, 0.0, 9, (1.0, 1.0))
+
+
+class TestRequireMonotone:
+    @pytest.mark.parametrize(
+        "weights, counts",
+        [
+            ([0.0, 0.0, 0.0], (0, 1, 0)),  # the singular system of the solver tests
+            ([-1.0, 1.0, -1.0], (0, 0, 1)),
+            ([0.5, 1.0, -0.1], (1, 0, 0)),
+        ],
+        ids=["zero-diagonal", "negative-row-sum", "positive-off-diagonal"],
+    )
+    def test_message_counts_each_failure_kind(self, weights, counts):
+        with pytest.raises(PreconditionError) as err:
+            experiments.require_monotone(three_node_system(weights))
+        assert str(err.value) == (
+            "discrete maximum principle fails on this grid/field: "
+            "%d rows with a positive off-diagonal (mesh-ratio condition), "
+            "%d with a nonpositive diagonal, %d with a negative row sum" % counts
+        )
 
 
 class TestBoundaryGrowth:
@@ -288,8 +309,8 @@ class TestSolverSelection:
         assert rep.solve.backward_error <= 1e-10
 
     def test_unconverged_solve_is_refused(self, monkeypatch):
-        def stuck(sys, tol):
-            u, report = solve(sys, tol=tol)
+        def stuck(sys):
+            u, report = solve(sys)
             return u, dataclasses.replace(report, converged=False)
 
         monkeypatch.setattr(experiments, "solve", stuck)

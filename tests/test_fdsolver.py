@@ -37,6 +37,16 @@ def inner_box(grid):
     return np.all(np.abs(tang - 2.0) <= 0.25, axis=1) & (norm <= 0.5)
 
 
+def three_node_system(weights) -> SparseSystem:
+    """Nodes 0 and 2 Dirichlet identity rows, interior row 1 given by the
+    weights at offsets -1, 0, 1."""
+    stencil = np.zeros((3, 3))
+    stencil[1] = 1.0
+    stencil[:, 1] = weights
+    dirichlet = np.array([True, False, True])
+    return SparseSystem.from_stencil([-1, 0, 1], stencil, np.array([1.0, 0.0, 1.0]), dirichlet)
+
+
 def constant_field(p, a11=1.0, a1n=0.0):
     m = p.n - 1
 
@@ -117,10 +127,8 @@ class TestAssembleAndSolve:
         np.testing.assert_array_equal(u, sys.rhs)
 
     def test_singular_factorisation_raises(self):
-        # Rows 0 and 2 are Dirichlet identity rows; interior row 1 is all zeros.
-        sys = SparseSystem.from_stencil(
-            [0], np.array([[1.0, 0.0, 1.0]]), np.array([1.0, 0.0, 1.0]), np.array([True, False, True])
-        )
+        # Interior row 1 is all zeros.
+        sys = three_node_system([0.0, 0.0, 0.0])
         none = np.array([], dtype=np.int64)
         assert not sys.dmp.ok
         np.testing.assert_array_equal(sys.dmp.nonpositive_diagonal_rows, [1])
@@ -292,15 +300,14 @@ class TestFactorisation:
         grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
         extra = inner_box(grid) if excise else None
         sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
-        tol = 1e-10
-        u, rep = solve(sys, tol=tol)
+        u, rep = solve(sys)
         assert rep.method == "lu"
         (lu,) = factors
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         assert abs(lu.U).max() <= 2.0 * abs(sys.matrix).max()
         dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
         assert rep.converged
-        assert np.linalg.norm(u - dense) <= tol * np.linalg.norm(dense)
+        assert np.linalg.norm(u - dense) <= fdsolver.SOLVER_TOL * np.linalg.norm(dense)
 
     def test_fill_is_below_the_default_ordering(self, factors):
         # The symmetric minimum-degree ordering halves the fill of SuperLU's
@@ -409,10 +416,11 @@ class TestRefinementStop:
         assert capped.iterations == 3 and not capped.converged
         assert capped.backward_error_history == free.backward_error_history[:4]
 
-    def test_fast_path_keeps_its_forced_sweep(self):
+    def test_fast_path_keeps_its_forced_sweep(self, monkeypatch):
         g = build_grid([1, 0], [3, 2], (33, 33), 2.0)
         sys = assemble(IDENT, g, P21, bc_kernel)
-        _, rep = solve(sys, tol=1.0)
+        monkeypatch.setattr(fdsolver, "SOLVER_TOL", 1.0)
+        _, rep = solve(sys)
         assert rep.method == "fast-diagonalization"
         assert rep.iterations == 1 and rep.backward_error_history[0] <= 1.0
 

@@ -39,7 +39,6 @@ class TestParams:
         assert p.beta == pytest.approx(1.0 / 2.25, rel=1e-15)
         assert p.gamma == pytest.approx(1.0 + 1.0 / 3.0, rel=1e-15)
         assert p.Q == pytest.approx(4.0, rel=1e-15)
-        assert p.alpha_prime == pytest.approx(4.0**-3.0, rel=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.7])
