@@ -21,7 +21,7 @@ import numpy as np
 
 from .closedforms import kernel_value_arrays
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
-from .experiments import MIN_FIT_SAMPLES, GridSpec
+from .experiments import GridSpec
 from .geometry import GrushinParams
 from .reports import jsonable
 
@@ -216,8 +216,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
     out: dict[str, Any] = {}
     if command == "verify-closed-forms":
         out["points"] = _integer(obj, path, "points", 1000, lo=10)
-        out["gauge_lo"] = _number(obj, path, "gauge_lo", 0.01, lo=0.0, lo_open=True)
-        out["gauge_hi"] = _number(obj, path, "gauge_hi", 100.0, lo=out["gauge_lo"], lo_open=True)
     elif command == "audit-ellipticity":
         out["points"] = _integer(obj, path, "points", 1000, lo=10)
         out["epsilon0"] = _number(obj, path, "epsilon0", 0.5, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
@@ -233,8 +231,7 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
         out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100)
     elif command == "oscillation-decay":
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
-        out["counts"] = _number_list(obj, path, "counts", None, length=n, lo=3, integer=True)
-        out["data_scale"] = _number(obj, path, "data_scale", 1.0, lo=0.0, lo_open=True)
+        out["counts"] = _number_list(obj, path, "counts", (129,) * (n - 1) + (49,), length=n, lo=3, integer=True)
     elif command == "supersolution-scan":
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
         out["s"] = _number(obj, path, "s", 2.0, lo=0.0, lo_open=True)
@@ -247,8 +244,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
             obj, path, "outer_radius", 32.0, lo=out["inner_radius"], lo_open=True
         )
         out["counts"] = _number_list(obj, path, "counts", (1025,) * (n - 1) + (65,), length=n, lo=3, integer=True)
-        out["grading"] = _number(obj, path, "grading", None, lo=1.0)
-        out["ray_points"] = _integer(obj, path, "ray_points", 13, lo=MIN_FIT_SAMPLES)
     elif command == "global-bound":
         out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
         out["inner_radius"] = _number(obj, path, "inner_radius", 2.0, lo=0.0, lo_open=True)
@@ -256,8 +251,6 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
             obj, path, "outer_radius", 64.0, lo=out["inner_radius"], lo_open=True
         )
         out["counts"] = _number_list(obj, path, "counts", (2049,) * (n - 1) + (81,), length=n, lo=3, integer=True)
-        out["grading"] = _number(obj, path, "grading", None, lo=1.0)
-        out["inner_slope"] = _number(obj, path, "inner_slope", 1.0, lo=0.0, lo_open=True)
     else:  # pragma: no cover - command validated before dispatch
         raise ConfigError(f"command: unknown command {command!r}")
     _reject_unknown(obj, path, out)

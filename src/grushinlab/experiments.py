@@ -55,6 +55,8 @@ __all__ = [
     "SHELL_BAND",
     "RAY_HEIGHT_FRACTION",
     "RAY_WINDOW",
+    "RAY_POINTS",
+    "MIN_RAY_VALUE",
     "PreconditionError",
     "require_monotone",
     "FitResult",
@@ -68,7 +70,7 @@ __all__ = [
     "DecayFitReport",
     "GlobalBoundReport",
     "fit_loglog",
-    "decay_ray_points",
+    "decay_ray",
     "comparison_margin",
     "run_boundary_growth",
     "run_holder_modulus",
@@ -80,6 +82,8 @@ __all__ = [
 
 
 MIN_FIT_SAMPLES = 5  # fewest samples a log-log fit accepts; fewer make a runner refuse
+RAY_POINTS = 13  # decay-fit: gauges sampled along the ray
+MIN_RAY_VALUE = 1e-10  # decay-fit: ray values at or below this are left out of the fit
 
 # Measurement windows.  Each is a constant, recorded in the result of its command.
 SHELL_BAND = 0.15  # oscillation-decay: nodes with |level - 2R| <= band * 2R form the middle shell
@@ -163,6 +167,14 @@ def require_monotone(sys: SparseSystem) -> None:
         )
 
 
+def _require_fit_samples(count: int, what: str) -> None:
+    """Refuse a log-log fit with fewer than ``MIN_FIT_SAMPLES`` samples."""
+    if count < MIN_FIT_SAMPLES:
+        raise PreconditionError(
+            f"degenerate ray data: {count} {what}, a log-log fit needs >= {MIN_FIT_SAMPLES}"
+        )
+
+
 def _solve_dirichlet(
     field: CoefficientField,
     grid: AnisotropicGrid,
@@ -195,8 +207,7 @@ class BoundaryGrowthReport:
     """Smallest C with |u| <= C x_n, plus the normal-ray log-log exponent."""
 
     bound_constant: float
-    fit: FitResult | None
-    refused: bool
+    fit: FitResult
     ray_anchor: tuple[float, ...]
     ray_heights: tuple[float, ...]
     ray_values: tuple[float, ...]
@@ -213,8 +224,8 @@ def run_boundary_growth(
 
     The ray fit follows the inward normal from the boundary point with the
     strongest first-layer response, up to ``RAY_HEIGHT_FRACTION`` of the box
-    height; the fit is refused (fit=None, the whole ray reported) when fewer
-    than ``MIN_FIT_SAMPLES`` ray nodes carry |u| > 1e-12.  A solution with max |u| <= 1e-12 has C = 0.
+    height; the run is refused when fewer than ``MIN_FIT_SAMPLES`` ray nodes
+    carry |u| > 1e-12.
     """
     grid = grid_spec.build(p)
     u, report, sys = _solve_dirichlet(field, grid, p, bc)
@@ -225,26 +236,18 @@ def run_boundary_growth(
     if np.max(np.abs(sys.rhs[sys.dirichlet_mask])) > 1.0 + 1e-9:
         raise PreconditionError("boundary-growth problems need |bc| <= 1")
 
-    positive = norm > 0.0
-    bound_c = 0.0
-    if positive.any() and np.max(np.abs(u)) > 1e-12:
-        bound_c = float(np.max(np.abs(u[positive]) / norm[positive]))
-
     columns = u.reshape(-1, grid.shape[-1])
     col = int(np.argmax(np.abs(columns[:, 1])))
     heights = grid.axes[-1][1:]
     values = np.abs(columns[col, 1:])
     anchor = tang.reshape(-1, grid.shape[-1], p.n - 1)[col, 0]
+    sel = (heights <= RAY_HEIGHT_FRACTION * grid.box_hi[-1]) & (values > 1e-12)
+    _require_fit_samples(np.count_nonzero(sel), "normal-ray nodes with |u| > 1e-12")
 
-    cutoff = RAY_HEIGHT_FRACTION * grid.box_hi[-1]
-    sel = (heights <= cutoff) & (values > 1e-12)
-    refused = np.count_nonzero(sel) < MIN_FIT_SAMPLES
-    if refused:
-        sel[:] = True
+    positive = norm > 0.0
     return BoundaryGrowthReport(
-        bound_constant=bound_c,
-        fit=None if refused else fit_loglog(heights[sel], values[sel]),
-        refused=refused,
+        bound_constant=float(np.max(np.abs(u[positive]) / norm[positive])),
+        fit=fit_loglog(heights[sel], values[sel]),
         ray_anchor=tuple(anchor),
         ray_heights=tuple(heights[sel]),
         ray_values=tuple(values[sel]),
@@ -272,7 +275,6 @@ class HolderReport:
     exponent: float
     levels: tuple[HolderLevel, ...]
     final_change: float
-    seed: int
 
 
 def _holder_pairs(
@@ -349,7 +351,7 @@ def run_holder_modulus(
             "there), so the change of the maximum quotient is undefined"
         )
     change = abs(out[-1].max_quotient - out[-2].max_quotient) / out[-2].max_quotient
-    return HolderReport(exponent=expo, levels=tuple(out), final_change=float(change), seed=seed)
+    return HolderReport(exponent=expo, levels=tuple(out), final_change=float(change))
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +361,9 @@ def run_holder_modulus(
 
 @dataclass(frozen=True)
 class OscillationReport:
-    """Sup of the normalised solution on the middle shell of an annulus.
+    """Sup of the solution (data at most 1) on the middle shell of an annulus.
 
-    ``shell_samples`` holds (ellipsoid level, x_n, u/M) of every measured
+    ``shell_samples`` holds (ellipsoid level, x_n, u) of every measured
     shell node as a (k, 3) array, left out of ``repr`` and ``==``.
     """
 
@@ -369,7 +371,6 @@ class OscillationReport:
     c0_empirical: float
     shells: tuple[float, float, float]
     shell_node_count: int
-    data_scale: float
     solve: SolveReport
     shell_samples: np.ndarray = dc_field(repr=False, compare=False)
 
@@ -378,15 +379,13 @@ def run_oscillation_decay(
     field: CoefficientField,
     p: GrushinParams,
     R: float,
-    counts: tuple[int, ...] | None = None,
-    data_scale: float = 1.0,
+    counts: tuple[int, ...],
     curved_value: float = 1.0,
     flat_value: float = 0.5,
 ) -> OscillationReport:
-    """Annulus E_{4R}+ minus E_R+ with data M*curved_value on the curved
-    parts and M*flat_value on the flat ring (M = data_scale); returns
-    1 - sup(u/M) over the nodes within ``SHELL_BAND`` (relative) of the middle
-    shell E_{2R}.
+    """Annulus E_{4R}+ minus E_R+ with data curved_value on the curved parts
+    and flat_value on the flat ring; returns 1 - sup u over the nodes within
+    ``SHELL_BAND`` (relative) of the middle shell E_{2R}.
 
     Realised on the bounding box of E_{4R}+ with the inner/outer regions
     excised by Dirichlet masks; the mixed-term mesh-ratio condition is not
@@ -395,47 +394,36 @@ def run_oscillation_decay(
     """
     if R <= 0.0:
         raise ValueError(f"shell scale R must be > 0, got {R}")
-    if data_scale <= 0.0:
-        raise ValueError(f"data_scale must be > 0, got {data_scale}")
     if not 0.0 <= flat_value <= curved_value <= 1.0:
         raise ValueError("need 0 <= flat_value <= curved_value <= 1")
-    if counts is None:
-        counts = (129,) * (p.n - 1) + (49,)
-    e = 2.0 * (1.0 + p.alpha)
     half_width = (4.0 * R) ** 0.5
-    height = (4.0 * R) ** (1.0 / e)
-    grid = build_grid(
-        [-half_width] * (p.n - 1) + [0.0],
-        [half_width] * (p.n - 1) + [height],
-        counts,
-        1.0 + p.alpha,
-    )
+    height = (4.0 * R) ** (1.0 / (2.0 + 2.0 * p.alpha))
+    box_lo = (-half_width,) * (p.n - 1) + (0.0,)
+    grid = GridSpec(box_lo, (half_width,) * (p.n - 1) + (height,), counts).build(p)
     tang, norm = grid.node_coordinates()
     level = ellipsoid_level_arrays(tang, norm, p)
     outer_cut = 4.0 * R * (1.0 - 1e-12)
     hole = (level <= R) | (level >= outer_cut)
-    scale = float(data_scale)
 
     def bc(xp, xn):
         lev = ellipsoid_level_arrays(xp, xn, p)
-        values = np.full(xn.shape, scale * curved_value)
+        values = np.full(xn.shape, curved_value)
         ring = (xn == 0.0) & (lev > R) & (lev < outer_cut)
-        values[ring] = scale * flat_value
+        values[ring] = flat_value
         return values
 
     u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=hole, require_dmp=False)
     shell = np.abs(level - 2.0 * R) <= SHELL_BAND * 2.0 * R
     if not shell.any():
         raise PreconditionError("no grid nodes fall on the measured middle shell; refine the grid")
-    sup = float(np.max(u[shell])) / scale
+    sup = float(np.max(u[shell]))
     return OscillationReport(
         sup_inner=sup,
         c0_empirical=1.0 - sup,
         shells=(R, 2.0 * R, 4.0 * R),
         shell_node_count=int(np.count_nonzero(shell)),
-        data_scale=scale,
         solve=report,
-        shell_samples=np.column_stack([level[shell], norm[shell], u[shell] / scale]),
+        shell_samples=np.column_stack([level[shell], norm[shell], u[shell]]),
     )
 
 
@@ -456,14 +444,10 @@ class ScanViolation:
 class SupersolutionScan:
     """Adversarial-envelope sign scan of L(w - w^{1+rho}) over gauge shells."""
 
-    rho: float
-    s: float
-    amplitude: float
     R0_empirical: float | None
     violations: tuple[ScanViolation, ...]
     shells_tested: tuple[float, ...]
     per_shell: tuple[tuple[float, int, int, float], ...]  # (R, samples, violations, worst)
-    seed: int
 
 
 SHELL_NORMAL_FLOOR = 1e-3  # shell samples keep x_n >= this fraction of the shell's normal extent
@@ -548,14 +532,10 @@ def run_supersolution_scan(
         else:
             break
     return SupersolutionScan(
-        rho=float(rho),
-        s=float(s),
-        amplitude=float(amplitude),
         R0_empirical=r0,
         violations=tuple(violations),
         shells_tested=shells,
         per_shell=tuple(per_shell),
-        seed=seed,
     )
 
 
@@ -568,18 +548,15 @@ def run_supersolution_scan(
 class DecayFitReport:
     """Slope of log(u/x_n) against log(gauge) along an anisotropic ray."""
 
-    fit: FitResult | None
+    fit: FitResult
     expected_exponent: float
-    refused: bool
-    inner_radius: float
-    outer_radius: float
     ray_gauges: tuple[float, ...]
     ray_normals: tuple[float, ...]
     ray_values: tuple[float, ...]
     solve: SolveReport
 
 
-def decay_ray_points(
+def decay_ray(
     p: GrushinParams, gauge_lo: float, gauge_hi: float, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric gauge ladder along a fixed anisotropic direction.
@@ -604,7 +581,6 @@ def _exterior_problem(
     inner_radius: float,
     outer_radius: float,
     counts: tuple[int, ...],
-    grading: float | None,
     inner_data,
 ):
     """Grid, node coordinates, excised inner box and boundary data of an exterior problem.
@@ -619,12 +595,8 @@ def _exterior_problem(
     outer_n = outer_radius * stretch
     inner_t = inner_radius ** (1.0 + p.alpha)
     inner_n = inner_radius * stretch
-    grid = build_grid(
-        [-outer_t] * (p.n - 1) + [0.0],
-        [outer_t] * (p.n - 1) + [outer_n],
-        counts,
-        1.0 + p.alpha if grading is None else grading,
-    )
+    box_lo = (-outer_t,) * (p.n - 1) + (0.0,)
+    grid = GridSpec(box_lo, (outer_t,) * (p.n - 1) + (outer_n,), counts).build(p)
 
     def in_box(xp, xn):
         return np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n)
@@ -645,9 +617,6 @@ def run_decay_fit(
     inner_radius: float,
     outer_radius: float,
     counts: tuple[int, ...],
-    grading: float | None = None,
-    ray_points: int = 13,
-    min_ray_value: float = 1e-10,
 ) -> DecayFitReport:
     """Exterior problem with unit data on an inner box; fit u/x_n ~ gauge^{-Q}.
 
@@ -656,28 +625,25 @@ def run_decay_fit(
     (x_n > 0), 0 on the flat face and the far faces.  The far faces truncate
     the true problem, so the ray runs from gauge lo * inner_radius to
     hi * outer_radius, (lo, hi) = ``RAY_WINDOW``, and the systematic
-    deviation shows up in the fit residual.
+    deviation shows up in the fit residual.  The fit takes the ``RAY_POINTS``
+    ray values above ``MIN_RAY_VALUE``; the run is refused when fewer than
+    ``MIN_FIT_SAMPLES`` remain.
     """
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
     grid, _, _, inside, bc = _exterior_problem(
-        p, inner_radius, outer_radius, counts, grading, lambda xn: 1.0
+        p, inner_radius, outer_radius, counts, lambda xn: 1.0
     )
     u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
 
     lo, hi = RAY_WINDOW
-    gauges, ray_t, ray_n = decay_ray_points(p, lo * inner_radius, hi * outer_radius, ray_points)
+    gauges, ray_t, ray_n = decay_ray(p, lo * inner_radius, hi * outer_radius, RAY_POINTS)
     values = grid_interpolator(grid, u)(np.column_stack([ray_t, ray_n]))
-    usable = values > min_ray_value
-    refused = np.count_nonzero(usable) < MIN_FIT_SAMPLES
-    if refused:
-        usable[:] = True
+    usable = values > MIN_RAY_VALUE
+    _require_fit_samples(np.count_nonzero(usable), f"ray values above {MIN_RAY_VALUE:g}")
     return DecayFitReport(
-        fit=None if refused else fit_loglog(gauges[usable], values[usable] / ray_n[usable]),
+        fit=fit_loglog(gauges[usable], values[usable] / ray_n[usable]),
         expected_exponent=-p.Q,
-        refused=refused,
-        inner_radius=inner_radius,
-        outer_radius=outer_radius,
         ray_gauges=tuple(gauges[usable]),
         ray_normals=tuple(ray_n[usable]),
         ray_values=tuple(values[usable]),
@@ -727,10 +693,8 @@ def run_global_bound_check(
     inner_radius: float,
     outer_radius: float,
     counts: tuple[int, ...],
-    grading: float | None = None,
-    inner_slope: float = 1.0,
 ) -> GlobalBoundReport:
-    """Exterior solve with data min(1, slope * x_n) on the inner box, then the
+    """Exterior solve with data min(1, x_n) on the inner box, then the
     comparison: C is the smallest constant with |u| <= C (w - w^{1+rho}) on
     the exposed inner-boundary nodes, eps the largest |u| on the far faces,
     and the margin min(C v + eps - |u|) must be nonnegative at every node.
@@ -744,7 +708,7 @@ def run_global_bound_check(
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
     grid, tang, norm, inside, bc = _exterior_problem(
-        p, inner_radius, outer_radius, counts, grading, lambda xn: np.minimum(1.0, inner_slope * xn)
+        p, inner_radius, outer_radius, counts, lambda xn: np.minimum(1.0, xn)
     )
     u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
 

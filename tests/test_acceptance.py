@@ -28,7 +28,7 @@ from grushinlab.coefficients import (
 from grushinlab.experiments import (
     GridSpec,
     comparison_margin,
-    decay_ray_points,
+    decay_ray,
     fit_loglog,
     run_boundary_growth,
     run_decay_fit,
@@ -221,7 +221,6 @@ def test_c07_boundary_growth():
         run_boundary_growth(field, P21, WBOX.refined(k + 1), bc_kernel_for(P21)) for k in (0, 1)
     ]
     for rep in reports:
-        assert not rep.refused
         assert 0.95 <= rep.fit.exponent <= 1.05
         assert np.isfinite(rep.bound_constant)
     c1, c2 = (rep.bound_constant for rep in reports)
@@ -271,12 +270,11 @@ def test_c09_supersolution_scan():
 
 def test_c10_decay_fit():
     clock = Clock(300.0)
-    gauges, tang, norm = decay_ray_points(P21, 2.5, 11.2, 13)
+    gauges, tang, norm = decay_ray(P21, 2.5, 11.2, 13)
     oracle = fit_loglog(gauges, kernel_value_arrays(tang, norm, P21) / norm)
     assert abs(oracle.exponent + P21.Q) <= 1e-9
 
     rep = run_decay_fit(make_identity_field(P21), P21, 1.0, 32.0, counts=(1025, 65))
-    assert not rep.refused
     assert abs(rep.fit.exponent + 3.0) <= 0.15 * 3.0
 
     p0 = GrushinParams(2, 0.0)

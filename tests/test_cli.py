@@ -165,9 +165,6 @@ class TestParseConfig:
         [
             ("audit-ellipticity", "experiment.tau"),
             ("holder-modulus", "experiment.exponent"),
-            ("oscillation-decay", "experiment.counts"),
-            ("decay-fit", "experiment.grading"),
-            ("global-bound", "experiment.grading"),
         ],
     )
     def test_null_is_the_default_where_the_default_is_null(self, command, dotted):
@@ -234,13 +231,13 @@ class TestParseConfig:
         expected = {
             "audit-ellipticity": "8fcaa4caa95874201758e45f85981a1d84e564e2",
             "boundary-growth": "e800958110f3ea682ebcc993b265411e8c72ebf6",
-            "decay-fit": "560b6d2dd2090258a622cb817efac3eae78cc6d2",
-            "global-bound": "c4fec563f23f9966479ab90b170bdd7c011f0468",
+            "decay-fit": "1c1f8cb80db3371464e292f20a3bcd4a07de8590",
+            "global-bound": "dfeee49771668349ef41373b6af8ce00c5ff8f9e",
             "holder-modulus": "fd1f09c369b8efd18c6db03c2ba1c55fee451f26",
-            "oscillation-decay": "b894b9aead4b2a45d586ab13c00126eb61c30128",
+            "oscillation-decay": "ace2e29e6509c19dbd8971bbe7f7934d06b4526b",
             "solve": "b34777ac67a6f7dcd5975f5e7926de693fa2dfae",
             "supersolution-scan": "ce9a9b47d5ac600e97880aca154ec1bb6ed6a0f4",
-            "verify-closed-forms": "444d11346f5210c96fb5232200d7e7c76c9bfa61",
+            "verify-closed-forms": "b6e3a8a18277542a5ffb4a43dbb42a12cdab820a",
         }
         got = {c: content_hash(parse_config(raw={"command": c}).effective) for c in COMMANDS}
         assert got == expected
@@ -461,6 +458,38 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_boundary_growth_on_zero_data_is_refused(self, tmp_path, capsys):
+        # u = 0 leaves no ray node to fit, which is a refusal, not a failed criterion.
+        cfgfile = tmp_path / "zero.json"
+        raw = {"command": "boundary-growth", **SMALL_RAW["boundary-growth"], "output_dir": str(tmp_path / "o")}
+        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.bc", "zero")))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: degenerate ray data: 0 normal-ray nodes with |u| > 1e-12")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, dotted, value",
+        [
+            ("oscillation-decay", "experiment.data_scale", 1.0),
+            ("decay-fit", "experiment.grading", 2.0),
+            ("decay-fit", "experiment.ray_points", 13),
+            ("global-bound", "experiment.grading", 2.0),
+            ("global-bound", "experiment.inner_slope", 1.0),
+        ],
+        ids=["data_scale", "decay-fit-grading", "ray_points", "global-bound-grading", "inner_slope"],
+    )
+    def test_removed_experiment_keys_are_unknown(self, tmp_path, capsys, command, dotted, value):
+        # Each was set by no workload; a config that sets one, even to its old default, is refused.
+        raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / "o")}
+        cfgfile = tmp_path / "removed.json"
+        cfgfile.write_text(json.dumps(_with_value(raw, dotted, value)))
+        assert main(["--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {dotted}: unknown key\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, dotted, value, result_key, recorded",
         [
@@ -476,6 +505,8 @@ class TestMain:
             ("oscillation-decay", "experiment.shell_band", 0.15, "shell_band", 0.15),
             ("decay-fit", "experiment.ray_lo_factor", 2.5, "ray_window", [2.5, 0.35]),
             ("decay-fit", "experiment.ray_hi_factor", 0.35, "ray_window", [2.5, 0.35]),
+            ("verify-closed-forms", "experiment.gauge_lo", 0.01, "gauge_range", [0.01, 100.0]),
+            ("verify-closed-forms", "experiment.gauge_hi", 100.0, "gauge_range", [0.01, 100.0]),
         ],
         ids=[
             "residual_tol",
@@ -488,6 +519,8 @@ class TestMain:
             "shell_band",
             "ray_lo_factor",
             "ray_hi_factor",
+            "gauge_lo",
+            "gauge_hi",
         ],
     )
     def test_verdict_gates_are_constants_recorded_in_the_result(

@@ -43,3 +43,20 @@ class TestChanges:
         assert changes(tmp_path, "samples.csv", old, old.replace("false", "true")) == [("text", "text", "3")]
         assert changes(tmp_path, "stdout", "c=1 -> PASS\n", "c=1 -> FAIL\n") == [("text", "text", "1")]
         assert changes(tmp_path, "solution.txt", "0 1\n0 2\n", "0 1\n0 2\n0 3\n") == [("layout", "text", "length")]
+
+    def test_key_set_change_names_each_key_and_compares_the_rest(self, tmp_path):
+        old, new = json.loads(report(1.0)), json.loads(report(1.25))
+        for level in old["result"]["levels"]:
+            level["data_scale"] = 1.0  # one key path, in every entry of a list
+        new["result"]["gauge_range"] = [0.01, 100.0]
+        got = changes(tmp_path, "report.json", json.dumps(old), json.dumps(new))
+        assert got == [
+            ("result.levels.data_scale", "removed", "result.levels[0].data_scale"),
+            ("result.gauge_range", "added", "result.gauge_range[0]"),
+            ("result.final_change", "2.00e-01", "result.final_change"),
+            ("summary", "2.00e-01", "summary:7"),
+        ]
+
+    def test_shared_leaves_are_compared_past_a_length_change(self, tmp_path):
+        old, new = "g,q\n9x9,1\n17x17,2\n", "g,q\n9x9,1.5\n17x17,2\n33x33,3\n"
+        assert changes(tmp_path, "samples.csv", old, new) == [("layout", "text", "length"), ("q", "3.33e-01", "2:1")]

@@ -28,14 +28,19 @@ for each output whose bytes differ prints one line per changed key::
 
     <seed> <job> <output> <key> <largest relative change> <where>
 
-The change is max |a - b| / max(|a|, |b|) over the numbers of the key, so
-the first line of an output is the largest change among all its numbers.
-The keys of ``report.json`` are its leaves other than ``wall_time_s``, named
-by key path without list indices; ``<where>`` is the full path.  In
+The change is max |a - b| / max(|a|, |b|) over the numbers of the key,
+and the numeric lines of an output come largest change first.  The keys of
+``report.json`` are its leaves other than ``wall_time_s``, named by key
+path without list indices; ``<where>`` is the full path.  In
 ``samples.csv`` a key is a column, in ``solution.txt`` a column ``col<c>``,
-in stdout a line ``line<i>``, and ``<where>`` is ``line:column``.  A change
-of anything but a number (a key, a line count, a word such as PASS) prints
-``text`` in place of the change, before the numbers::
+in stdout a line ``line<i>``, and ``<where>`` is ``line:column``.  Before
+the numbers come, in this order: one line per key found on one side only,
+with ``removed`` or ``added`` in place of the change and the key's first
+``<where>``; a ``layout text`` line when the keys both sides have do not
+line up (a list or a file of another length, a string with another count
+of numbers), naming the first place that differs; and a ``text`` line per
+key in which anything but a number differs (a word such as PASS).  The
+leaves at the places both sides have are compared in every case::
 
     python3 tools/output_digests.py --against ../parent --seeds 0 1 2 3
 """
@@ -53,6 +58,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 OUTPUT_FILES = ("report.json", "samples.csv", "solution.txt")
@@ -163,17 +169,43 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _by_where(leaves: list) -> dict:
+    """{(where, occurrence): (key, value)}: a CSV cell such as ``9x9`` gives
+    two numbers with the same ``where``."""
+    seen: Counter = Counter()
+    out = {}
+    for key, where, value in leaves:
+        out[(where, seen[where])] = (key, value)
+        seen[where] += 1
+    return out
+
+
 def changes(old: list, new: list) -> list[tuple[str, str, str]]:
-    """(key, largest relative change, where) of each key whose leaves differ
-    between two outputs, largest first; the change is ``text`` where
-    anything but a number differs, or the leaves do not line up."""
+    """(key, change, where) of each key found on one side only (change
+    ``removed`` or ``added``), then of each shared key whose leaves differ
+    between two outputs, largest relative change first; the change is
+    ``text`` where anything but a number differs.  A ``layout`` line marks
+    shared keys whose leaves do not line up (a list or a file of another
+    length); the leaves at the places both sides have are still compared."""
+    old_keys, new_keys = {k for k, _, _ in old}, {k for k, _, _ in new}
+    out = []
+    for label, leaves, other in (("removed", old, new_keys), ("added", new, old_keys)):
+        first: dict[str, str] = {}
+        for key, where, _ in leaves:
+            if key not in other:
+                first.setdefault(key, where)
+        out += [(key, label, where) for key, where in first.items()]
+    old = [leaf for leaf in old if leaf[0] in new_keys]
+    new = [leaf for leaf in new if leaf[0] in old_keys]
     if [w for _, w, _ in old] != [w for _, w, _ in new]:
         where = next((a for (_, a, _), (_, b, _) in zip(old, new) if a != b), "length")
-        return [("layout", "text", where)]
+        out.append(("layout", "text", where))
+    new_by_place = _by_where(new)
     worst: dict[str, tuple[float, str]] = {}
-    for (key, where, a), (_, _, b) in zip(old, new):
-        if a == b:
+    for place, (key, a) in _by_where(old).items():
+        if place not in new_by_place or a == new_by_place[place][1]:
             continue
+        b, where = new_by_place[place][1], place[0]
         if _is_number(a) and _is_number(b):
             change = abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
         else:
@@ -181,7 +213,7 @@ def changes(old: list, new: list) -> list[tuple[str, str, str]]:
         if key not in worst or not change <= worst[key][0]:
             worst[key] = (change, where)
     ranked = sorted(worst.items(), key=lambda item: -math.inf if math.isnan(item[1][0]) else -item[1][0])
-    return [(k, "text" if math.isnan(c) else f"{c:.2e}", w) for k, (c, w) in ranked]
+    return out + [(k, "text" if math.isnan(c) else f"{c:.2e}", w) for k, (c, w) in ranked]
 
 
 def _run_checkout(root: Path, seeds: list[int], outputs: Path) -> dict:
