@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from test_coefficients import degenerate_matrix
 from test_fdsolver import tiny_pivot_system
 
@@ -243,6 +245,27 @@ class TestParseConfig:
         assert got == expected
 
 
+def per_row_csv(header, columns, sep=","):
+    """The text of ``write_csv`` made one cell at a time: ``'%.17g' %`` per
+    float, true/false per bool, ``str`` per integer and string."""
+
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "%.17g" % value if isinstance(value, float) else "%s" % value
+
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = ([sep.join(header)] if header is not None else []) + [sep.join(map(text, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+# Powers of ten around the exact window 1e-4 <= |x| < 1e16 and the doubles
+# either side of them, where floor(log10|x|) can miss; subnormals and extremes.
+POWERS = 10.0 ** np.arange(-5, 18)
+EXTREMES = [5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+EDGE_FLOATS = np.concatenate([POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf), EXTREMES])
+
+
 class TestReports:
     def test_canonical_json_is_stable(self):
         a = canonical_json({"b": 1.5, "a": [1, 2.25]})
@@ -316,15 +339,78 @@ class TestReports:
         rows = 4 * offset[0] + offset[1]
         rng = np.random.default_rng(rows)
         floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        window = rng.normal(size=rows) * 10.0 ** rng.uniform(-5, 17, size=rows)  # mostly the exact kernel
+        singles = window.astype(np.float32)
         bools = rng.uniform(size=rows) < 0.5
         ints = rng.integers(-(2**62), 2**62, size=rows)
         names = np.array([f"{k}% of %s" for k in range(rows)], dtype=str)
-        write_csv(tmp_path / "t.csv", ["f", "b", "i", "s"], [floats, bools, ints, names])
-        expected = "f,b,i,s\n" + "".join(
-            "%.17g,%s,%d,%s\n" % (f, "true" if b else "false", i, s)
-            for f, b, i, s in zip(floats.tolist(), bools.tolist(), ints.tolist(), names.tolist())
-        )
-        assert (tmp_path / "t.csv").read_text() == expected
+        columns = [floats, window, singles, bools, ints, names]
+        header = ["f", "w", "f32", "b", "i", "s"]
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_text() == per_row_csv(header, columns)
+
+    @given(st.lists(st.tuples(st.floats(width=64), st.floats(width=32)), max_size=40))
+    def test_csv_floats_match_percent_g(self, tmp_path_factory, pairs):
+        # st.floats draws nan, +-inf, +-0 and subnormals along with the rest.
+        columns = [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs], dtype=np.float32)]
+        path = tmp_path_factory.mktemp("floats") / "t.csv"
+        write_csv(path, None, columns)
+        assert path.read_text() == per_row_csv(None, columns)
+
+    def test_csv_float_edges_match_percent_g(self, tmp_path):
+        ties = np.arange(2**18 + 1) / 2**18
+        for values in (np.concatenate([EDGE_FLOATS, -EDGE_FLOATS]), ties, ties * 1e-3, ties * 1e15):
+            write_csv(tmp_path / "t.csv", ["x"], [values])
+            assert (tmp_path / "t.csv").read_text() == per_row_csv(["x"], [values])
+
+    @pytest.mark.parametrize("error", [-1e-9, 1e-9], ids=["low", "high"])
+    def test_csv_survives_a_log10_that_misses(self, tmp_path, monkeypatch, error):
+        # A log10 that is not correctly rounded can put the exponent guess one
+        # off either side of a power of ten; those cells must still come out
+        # as '%.17g' writes them.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+        values = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS])
+        write_csv(tmp_path / "t.csv", ["x"], [values])
+        assert (tmp_path / "t.csv").read_text() == per_row_csv(["x"], [values])
+
+    def test_exact_window_needs_no_percent(self, monkeypatch):
+        # Inside 1e-4 <= |x| < 1e16 the vectorised conversion makes the cells
+        # (bar the last doubles below a power of ten, where log10 rounds up);
+        # the cells outside it are formatted by '%'.
+        rng = np.random.default_rng(0)
+        spread = rng.uniform(-1, 1, 4096) * 10.0 ** rng.uniform(-3, 16, 4096)
+        window = np.concatenate([POWERS, np.nextafter(POWERS, np.inf), spread])
+        window = window[(np.abs(window) >= 1e-4) & (np.abs(window) < 1e16)]
+        monkeypatch.setattr(reports, "_padded", lambda strings: pytest.fail(f"'%' formatted {strings}"))
+        reports._float_cells(window)
+        with pytest.raises(pytest.fail.Exception, match="'%' formatted"):
+            reports._float_cells(np.array([0.5, 0.0]))
+
+    def test_csv_integer_extremes_strings_and_separators(self, tmp_path):
+        columns = [
+            np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max]),
+            np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+            np.array([-128, -1, 0, 1, 127], dtype=np.int8),
+            ["é", "Grüße ✓", "\0", "a\0b", "\0x"],
+            np.array([0.1, -2.5, 0.0, np.nan, 1e300]),
+        ]
+        header = ["i64", "u64", "i8", "s", "f"]
+        for sep in (",", " | ", "→", "\t\t"):
+            write_csv(tmp_path / "t.csv", header, columns, sep=sep)
+            assert (tmp_path / "t.csv").read_text(encoding="utf-8") == per_row_csv(header, columns, sep)
+
+    def test_csv_memory_is_bounded_by_a_block(self, tmp_path):
+        # An audit-size table: 4 float columns and 1 bool column of 100,000 rows.
+        rng = np.random.default_rng(0)
+        columns = [rng.normal(size=100_000) for _ in range(4)] + [rng.uniform(size=100_000) < 0.5]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", list("abcde"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     @pytest.mark.parametrize(
         "header, columns, match",

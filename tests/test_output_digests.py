@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -60,3 +61,41 @@ class TestChanges:
     def test_shared_leaves_are_compared_past_a_length_change(self, tmp_path):
         old, new = "g,q\n9x9,1\n17x17,2\n", "g,q\n9x9,1.5\n17x17,2\n33x33,3\n"
         assert changes(tmp_path, "samples.csv", old, new) == [("layout", "text", "length"), ("q", "3.33e-01", "2:1")]
+
+    def test_input_hash_is_plain_text(self, tmp_path):
+        # Hex digests hold digit runs; read as numbers, a changed hash would
+        # also print a ``layout`` line for another count of them.
+        old, new = json.loads(report(1.0)), json.loads(report(1.0))
+        old["input_hash"], new["input_hash"] = "3f2a9c0e41", "ab7d0c5e2f91b8"
+        got = changes(tmp_path, "report.json", json.dumps(old), json.dumps(new))
+        assert got == [("input_hash", "text", "input_hash")]
+
+
+class TestAgainstExitStatus:
+    def run(self, monkeypatch, capsys, old, new):
+        """``main --against`` on stub checkouts whose one output is ``old`` and ``new``."""
+
+        def run_checkout(root, seeds, outputs):
+            text = {"old": old, "new": new}[root.name]
+            path = outputs / "seed0" / "pointwise" / "samples.csv"
+            path.parent.mkdir(parents=True)
+            path.write_text(text)
+            return {("0", "pointwise", "samples.csv"): hashlib.sha256(text.encode()).hexdigest()}
+
+        monkeypatch.setattr(digests, "_run_checkout", run_checkout)
+        code = digests.main(["--against", "old", "--root", "new"])
+        return code, capsys.readouterr().out
+
+    def test_identical_outputs_exit_0_silently(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert self.run(monkeypatch, capsys, "u\n1.5\n", "u\n1.5\n") == (0, "")
+
+    def test_changed_output_exits_1(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out = self.run(monkeypatch, capsys, "u\n1.5\n", "u\n2\n")
+        assert (code, out) == (1, "0 pointwise samples.csv u 2.50e-01 2:0\n")
+
+    def test_bytes_that_differ_in_no_key_exit_1(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out = self.run(monkeypatch, capsys, "u\n1.5\n", "u\n1.50\n")
+        assert (code, out) == (1, "0 pointwise samples.csv bytes text file\n")

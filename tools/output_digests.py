@@ -28,6 +28,9 @@ for each output whose bytes differ prints one line per changed key::
 
     <seed> <job> <output> <key> <largest relative change> <where>
 
+It exits 1 when any output differs and 0 when none does, so it prints
+nothing and exits 0 exactly when every output is byte-identical.
+
 The change is max |a - b| / max(|a|, |b|) over the numbers of the key,
 and the numeric lines of an output come largest change first.  The keys of
 ``report.json`` are its leaves other than ``wall_time_s``, named by key
@@ -39,8 +42,11 @@ with ``removed`` or ``added`` in place of the change and the key's first
 ``<where>``; a ``layout text`` line when the keys both sides have do not
 line up (a list or a file of another length, a string with another count
 of numbers), naming the first place that differs; and a ``text`` line per
-key in which anything but a number differs (a word such as PASS).  The
-leaves at the places both sides have are compared in every case::
+key in which anything but a number differs (a word such as PASS).
+``input_hash`` is compared as plain text: its hex digits are no numbers.
+An output whose bytes differ while every key matches (``1.0`` against
+``1.00``) prints one line ``bytes text file``.  The leaves at the places
+both sides have are compared in every case::
 
     python3 tools/output_digests.py --against ../parent --seeds 0 1 2 3
 """
@@ -125,7 +131,8 @@ def _json_leaves(obj, path: str = ""):
     """(key, where, value) of every leaf of a report: ``where`` is the key
     path, ``key`` the path without list indices.  A string leaf gives its
     numbers (``where`` ends in ``:<offset>``) and then itself with its
-    numbers blanked out."""
+    numbers blanked out, except ``input_hash``, whose hex digits are no
+    numbers: it is one text leaf."""
     if isinstance(obj, dict):
         for name in sorted(obj):
             yield from _json_leaves(obj[name], f"{path}.{name}" if path else name)
@@ -134,7 +141,7 @@ def _json_leaves(obj, path: str = ""):
             yield from _json_leaves(value, f"{path}[{i}]")
     else:
         key = re.sub(r"\[\d+\]", "", path)
-        if isinstance(obj, str):
+        if isinstance(obj, str) and key != "input_hash":
             for match in NUMBER.finditer(obj):
                 yield key, f"{path}:{match.start()}", float(match.group())
             obj = NUMBER.sub("#", obj)
@@ -234,7 +241,7 @@ def compare(old_root: Path, new_root: Path, seeds: list[int], tmp: Path):
         if old.get(label) != new.get(label):
             seed, job, name = label
             files = [side / f"seed{seed}" / job / name for side in (tmp / "old", tmp / "new")]
-            for change in changes(*map(_leaves, files)):
+            for change in changes(*map(_leaves, files)) or [("bytes", "text", "file")]:
                 yield (*label, *change)
 
 
@@ -252,15 +259,18 @@ def main(argv=None) -> int:
         "--against",
         type=Path,
         metavar="OLD_ROOT",
-        help="print the largest relative change of each key of each output that differs from OLD_ROOT's",
+        help="print the largest relative change of each key of each output that differs from OLD_ROOT's; "
+        "exit 1 if any output differs",
     )
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if args.against is not None:
+        differs = False
         with tempfile.TemporaryDirectory() as tmp:
             for line in compare(args.against.resolve(), root, args.seeds, Path(tmp)):
                 print(*line, flush=True)
-        return 0
+                differs = True
+        return 1 if differs else 0
     sys.path.insert(0, str(root / "src"))
     from grushinlab import cli
     from grushinlab.config import COMMANDS
