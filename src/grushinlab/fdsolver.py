@@ -59,11 +59,16 @@ its floor grows with ||A|| ||u|| / ||b||, and on the R = 1 annulus of
 1e-10 on an answer whose backward error is 5e-16.
 
 The assembled system is a stencil operator: one weight array per column
-offset.  Products with A and |A|, the DMP check and the separability test
-read those arrays directly, by contiguous slices of the grid vector.  The
-fast path needs nothing else but ``numpy.fft`` (the DST-I) and
-``numpy.linalg`` (the capacitance solve).  SciPy is imported only by the
-SuperLU branch, which builds the CSR form of the operator
+offset, built in place.  ``assemble`` computes each stencil term at every
+node at once, broadcasting the 1-D node spacings of each axis against the
+coefficients over the tensor grid, sums the terms into one preallocated
+(offsets, N) array and then resets the Dirichlet rows to identity rows; it
+gathers and scatters nothing node by node.  Products with A and |A| and the
+DMP check read those arrays directly, by contiguous slices of the grid
+vector, and |A| is taken one offset slice at a time, so no copy of the
+weights is made.  The fast path needs nothing else but ``numpy.fft`` (the
+DST-I) and ``numpy.linalg`` (the capacitance solve).  SciPy is imported
+only by the SuperLU branch, which builds the CSR form of the operator
 (``SparseSystem.matrix``) to factor it: the pointwise commands and every
 identity command whose solve is fast load no SciPy, which would be most of
 their start-up time.
@@ -110,6 +115,7 @@ __all__ = [
 MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
 MAX_REFINEMENTS = 50
 SOLVER_TOL = 1e-10  # componentwise backward error at which refinement stops; "converged" below it
+DST_BLOCK = 1 << 15  # doubles of odd extension per FFT call of the DST-I (256 KB): bounds its transient
 
 BoundaryValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -288,19 +294,23 @@ def _rows_in_grid(offset: int, num: int) -> tuple[int, int]:
     return max(0, -offset), min(num, num - offset)
 
 
-def _stencil_product(offsets, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k weights[k, i] u[i + offsets[k]] for every row i.
+def _stencil_product(offsets, weights: np.ndarray, u: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """sum_k weights[k, i] u[i + offsets[k]] for every row i, or with
+    |weights[k, i]| in place of the weights when ``absolute`` is set.
 
     Each row is summed in increasing offset order starting from +0.0, as
     SciPy's ``csr_matvec`` sums a canonical CSR row, so for finite u the
-    result equals the product with the CSR form bit for bit, signed zeros
-    included: the zero weights of a Dirichlet row add only zeros.
+    result equals the product with the CSR form (of A, or of |A|) bit for
+    bit, signed zeros included: the zero weights of a Dirichlet row add only
+    zeros.  |w| is taken one offset slice at a time into the term buffer, so
+    |A| u costs no more memory than A u.
     """
     out = np.zeros(u.size)
     term = np.empty(u.size)
     for offset, w in zip(offsets, weights):
         lo, hi = _rows_in_grid(offset, u.size)
-        np.multiply(w[lo:hi], u[lo + offset : hi + offset], out=term[lo:hi])
+        factor = np.abs(w[lo:hi], out=term[lo:hi]) if absolute else w[lo:hi]
+        np.multiply(factor, u[lo + offset : hi + offset], out=term[lo:hi])
         out[lo:hi] += term[lo:hi]
     return out
 
@@ -344,17 +354,18 @@ def assemble(
     (``separable`` set) when the evaluated coefficients are exactly the
     identity at every interior node and the k Dirichlet nodes off the box
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
-    rule of the module docstring).  Each interior stencil is summed into one
-    weight array per column offset, in a fixed order; those arrays, zero
-    weights kept, are the returned operator.
+    rule of the module docstring).  Each stencil term is computed at every
+    node at once, by broadcasting the 1-D spacings of each axis against the
+    coefficients over the grid (the field is evaluated at every node), and
+    summed in a fixed order into one preallocated weight array per column
+    offset; the Dirichlet rows are then reset to identity rows.  Which cross
+    terms exist and whether the system is separable are read at the
+    interior nodes only.  Those arrays, zero weights kept, are the returned
+    operator.
     """
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
-    n = p.n
-    m = n - 1
     num = grid.num_nodes
-    shape = grid.shape
-
     faces = grid.face_mask()
     dirichlet = faces
     if extra_dirichlet is not None:
@@ -366,76 +377,112 @@ def assemble(
     tang_all, norm_all = grid.node_coordinates()
     rhs = np.zeros(num)
     rhs[dirichlet] = np.asarray(bc(tang_all[dirichlet], norm_all[dirichlet]), dtype=float)
-
-    interior = np.flatnonzero(~dirichlet)
-    stencil: dict[int, np.ndarray] = {}  # column offset -> interior-row weights
-    separable = None
-
-    if interior.size:
-        multi = np.unravel_index(interior, shape)
-        strides = [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)]
-        spacings = [np.diff(ax) for ax in grid.axes]
-        h_minus = [spacings[a][multi[a] - 1] for a in range(n)]
-        h_plus = [spacings[a][multi[a]] for a in range(n)]
-
-        xp = tang_all[interior]
-        xn = norm_all[interior]
-        a_t = np.asarray(field.tangential(xp, xn), dtype=float)
-        a_m = np.asarray(field.mixed(xp, xn), dtype=float)
-        xn_2a = xn ** (2.0 * p.alpha)
-        xn_a = xn**p.alpha
-        obstacles = int(np.count_nonzero(dirichlet & ~faces))
-        if obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m)):
-            separable = SeparableOperator(grid, p.alpha)
-
-        def push(col_offset: int, values: np.ndarray) -> None:
-            if col_offset in stencil:
-                stencil[col_offset] += values
-            else:
-                stencil[col_offset] = values
-
-        # Second differences: -C * D_aa u.
-        for a in range(n):
-            coeff = a_t[:, a, a] * xn_2a if a < m else np.ones_like(xn)
-            hm, hp = h_minus[a], h_plus[a]
-            span = hm + hp
-            push(-strides[a], -2.0 * coeff / (hm * span))
-            push(0, 2.0 * coeff / (hm * hp))
-            push(+strides[a], -2.0 * coeff / (hp * span))
-
-        # Mixed differences: -c_ab * D_ab u, c split by sign across the two
-        # diagonal orientations.
-        for a in range(n):
-            for b in range(a + 1, n):
-                if b < m:
-                    c = 2.0 * a_t[:, a, b] * xn_2a
-                else:  # b = n - 1: tangential-normal term
-                    c = 2.0 * a_m[:, a] * xn_a
-                if not np.any(c):
-                    continue
-                cpos = np.maximum(c, 0.0)
-                cneg = np.maximum(-c, 0.0)
-                sa, sb = strides[a], strides[b]
-                w_pp = cpos / (2.0 * h_plus[a] * h_plus[b])
-                w_mm = cpos / (2.0 * h_minus[a] * h_minus[b])
-                w_pm = cneg / (2.0 * h_plus[a] * h_minus[b])
-                w_mp = cneg / (2.0 * h_minus[a] * h_plus[b])
-                push(sa + sb, -w_pp)
-                push(-sa - sb, -w_mm)
-                push(sa - sb, -w_pm)
-                push(-sa + sb, -w_mp)
-                push(0, -(w_pp + w_mm + w_pm + w_mp))
-                push(+sa, w_pp + w_pm)
-                push(-sa, w_mm + w_mp)
-                push(+sb, w_pp + w_mp)
-                push(-sb, w_mm + w_pm)
-
-    offsets = sorted({0, *stencil})
-    weights = np.zeros((len(offsets), num))
-    for k, offset in enumerate(offsets):
-        weights[k, interior] = stencil.pop(offset, 0.0)
-    weights[offsets.index(0), dirichlet] = 1.0
+    obstacles = int(np.count_nonzero(dirichlet & ~faces))
+    offsets, weights, separable = _stencil_weights(field, grid, p, tang_all, norm_all, dirichlet, obstacles)
+    del tang_all, norm_all  # the DMP check runs in the room they held
     return SparseSystem.from_stencil(offsets, weights, rhs, dirichlet, separable)
+
+
+def _node_spacings(axis: np.ndarray, a: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """h_- and h_+ at every node of grid axis ``a`` of ``n``, shaped to
+    broadcast over the grid.  An end node, a face node, repeats the spacing
+    of its neighbour; only Dirichlet rows read it."""
+    spacing = np.diff(axis)
+    shape = [1] * n
+    shape[a] = axis.size
+    return np.append(spacing[:1], spacing).reshape(shape), np.append(spacing, spacing[-1:]).reshape(shape)
+
+
+def _stencil_weights(
+    field: CoefficientField,
+    grid: AnisotropicGrid,
+    p: GrushinParams,
+    tang_all: np.ndarray,
+    norm_all: np.ndarray,
+    dirichlet: np.ndarray,
+    obstacles: int,
+) -> tuple[list[int], np.ndarray, SeparableOperator | None]:
+    """Offsets, weights and separability of ``assemble``'s operator.
+
+    The first term of an offset is stored into its row and later ones are
+    added, in a fixed order, so every interior weight, a -0.0 included, has
+    the bits of summing the same terms over the interior nodes alone.
+    """
+    n, m, shape, num = p.n, p.n - 1, grid.shape, grid.num_nodes
+    inner = ~dirichlet.reshape(shape)
+    if not inner.any():
+        return [0], np.ones((1, num)), None
+
+    strides = [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)]
+    h_minus, h_plus = zip(*(_node_spacings(ax, a, n) for a, ax in enumerate(grid.axes)))
+    a_t = np.asarray(field.tangential(tang_all, norm_all), dtype=float).reshape(shape + (m, m))
+    a_m = np.asarray(field.mixed(tang_all, norm_all), dtype=float).reshape(shape + (m,))
+    xn = grid.axes[-1].reshape(h_minus[-1].shape)
+    xn_2a = xn ** (2.0 * p.alpha)
+    xn_a = xn**p.alpha
+    separable = None
+    if (
+        obstacles**2 <= np.count_nonzero(inner) + obstacles
+        and not np.any(a_m, where=inner[..., None])
+        and np.all(a_t == np.eye(m), where=inner[..., None, None])
+    ):
+        separable = SeparableOperator(grid, p.alpha)
+
+    # Mixed differences -c_ab * D_ab u (b = n - 1: the tangential-normal term),
+    # kept where c is nonzero at some interior node.
+    pairs = (
+        (a, b, 2.0 * a_t[..., a, b] * xn_2a if b < m else 2.0 * a_m[..., a] * xn_a)
+        for a, b in itertools.combinations(range(n), 2)
+    )
+    cross = [(a, b, c) for a, b, c in pairs if np.any(c, where=inner)]
+    offsets = {0, *strides, *(-s for s in strides)}
+    for a, b, _ in cross:
+        sa, sb = strides[a], strides[b]
+        offsets |= {sa + sb, -sa - sb, sa - sb, -sa + sb}
+    offsets = sorted(offsets)
+
+    weights = np.empty((len(offsets), num))
+    rows = {offset: w.reshape(shape) for offset, w in zip(offsets, weights)}
+    unwritten = set(offsets)
+
+    def push(col_offset: int, values) -> None:
+        if col_offset in unwritten:
+            unwritten.remove(col_offset)
+            rows[col_offset][...] = values
+        else:
+            rows[col_offset] += values
+
+    # Second differences: -C * D_aa u.
+    for a in range(n):
+        coeff = a_t[..., a, a] * xn_2a if a < m else 1.0
+        hm, hp = h_minus[a], h_plus[a]
+        span = hm + hp
+        push(-strides[a], -2.0 * coeff / (hm * span))
+        push(0, 2.0 * coeff / (hm * hp))
+        push(+strides[a], -2.0 * coeff / (hp * span))
+
+    # Mixed differences, c split by sign across the two diagonal orientations.
+    for a, b, c in cross:
+        cpos = np.maximum(c, 0.0)
+        cneg = np.maximum(-c, 0.0)
+        sa, sb = strides[a], strides[b]
+        w_pp = cpos / (2.0 * h_plus[a] * h_plus[b])
+        w_mm = cpos / (2.0 * h_minus[a] * h_minus[b])
+        w_pm = cneg / (2.0 * h_plus[a] * h_minus[b])
+        w_mp = cneg / (2.0 * h_minus[a] * h_plus[b])
+        push(sa + sb, -w_pp)
+        push(-sa - sb, -w_mm)
+        push(sa - sb, -w_pm)
+        push(-sa + sb, -w_mp)
+        push(0, -(w_pp + w_mm + w_pm + w_mp))
+        push(+sa, w_pp + w_pm)
+        push(-sa, w_mm + w_mp)
+        push(+sb, w_pp + w_mp)
+        push(-sb, w_mm + w_pm)
+
+    weights[:, dirichlet] = 0.0
+    weights[offsets.index(0), dirichlet] = 1.0
+    return offsets, weights, separable
 
 
 def _positive_offdiagonal_rows(
@@ -486,17 +533,31 @@ def _sine_rows(c: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _dst1(g: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the last axis, its own inverse.
+    """Orthonormal DST-I along the last axis of ``g`` (two axes or more), its own inverse.
 
     The real FFT of the odd extension [0, g, 0, -g reversed], of length
     2(M+1), has imaginary part -2 sum_j g_j sin(pi j k/(M+1)); it is scaled
     by 1/sqrt(2(M+1)) rounded from long double, as pocketfft scales it, so
     the result equals ``scipy.fft.dst(g, type=1, norm="ortho")`` bit for bit.
+    The extension is built in one reused buffer, as many slabs g[i] at a
+    time as fit in ``DST_BLOCK`` values (at least one), so the transform
+    holds that buffer and its spectrum beside the result, not two copies of
+    g; each line's FFT is the same either way, and the cache-sized calls are
+    no slower than one call for all of g.
     """
     m = g.shape[-1]
-    zero = np.zeros(g.shape[:-1] + (1,))
-    spectrum = np.fft.rfft(np.concatenate([zero, g, zero, -g[..., ::-1]], axis=-1))
-    return spectrum.imag[..., 1 : m + 1] * -float(1 / np.sqrt(np.longdouble(2 * (m + 1))))
+    scale = -float(1 / np.sqrt(np.longdouble(2 * (m + 1))))
+    slab = g.shape[1:-1] + (2 * (m + 1),)
+    slabs = max(1, DST_BLOCK // int(np.prod(slab)))
+    out = np.empty(g.shape)
+    odd = np.zeros((min(slabs, len(g)),) + slab)
+    for start in range(0, len(g), slabs):
+        part = g[start : start + slabs]
+        ext = odd[: len(part)]
+        ext[..., 1 : m + 1] = part
+        np.negative(part[..., ::-1], out=ext[..., m + 2 :])
+        np.multiply(np.fft.rfft(ext).imag[..., 1 : m + 1], scale, out=out[start : start + len(part)])
+    return out
 
 
 def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -516,9 +577,9 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     grid, alpha = sys.separable.grid, sys.separable.alpha
     interior = ~sys.dirichlet_mask
     nonface = ~grid.face_mask()
-    free = interior[nonface]
     inner = tuple(c - 2 for c in grid.counts)
-    obstacle = np.unravel_index(np.flatnonzero(~free), inner)
+    free = interior[nonface].reshape(inner)
+    obstacle = np.nonzero(~free)
 
     eig = np.zeros(())
     modes = np.ones((obstacle[0].size, 1))  # row s: the transform of e_s, (k, M)
@@ -539,12 +600,15 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
         ratio[j] = lower[j] / pivot[j - 1]
         pivot[j] -= ratio[j] * upper[j - 1]
 
+    row = np.empty(pivot.shape[1:])
+
     def thomas(y: np.ndarray) -> np.ndarray:
         for j in range(1, y.shape[0]):
-            y[j] -= ratio[j] * y[j - 1]
+            y[j] -= np.multiply(ratio[j], y[j - 1], out=row)
         y[-1] /= pivot[-1]
         for j in range(y.shape[0] - 2, -1, -1):
-            y[j] = (y[j] - upper[j] * y[j + 1]) / pivot[j]
+            np.subtract(y[j], np.multiply(upper[j], y[j + 1], out=row), out=row)
+            np.divide(row, pivot[j], out=y[j])
         return y
 
     def sine_transform(g: np.ndarray) -> np.ndarray:  # normal axis first; its own inverse
@@ -560,16 +624,18 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
             unit[level] = 1.0
             capacitance[:, height == level] = (thomas(unit)[height] * modes) @ modes[height == level].T
 
+    block = (slice(1, -1),) * grid.dim  # the non-face nodes, shaped ``inner``
+
     def apply(r: np.ndarray) -> np.ndarray:
         u = np.where(interior, 0.0, r)
         f = (r - sys.matvec(u))[nonface].reshape(inner)  # zero on the obstacle rows
         y = sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape)
+        del f  # dead: free it before the back transform
         if height.size:
             w = np.einsum("sm,sm->s", thomas(y.copy())[height], modes)
             np.add.at(y, height, np.linalg.solve(capacitance, -w)[:, None] * modes)
-        y = thomas(y)
-        v = np.moveaxis(sine_transform(y.reshape(inner[-1:] + inner[:-1])), 0, -1).ravel()
-        u[interior] = v[free]
+        y = sine_transform(thomas(y).reshape(inner[-1:] + inner[:-1]))
+        np.copyto(u.reshape(grid.shape)[block], np.moveaxis(y, 0, -1), where=free)
         return u
 
     return apply
@@ -609,6 +675,8 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     LU one.  One sweep usually brings w to the round-off level (Skeel,
     *Math. Comp.* 35, 1980), while a relative residual ||r|| / ||b|| has a
     floor that grows with ||A|| ||u|| / ||b|| and may never reach ``SOLVER_TOL``.
+    |A||u| is summed one offset at a time (``_stencil_product`` with
+    ``absolute``) and |b| is taken once per solve, so no copy of |A| is made.
     ``iterations`` counts the sweeps, ``backward_error`` is the final w and
     ``backward_error_history`` holds w of the first answer and after each
     sweep, ``converged`` says whether w <= ``SOLVER_TOL``, and ``final_residual`` is
@@ -635,10 +703,11 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         ).solve
-    abs_weights = np.abs(sys.weights)
+    abs_b = np.abs(b)
 
     def backward_error(r: np.ndarray, u: np.ndarray) -> float:
-        return _backward_error(r, _stencil_product(sys.offsets, abs_weights, np.abs(u)) + np.abs(b))
+        scale = _stencil_product(sys.offsets, sys.weights, np.abs(u), absolute=True) + abs_b
+        return _backward_error(r, scale)
 
     u = inverse(b)
     r = b - sys.matvec(u)

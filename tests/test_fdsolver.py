@@ -467,7 +467,7 @@ class TestStencilOperator:
         ones = np.ones(grid.num_nodes)
 
         assert_same_bits(sys.matvec(u), matrix @ u)
-        abs_product = fdsolver._stencil_product(sys.offsets, np.abs(sys.weights), np.abs(u))
+        abs_product = fdsolver._stencil_product(sys.offsets, sys.weights, np.abs(u), absolute=True)
         assert_same_bits(abs_product, abs(matrix) @ np.abs(u))
         assert_same_bits(fdsolver._stencil_product(sys.offsets, sys.weights, ones), matrix @ ones)
 
@@ -482,6 +482,155 @@ class TestStencilOperator:
         referenced[matrix.indices[np.repeat(~sys.dirichlet_mask, np.diff(matrix.indptr))]] = True
         np.testing.assert_array_equal(sys.referenced_dirichlet(), referenced & sys.dirichlet_mask)
         assert np.any(sys.referenced_dirichlet() & ~grid.face_mask()) == excise
+
+
+def reference_assembly(field, grid, p, bc, extra_dirichlet=None):
+    """The stencil weights as ``assemble`` built them before it broadcast over
+    the grid: the interior rows alone, with spacings and coordinates gathered
+    node by node, summed into one array per offset in a dict and scattered
+    into the weights at the end.  Returns the ``from_stencil`` arguments and
+    whether the system is separable."""
+    n, m, num, shape = p.n, p.n - 1, grid.num_nodes, grid.shape
+    faces = grid.face_mask()
+    dirichlet = faces if extra_dirichlet is None else faces | extra_dirichlet
+    tang_all, norm_all = grid.node_coordinates()
+    rhs = np.zeros(num)
+    rhs[dirichlet] = bc(tang_all[dirichlet], norm_all[dirichlet])
+    interior = np.flatnonzero(~dirichlet)
+    stencil = {}
+    separable = False
+    if interior.size:
+        multi = np.unravel_index(interior, shape)
+        strides = [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(n)]
+        spacings = [np.diff(ax) for ax in grid.axes]
+        h_minus = [spacings[a][multi[a] - 1] for a in range(n)]
+        h_plus = [spacings[a][multi[a]] for a in range(n)]
+        xp, xn = tang_all[interior], norm_all[interior]
+        a_t = np.asarray(field.tangential(xp, xn), dtype=float)
+        a_m = np.asarray(field.mixed(xp, xn), dtype=float)
+        xn_2a, xn_a = xn ** (2.0 * p.alpha), xn**p.alpha
+        obstacles = int(np.count_nonzero(dirichlet & ~faces))
+        separable = bool(
+            obstacles**2 <= interior.size + obstacles and not np.any(a_m) and np.all(a_t == np.eye(m))
+        )
+
+        def push(offset, values):
+            if offset in stencil:
+                stencil[offset] += values
+            else:
+                stencil[offset] = values
+
+        for a in range(n):
+            coeff = a_t[:, a, a] * xn_2a if a < m else np.ones_like(xn)
+            hm, hp = h_minus[a], h_plus[a]
+            span = hm + hp
+            push(-strides[a], -2.0 * coeff / (hm * span))
+            push(0, 2.0 * coeff / (hm * hp))
+            push(+strides[a], -2.0 * coeff / (hp * span))
+        for a in range(n):
+            for b in range(a + 1, n):
+                c = 2.0 * a_t[:, a, b] * xn_2a if b < m else 2.0 * a_m[:, a] * xn_a
+                if not np.any(c):
+                    continue
+                cpos, cneg = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+                sa, sb = strides[a], strides[b]
+                w_pp = cpos / (2.0 * h_plus[a] * h_plus[b])
+                w_mm = cpos / (2.0 * h_minus[a] * h_minus[b])
+                w_pm = cneg / (2.0 * h_plus[a] * h_minus[b])
+                w_mp = cneg / (2.0 * h_minus[a] * h_plus[b])
+                push(sa + sb, -w_pp)
+                push(-sa - sb, -w_mm)
+                push(sa - sb, -w_pm)
+                push(-sa + sb, -w_mp)
+                push(0, -(w_pp + w_mm + w_pm + w_mp))
+                push(+sa, w_pp + w_pm)
+                push(-sa, w_mm + w_mp)
+                push(+sb, w_pp + w_mp)
+                push(-sb, w_mm + w_pm)
+    offsets = sorted({0, *stencil})
+    weights = np.zeros((len(offsets), num))
+    for k, offset in enumerate(offsets):
+        weights[k, interior] = stencil.pop(offset, 0.0)
+    weights[offsets.index(0), dirichlet] = 1.0
+    return (offsets, weights, rhs, dirichlet), separable
+
+
+def exterior_identity_problem(counts, width, top, half_width, height):
+    """Grid, Dirichlet data and excised inner box of an exterior problem on
+    [-width, width] x [0, top] (grading 2): data 1 on the box
+    |x'| <= half_width, 0 < x_n <= height, and 0 on the faces."""
+    grid = build_grid([-width, 0], [width, top], counts, 2.0)
+    in_box = lambda xp, xn: (np.abs(xp[:, 0]) <= half_width) & (xn <= height)
+    bc = lambda xp, xn: np.where(in_box(xp, xn) & (xn > 0.0), 1.0, 0.0)
+    return grid, bc, in_box(*grid.node_coordinates())
+
+
+class TestAssemblyBits:
+    """``assemble`` reproduces the gathered, scattered assembly bit for bit."""
+
+    @pytest.mark.parametrize("case", ["graded-2d-excised", "perturbed-3d", "exterior-identity", "all-dirichlet"])
+    def test_matches_reference_bit_for_bit(self, case):
+        if case == "graded-2d-excised":
+            p, field = P21, make_decaying_perturbation(P21, 2.0, 0.3, 42)
+            grid = build_grid([1, 0], [3, 2], (33, 17), 2.0)
+            bc, extra = bc_kernel, inner_box(grid)
+        elif case == "perturbed-3d":  # every tangential-tangential and tangential-normal cross term
+            p, field = P31, make_decaying_perturbation(P31, 2.0, 0.3, 7)
+            grid = build_grid([1, 1, 0], [3, 3, 2], (9, 8, 7), 2.0)
+            bc, extra = (lambda xp, xn: kernel_value_arrays(xp, xn, P31)), None
+        elif case == "exterior-identity":
+            p, field = P21, IDENT
+            grid, bc, extra = exterior_identity_problem((129, 17), 64.0, 8.0, 1.0, 2.0)
+        else:
+            p, field = P21, IDENT
+            grid = build_grid([0, 0], [1, 1], (4, 3), 1.0)
+            bc, extra = (lambda xp, xn: xp[:, 0] - xn), np.ones(12, dtype=bool)
+        sys = assemble(field, grid, p, bc, extra_dirichlet=extra)
+        (offsets, weights, rhs, dirichlet), separable = reference_assembly(field, grid, p, bc, extra)
+        expected = SparseSystem.from_stencil(offsets, weights, rhs, dirichlet)
+
+        assert sys.offsets == tuple(offsets)
+        assert_same_bits(sys.weights, weights)
+        assert_same_bits(sys.rhs, rhs)
+        np.testing.assert_array_equal(sys.dirichlet_mask, dirichlet)
+        assert sys.dmp.ok == expected.dmp.ok
+        for name in ("positive_offdiagonal_rows", "nonpositive_diagonal_rows", "negative_rowsum_rows"):
+            np.testing.assert_array_equal(getattr(sys.dmp, name), getattr(expected.dmp, name))
+        assert (sys.separable is not None) == separable == (case in ("exterior-identity",))
+        if field is not IDENT:
+            # The first term stored at a corner offset is -0.0 wherever c has the
+            # other sign, so the comparison sees the sign of every zero.
+            assert np.any((weights == 0.0) & np.signbit(weights))
+            assert len(offsets) == (9 if p.n == 2 else 19)
+        if case == "exterior-identity":
+            assert np.count_nonzero(extra & ~grid.face_mask()) > 1  # obstacle nodes off the faces
+
+
+class TestMemory:
+    """Transient memory of ``assemble`` and ``solve``: the ``tracemalloc`` peak
+    above the memory live at the call, in multiples of the assembled weights."""
+
+    @staticmethod
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_exterior_assembly_and_solve_peaks(self):
+        # The default decay-fit problem (1025 x 65, five offsets, 2.7 MB of
+        # weights).  Gathered and scattered, the assembly peaked at 5.5x the
+        # weights; the solve, with a full copy of |weights| and of the DST-I
+        # extension, at 3.3x.  Now they peak at 2.5x and 1.9x.
+        root2 = math.sqrt(2.0)
+        grid, bc, box = exterior_identity_problem((1025, 65), 1024.0, 32.0 * root2, 1.0, root2)
+        sys, assembly_peak = self.traced(assemble, IDENT, grid, P21, bc, box)
+        (_, rep), solve_peak = self.traced(solve, sys)
+        assert sys.separable is not None and rep.method == "fast-diagonalization" and rep.converged
+        assert assembly_peak < 3.0 * sys.weights.nbytes
+        assert solve_peak < 2.2 * sys.weights.nbytes
 
 
 class TestFastDiagonalization:
@@ -539,10 +688,18 @@ class TestFastDiagonalization:
     @pytest.mark.parametrize("m", [*range(1, 40), 95, 255, 1023, 2047])
     def test_sine_transform_matches_scipy_bit_for_bit(self, m):
         # The numpy FFT and its long-double scale reproduce SciPy's DST-I,
-        # which the fast solver used before, on every line of a batch.
-        x = np.random.default_rng(m).standard_normal((7, m))
+        # which the fast solver used before, on every line of a batch and, for
+        # m >= 95, across the blocks of at most DST_BLOCK values that _dst1
+        # transforms at a time (the last one partial).
+        lines = 3 * (fdsolver.DST_BLOCK // (2 * (m + 1))) + 2
+        x = np.random.default_rng(m).standard_normal((min(lines, 400), m))
         x[0] = 0.0
         assert_same_bits(fdsolver._dst1(x), dst(x, type=1, norm="ortho", axis=-1))
+
+    def test_sine_transform_of_strided_slabs(self):
+        # The fast solver transforms moved-axis views of 3-D arrays.
+        g = np.moveaxis(np.random.default_rng(3).standard_normal((99, 130, 4)), 0, -1)  # blocks of 40 slabs
+        assert_same_bits(fdsolver._dst1(g), dst(g, type=1, norm="ortho", axis=-1))
 
     def test_exterior_solve_builds_no_dense_basis(self):
         # One dense basis at 2049 nodes is 2047^2 doubles, 33.5 MB.
