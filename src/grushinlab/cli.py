@@ -19,9 +19,10 @@ from .closedforms import (
     grushin_term_scale,
     harmonic_gauge_power,
     kernel_jet,
+    kernel_value_arrays,
 )
 from .coefficients import audit_ellipticity_arrays
-from .config import BOUNDARY_DATA, ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     RAY_HEIGHT_FRACTION,
     RAY_WINDOW,
@@ -51,6 +52,16 @@ FIT_BAND = 0.15  # decay-fit: largest relative slope error ("fit_band")
 # Measurement window, recorded in the result like the gates.
 GAUGE_RANGE = (0.01, 100.0)  # verify-closed-forms: gauges of the sampled points ("gauge_range")
 
+# Problem constants, recorded in the result like the gates.  Besides these, the data of the grid
+# commands are the kernel (``_kernel_data``), and each grid is graded with exponent 1 + alpha.
+EPSILON0 = 0.5  # audit-ellipticity: the strip x_n >= epsilon0 of the bound ("epsilon0")
+RHO = 0.5  # supersolution-scan and global-bound: the supersolution w - w^{1+rho} ("rho")
+ENVELOPE_DECAY = 2.0  # supersolution-scan: the envelope amplitude * min(1, d^-s) ("s")
+ENVELOPE_AMPLITUDE = 1.0  # supersolution-scan: its amplitude ("amplitude")
+SCAN_SHELLS = tuple(2.0**k for k in range(11))  # supersolution-scan: gauge shells [R, 2R] ("shells_tested")
+DECAY_INNER_RADIUS = 1.0  # decay-fit: gauge radius of the inner box ("inner_radius")
+BOUND_INNER_RADIUS = 2.0  # global-bound: gauge radius of the inner box ("inner_radius")
+
 
 # (flag, config path, type, help) of each flag that overrides one config value.
 _OVERRIDES = (
@@ -62,9 +73,18 @@ _OVERRIDES = (
 )
 
 
-def _named_bc(name: str, p):
-    data = BOUNDARY_DATA[name]
-    return lambda xp, xn: data(xp, xn, p)
+def _kernel_data(p):
+    """The kernel as Dirichlet data; it is NaN at the origin, where it is
+    singular, with no warning, and ``assemble`` refuses it there."""
+    return np.errstate(divide="ignore", invalid="ignore")(lambda xp, xn: kernel_value_arrays(xp, xn, p))
+
+
+def _outer_radius(cfg: RunConfig, inner_radius: float) -> float:
+    """``experiment.outer_radius``, refused unless it exceeds ``inner_radius``."""
+    outer = cfg.experiment["outer_radius"]
+    if not outer > inner_radius:
+        raise ConfigError(f"experiment.outer_radius: must be > {inner_radius:g}")
+    return outer
 
 
 def _normalized_residual(op_value: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -106,15 +126,14 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
     p = cfg.params
-    exp = dict(cfg.experiment)
-    count = exp.pop("points")
+    count = cfg.experiment["points"]
     field = cfg.build_field()
     rng = np.random.default_rng(cfg.seed)
     xp = rng.uniform(-1.0, 1.0, (count, p.n - 1))
     xn = rng.uniform(0.0, 1.0, count)
     xn[: max(1, count // 50)] = 0.0  # exercise the degenerate boundary case
-    report = audit_ellipticity_arrays(field, p, tangential=xp, normal=xn, **exp)
-    on_strip = xn >= exp["epsilon0"]
+    report = audit_ellipticity_arrays(field, p, EPSILON0, xp, xn)
+    on_strip = xn >= EPSILON0
     columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
     result = jsonable(
         {k: v for k, v in vars(report).items() if k not in ("lambda_min", "lambda_max")}
@@ -131,8 +150,7 @@ def _cmd_solve(cfg: RunConfig):
     p = cfg.params
     grid = cfg.grid.build(p)
     field = cfg.build_field()
-    bc = _named_bc(cfg.experiment["bc"], p)
-    sys_ = assemble(field, grid, p, bc)
+    sys_ = assemble(field, grid, p, _kernel_data(p))
     require_monotone(sys_)
     u, report = solve(sys_)
     write_grid_function(cfg.output_dir / "solution.txt", grid, u)
@@ -149,8 +167,7 @@ def _cmd_solve(cfg: RunConfig):
 def _cmd_boundary_growth(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
-    report = run_boundary_growth(field, p, cfg.grid, **exp)
+    report = run_boundary_growth(field, p, cfg.grid, _kernel_data(p))
     lo, hi = GROWTH_BAND
     passed = lo <= report.fit.exponent <= hi
     result = {**jsonable(report), "growth_band": [lo, hi], "ray_height_fraction": RAY_HEIGHT_FRACTION}
@@ -165,8 +182,7 @@ def _cmd_boundary_growth(cfg: RunConfig):
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    exp = {**cfg.experiment, "bc": _named_bc(cfg.experiment["bc"], p)}
-    report = run_holder_modulus(field, p, cfg.grid, seed=cfg.seed, **exp)
+    report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
     passed = report.final_change < STABILIZATION
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
@@ -215,14 +231,16 @@ def _cmd_oscillation_decay(cfg: RunConfig):
 
 def _cmd_supersolution_scan(cfg: RunConfig):
     p = cfg.params
-    report = run_supersolution_scan(p, seed=cfg.seed, **cfg.experiment)
+    report = run_supersolution_scan(
+        p, RHO, ENVELOPE_DECAY, ENVELOPE_AMPLITUDE, SCAN_SHELLS, seed=cfg.seed, **cfg.experiment
+    )
     passed = report.R0_empirical is not None
-    result = jsonable(report)
+    result = {**jsonable(report), "rho": RHO, "s": ENVELOPE_DECAY, "amplitude": ENVELOPE_AMPLITUDE}
     columns = list(zip(*report.per_shell))
     r0_text = "none" if report.R0_empirical is None else f"{report.R0_empirical:g}"
     summary = (
         f"supersolution-scan: R0={r0_text}, {len(report.violations)} violations over "
-        f"{len(report.shells_tested)} shells (amplitude {cfg.experiment['amplitude']:g})"
+        f"{len(report.shells_tested)} shells (amplitude {ENVELOPE_AMPLITUDE:g})"
     )
     return passed, result, ["R", "samples", "violations", "worst_value"], columns, summary
 
@@ -230,7 +248,8 @@ def _cmd_supersolution_scan(cfg: RunConfig):
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    report = run_decay_fit(field, p, **cfg.experiment)
+    outer = _outer_radius(cfg, DECAY_INNER_RADIUS)
+    report = run_decay_fit(field, p, DECAY_INNER_RADIUS, outer, cfg.experiment["counts"])
     band = FIT_BAND
     passed = abs(report.fit.exponent - report.expected_exponent) <= band * abs(report.expected_exponent)
     xn = np.asarray(report.ray_normals)
@@ -241,15 +260,18 @@ def _cmd_decay_fit(cfg: RunConfig):
         f"{report.expected_exponent:g} (band {band:.0%})"
     )
     result = {**jsonable(report), "fit_band": band, "ray_window": list(RAY_WINDOW)}
+    result["inner_radius"] = DECAY_INNER_RADIUS
     return passed, result, ["gauge", "x_n", "u", "u_over_xn"], columns, summary
 
 
 def _cmd_global_bound(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    report = run_global_bound_check(field, p, **cfg.experiment)
+    outer = _outer_radius(cfg, BOUND_INNER_RADIUS)
+    report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, outer, cfg.experiment["counts"])
     passed = report.passed and report.falsification_failed
     result = jsonable({k: v for k, v in vars(report).items() if k != "interface_samples"})
+    result.update(rho=RHO, inner_radius=BOUND_INNER_RADIUS)
     columns = list(report.interface_samples.T)
     summary = (
         f"global-bound: C={report.comparison_constant:.6g}, worst margin "
@@ -302,13 +324,11 @@ def main(argv=None) -> int:
     overrides = {path: args[flag[2:]] for flag, path, _, _ in _OVERRIDES if args[flag[2:]] is not None}
 
     try:
-        cfg = parse_config(path=args["config"], overrides=overrides)
+        return run(parse_config(path=args["config"], overrides=overrides))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
-    except (PreconditionError, ConfigError) as err:
+    except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as err:

@@ -17,15 +17,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from .closedforms import kernel_value_arrays
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from .experiments import GridSpec
 from .geometry import GrushinParams
 from .reports import jsonable
 
-__all__ = ["ConfigError", "FieldConfig", "RunConfig", "parse_config", "COMMANDS", "BOUNDARY_DATA"]
+__all__ = ["ConfigError", "FieldConfig", "RunConfig", "parse_config", "COMMANDS"]
 
 COMMANDS = (
     "verify-closed-forms",
@@ -40,14 +37,6 @@ COMMANDS = (
 )
 
 _GRID_COMMANDS = ("solve", "boundary-growth", "holder-modulus")
-
-# Boundary data by the name ``experiment.bc`` gives: functions of (tangential, normal, params).
-BOUNDARY_DATA = {
-    "kernel": lambda xp, xn, p: kernel_value_arrays(xp, xn, p),
-    "linear": lambda xp, xn, p: np.asarray(xn, dtype=float),
-    "constant": lambda xp, xn, p: np.ones(np.shape(xn)),
-    "zero": lambda xp, xn, p: np.zeros(np.shape(xn)),
-}
 
 
 class ConfigError(ValueError):
@@ -82,8 +71,6 @@ def _finite(value) -> bool:
 
 def _number(obj, path, key, default, *, lo=None, hi=None, lo_open=False, hi_open=False):
     value = obj.get(key, default)
-    if value is None and default is None:
-        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_join(path, key)}: must be a number")
     if not _finite(value):
@@ -193,7 +180,7 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
         if command in _GRID_COMMANDS:
             lo = (1.0,) * (n - 1) + (0.0,)
             hi = (3.0,) * (n - 1) + (2.0,)
-            return GridSpec(lo, hi, (33,) * n, None)
+            return GridSpec(lo, hi, (33,) * n)
         return None
     if command not in _GRID_COMMANDS:
         raise ConfigError(f"grid: not accepted by command {command!r} (domain comes from experiment)")
@@ -204,55 +191,32 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
     counts = _number_list(obj, "grid", "counts", None, length=n, lo=3, integer=True)
     if lo is None or hi is None or counts is None:
         raise ConfigError("grid: box_lo, box_hi and counts are all required")
-    grading = _number(obj, "grid", "grading", None, lo=1.0)
-    return GridSpec(lo, hi, counts, grading)
+    return GridSpec(lo, hi, counts)
 
 
 def _parse_experiment(raw: dict, command: str, n: int) -> dict:
     """The ``experiment`` block of ``command``: its parse lines declare the
-    allowed keys, each named as the keyword of the runner it configures."""
+    allowed keys, each named as the keyword of the runner it configures
+    (``solve`` and ``boundary-growth`` take none)."""
     obj = _object(raw.get("experiment", {}), "experiment")
     path = "experiment"
     out: dict[str, Any] = {}
-    if command == "verify-closed-forms":
+    if command in ("verify-closed-forms", "audit-ellipticity"):
         out["points"] = _integer(obj, path, "points", 1000, lo=10)
-    elif command == "audit-ellipticity":
-        out["points"] = _integer(obj, path, "points", 1000, lo=10)
-        out["epsilon0"] = _number(obj, path, "epsilon0", 0.5, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        out["tau"] = _number(obj, path, "tau", None, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-    elif command == "solve":
-        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
-    elif command == "boundary-growth":
-        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
     elif command == "holder-modulus":
-        out["bc"] = _string(obj, path, "bc", "kernel", BOUNDARY_DATA)
-        out["exponent"] = _number(obj, path, "exponent", None, lo=0.0, lo_open=True)
         out["levels"] = _integer(obj, path, "levels", 3, lo=2)
         out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100)
     elif command == "oscillation-decay":
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", (129,) * (n - 1) + (49,), length=n, lo=3, integer=True)
     elif command == "supersolution-scan":
-        out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
-        out["s"] = _number(obj, path, "s", 2.0, lo=0.0, lo_open=True)
-        out["amplitude"] = _number(obj, path, "amplitude", 1.0, lo=0.0)
-        out["shells"] = _number_list(obj, path, "shells", tuple(2.0**k for k in range(11)), lo=1.0)
         out["samples_per_shell"] = _integer(obj, path, "samples_per_shell", 300, lo=10)
     elif command == "decay-fit":
-        out["inner_radius"] = _number(obj, path, "inner_radius", 1.0, lo=0.0, lo_open=True)
-        out["outer_radius"] = _number(
-            obj, path, "outer_radius", 32.0, lo=out["inner_radius"], lo_open=True
-        )
+        out["outer_radius"] = _number(obj, path, "outer_radius", 32.0, lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", (1025,) * (n - 1) + (65,), length=n, lo=3, integer=True)
     elif command == "global-bound":
-        out["rho"] = _number(obj, path, "rho", 0.5, lo=0.0, lo_open=True)
-        out["inner_radius"] = _number(obj, path, "inner_radius", 2.0, lo=0.0, lo_open=True)
-        out["outer_radius"] = _number(
-            obj, path, "outer_radius", 64.0, lo=out["inner_radius"], lo_open=True
-        )
+        out["outer_radius"] = _number(obj, path, "outer_radius", 64.0, lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", (2049,) * (n - 1) + (81,), length=n, lo=3, integer=True)
-    else:  # pragma: no cover - command validated before dispatch
-        raise ConfigError(f"command: unknown command {command!r}")
     _reject_unknown(obj, path, out)
     return out
 

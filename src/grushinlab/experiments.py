@@ -138,20 +138,19 @@ def fit_loglog(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Portable grid description; ``grading=None`` defaults to 1 + alpha."""
+    """Portable grid description; ``build`` grades it towards the flat face
+    with exponent 1 + alpha."""
 
     box_lo: tuple[float, ...]
     box_hi: tuple[float, ...]
     counts: tuple[int, ...]
-    grading: float | None = None
 
     def build(self, p: GrushinParams) -> AnisotropicGrid:
-        grading = 1.0 + p.alpha if self.grading is None else self.grading
-        return build_grid(self.box_lo, self.box_hi, self.counts, grading)
+        return build_grid(self.box_lo, self.box_hi, self.counts, 1.0 + p.alpha)
 
     def refined(self, factor: int) -> "GridSpec":
         counts = tuple((c - 1) * factor + 1 for c in self.counts)
-        return GridSpec(self.box_lo, self.box_hi, counts, self.grading)
+        return GridSpec(self.box_lo, self.box_hi, counts)
 
 
 def require_monotone(sys: SparseSystem) -> None:
@@ -278,17 +277,17 @@ class HolderReport:
 
 
 def _holder_pairs(
-    grid: AnisotropicGrid, p: GrushinParams, rng: np.random.Generator, pairs: int
+    grid: AnisotropicGrid, tang: np.ndarray, norm: np.ndarray, rng: np.random.Generator, pairs: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified node-pair sample inside the inner half-box.
+    """Stratified node-pair sample inside the inner half-box; ``tang`` and
+    ``norm`` are the node coordinates of ``grid``.
 
     Strata: uniform pairs, same-tangential-column pairs (pure normal
     separation), and pairs hugging the flat boundary.
     """
-    tang, norm = grid.node_coordinates()
     lo, hi = grid.box_lo, grid.box_hi
     inner = norm <= 0.5 * hi[-1]
-    for a in range(p.n - 1):
+    for a in range(tang.shape[1]):
         width = hi[a] - lo[a]
         inner &= (tang[:, a] >= lo[a] + 0.25 * width) & (tang[:, a] <= hi[a] - 0.25 * width)
     idx = np.flatnonzero(inner)
@@ -340,7 +339,7 @@ def run_holder_modulus(
         if np.max(np.abs(sys.rhs[flat])) > 1e-12:
             raise PreconditionError("Hoelder runs need u = 0 on the flat face")
         rng = np.random.default_rng(seed + level)
-        a, b = _holder_pairs(grid, p, rng, pairs)
+        a, b = _holder_pairs(grid, tang, norm, rng, pairs)
         dist = quasi_distance_arrays(tang[a], norm[a], tang[b], norm[b], p.alpha)
         quot = np.abs(u[a] - u[b]) / dist**expo
         out.append(HolderLevel(grid.counts, float(np.max(quot)), int(a.size), report))
@@ -583,13 +582,15 @@ def _exterior_problem(
     counts: tuple[int, ...],
     inner_data,
 ):
-    """Grid, node coordinates, excised inner box and boundary data of an exterior problem.
+    """Grid, excised inner box and boundary data of an exterior problem.
 
     The domain is the box of gauge radius ``outer_radius`` minus the inner box
     of gauge radius ``inner_radius``.  Data are ``inner_data(x_n)`` on the
     inner-box nodes with x_n > 0 and 0 on the flat face and the far faces.
-    Returns (grid, tangential, normal, inside mask, bc).
+    Returns (grid, inside mask, bc).
     """
+    if not 0.0 < inner_radius < outer_radius:
+        raise ValueError("need 0 < inner_radius < outer_radius")
     stretch = (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
     outer_t = outer_radius ** (1.0 + p.alpha)
     outer_n = outer_radius * stretch
@@ -607,8 +608,7 @@ def _exterior_problem(
         values[box] = inner_data(xn[box])
         return values
 
-    tang, norm = grid.node_coordinates()
-    return grid, tang, norm, in_box(tang, norm), bc
+    return grid, in_box(*grid.node_coordinates()), bc
 
 
 def run_decay_fit(
@@ -629,9 +629,7 @@ def run_decay_fit(
     ray values above ``MIN_RAY_VALUE``; the run is refused when fewer than
     ``MIN_FIT_SAMPLES`` remain.
     """
-    if not 0.0 < inner_radius < outer_radius:
-        raise ValueError("need 0 < inner_radius < outer_radius")
-    grid, _, _, inside, bc = _exterior_problem(
+    grid, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, lambda xn: 1.0
     )
     u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
@@ -707,10 +705,11 @@ def run_global_bound_check(
     """
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
-    grid, tang, norm, inside, bc = _exterior_problem(
+    grid, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, lambda xn: np.minimum(1.0, xn)
     )
     u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
+    tang, norm = grid.node_coordinates()  # taken after the solve, which needs the room
 
     with np.errstate(divide="ignore", invalid="ignore"):
         barrier = supersolution_value_arrays(tang, norm, rho, p)

@@ -346,11 +346,12 @@ def assemble(
 ) -> SparseSystem:
     """Assemble -L with Dirichlet data ``bc`` on the box faces (and extras).
 
-    ``bc(tangential, normal)`` is evaluated on every Dirichlet node;
-    ``extra_dirichlet`` is an optional flat boolean mask of additional
-    Dirichlet nodes (e.g. the nodes of an excised inner obstacle), valued by
-    the same ``bc``.  The field evaluation is assumed to have passed the
-    ellipticity audit on this grid's nodes.  The system is marked separable
+    ``bc(tangential, normal)`` is evaluated on every Dirichlet node, and a
+    value that is not finite there is a ``ValueError``; ``extra_dirichlet``
+    is an optional flat boolean mask of additional Dirichlet nodes (e.g. the
+    nodes of an excised inner obstacle), valued by the same ``bc``.  The
+    field evaluation is assumed to have passed the ellipticity audit on this
+    grid's nodes.  The system is marked separable
     (``separable`` set) when the evaluated coefficients are exactly the
     identity at every interior node and the k Dirichlet nodes off the box
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
@@ -377,6 +378,12 @@ def assemble(
     tang_all, norm_all = grid.node_coordinates()
     rhs = np.zeros(num)
     rhs[dirichlet] = np.asarray(bc(tang_all[dirichlet], norm_all[dirichlet]), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        at = ", ".join(f"{x:g}" for x in (*tang_all[bad[0]], norm_all[bad[0]]))
+        raise ValueError(
+            f"non-finite boundary data at {bad.size} Dirichlet node(s); the first is node {bad[0]} at ({at})"
+        )
     obstacles = int(np.count_nonzero(dirichlet & ~faces))
     offsets, weights, separable = _stencil_weights(field, grid, p, tang_all, norm_all, dirichlet, obstacles)
     del tang_all, norm_all  # the DMP check runs in the room they held

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from test_coefficients import degenerate_matrix
 from test_fdsolver import tiny_pivot_system
 
 import grushinlab
-from grushinlab import experiments, reports
+from grushinlab import cli, experiments, reports
 from grushinlab.cli import main, run
 from grushinlab.config import COMMANDS, ConfigError, parse_config
 from grushinlab.fdsolver import solve
@@ -29,7 +30,7 @@ SMALL_RAW = {
     "boundary-growth": {"grid": {**SMALL_BOX, "counts": [17, 17]}},
     "holder-modulus": {"grid": {**SMALL_BOX, "counts": [9, 9]}, "experiment": {"levels": 2, "pairs": 300}},
     "oscillation-decay": {"experiment": {"counts": [33, 13], "radii": [1, 4]}},
-    "supersolution-scan": {"experiment": {"shells": [1, 2, 4, 8], "samples_per_shell": 50}},
+    "supersolution-scan": {"experiment": {"samples_per_shell": 50}},
     "decay-fit": {"experiment": {"counts": [129, 17], "outer_radius": 16}},
     "global-bound": {"experiment": {"counts": [129, 17], "outer_radius": 16}},
 }
@@ -51,7 +52,7 @@ def _non_null_defaults(command):
 
 def _numeric_paths(command):
     """(dotted path, value) of every number and number list of the small
-    config of ``command``; a null value stands for a number."""
+    config of ``command``."""
     effective = parse_config(raw={"command": command, **SMALL_RAW[command]}).effective
     paths = []
     for block, value in effective.items():
@@ -60,7 +61,7 @@ def _numeric_paths(command):
         paths += [
             (block if key is None else f"{block}.{key}", v)
             for key, v in value.items()
-            if v is None or (isinstance(v, (int, float, list)) and not isinstance(v, bool))
+            if isinstance(v, (int, float, list)) and not isinstance(v, bool)
         ]
     return paths
 
@@ -163,24 +164,12 @@ class TestParseConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, dotted",
-        [
-            ("audit-ellipticity", "experiment.tau"),
-            ("holder-modulus", "experiment.exponent"),
-        ],
-    )
-    def test_null_is_the_default_where_the_default_is_null(self, command, dotted):
-        cfg = parse_config(raw=_with_value({"command": command}, dotted, None))
-        assert cfg.effective == parse_config(raw={"command": command}).effective
-
-    @pytest.mark.parametrize(
         "command, key, value, message",
         [
             ("oscillation-decay", "radii", [0, 4], r"experiment\.radii\[0\]: must be > 0"),
             ("oscillation-decay", "radii", [], r"experiment\.radii: must not be empty"),
-            ("supersolution-scan", "shells", [], r"experiment\.shells: must not be empty"),
         ],
-        ids=["zero-radius", "no-radii", "no-shells"],
+        ids=["zero-radius", "no-radii"],
     )
     def test_zero_or_empty_radii_are_config_errors(self, tmp_path, capsys, command, key, value, message):
         raw = {"command": command, "experiment": {key: value}}
@@ -224,21 +213,62 @@ class TestParseConfig:
 
     def test_effective_config_echoes_defaults(self):
         cfg = parse_config(raw={"command": "supersolution-scan"})
-        assert cfg.effective["experiment"]["rho"] == 0.5
+        assert cfg.effective["experiment"] == {"samples_per_shell": 300}
         assert set(cfg.effective) == {"command", "params", "field", "experiment", "seed"}
+
+    def test_settable_values_are_pinned(self):
+        # Every value a config can set: the keys each command's effective
+        # config echoes (an experiment key once per command), and output_dir,
+        # which the echo leaves out.  A new knob has to be added here.
+        settable = {"output_dir"}
+        for command in COMMANDS:
+            effective = parse_config(raw={"command": command}).effective
+            for block, value in effective.items():
+                if not isinstance(value, dict):
+                    settable.add(block)
+                    continue
+                prefix = f"{command}: {block}" if block == "experiment" else block
+                settable.update(f"{prefix}.{key}" for key in value)
+            assert parse_config(raw=effective).effective == effective  # the echo is a config
+        assert settable == {
+            "command",
+            "output_dir",
+            "seed",
+            "params.n",
+            "params.alpha",
+            "field.family",
+            "field.s",
+            "field.amplitude",
+            "field.seed",
+            "grid.box_lo",
+            "grid.box_hi",
+            "grid.counts",
+            "verify-closed-forms: experiment.points",
+            "audit-ellipticity: experiment.points",
+            "holder-modulus: experiment.levels",
+            "holder-modulus: experiment.pairs",
+            "oscillation-decay: experiment.radii",
+            "oscillation-decay: experiment.counts",
+            "supersolution-scan: experiment.samples_per_shell",
+            "decay-fit: experiment.outer_radius",
+            "decay-fit: experiment.counts",
+            "global-bound: experiment.outer_radius",
+            "global-bound: experiment.counts",
+        }
+        assert len(settable) == 23
 
     def test_default_input_hashes_are_pinned(self):
         # The echo of every default config, hashed; a change here changes the
         # input_hash of every report written with that command's defaults.
         expected = {
-            "audit-ellipticity": "8fcaa4caa95874201758e45f85981a1d84e564e2",
-            "boundary-growth": "e800958110f3ea682ebcc993b265411e8c72ebf6",
-            "decay-fit": "1c1f8cb80db3371464e292f20a3bcd4a07de8590",
-            "global-bound": "dfeee49771668349ef41373b6af8ce00c5ff8f9e",
-            "holder-modulus": "fd1f09c369b8efd18c6db03c2ba1c55fee451f26",
+            "audit-ellipticity": "2deb2e0e8f46f302af20f3a9a7dc61fe1b8eeaa4",
+            "boundary-growth": "f125c9f11b6e2595fedc2f6f9705bfad3b0d0186",
+            "decay-fit": "980b73d43e9215e84b53aca3f0463c9b63e3c33a",
+            "global-bound": "2d984d7b27b6ce1385d6e1b2a9268c8f9cd7cfe0",
+            "holder-modulus": "40d5ef2795ceceeb0413a88f52262e8a76542f65",
             "oscillation-decay": "ace2e29e6509c19dbd8971bbe7f7934d06b4526b",
-            "solve": "b34777ac67a6f7dcd5975f5e7926de693fa2dfae",
-            "supersolution-scan": "ce9a9b47d5ac600e97880aca154ec1bb6ed6a0f4",
+            "solve": "e339a94988d0798fc179f5207923528c7a76278d",
+            "supersolution-scan": "5db8c2a516681b006e2f44df1b4aa681ed261c6a",
             "verify-closed-forms": "b6e3a8a18277542a5ffb4a43dbb42a12cdab820a",
         }
         got = {c: content_hash(parse_config(raw={"command": c}).effective) for c in COMMANDS}
@@ -480,18 +510,14 @@ class TestMain:
         assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_scan_hypothesis_violation_exits_2(self, tmp_path):
-        cfgfile = tmp_path / "scan.json"
-        cfgfile.write_text(
-            json.dumps(
-                {
-                    "command": "supersolution-scan",
-                    "experiment": {"rho": 0.9, "s": 0.5, "shells": [1, 2], "samples_per_shell": 20},
-                    "output_dir": str(tmp_path / "o"),
-                }
-            )
-        )
-        assert main(["--config", str(cfgfile)]) == 2
+    def test_scan_hypothesis_violation_exits_2(self, tmp_path, monkeypatch, capsys):
+        # rho = 1 breaks 0 < rho < min(s/(n-1), 1) = 1.
+        monkeypatch.setattr(cli, "RHO", 1.0)
+        out = tmp_path / "o"
+        assert main(["--command", "supersolution-scan", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: rho must lie in (0, min(s/(n-1), 1)) = (0, 1.0)")
 
     def test_unconverged_solve_exits_2(self, tmp_path, monkeypatch, capsys):
         # The runner's system is swapped for one whose refinement stagnates.
@@ -521,40 +547,17 @@ class TestMain:
         assert errors[0].startswith("error: discrete maximum principle fails on this grid/field: ")
         assert errors[0] == errors[1]
 
-    def test_failed_criterion_exits_1_but_writes_report(self, tmp_path, capsys):
-        # Past the natural exponent 1/(1+alpha) = 0.5 the quotients do not settle.
+    def test_failed_criterion_exits_1_but_writes_report(self, tmp_path, monkeypatch, capsys):
+        # The small run's quotients settle to 0.431%, past a gate of 0.1%.
+        monkeypatch.setattr(cli, "STABILIZATION", 1e-3)
         out = tmp_path / "fail"
-        cfg = parse_config(
-            raw={"command": "holder-modulus", "experiment": {"exponent": 0.8}, "output_dir": str(out)}
-        )
-        assert run(cfg) == 1
-        assert "max quotient change 45.801% at finest levels -> FAIL" in capsys.readouterr().out
+        raw = {"command": "holder-modulus", **SMALL_RAW["holder-modulus"], "output_dir": str(out)}
+        assert run(parse_config(raw=raw)) == 1
+        assert "max quotient change 0.431% at finest levels -> FAIL" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["result"]["final_change"] > report["result"]["stabilization"]
         assert (out / "samples.csv").exists()
-
-    def test_holder_on_zero_data_is_refused(self, tmp_path, capsys):
-        cfgfile = tmp_path / "zero.json"
-        raw = {"command": "holder-modulus", **SMALL_RAW["holder-modulus"], "output_dir": str(tmp_path / "o")}
-        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.bc", "zero")))
-        assert main(["--config", str(cfgfile)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: every sampled two-point quotient is 0 on the 9x9 grid")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "o" / "report.json").exists()
-
-    def test_boundary_growth_on_zero_data_is_refused(self, tmp_path, capsys):
-        # u = 0 leaves no ray node to fit, which is a refusal, not a failed criterion.
-        cfgfile = tmp_path / "zero.json"
-        raw = {"command": "boundary-growth", **SMALL_RAW["boundary-growth"], "output_dir": str(tmp_path / "o")}
-        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.bc", "zero")))
-        assert main(["--config", str(cfgfile)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: degenerate ray data: 0 normal-ray nodes with |u| > 1e-12")
-        assert captured.err.count("\n") == 1
-        assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "command, dotted, value",
@@ -564,11 +567,30 @@ class TestMain:
             ("decay-fit", "experiment.ray_points", 13),
             ("global-bound", "experiment.grading", 2.0),
             ("global-bound", "experiment.inner_slope", 1.0),
+            ("solve", "grid.grading", 2.0),
+            ("boundary-growth", "grid.grading", 2.0),
+            ("holder-modulus", "grid.grading", 2.0),
+            ("solve", "experiment.bc", "kernel"),
+            ("boundary-growth", "experiment.bc", "kernel"),
+            ("holder-modulus", "experiment.bc", "kernel"),
         ],
-        ids=["data_scale", "decay-fit-grading", "ray_points", "global-bound-grading", "inner_slope"],
+        ids=[
+            "data_scale",
+            "decay-fit-grading",
+            "ray_points",
+            "global-bound-grading",
+            "inner_slope",
+            "solve-grid-grading",
+            "boundary-growth-grid-grading",
+            "holder-modulus-grid-grading",
+            "solve-bc",
+            "boundary-growth-bc",
+            "holder-modulus-bc",
+        ],
     )
     def test_removed_experiment_keys_are_unknown(self, tmp_path, capsys, command, dotted, value):
         # Each was set by no workload; a config that sets one, even to its old default, is refused.
+        # The data are the kernel and the grading is 1 + alpha; no result key records either.
         raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / "o")}
         cfgfile = tmp_path / "removed.json"
         cfgfile.write_text(json.dumps(_with_value(raw, dotted, value)))
@@ -593,6 +615,17 @@ class TestMain:
             ("decay-fit", "experiment.ray_hi_factor", 0.35, "ray_window", [2.5, 0.35]),
             ("verify-closed-forms", "experiment.gauge_lo", 0.01, "gauge_range", [0.01, 100.0]),
             ("verify-closed-forms", "experiment.gauge_hi", 100.0, "gauge_range", [0.01, 100.0]),
+            # Problem constants.
+            ("audit-ellipticity", "experiment.epsilon0", 0.5, "epsilon0", 0.5),
+            ("audit-ellipticity", "experiment.tau", 0.75, "tau", 0.75),
+            ("holder-modulus", "experiment.exponent", 0.5, "exponent", 0.5),
+            ("supersolution-scan", "experiment.rho", 0.5, "rho", 0.5),
+            ("supersolution-scan", "experiment.s", 2.0, "s", 2.0),
+            ("supersolution-scan", "experiment.amplitude", 1.0, "amplitude", 1.0),
+            ("supersolution-scan", "experiment.shells", [1, 2], "shells_tested", [2.0**k for k in range(11)]),
+            ("decay-fit", "experiment.inner_radius", 1.0, "inner_radius", 1.0),
+            ("global-bound", "experiment.rho", 0.5, "rho", 0.5),
+            ("global-bound", "experiment.inner_radius", 2.0, "inner_radius", 2.0),
         ],
         ids=[
             "residual_tol",
@@ -607,12 +640,22 @@ class TestMain:
             "ray_hi_factor",
             "gauge_lo",
             "gauge_hi",
+            "epsilon0",
+            "tau",
+            "exponent",
+            "scan-rho",
+            "s",
+            "amplitude",
+            "shells",
+            "decay-fit-inner_radius",
+            "global-bound-rho",
+            "global-bound-inner_radius",
         ],
     )
     def test_verdict_gates_are_constants_recorded_in_the_result(
         self, tmp_path, capsys, command, dotted, value, result_key, recorded
     ):
-        # A config cannot set a gate or a window, even to its own value ...
+        # A config cannot set a gate, a window or a problem constant, even to its own value ...
         raw = {"command": command, **SMALL_RAW[command], "output_dir": str(tmp_path / "o")}
         cfgfile = tmp_path / "gate.json"
         cfgfile.write_text(json.dumps(_with_value(raw, dotted, value)))
@@ -623,6 +666,47 @@ class TestMain:
         cfgfile.write_text(json.dumps(raw))
         assert main(["--config", str(cfgfile)]) == 0
         assert json.loads((tmp_path / "o" / "report.json").read_text())["result"][result_key] == recorded
+
+    @pytest.mark.parametrize("command, inner", [("decay-fit", 1), ("global-bound", 2)])
+    def test_outer_radius_must_pass_the_inner_radius(self, tmp_path, capsys, command, inner):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "radius.json"
+        raw = {"command": command, **SMALL_RAW[command], "output_dir": str(out)}
+        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.outer_radius", inner)))
+        assert main(["--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"configuration error: experiment.outer_radius: must be > {inner}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "boundary-growth", "holder-modulus"])
+    def test_kernel_data_at_the_origin_are_refused(self, tmp_path, capsys, command):
+        # The box puts a node at the origin, where the kernel is singular (NaN).
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "origin.json"
+        grid = {"box_lo": [-1, 0], "box_hi": [1, 2], "counts": [9, 9]}
+        cfgfile.write_text(json.dumps({"command": command, "grid": grid, "output_dir": str(out)}))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "runtime error: non-finite boundary data at 1 Dirichlet node(s); the first is node 36 at (0, 0)\n"
+        )
+
+    def test_benchmark_headline_values_are_finite(self, tmp_path, monkeypatch):
+        # The benchmark's reference check reads these result keys; a rename shows here first.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for command in COMMANDS:
+            out = tmp_path / command
+            raw = {"command": command, **SMALL_RAW[command], "output_dir": str(out)}
+            assert run(parse_config(raw=raw)) == 0
+            values = workloads.headline(json.loads((out / "report.json").read_text()))
+            assert values and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in values.values()
+            ), (command, values)
 
     def test_readme_configs_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -667,7 +751,7 @@ class TestMain:
         eigs = np.linalg.eigvalsh(degenerate_matrix(cfg.build_field(), xp, xn, cfg.params))
         np.testing.assert_array_equal(data[:, 3], eigs[:, 0])
         np.testing.assert_array_equal(data[:, 4], eigs[:, -1])
-        on_strip = xn >= cfg.experiment["epsilon0"]
+        on_strip = xn >= cli.EPSILON0
         assert [row[-1] for row in cells] == ["true" if s else "false" for s in on_strip]
         assert 0 < np.count_nonzero(on_strip) < 400
         report = json.loads((out / "report.json").read_text())
@@ -770,7 +854,6 @@ class TestMain:
             raw={
                 "command": "solve",
                 "grid": {"box_lo": [1, 0], "box_hi": [3, 2], "counts": [9, 9]},
-                "experiment": {"bc": "kernel"},
                 "output_dir": str(out),
             }
         )
@@ -882,7 +965,7 @@ class TestMain:
         cfg = parse_config(
             raw={
                 "command": "global-bound",
-                "experiment": {"inner_radius": 2.0, "outer_radius": 32.0, "counts": [1025, 81]},
+                "experiment": {"outer_radius": 32.0, "counts": [1025, 81]},
                 "output_dir": str(out),
             }
         )

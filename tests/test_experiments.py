@@ -265,6 +265,10 @@ class TestGlobalBound:
         assert rep.epsilon <= 1e-12
         assert rep.worst_margin >= -rep.margin_tolerance
 
+    def test_radius_validation(self):
+        with pytest.raises(ValueError, match="need 0 < inner_radius < outer_radius"):
+            run_global_bound_check(IDENT, P21, 0.5, 2.0, 1.5, counts=(129, 17))
+
     def test_too_small_inner_radius_is_rejected(self):
         # w >= 1 on the inner boundary makes the supersolution useless there
         with pytest.raises(PreconditionError):

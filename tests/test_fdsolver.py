@@ -126,6 +126,21 @@ class TestAssembleAndSolve:
         assert rep.iterations == 0
         np.testing.assert_array_equal(u, sys.rhs)
 
+    def test_non_finite_boundary_data_are_refused(self):
+        g = build_grid([-1, 0], [1, 2], (9, 9), 2.0)
+        message = r"^non-finite boundary data at 9 Dirichlet node\(s\); the first is node 8 at \(-1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            assemble(IDENT, g, P21, lambda xp, xn: np.where(xn == 2.0, np.nan, 0.0))
+        # An obstacle node counts like a face node.
+        obstacle = np.zeros(g.num_nodes, bool)
+        obstacle[40] = True  # x = (0, 0.5)
+
+        def inf_at_obstacle(xp, xn):
+            return np.where((xp[:, 0] == 0.0) & (xn == 0.5), np.inf, 0.0)
+
+        with pytest.raises(ValueError, match=r"at 1 Dirichlet node\(s\); the first is node 40 at \(0, 0\.5\)$"):
+            assemble(IDENT, g, P21, inf_at_obstacle, extra_dirichlet=obstacle)
+
     def test_singular_factorisation_raises(self):
         # Interior row 1 is all zeros.
         sys = three_node_system([0.0, 0.0, 0.0])
