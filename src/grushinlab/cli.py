@@ -1,14 +1,16 @@
 """Command line front end: JSON config in, JSON + CSV reports out.
 
-Exit codes partition outcomes: 0 the run passed its criterion, 1 the run
-completed but failed it (the report is still written), 2 configuration or
-runtime error (no report).  stdout carries a one-line summary, stderr the
-diagnostics.
+Each command returns its verdicts (``verdict``), and ``run`` alone decides
+the outcome from them.  Exit codes partition outcomes: 0 every verdict
+passed, 1 the run completed but a verdict failed (the report is still
+written), 2 configuration or runtime error (no report).  stdout carries a
+one-line summary, stderr the diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -36,18 +38,19 @@ from .experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from .fdsolver import assemble, solve, write_grid_function
+from .fdsolver import SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
 from .geometry import sample_points_by_gauge
 from .reports import content_hash, jsonable, write_csv, write_json_report
 
 __all__ = ["main", "run"]
 
-# Verdict gates.  Each is a constant, recorded in the result of its command.
-RESIDUAL_TOL = 1e-9  # verify-closed-forms: largest normalised residual ("tolerance")
-GROWTH_BAND = (0.95, 1.05)  # boundary-growth: range of the ray exponent ("growth_band")
-STABILIZATION = 0.25  # holder-modulus: largest relative quotient change ("stabilization")
-CROSS_SCALE_TOL = 0.2  # oscillation-decay: largest relative c0 spread ("cross_scale_tol")
-FIT_BAND = 0.15  # decay-fit: largest relative slope error ("fit_band")
+# Verdict gates: constants of the code, recorded as the gates of the verdicts built from them.
+RESIDUAL_TOL = 1e-9  # verify-closed-forms: largest normalised residual
+GROWTH_BAND = (0.95, 1.05)  # boundary-growth: range of the ray exponent
+STABILIZATION = 0.25  # holder-modulus: the relative quotient change stays below it
+CROSS_SCALE_TOL = 0.2  # oscillation-decay: largest relative c0 spread
+FIT_BAND = 0.15  # decay-fit: largest relative slope error
+MARGIN_TOLERANCE = 1e-6  # global-bound: the worst margin is >= -tolerance, its halved-C control below
 
 # Measurement window, recorded in the result like the gates.
 GAUGE_RANGE = (0.01, 100.0)  # verify-closed-forms: gauges of the sampled points ("gauge_range")
@@ -79,19 +82,22 @@ def _kernel_data(p):
     return np.errstate(divide="ignore", invalid="ignore")(lambda xp, xn: kernel_value_arrays(xp, xn, p))
 
 
-def _outer_radius(cfg: RunConfig, inner_radius: float) -> float:
-    """``experiment.outer_radius``, refused unless it exceeds ``inner_radius``."""
+def _outer_radius(cfg: RunConfig, lowest: float) -> float:
+    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest``."""
     outer = cfg.experiment["outer_radius"]
-    if not outer > inner_radius:
-        raise ConfigError(f"experiment.outer_radius: must be > {inner_radius:g}")
+    if not outer > lowest:
+        raise ConfigError(f"experiment.outer_radius: must be > {lowest:g}")
     return outer
 
 
-def _normalized_residual(op_value: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """|op_value| / scale per point; a zero scale gives 0 for a zero value, else inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(op_value) / scale
-    return np.where(scale == 0.0, np.where(op_value == 0.0, 0.0, np.inf), ratio)
+def verdict(name: str, value, gate, control=None) -> dict:
+    """One verdict, as the report records it: it passes when ``value`` is a number in the closed
+    ``gate`` [lo, hi] and ``control``, if given, a number outside it (``None`` and NaN fail)."""
+    lo, hi = gate
+    passed = value is not None and lo <= value <= hi
+    if control is not None:
+        passed = passed and (control < lo or control > hi)
+    return {"name": name, "value": value, "gate": [lo, hi], "control": control, "passed": bool(passed)}
 
 
 def _cmd_verify_closed_forms(cfg: RunConfig):
@@ -101,27 +107,28 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
     xp, xn = sample_points_by_gauge(p, rng, cfg.experiment["points"], lo, hi, min_normal_fraction=1e-6)
     power = harmonic_gauge_power(p)
     jw = kernel_jet(xp, xn, p)
-    rw = _normalized_residual(apply_grushin(jw, xp, xn, p), grushin_term_scale(jw, xp, xn, p))
+    rw = componentwise_ratio(apply_grushin(jw, xp, xn, p), grushin_term_scale(jw, xp, xn, p))
     jg = gauge_power_jet(xp, xn, p, power)
-    rg = _normalized_residual(apply_grushin(jg, xp, xn, p), grushin_term_scale(jg, xp, xn, p))
+    rg = componentwise_ratio(apply_grushin(jg, xp, xn, p), grushin_term_scale(jg, xp, xn, p))
     worst_kernel = float(np.max(rw))
     worst_power = float(np.max(rg))
     columns = [*xp.T, xn, rw, rg]
-    tol = RESIDUAL_TOL
-    passed = worst_kernel <= tol and worst_power <= tol
+    verdicts = [
+        verdict("max_kernel_residual", worst_kernel, (0.0, RESIDUAL_TOL)),
+        verdict("max_gauge_power_residual", worst_power, (0.0, RESIDUAL_TOL)),
+    ]
     result = {
         "max_kernel_residual": worst_kernel,
         "max_gauge_power_residual": worst_power,
         "harmonic_gauge_power": power,
-        "tolerance": tol,
         "gauge_range": list(GAUGE_RANGE),
     }
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "kernel_residual", "power_residual"]
     summary = (
         f"verify-closed-forms: max residuals kernel={worst_kernel:.3e} "
-        f"gauge-power={worst_power:.3e} tol={tol:.1e}"
+        f"gauge-power={worst_power:.3e} tol={RESIDUAL_TOL:.1e}"
     )
-    return passed, result, header, columns, summary
+    return verdicts, result, header, columns, summary
 
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
@@ -135,15 +142,13 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
     report = audit_ellipticity_arrays(field, p, EPSILON0, xp, xn)
     on_strip = xn >= EPSILON0
     columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
-    result = jsonable(
-        {k: v for k, v in vars(report).items() if k not in ("lambda_min", "lambda_max")}
-    )
+    result = jsonable(report)
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "lambda_min", "lambda_max", "on_strip"]
     summary = (
         f"audit-ellipticity: formula bound {report.lower_bound_formula:.6g}, "
         f"numeric min {report.lower_bound_numeric:.6g}, violations {len(report.violations)}"
     )
-    return report.passed, result, header, columns, summary
+    return [verdict("violations", len(report.violations), (0, 0))], result, header, columns, summary
 
 
 def _cmd_solve(cfg: RunConfig):
@@ -161,7 +166,8 @@ def _cmd_solve(cfg: RunConfig):
         f"solve: backward error {report.backward_error:.3e} after {report.iterations} refinements, "
         f"method {report.method}"
     )
-    return report.converged, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
+    verdicts = [verdict("backward_error", report.backward_error, (0.0, SOLVER_TOL))]
+    return verdicts, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
 
 
 def _cmd_boundary_growth(cfg: RunConfig):
@@ -169,29 +175,28 @@ def _cmd_boundary_growth(cfg: RunConfig):
     field = cfg.build_field()
     report = run_boundary_growth(field, p, cfg.grid, _kernel_data(p))
     lo, hi = GROWTH_BAND
-    passed = lo <= report.fit.exponent <= hi
-    result = {**jsonable(report), "growth_band": [lo, hi], "ray_height_fraction": RAY_HEIGHT_FRACTION}
+    result = {**jsonable(report), "ray_height_fraction": RAY_HEIGHT_FRACTION}
     columns = [report.ray_heights, report.ray_values]
     summary = (
         f"boundary-growth: C={report.bound_constant:.6g}, "
         f"ray exponent {report.fit.exponent:.4f} in [{lo}, {hi}]"
     )
-    return passed, result, ["height", "abs_u"], columns, summary
+    verdicts = [verdict("ray_exponent", report.fit.exponent, GROWTH_BAND)]
+    return verdicts, result, ["height", "abs_u"], columns, summary
 
 
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
     report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
-    passed = report.final_change < STABILIZATION
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
     summary = (
         f"holder-modulus: exponent {report.exponent:.4f}, "
         f"max quotient change {report.final_change:.3%} at finest levels"
     )
-    result = {**jsonable(report), "stabilization": STABILIZATION}
-    return passed, result, ["grid", "max_quotient", "pairs"], columns, summary
+    verdicts = [verdict("final_change", report.final_change, (0.0, math.nextafter(STABILIZATION, 0.0)))]
+    return verdicts, jsonable(report), ["grid", "max_quotient", "pairs"], columns, summary
 
 
 def _cmd_oscillation_decay(cfg: RunConfig):
@@ -201,16 +206,15 @@ def _cmd_oscillation_decay(cfg: RunConfig):
     radii = exp.pop("radii")
     reports = [run_oscillation_decay(field, p, R, **exp) for R in radii]
     c0s = [r.c0_empirical for r in reports]
-    passed = all(c > 0.0 for c in c0s)
+    verdicts = [verdict(f"c0.{k}", c, (math.ulp(0.0), math.inf)) for k, c in enumerate(c0s)]
     spread = None
     if cfg.field.family == "identity" and len(c0s) > 1:
         spread = (max(c0s) - min(c0s)) / max(c0s)
-        passed = passed and spread <= CROSS_SCALE_TOL
+        verdicts.append(verdict("cross_scale_spread", spread, (-math.inf, CROSS_SCALE_TOL)))
     result = {
-        "runs": [jsonable({k: v for k, v in vars(r).items() if k != "shell_samples"}) for r in reports],
+        "runs": jsonable(reports),
         "c0_values": c0s,
         "cross_scale_spread": spread,
-        "cross_scale_tol": CROSS_SCALE_TOL,
         "shell_band": SHELL_BAND,
         "note": (
             "the middle-shell drop is the engine of far-field convergence; the full "
@@ -226,7 +230,7 @@ def _cmd_oscillation_decay(cfg: RunConfig):
         + ", ".join(f"{c:.6g}" for c in c0s)
         + f" at R = {', '.join(str(r) for r in radii)}{spread_text}"
     )
-    return passed, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, summary
+    return verdicts, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, summary
 
 
 def _cmd_supersolution_scan(cfg: RunConfig):
@@ -234,7 +238,6 @@ def _cmd_supersolution_scan(cfg: RunConfig):
     report = run_supersolution_scan(
         p, RHO, ENVELOPE_DECAY, ENVELOPE_AMPLITUDE, SCAN_SHELLS, seed=cfg.seed, **cfg.experiment
     )
-    passed = report.R0_empirical is not None
     result = {**jsonable(report), "rho": RHO, "s": ENVELOPE_DECAY, "amplitude": ENVELOPE_AMPLITUDE}
     columns = list(zip(*report.per_shell))
     r0_text = "none" if report.R0_empirical is None else f"{report.R0_empirical:g}"
@@ -242,26 +245,27 @@ def _cmd_supersolution_scan(cfg: RunConfig):
         f"supersolution-scan: R0={r0_text}, {len(report.violations)} violations over "
         f"{len(report.shells_tested)} shells (amplitude {ENVELOPE_AMPLITUDE:g})"
     )
-    return passed, result, ["R", "samples", "violations", "worst_value"], columns, summary
+    verdicts = [verdict("R0", report.R0_empirical, (min(SCAN_SHELLS), max(SCAN_SHELLS)))]
+    return verdicts, result, ["R", "samples", "violations", "worst_value"], columns, summary
 
 
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    outer = _outer_radius(cfg, DECAY_INNER_RADIUS)
+    # The ray runs over the gauges RAY_WINDOW[0] * inner to RAY_WINDOW[1] * outer: empty below this outer.
+    outer = _outer_radius(cfg, RAY_WINDOW[0] / RAY_WINDOW[1] * DECAY_INNER_RADIUS)
     report = run_decay_fit(field, p, DECAY_INNER_RADIUS, outer, cfg.experiment["counts"])
-    band = FIT_BAND
-    passed = abs(report.fit.exponent - report.expected_exponent) <= band * abs(report.expected_exponent)
+    expected = report.expected_exponent
     xn = np.asarray(report.ray_normals)
     u = np.asarray(report.ray_values)
     columns = [report.ray_gauges, xn, u, u / xn]
     summary = (
         f"decay-fit: slope {report.fit.exponent:.4f} vs expected "
-        f"{report.expected_exponent:g} (band {band:.0%})"
+        f"{expected:g} (band {FIT_BAND:.0%})"
     )
-    result = {**jsonable(report), "fit_band": band, "ray_window": list(RAY_WINDOW)}
-    result["inner_radius"] = DECAY_INNER_RADIUS
-    return passed, result, ["gauge", "x_n", "u", "u_over_xn"], columns, summary
+    result = {**jsonable(report), "ray_window": list(RAY_WINDOW), "inner_radius": DECAY_INNER_RADIUS}
+    verdicts = [verdict("slope_error", abs(report.fit.exponent - expected), (0.0, FIT_BAND * abs(expected)))]
+    return verdicts, result, ["gauge", "x_n", "u", "u_over_xn"], columns, summary
 
 
 def _cmd_global_bound(cfg: RunConfig):
@@ -269,15 +273,15 @@ def _cmd_global_bound(cfg: RunConfig):
     field = cfg.build_field()
     outer = _outer_radius(cfg, BOUND_INNER_RADIUS)
     report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, outer, cfg.experiment["counts"])
-    passed = report.passed and report.falsification_failed
-    result = jsonable({k: v for k, v in vars(report).items() if k != "interface_samples"})
-    result.update(rho=RHO, inner_radius=BOUND_INNER_RADIUS)
+    result = {**jsonable(report), "rho": RHO, "inner_radius": BOUND_INNER_RADIUS}
     columns = list(report.interface_samples.T)
     summary = (
         f"global-bound: C={report.comparison_constant:.6g}, worst margin "
         f"{report.worst_margin:.3e}, falsification margin {report.falsification_margin:.3e}"
     )
-    return passed, result, ["tangential_norm", "x_n", "u", "supersolution"], columns, summary
+    gate = (-MARGIN_TOLERANCE, math.inf)
+    verdicts = [verdict("worst_margin", report.worst_margin, gate, report.falsification_margin)]
+    return verdicts, result, ["tangential_norm", "x_n", "u", "supersolution"], columns, summary
 
 
 _RUNNERS = {
@@ -294,15 +298,17 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch one validated config; write report.json and samples.csv."""
-    passed, result, header, columns, summary = _RUNNERS[cfg.command](cfg)
+    """Dispatch one validated config; write report.json and samples.csv.  The run passes when
+    every verdict of its command passes; ``result["verdicts"]`` records them."""
+    verdicts, result, header, columns, summary = _RUNNERS[cfg.command](cfg)
+    passed = all(v["passed"] for v in verdicts)
     payload = {
         "command": cfg.command,
         "config": cfg.effective,
         "input_hash": content_hash(cfg.effective),
-        "passed": bool(passed),
+        "passed": passed,
         "summary": summary,
-        "result": result,
+        "result": {**result, "verdicts": verdicts},
     }
     write_json_report(cfg.output_dir / "report.json", payload)
     write_csv(cfg.output_dir / "samples.csv", header, columns)

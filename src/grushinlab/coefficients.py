@@ -102,10 +102,6 @@ class EllipticityReport:
     lambda_min: np.ndarray = dataclass_field(repr=False, compare=False)
     lambda_max: np.ndarray = dataclass_field(repr=False, compare=False)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
 
 def make_identity_field(p: GrushinParams) -> CoefficientField:
     """The model field a_ij = delta_ij, a_in = 0 (the pure Grushin operator)."""

@@ -654,9 +654,6 @@ def run_decay_fit(
 # ----------------------------------------------------------------------
 
 
-MARGIN_TOLERANCE = 1e-6  # the global bound holds when its worst margin is >= -MARGIN_TOLERANCE
-
-
 def comparison_margin(
     values: np.ndarray, barrier: np.ndarray, constant: float, epsilon: float
 ) -> float:
@@ -672,13 +669,10 @@ class GlobalBoundReport:
     inner-interface node as a (k, 4) array, left out of ``repr`` and ``==``.
     """
 
-    passed: bool
     comparison_constant: float
     epsilon: float
     worst_margin: float
     falsification_margin: float
-    falsification_failed: bool
-    margin_tolerance: float
     interface_count: int
     interface_samples: np.ndarray = dc_field(repr=False, compare=False)
     solve: SolveReport | None = None
@@ -695,11 +689,13 @@ def run_global_bound_check(
     """Exterior solve with data min(1, x_n) on the inner box, then the
     comparison: C is the smallest constant with |u| <= C (w - w^{1+rho}) on
     the exposed inner-boundary nodes, eps the largest |u| on the far faces,
-    and the margin min(C v + eps - |u|) must be nonnegative at every node.
+    and ``worst_margin`` is min(C v + eps - |u|) over the exterior nodes.
 
     The inner data vanish linearly at the flat boundary so that both sides of
     the comparison degenerate at the same rate there; the falsification
-    control reruns the margin with C/2 and must fail, showing the check bites.
+    control, ``falsification_margin``, is the same margin with C/2.  The
+    command judges both: the bound holds when the worst margin is about
+    nonnegative and the control's is not, showing the check bites.
     Fails fast if the supersolution is not positive on the interface (inner
     radius too small) or the discrete maximum principle does not hold.
     """
@@ -735,13 +731,10 @@ def run_global_bound_check(
     tangential_norm = np.sqrt(np.sum(t * t, axis=1))
     samples = np.column_stack([tangential_norm, norm[interface], u[interface], barrier[interface]])
     return GlobalBoundReport(
-        passed=bool(worst >= -MARGIN_TOLERANCE),
         comparison_constant=constant,
         epsilon=epsilon,
         worst_margin=worst,
         falsification_margin=falsified,
-        falsification_failed=bool(falsified < -MARGIN_TOLERANCE),
-        margin_tolerance=MARGIN_TOLERANCE,
         interface_count=int(interface.size),
         interface_samples=samples,
         solve=report,

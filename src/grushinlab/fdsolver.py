@@ -108,6 +108,7 @@ __all__ = [
     "assemble",
     "solve",
     "check_dmp",
+    "componentwise_ratio",
     "grid_interpolator",
     "write_grid_function",
 ]
@@ -648,18 +649,13 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _backward_error(residual: np.ndarray, scale: np.ndarray) -> float:
-    """Componentwise backward error max_i |r_i| / scale_i, scale = |A||u| + |b|.
-
-    By Oettli & Prager (*Numer. Math.* 6, 1964) it is the smallest w such
-    that u solves some (A + dA) u = b + db with |dA| <= w|A| and |db| <= w|b|.
-    A row whose scale is 0 counts as 0 when r_i = 0 there, else as inf.
-    """
+def componentwise_ratio(value: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """|value_i| / scale_i per entry; a zero scale gives 0 where the value is 0, else inf."""
     zero = scale == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(residual) / scale
-    ratio[zero] = np.where(residual[zero] == 0.0, 0.0, np.inf)
-    return float(np.max(ratio))
+        ratio = np.abs(value) / scale
+    ratio[zero] = np.where(value[zero] == 0.0, 0.0, np.inf)
+    return ratio
 
 
 def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
@@ -676,8 +672,10 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     The first answer u is followed by sweeps of fixed-precision iterative
     refinement against the assembled operator, u += inverse(b - A u), while
     its componentwise backward error w = max_i |r_i| / (|A||u| + |b|)_i
-    (``_backward_error``) exceeds ``SOLVER_TOL`` and the last sweep at least
-    halved it, for at most ``MAX_REFINEMENTS`` sweeps.  A fast solve always
+    (``componentwise_ratio``; Oettli & Prager, *Numer. Math.* 6, 1964: the
+    least w with u solving some (A + dA) u = b + db, |dA| <= w|A|,
+    |db| <= w|b|) exceeds ``SOLVER_TOL`` and the last sweep at least halved
+    it, for at most ``MAX_REFINEMENTS`` sweeps.  A fast solve always
     gets one sweep: its first answer carries a residual up to ten times the
     LU one.  One sweep usually brings w to the round-off level (Skeel,
     *Math. Comp.* 35, 1980), while a relative residual ||r|| / ||b|| has a
@@ -714,7 +712,7 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
 
     def backward_error(r: np.ndarray, u: np.ndarray) -> float:
         scale = _stencil_product(sys.offsets, sys.weights, np.abs(u), absolute=True) + abs_b
-        return _backward_error(r, scale)
+        return float(np.max(componentwise_ratio(r, scale)))
 
     u = inverse(b)
     r = b - sys.matvec(u)

@@ -32,9 +32,10 @@ __all__ = [
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses / numpy values to plain JSON types."""
+    """Recursively convert dataclasses / numpy values to plain JSON types,
+    leaving out dataclass fields declared ``repr=False`` (raw sample arrays)."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,7 +18,7 @@ from test_fdsolver import tiny_pivot_system
 import grushinlab
 from grushinlab import cli, experiments, reports
 from grushinlab.cli import main, run
-from grushinlab.config import COMMANDS, ConfigError, parse_config
+from grushinlab.config import COMMANDS, ConfigError, RunConfig, parse_config
 from grushinlab.fdsolver import solve
 from grushinlab.reports import atomic_write_lines, canonical_json, content_hash, jsonable, write_csv
 
@@ -556,8 +557,73 @@ class TestMain:
         assert "max quotient change 0.431% at finest levels -> FAIL" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
-        assert report["result"]["final_change"] > report["result"]["stabilization"]
+        [change] = report["result"]["verdicts"]
+        assert change["name"] == "final_change" and change["passed"] is False
+        assert change["value"] == report["result"]["final_change"] > change["gate"][1]
         assert (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_passed_is_every_verdict_and_sets_the_exit_code(self, tmp_path, command):
+        out = tmp_path / command
+        code = run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+        report = json.loads((out / "report.json").read_text())
+        verdicts = report["result"]["verdicts"]
+        assert verdicts and all(set(v) == {"name", "value", "gate", "control", "passed"} for v in verdicts)
+        assert report["passed"] == all(v["passed"] for v in verdicts)
+        assert code == (0 if report["passed"] else 1)
+
+    @pytest.mark.parametrize(
+        "command, gate, value, failing",
+        [
+            ("verify-closed-forms", "RESIDUAL_TOL", 0.0, {"max_kernel_residual", "max_gauge_power_residual"}),
+            ("audit-ellipticity", None, None, {"violations"}),
+            ("solve", "SOLVER_TOL", 0.0, {"backward_error"}),
+            ("boundary-growth", "GROWTH_BAND", (1.05, 1.1), {"ray_exponent"}),
+            ("holder-modulus", "STABILIZATION", 1e-3, {"final_change"}),
+            ("oscillation-decay", "CROSS_SCALE_TOL", -1.0, {"cross_scale_spread"}),
+            ("supersolution-scan", "SCAN_SHELLS", (1.0,), {"R0"}),
+            ("decay-fit", "FIT_BAND", 0.0, {"slope_error"}),
+            ("global-bound", "MARGIN_TOLERANCE", -1.0, {"worst_margin"}),
+        ],
+        ids=[
+            "verify-closed-forms",
+            "audit-ellipticity",
+            "solve",
+            "boundary-growth",
+            "holder-modulus",
+            "oscillation-decay",
+            "supersolution-scan",
+            "decay-fit",
+            "global-bound",
+        ],
+    )
+    def test_every_verdict_can_fail(self, tmp_path, monkeypatch, capsys, command, gate, value, failing):
+        # Each gate is moved past what the small run measures (a spread and a margin of 0 included),
+        # so exactly its verdicts fail; the audit's gate [0, 0] is fixed, so its field lies instead.
+        if gate is None:
+            honest = RunConfig.build_field
+            liar = lambda cfg: dataclasses.replace(honest(cfg), lambda_const=2.0, Lambda_const=2.0)
+            monkeypatch.setattr(RunConfig, "build_field", liar)
+        else:
+            monkeypatch.setattr(cli, gate, value)
+        out = tmp_path / "o"
+        code = run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+        assert code == 1 and capsys.readouterr().out.endswith(" -> FAIL\n")
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False and (out / "samples.csv").exists()
+        assert {v["name"] for v in report["result"]["verdicts"] if not v["passed"]} == failing
+
+    def test_global_bound_control_inside_the_gate_fails(self, tmp_path, monkeypatch):
+        # A tolerance of 1 takes the halved-C control (-0.024 here) into the gate: the check no longer bites.
+        monkeypatch.setattr(cli, "MARGIN_TOLERANCE", 1.0)
+        out = tmp_path / "o"
+        raw = {"command": "global-bound", **SMALL_RAW["global-bound"], "output_dir": str(out)}
+        assert run(parse_config(raw=raw)) == 1
+        report = json.loads((out / "report.json").read_text())
+        [bound] = report["result"]["verdicts"]
+        assert report["passed"] is False and bound["passed"] is False
+        assert bound["gate"] == [-1.0, "inf"]
+        assert -1.0 <= bound["control"] < -1e-6 and -1.0 <= bound["value"]
 
     @pytest.mark.parametrize(
         "command, dotted, value",
@@ -601,13 +667,14 @@ class TestMain:
     @pytest.mark.parametrize(
         "command, dotted, value, result_key, recorded",
         [
-            # Verdict gates.
-            ("verify-closed-forms", "experiment.residual_tol", 1e-9, "tolerance", 1e-9),
-            ("boundary-growth", "experiment.growth_band", [0.95, 1.05], "growth_band", [0.95, 1.05]),
-            ("holder-modulus", "experiment.stabilization", 0.25, "stabilization", 0.25),
-            ("oscillation-decay", "experiment.cross_scale_tol", 0.2, "cross_scale_tol", 0.2),
-            ("decay-fit", "experiment.fit_band", 0.15, "fit_band", 0.15),
-            ("global-bound", "experiment.margin_tol", 1e-6, "margin_tolerance", 1e-6),
+            # Verdict gates, recorded as the gate of the named verdict.  The Hoelder change must stay
+            # below 0.25, so its closed gate ends at the largest float below 0.25.
+            ("verify-closed-forms", "experiment.residual_tol", 1e-9, "verdict:max_kernel_residual", [0, 1e-9]),
+            ("boundary-growth", "experiment.growth_band", [0.95, 1.05], "verdict:ray_exponent", [0.95, 1.05]),
+            ("holder-modulus", "experiment.stabilization", 0.25, "verdict:final_change", [0, 0.25 - 2**-55]),
+            ("oscillation-decay", "experiment.cross_scale_tol", 0.2, "verdict:cross_scale_spread", ["-inf", 0.2]),
+            ("decay-fit", "experiment.fit_band", 0.15, "verdict:slope_error", [0.0, 0.15 * 3.0]),
+            ("global-bound", "experiment.margin_tol", 1e-6, "verdict:worst_margin", [-1e-6, "inf"]),
             # Measurement windows.
             ("boundary-growth", "experiment.ray_height_fraction", 0.25, "ray_height_fraction", 0.25),
             ("oscillation-decay", "experiment.shell_band", 0.15, "shell_band", 0.15),
@@ -665,17 +732,35 @@ class TestMain:
         # ... and the report names the constant its verdict applied.
         cfgfile.write_text(json.dumps(raw))
         assert main(["--config", str(cfgfile)]) == 0
-        assert json.loads((tmp_path / "o" / "report.json").read_text())["result"][result_key] == recorded
+        result = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+        kind, _, key = result_key.rpartition(":")
+        gates = {v["name"]: v["gate"] for v in result["verdicts"]}
+        assert (gates if kind == "verdict" else result)[key] == recorded
 
-    @pytest.mark.parametrize("command, inner", [("decay-fit", 1), ("global-bound", 2)])
-    def test_outer_radius_must_pass_the_inner_radius(self, tmp_path, capsys, command, inner):
+    @pytest.mark.parametrize(
+        "command, outer, lowest",
+        [("decay-fit", 1, "7.14286"), ("decay-fit", 7, "7.14286"), ("global-bound", 2, "2")],
+        ids=["decay-fit-1", "decay-fit-7", "global-bound-2"],
+    )
+    def test_outer_radius_must_pass_the_inner_radius(
+        self, tmp_path, capsys, monkeypatch, command, outer, lowest
+    ):
+        # global-bound needs room outside its inner box; decay-fit a ray from 2.5 inner to 0.35 outer.
+        monkeypatch.setattr(experiments, "assemble", None)  # refused before any assembly
         out = tmp_path / "o"
         cfgfile = tmp_path / "radius.json"
         raw = {"command": command, **SMALL_RAW[command], "output_dir": str(out)}
-        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.outer_radius", inner)))
+        cfgfile.write_text(json.dumps(_with_value(raw, "experiment.outer_radius", outer)))
         assert main(["--config", str(cfgfile)]) == 2
-        assert capsys.readouterr().err == f"configuration error: experiment.outer_radius: must be > {inner}\n"
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"configuration error: experiment.outer_radius: must be > {lowest}\n"
+
+    def test_decay_fit_runs_just_past_its_lowest_outer_radius(self, tmp_path):
+        out = tmp_path / "o"
+        raw = {"command": "decay-fit", **SMALL_RAW["decay-fit"], "output_dir": str(out)}
+        assert run(parse_config(raw=_with_value(raw, "experiment.outer_radius", 8))) == 0
+        assert json.loads((out / "report.json").read_text())["result"]["ray_gauges"][-1] == pytest.approx(2.8)
 
     @pytest.mark.parametrize("command", ["solve", "boundary-growth", "holder-modulus"])
     def test_kernel_data_at_the_origin_are_refused(self, tmp_path, capsys, command):
@@ -764,7 +849,11 @@ class TestMain:
             "violations",
             "strip_count",
             "total_count",
+            "verdicts",
         }
+        assert report["result"]["verdicts"] == [
+            {"name": "violations", "value": 0, "gate": [0, 0], "control": None, "passed": True}
+        ]
         assert report["result"]["total_count"] == 400
         assert report["result"]["lower_bound_numeric"] == float(np.min(eigs[on_strip, 0]))
 
@@ -913,7 +1002,11 @@ class TestMain:
         assert report["summary"].startswith(f"solve: backward error {omega:.3e} after ")
         # A DMP failure is refused before the solve, so the report carries no DMP count.
         assert "dmp_ok" not in report["summary"]
-        assert set(report["result"]) == {"solve", "max_abs_u"}
+        assert set(report["result"]) == {"solve", "max_abs_u", "verdicts"}
+        [converged] = report["result"]["verdicts"]
+        assert converged["name"] == "backward_error" and converged["value"] == omega
+        assert converged["gate"] == [0.0, 1e-10]
+        assert converged["passed"] is report["result"]["solve"]["converged"] is True
 
     @pytest.mark.parametrize("command, key", [("holder-modulus", "levels"), ("oscillation-decay", "runs")])
     def test_every_solve_report_is_kept(self, tmp_path, monkeypatch, command, key):
@@ -970,9 +1063,11 @@ class TestMain:
             }
         )
         assert run(cfg) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["result"]["falsification_failed"] is True
-        assert "interface_samples" not in report["result"]
+        result = json.loads((out / "report.json").read_text())["result"]
+        [bound] = result["verdicts"]
+        assert bound["name"] == "worst_margin" and bound["passed"] is True
+        assert bound["control"] == result["falsification_margin"] < -cli.MARGIN_TOLERANCE
+        assert "interface_samples" not in result
 
     def test_three_dimensional_decay_fit(self, tmp_path):
         # An exterior 3-D problem SuperLU cannot factor in memory at this size.

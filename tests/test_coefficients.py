@@ -53,7 +53,7 @@ class TestIdentityField:
         xp, xn = unit_box_sample(P21, 400, 1)
         for eps0 in (0.1, 0.5, 0.9):
             rep = audit_ellipticity_arrays(f, P21, eps0, xp, xn)
-            assert rep.passed
+            assert not rep.violations
             assert rep.lower_bound_formula > 0.0
 
     def test_worked_formula_bound(self):
@@ -134,7 +134,7 @@ class TestDecayingPerturbation:
         f = make_decaying_perturbation(P21, 2.0, 0.3, 42)
         xp, xn = unit_box_sample(P21, 1000, 12)
         rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
-        assert rep.passed
+        assert not rep.violations
         assert rep.lower_bound_numeric >= rep.lower_bound_formula - 1e-10
 
     def test_rayleigh_quotients_within_declared_bracket(self):
@@ -150,7 +150,7 @@ class TestAudit:
         f = make_identity_field(P21)
         xp, xn = np.array([[0.3], [-0.5], [0.9]]), np.array([0.7, 0.0, 0.2])
         rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
-        assert rep.passed
+        assert not rep.violations
         assert rep.total_count == 3
         assert rep.strip_count == 1
         # A~ = diag(x_n^2, 1) for the identity field at alpha = 1.
@@ -179,7 +179,7 @@ class TestAudit:
         xp = np.array([[0.4], [-0.7]])
         xn = np.zeros(2)
         rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
-        assert rep.passed
+        assert not rep.violations
 
     def test_lying_declaration_is_reported_not_raised(self):
         honest = make_identity_field(P21)
@@ -193,7 +193,7 @@ class TestAudit:
         )
         xp, xn = unit_box_sample(P21, 50, 14)
         rep = audit_ellipticity_arrays(liar, P21, 0.5, xp, xn)
-        assert not rep.passed
+        assert rep.violations
         assert any(v.kind == "rayleigh-lower" for v in rep.violations)
 
     def test_tau_validation(self):
@@ -218,7 +218,7 @@ class TestAudit:
             assert rep.lower_bound_formula == pytest.approx(
                 strip_bound(f.lambda_const, delta, 0.5, P21.alpha, tau), rel=1e-15
             )
-            assert rep.passed
+            assert not rep.violations
 
 
 class TestThreading:

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from test_fdsolver import three_node_system
 
-from grushinlab import experiments
+from grushinlab import cli, experiments
 from grushinlab.closedforms import kernel_value_arrays, supersolution_value_arrays
 from grushinlab.coefficients import make_decaying_perturbation, make_identity_field
 from grushinlab.experiments import (
@@ -260,10 +261,11 @@ class TestGlobalBound:
 
     def test_identity_run_passes_and_control_fails(self):
         rep = run_global_bound_check(IDENT, P21, 0.5, 2.0, 32.0, counts=(1025, 81))
-        assert rep.passed
-        assert rep.falsification_failed
+        gate = (-cli.MARGIN_TOLERANCE, math.inf)
+        assert cli.verdict("worst_margin", rep.worst_margin, gate)["passed"]
+        assert not cli.verdict("control", rep.falsification_margin, gate)["passed"]
+        assert cli.verdict("worst_margin", rep.worst_margin, gate, rep.falsification_margin)["passed"]
         assert rep.epsilon <= 1e-12
-        assert rep.worst_margin >= -rep.margin_tolerance
 
     def test_radius_validation(self):
         with pytest.raises(ValueError, match="need 0 < inner_radius < outer_radius"):

@@ -404,10 +404,11 @@ class TestRefinementStop:
         assert rep.final_residual == 0.0 and rep.converged
 
     def test_zero_scale_rows(self):
-        # Row 0 has a zero scale: r = 0 there counts as 0, r != 0 as inf.
+        # Row 0 has a zero scale: r = 0 there counts as 0, r != 0 (NaN included) as inf.
         scale = np.array([0.0, 6.0])
-        assert fdsolver._backward_error(np.array([0.0, 1.0]), scale) == 1.0 / 6.0
-        assert fdsolver._backward_error(np.array([1e-300, 0.0]), scale) == np.inf
+        assert fdsolver.componentwise_ratio(np.array([0.0, -1.0]), scale).tolist() == [0.0, 1.0 / 6.0]
+        assert fdsolver.componentwise_ratio(np.array([1e-300, 0.0]), scale).tolist() == [np.inf, 0.0]
+        assert fdsolver.componentwise_ratio(np.array([np.nan, np.nan]), scale)[0] == np.inf
 
     def test_stagnation_stops_unconverged(self):
         sys = tiny_pivot_system()
