@@ -4,7 +4,7 @@ Each command returns its verdicts (``verdict``), and ``run`` alone decides
 the outcome from them.  Exit codes partition outcomes: 0 every verdict
 passed, 1 the run completed but a verdict failed (the report is still
 written), 2 configuration or runtime error (no report).  stdout carries a
-one-line summary, stderr the diagnostics.
+one-line summary written from the verdicts, stderr the diagnostics.
 """
 
 from __future__ import annotations
@@ -124,11 +124,7 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
         "gauge_range": list(GAUGE_RANGE),
     }
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "kernel_residual", "power_residual"]
-    summary = (
-        f"verify-closed-forms: max residuals kernel={worst_kernel:.3e} "
-        f"gauge-power={worst_power:.3e} tol={RESIDUAL_TOL:.1e}"
-    )
-    return verdicts, result, header, columns, summary
+    return verdicts, result, header, columns
 
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
@@ -144,11 +140,7 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
     columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
     result = jsonable(report)
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "lambda_min", "lambda_max", "on_strip"]
-    summary = (
-        f"audit-ellipticity: formula bound {report.lower_bound_formula:.6g}, "
-        f"numeric min {report.lower_bound_numeric:.6g}, violations {len(report.violations)}"
-    )
-    return [verdict("violations", len(report.violations), (0, 0))], result, header, columns, summary
+    return [verdict("violations", len(report.violations), (0, 0))], result, header, columns
 
 
 def _cmd_solve(cfg: RunConfig):
@@ -162,27 +154,18 @@ def _cmd_solve(cfg: RunConfig):
     result = {"solve": jsonable(report), "max_abs_u": float(np.max(np.abs(u)))}
     spacings = [np.diff(axis) for axis in grid.axes]
     columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
-    summary = (
-        f"solve: backward error {report.backward_error:.3e} after {report.iterations} refinements, "
-        f"method {report.method}"
-    )
     verdicts = [verdict("backward_error", report.backward_error, (0.0, SOLVER_TOL))]
-    return verdicts, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, summary
+    return verdicts, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns
 
 
 def _cmd_boundary_growth(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
     report = run_boundary_growth(field, p, cfg.grid, _kernel_data(p))
-    lo, hi = GROWTH_BAND
     result = {**jsonable(report), "ray_height_fraction": RAY_HEIGHT_FRACTION}
     columns = [report.ray_heights, report.ray_values]
-    summary = (
-        f"boundary-growth: C={report.bound_constant:.6g}, "
-        f"ray exponent {report.fit.exponent:.4f} in [{lo}, {hi}]"
-    )
     verdicts = [verdict("ray_exponent", report.fit.exponent, GROWTH_BAND)]
-    return verdicts, result, ["height", "abs_u"], columns, summary
+    return verdicts, result, ["height", "abs_u"], columns
 
 
 def _cmd_holder_modulus(cfg: RunConfig):
@@ -191,12 +174,8 @@ def _cmd_holder_modulus(cfg: RunConfig):
     report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
-    summary = (
-        f"holder-modulus: exponent {report.exponent:.4f}, "
-        f"max quotient change {report.final_change:.3%} at finest levels"
-    )
     verdicts = [verdict("final_change", report.final_change, (0.0, math.nextafter(STABILIZATION, 0.0)))]
-    return verdicts, jsonable(report), ["grid", "max_quotient", "pairs"], columns, summary
+    return verdicts, jsonable(report), ["grid", "max_quotient", "pairs"], columns
 
 
 def _cmd_oscillation_decay(cfg: RunConfig):
@@ -211,26 +190,11 @@ def _cmd_oscillation_decay(cfg: RunConfig):
     if cfg.field.family == "identity" and len(c0s) > 1:
         spread = (max(c0s) - min(c0s)) / max(c0s)
         verdicts.append(verdict("cross_scale_spread", spread, (-math.inf, CROSS_SCALE_TOL)))
-    result = {
-        "runs": jsonable(reports),
-        "c0_values": c0s,
-        "cross_scale_spread": spread,
-        "shell_band": SHELL_BAND,
-        "note": (
-            "the middle-shell drop is the engine of far-field convergence; the full "
-            "limit statement at infinity is not directly testable on finite grids"
-        ),
-    }
+    result = {"runs": jsonable(reports), "c0_values": c0s, "cross_scale_spread": spread, "shell_band": SHELL_BAND}
     radius = np.repeat([r.shells[0] for r in reports], [len(r.shell_samples) for r in reports])
     samples = np.concatenate([r.shell_samples for r in reports])
     columns = [radius, *samples.T]
-    spread_text = "" if spread is None else f", cross-scale spread {spread:.3%}"
-    summary = (
-        "oscillation-decay: c0 = "
-        + ", ".join(f"{c:.6g}" for c in c0s)
-        + f" at R = {', '.join(str(r) for r in radii)}{spread_text}"
-    )
-    return verdicts, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, summary
+    return verdicts, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns
 
 
 def _cmd_supersolution_scan(cfg: RunConfig):
@@ -240,13 +204,8 @@ def _cmd_supersolution_scan(cfg: RunConfig):
     )
     result = {**jsonable(report), "rho": RHO, "s": ENVELOPE_DECAY, "amplitude": ENVELOPE_AMPLITUDE}
     columns = list(zip(*report.per_shell))
-    r0_text = "none" if report.R0_empirical is None else f"{report.R0_empirical:g}"
-    summary = (
-        f"supersolution-scan: R0={r0_text}, {len(report.violations)} violations over "
-        f"{len(report.shells_tested)} shells (amplitude {ENVELOPE_AMPLITUDE:g})"
-    )
     verdicts = [verdict("R0", report.R0_empirical, (min(SCAN_SHELLS), max(SCAN_SHELLS)))]
-    return verdicts, result, ["R", "samples", "violations", "worst_value"], columns, summary
+    return verdicts, result, ["R", "samples", "violations", "worst_value"], columns
 
 
 def _cmd_decay_fit(cfg: RunConfig):
@@ -259,13 +218,9 @@ def _cmd_decay_fit(cfg: RunConfig):
     xn = np.asarray(report.ray_normals)
     u = np.asarray(report.ray_values)
     columns = [report.ray_gauges, xn, u, u / xn]
-    summary = (
-        f"decay-fit: slope {report.fit.exponent:.4f} vs expected "
-        f"{expected:g} (band {FIT_BAND:.0%})"
-    )
     result = {**jsonable(report), "ray_window": list(RAY_WINDOW), "inner_radius": DECAY_INNER_RADIUS}
     verdicts = [verdict("slope_error", abs(report.fit.exponent - expected), (0.0, FIT_BAND * abs(expected)))]
-    return verdicts, result, ["gauge", "x_n", "u", "u_over_xn"], columns, summary
+    return verdicts, result, ["gauge", "x_n", "u", "u_over_xn"], columns
 
 
 def _cmd_global_bound(cfg: RunConfig):
@@ -275,13 +230,9 @@ def _cmd_global_bound(cfg: RunConfig):
     report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, outer, cfg.experiment["counts"])
     result = {**jsonable(report), "rho": RHO, "inner_radius": BOUND_INNER_RADIUS}
     columns = list(report.interface_samples.T)
-    summary = (
-        f"global-bound: C={report.comparison_constant:.6g}, worst margin "
-        f"{report.worst_margin:.3e}, falsification margin {report.falsification_margin:.3e}"
-    )
     gate = (-MARGIN_TOLERANCE, math.inf)
     verdicts = [verdict("worst_margin", report.worst_margin, gate, report.falsification_margin)]
-    return verdicts, result, ["tangential_norm", "x_n", "u", "supersolution"], columns, summary
+    return verdicts, result, ["tangential_norm", "x_n", "u", "supersolution"], columns
 
 
 _RUNNERS = {
@@ -297,11 +248,27 @@ _RUNNERS = {
 }
 
 
+def _summary(command: str, verdicts) -> str:
+    """The command, then per verdict ``<name> <value> in [<lo>, <hi>]`` and ``, control <c>`` if it
+    has one, joined by ``; ``.  Numbers are written %.6g and ``None`` as none."""
+
+    def text(x):
+        return "none" if x is None else f"{x:.6g}"
+
+    return f"{command}: " + "; ".join(
+        f"{v['name']} {text(v['value'])} in [{text(v['gate'][0])}, {text(v['gate'][1])}]"
+        + ("" if v["control"] is None else f", control {text(v['control'])}")
+        for v in verdicts
+    )
+
+
 def run(cfg: RunConfig) -> int:
     """Dispatch one validated config; write report.json and samples.csv.  The run passes when
-    every verdict of its command passes; ``result["verdicts"]`` records them."""
-    verdicts, result, header, columns, summary = _RUNNERS[cfg.command](cfg)
+    every verdict of its command passes; ``result["verdicts"]`` records them, and the summary
+    is written from them."""
+    verdicts, result, header, columns = _RUNNERS[cfg.command](cfg)
     passed = all(v["passed"] for v in verdicts)
+    summary = _summary(cfg.command, verdicts)
     payload = {
         "command": cfg.command,
         "config": cfg.effective,
@@ -314,7 +281,8 @@ def run(cfg: RunConfig) -> int:
     write_csv(cfg.output_dir / "samples.csv", header, columns)
     print(summary + (" -> PASS" if passed else " -> FAIL"))
     if not passed:
-        print(f"{cfg.command}: criterion failed; see {cfg.output_dir / 'report.json'}", file=sys.stderr)
+        failed = ", ".join(v["name"] for v in verdicts if not v["passed"])
+        print(f"{cfg.command}: failed verdicts {failed}; see {cfg.output_dir / 'report.json'}", file=sys.stderr)
     return 0 if passed else 1
 
 

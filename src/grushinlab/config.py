@@ -171,7 +171,7 @@ def _parse_field(raw: dict, default_seed: int) -> FieldConfig:
     family = _string(obj, "field", "family", "identity", ("identity", "decaying-perturbation"))
     s = _number(obj, "field", "s", 2.0, lo=0.0, lo_open=True)
     amplitude = _number(obj, "field", "amplitude", 0.3, lo=0.0, hi=1.0, lo_open=True)
-    seed = _integer(obj, "field", "seed", default_seed)
+    seed = _integer(obj, "field", "seed", default_seed, lo=0)
     return FieldConfig(family=family, s=s, amplitude=amplitude, seed=seed)
 
 
@@ -260,7 +260,7 @@ def parse_config(
         raise ConfigError("command: required")
     command = _string(raw, "", "command", None, COMMANDS)
 
-    seed = _integer(raw, "", "seed", 0)
+    seed = _integer(raw, "", "seed", 0, lo=0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir: must be a string")

@@ -174,26 +174,22 @@ def _require_fit_samples(count: int, what: str) -> None:
         )
 
 
-def _solve_dirichlet(
-    field: CoefficientField,
-    grid: AnisotropicGrid,
-    p: GrushinParams,
-    bc,
-    extra_dirichlet=None,
-    require_dmp: bool = True,
-) -> tuple[np.ndarray, SolveReport, SparseSystem]:
-    """Assemble and solve; refuse a failed DMP check (when required) and an
-    unconverged solve, so no verdict rests on an unchecked answer."""
-    sys = assemble(field, grid, p, bc, extra_dirichlet=extra_dirichlet)
-    if require_dmp:
-        require_monotone(sys)
+def _checked_solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
+    """Solve; refuse an unconverged solve, so no verdict rests on an unchecked
+    answer.  A runner checks its other preconditions on the assembled system
+    first, so none of them waits for a solve."""
     u, report = solve(sys)
     if not report.converged:
         raise PreconditionError(
             f"{report.method} solve did not converge: componentwise backward error "
             f"{report.backward_error:.3e} > {SOLVER_TOL:.3e} after {report.iterations} refinement sweeps"
         )
-    return u, report, sys
+    return u, report
+
+
+def _flat_face_data(sys: SparseSystem, grid: AnisotropicGrid) -> np.ndarray:
+    """The Dirichlet data of the nodes on the flat face x_n = 0 (normal index 0)."""
+    return sys.rhs.reshape(-1, grid.shape[-1])[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -227,13 +223,14 @@ def run_boundary_growth(
     carry |u| > 1e-12.
     """
     grid = grid_spec.build(p)
-    u, report, sys = _solve_dirichlet(field, grid, p, bc)
-    tang, norm = grid.node_coordinates()
-    flat = norm == 0.0
-    if np.max(np.abs(sys.rhs[flat])) > 1e-12:
+    sys = assemble(field, grid, p, bc)
+    require_monotone(sys)
+    if np.max(np.abs(_flat_face_data(sys, grid))) > 1e-12:
         raise PreconditionError("boundary-growth problems need u = 0 on the flat face")
     if np.max(np.abs(sys.rhs[sys.dirichlet_mask])) > 1.0 + 1e-9:
         raise PreconditionError("boundary-growth problems need |bc| <= 1")
+    u, report = _checked_solve(sys)
+    tang, norm = grid.node_coordinates()
 
     columns = u.reshape(-1, grid.shape[-1])
     col = int(np.argmax(np.abs(columns[:, 1])))
@@ -333,11 +330,12 @@ def run_holder_modulus(
     for level in range(levels):
         spec = grid_spec.refined(2**level)
         grid = spec.build(p)
-        u, report, sys = _solve_dirichlet(field, grid, p, bc)
-        tang, norm = grid.node_coordinates()
-        flat = norm == 0.0
-        if np.max(np.abs(sys.rhs[flat])) > 1e-12:
+        sys = assemble(field, grid, p, bc)
+        require_monotone(sys)
+        if np.max(np.abs(_flat_face_data(sys, grid))) > 1e-12:
             raise PreconditionError("Hoelder runs need u = 0 on the flat face")
+        u, report = _checked_solve(sys)
+        tang, norm = grid.node_coordinates()
         rng = np.random.default_rng(seed + level)
         a, b = _holder_pairs(grid, tang, norm, rng, pairs)
         dist = quasi_distance_arrays(tang[a], norm[a], tang[b], norm[b], p.alpha)
@@ -411,10 +409,10 @@ def run_oscillation_decay(
         values[ring] = flat_value
         return values
 
-    u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=hole, require_dmp=False)
     shell = np.abs(level - 2.0 * R) <= SHELL_BAND * 2.0 * R
     if not shell.any():
         raise PreconditionError("no grid nodes fall on the measured middle shell; refine the grid")
+    u, report = _checked_solve(assemble(field, grid, p, bc, extra_dirichlet=hole))
     sup = float(np.max(u[shell]))
     return OscillationReport(
         sup_inner=sup,
@@ -632,7 +630,9 @@ def run_decay_fit(
     grid, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, lambda xn: 1.0
     )
-    u, report, _ = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
+    sys = assemble(field, grid, p, bc, extra_dirichlet=inside)
+    require_monotone(sys)
+    u, report = _checked_solve(sys)
 
     lo, hi = RAY_WINDOW
     gauges, ray_t, ray_n = decay_ray(p, lo * inner_radius, hi * outer_radius, RAY_POINTS)
@@ -696,40 +696,47 @@ def run_global_bound_check(
     control, ``falsification_margin``, is the same margin with C/2.  The
     command judges both: the bound holds when the worst margin is about
     nonnegative and the control's is not, showing the check bites.
-    Fails fast if the supersolution is not positive on the interface (inner
-    radius too small) or the discrete maximum principle does not hold.
+    Refuses before the solve a grid whose inner box holds no interface node,
+    a supersolution that is not positive on the interface (inner radius too
+    small) and a system that fails the discrete maximum principle.
     """
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
     grid, inside, bc = _exterior_problem(
         p, inner_radius, outer_radius, counts, lambda xn: np.minimum(1.0, xn)
     )
-    u, report, sys = _solve_dirichlet(field, grid, p, bc, extra_dirichlet=inside)
-    tang, norm = grid.node_coordinates()  # taken after the solve, which needs the room
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        barrier = supersolution_value_arrays(tang, norm, rho, p)
-    exterior = ~inside
-
-    # Interface: the inner-box nodes above the flat face that some interior row references.
-    interface = np.flatnonzero(sys.referenced_dirichlet() & inside & (norm > 0.0))
+    sys = assemble(field, grid, p, bc, extra_dirichlet=inside)
+    require_monotone(sys)
+    # Interface: the inner-box nodes above the flat face (normal index > 0) that some interior
+    # row references.  Only their coordinates are read before the solve, which needs the room.
+    interface = np.flatnonzero(sys.referenced_dirichlet() & inside)
+    interface = interface[interface % grid.shape[-1] > 0]
     if interface.size == 0:
         raise PreconditionError("inner box is invisible to the grid; refine or enlarge it")
-    if np.min(barrier[interface]) <= 0.0:
+    *tang_index, norm_index = np.unravel_index(interface, grid.shape)
+    tang_i = np.column_stack([axis[i] for axis, i in zip(grid.axes, tang_index)])
+    norm_i = grid.axes[-1][norm_index]
+    barrier_i = supersolution_value_arrays(tang_i, norm_i, rho, p)
+    if np.min(barrier_i) <= 0.0:
         raise PreconditionError(
             "supersolution w - w^{1+rho} is not positive on the inner boundary; "
             "increase inner_radius (w must be < 1 there)"
         )
+    u, report = _checked_solve(sys)
 
-    constant = float(np.max(np.abs(u[interface]) / barrier[interface]))
+    tang, norm = grid.node_coordinates()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        barrier = supersolution_value_arrays(tang, norm, rho, p)
+    exterior = ~inside
+
+    constant = float(np.max(np.abs(u[interface]) / barrier_i))
     far = sys.dirichlet_mask & exterior
     epsilon = float(np.max(np.abs(u[far])))
 
     worst = comparison_margin(u[exterior], barrier[exterior], constant, epsilon)
     falsified = comparison_margin(u[exterior], barrier[exterior], 0.5 * constant, epsilon)
-    t = tang[interface]
-    tangential_norm = np.sqrt(np.sum(t * t, axis=1))
-    samples = np.column_stack([tangential_norm, norm[interface], u[interface], barrier[interface]])
+    tangential_norm = np.sqrt(np.sum(tang_i * tang_i, axis=1))
+    samples = np.column_stack([tangential_norm, norm_i, u[interface], barrier_i])
     return GlobalBoundReport(
         comparison_constant=constant,
         epsilon=epsilon,

@@ -84,6 +84,7 @@ log n (Higham, *SIAM J. Sci. Comput.* 14, 1993).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -141,7 +142,7 @@ class AnisotropicGrid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """All node coordinates in flat C order: tangential (N, n-1), normal (N,)."""
@@ -182,7 +183,7 @@ def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> Anisotr
         raise ValueError(f"every axis needs at least 3 nodes, got {counts}")
     if grading_exponent < 1.0:
         raise ValueError(f"grading_exponent must be >= 1, got {grading_exponent}")
-    total = int(np.prod(counts))
+    total = math.prod(counts)
     if total > MAX_NODES:
         raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(lo.size - 1)]

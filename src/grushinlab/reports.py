@@ -66,13 +66,18 @@ def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
     """Stream ``lines`` into a sibling temp file, then rename it over ``path``.
 
     Readers never see a partial file: on any error the temp file is removed
-    and ``path`` keeps its old content.
+    and ``path`` keeps its old content.  The file gets the mode that
+    ``open(path, "w")`` would give it, 0o666 less the umask, not the 0o600
+    of ``mkstemp``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # reading the umask means setting it; it is put back at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:

@@ -90,6 +90,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"params\.alpha: must be >= 0"):
             parse_config(raw={"command": "verify-closed-forms", "params": {"alpha": -1}})
 
+    @pytest.mark.parametrize("command", ["verify-closed-forms", "solve"])
+    @pytest.mark.parametrize("dotted", ["seed", "field.seed"])
+    def test_negative_seeds_are_config_errors(self, tmp_path, capsys, command, dotted):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "seed.json"
+        cfgfile.write_text(json.dumps(_with_value({"command": command, "output_dir": str(out)}, dotted, -1)))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"configuration error: {dotted}: must be >= 0\n"
+        assert not out.exists()
+
     def test_unknown_keys_are_errors(self):
         with pytest.raises(ConfigError, match="bogus: unknown key"):
             parse_config(raw={"command": "solve", "bogus": 1})
@@ -471,6 +482,21 @@ class TestReports:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_outputs_get_the_mode_open_would_give(self, tmp_path, umask):
+        out = tmp_path / "solve"
+        cfg = parse_config(raw={"command": "solve", **SMALL_RAW["solve"], "output_dir": str(out)})
+        old = os.umask(umask)
+        try:
+            assert run(cfg) == 0
+            (tmp_path / "opened").open("w").close()
+        finally:
+            os.umask(old)
+        expected = (tmp_path / "opened").stat().st_mode & 0o777
+        assert expected == 0o666 & ~umask
+        for name in ("report.json", "samples.csv", "solution.txt"):
+            assert (out / name).stat().st_mode & 0o777 == expected, name
+
 
 class TestMain:
     def test_verify_closed_forms_passes(self, tmp_path, capsys):
@@ -554,10 +580,11 @@ class TestMain:
         out = tmp_path / "fail"
         raw = {"command": "holder-modulus", **SMALL_RAW["holder-modulus"], "output_dir": str(out)}
         assert run(parse_config(raw=raw)) == 1
-        assert "max quotient change 0.431% at finest levels -> FAIL" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         [change] = report["result"]["verdicts"]
+        assert f"{change['value']:.3%}" == "0.431%"
+        assert capsys.readouterr().out.endswith(f"final_change {change['value']:.6g} in [0, 0.001] -> FAIL\n")
         assert change["name"] == "final_change" and change["passed"] is False
         assert change["value"] == report["result"]["final_change"] > change["gate"][1]
         assert (out / "samples.csv").exists()
@@ -571,6 +598,21 @@ class TestMain:
         assert verdicts and all(set(v) == {"name", "value", "gate", "control", "passed"} for v in verdicts)
         assert report["passed"] == all(v["passed"] for v in verdicts)
         assert code == (0 if report["passed"] else 1)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_is_written_from_the_verdicts(self, tmp_path, capsys, command):
+        out = tmp_path / command
+        code = run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
+        report = json.loads((out / "report.json").read_text())
+        summary = report["summary"]
+        assert capsys.readouterr().out == summary + (" -> PASS\n" if code == 0 else " -> FAIL\n")
+        assert summary.startswith(f"{command}: ")
+        clauses = summary[len(command) + 2 :].split("; ")
+        assert len(clauses) == len(report["result"]["verdicts"])
+        for clause, v in zip(clauses, report["result"]["verdicts"]):
+            value = "none" if v["value"] is None else f"{v['value']:.6g}"
+            control = "" if v["control"] is None else f", control {v['control']:.6g}"
+            assert clause.startswith(f"{v['name']} {value} in [") and clause.endswith(f"]{control}")
 
     @pytest.mark.parametrize(
         "command, gate, value, failing",
@@ -608,10 +650,14 @@ class TestMain:
             monkeypatch.setattr(cli, gate, value)
         out = tmp_path / "o"
         code = run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
-        assert code == 1 and capsys.readouterr().out.endswith(" -> FAIL\n")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out.endswith(" -> FAIL\n")
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False and (out / "samples.csv").exists()
         assert {v["name"] for v in report["result"]["verdicts"] if not v["passed"]} == failing
+        # stderr names exactly the failed verdicts, in their order.
+        names = [v["name"] for v in report["result"]["verdicts"] if v["name"] in failing]
+        assert captured.err == f"{command}: failed verdicts {', '.join(names)}; see {out / 'report.json'}\n"
 
     def test_global_bound_control_inside_the_gate_fails(self, tmp_path, monkeypatch):
         # A tolerance of 1 takes the halved-C control (-0.024 here) into the gate: the check no longer bites.
@@ -994,12 +1040,12 @@ class TestMain:
         }
 
     def test_solve_summary_quotes_the_converged_quantity(self, tmp_path):
-        # ``converged`` tests the backward error, so the summary quotes it.
+        # ``converged`` tests the backward error, so the summary quotes it and its gate.
         out = tmp_path / "solve"
         run(parse_config(raw={"command": "solve", **SMALL_RAW["solve"], "output_dir": str(out)}))
         report = json.loads((out / "report.json").read_text())
         omega = report["result"]["solve"]["backward_error"]
-        assert report["summary"].startswith(f"solve: backward error {omega:.3e} after ")
+        assert report["summary"] == f"solve: backward_error {omega:.6g} in [0, 1e-10]"
         # A DMP failure is refused before the solve, so the report carries no DMP count.
         assert "dmp_ok" not in report["summary"]
         assert set(report["result"]) == {"solve", "max_abs_u", "verdicts"}
@@ -1098,3 +1144,4 @@ class TestMain:
         assert run(cfg) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["result"]["cross_scale_spread"] <= 0.2
+        assert "note" not in report["result"]

@@ -43,6 +43,16 @@ def bc_zero(xp, xn):
     return np.zeros(np.shape(xn))
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make every solve of a runner raise: a refusal must fire before it."""
+
+    def forbidden(sys):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(experiments, "solve", forbidden)
+
+
 class TestFitLogLog:
     def test_recovers_power_law(self):
         x = np.geomspace(0.1, 10.0, 20)
@@ -100,12 +110,12 @@ class TestBoundaryGrowth:
         oracle = np.max(kernel_value_arrays(tang[keep], norm[keep], P21) / norm[keep])
         assert rep.bound_constant == pytest.approx(oracle, rel=0.10)
 
-    def test_data_above_one_is_rejected(self):
-        with pytest.raises(PreconditionError):
+    def test_data_above_one_is_rejected(self, no_solve):
+        with pytest.raises(PreconditionError, match=r"^boundary-growth problems need \|bc\| <= 1$"):
             run_boundary_growth(IDENT, P21, WBOX, lambda xp, xn: 2.0 * xn)
 
-    def test_nonzero_flat_data_is_rejected(self):
-        with pytest.raises(PreconditionError):
+    def test_nonzero_flat_data_is_rejected(self, no_solve):
+        with pytest.raises(PreconditionError, match="^boundary-growth problems need u = 0 on the flat face$"):
             run_boundary_growth(IDENT, P21, WBOX, lambda xp, xn: 0.25 * np.ones(np.shape(xn)))
 
 
@@ -138,6 +148,10 @@ class TestHolderModulus:
         ]
         assert min(growth) > 1.2  # sharpness probe: reported, grows per level
 
+    def test_nonzero_flat_data_is_rejected(self, no_solve):
+        with pytest.raises(PreconditionError, match="^Hoelder runs need u = 0 on the flat face$"):
+            run_holder_modulus(IDENT, P21, WBOX, lambda xp, xn: 0.25 * np.ones(np.shape(xn)), levels=2)
+
     def test_zero_data_is_refused(self):
         # u = 0 makes every quotient 0, so the relative change has no denominator.
         with pytest.raises(PreconditionError, match="every sampled two-point quotient is 0 on the 33x33 grid"):
@@ -167,6 +181,11 @@ class TestOscillationDecay:
         field = make_decaying_perturbation(P21, 2.0, 0.3, 42)
         rep = run_oscillation_decay(field, P21, 4.0, counts=(65, 33))
         assert rep.c0_empirical > 0.0
+
+    def test_empty_middle_shell_is_refused(self, no_solve):
+        # A 3x3 grid has no node within SHELL_BAND of the middle shell.
+        with pytest.raises(PreconditionError, match="^no grid nodes fall on the measured middle shell"):
+            run_oscillation_decay(IDENT, P21, 1.0, counts=(3, 3))
 
 
 class TestSupersolutionScan:
@@ -271,10 +290,15 @@ class TestGlobalBound:
         with pytest.raises(ValueError, match="need 0 < inner_radius < outer_radius"):
             run_global_bound_check(IDENT, P21, 0.5, 2.0, 1.5, counts=(129, 17))
 
-    def test_too_small_inner_radius_is_rejected(self):
+    def test_too_small_inner_radius_is_rejected(self, no_solve):
         # w >= 1 on the inner boundary makes the supersolution useless there
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^supersolution w - w\^\{1\+rho\} is not positive"):
             run_global_bound_check(IDENT, P21, 0.5, 1.0, 16.0, counts=(257, 33))
+
+    def test_invisible_inner_box_is_refused(self, no_solve):
+        # At 5x5 the inner box holds no node above the flat face.
+        with pytest.raises(PreconditionError, match="^inner box is invisible to the grid"):
+            run_global_bound_check(IDENT, P21, 0.5, 2.0, 64.0, counts=(5, 5))
 
 
 class TestSolverSelection:

@@ -95,6 +95,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="budget"):
             build_grid([0, 0], [1, 1], (1500, 1500))  # over the node budget
 
+    def test_node_budget_is_an_exact_count(self):
+        # 33**13 nodes wrap round in int64 to a negative count; the exact product is refused.
+        with pytest.raises(ValueError, match="^grid has 55040353993448503713 nodes, exceeding the budget"):
+            build_grid((1.0,) * 12 + (0.0,), (3.0,) * 12 + (2.0,), (33,) * 13)
+
 
 class TestAssembleAndSolve:
     def test_constants_are_discretely_harmonic(self):
