@@ -5,6 +5,8 @@ the outcome from them.  Exit codes partition outcomes: 0 every verdict
 passed, 1 the run completed but a verdict failed (the report is still
 written), 2 configuration or runtime error (no report).  stdout carries a
 one-line summary written from the verdicts, stderr the diagnostics.
+``report.json`` holds nothing run-dependent; the timings of the run go to
+``telemetry.json`` beside it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
 from .closedforms import (
     apply_grushin,
+    gauge_log_jet,
     gauge_power_jet,
     grushin_term_scale,
     harmonic_gauge_power,
@@ -108,7 +112,9 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
     power = harmonic_gauge_power(p)
     jw = kernel_jet(xp, xn, p)
     rw = componentwise_ratio(apply_grushin(jw, xp, xn, p), grushin_term_scale(jw, xp, xn, p))
-    jg = gauge_power_jet(xp, xn, p, power)
+    # At Q = 2 the power is 0 and d^0 = 1 would pass whatever the operator; log d is checked instead.
+    gauge_function = "log d" if power == 0.0 else "d^(2-Q)"
+    jg = gauge_log_jet(xp, xn, p) if power == 0.0 else gauge_power_jet(xp, xn, p, power)
     rg = componentwise_ratio(apply_grushin(jg, xp, xn, p), grushin_term_scale(jg, xp, xn, p))
     worst_kernel = float(np.max(rw))
     worst_power = float(np.max(rg))
@@ -121,10 +127,11 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
         "max_kernel_residual": worst_kernel,
         "max_gauge_power_residual": worst_power,
         "harmonic_gauge_power": power,
+        "gauge_function": gauge_function,
         "gauge_range": list(GAUGE_RANGE),
     }
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "kernel_residual", "power_residual"]
-    return verdicts, result, header, columns
+    return verdicts, result, header, columns, []
 
 
 def _cmd_audit_ellipticity(cfg: RunConfig):
@@ -140,7 +147,7 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
     columns = [*xp.T, xn, report.lambda_min, report.lambda_max, on_strip]
     result = jsonable(report)
     header = [f"x_{i+1}" for i in range(p.n - 1)] + ["x_n", "lambda_min", "lambda_max", "on_strip"]
-    return [verdict("violations", len(report.violations), (0, 0))], result, header, columns
+    return [verdict("violations", len(report.violations), (0, 0))], result, header, columns, []
 
 
 def _cmd_solve(cfg: RunConfig):
@@ -155,7 +162,7 @@ def _cmd_solve(cfg: RunConfig):
     spacings = [np.diff(axis) for axis in grid.axes]
     columns = [range(grid.dim), grid.counts, [h.min() for h in spacings], [h.max() for h in spacings]]
     verdicts = [verdict("backward_error", report.backward_error, (0.0, SOLVER_TOL))]
-    return verdicts, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns
+    return verdicts, result, ["axis", "nodes", "min_spacing", "max_spacing"], columns, [report]
 
 
 def _cmd_boundary_growth(cfg: RunConfig):
@@ -165,7 +172,7 @@ def _cmd_boundary_growth(cfg: RunConfig):
     result = {**jsonable(report), "ray_height_fraction": RAY_HEIGHT_FRACTION}
     columns = [report.ray_heights, report.ray_values]
     verdicts = [verdict("ray_exponent", report.fit.exponent, GROWTH_BAND)]
-    return verdicts, result, ["height", "abs_u"], columns
+    return verdicts, result, ["height", "abs_u"], columns, [report.solve]
 
 
 def _cmd_holder_modulus(cfg: RunConfig):
@@ -175,7 +182,8 @@ def _cmd_holder_modulus(cfg: RunConfig):
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
     verdicts = [verdict("final_change", report.final_change, (0.0, math.nextafter(STABILIZATION, 0.0)))]
-    return verdicts, jsonable(report), ["grid", "max_quotient", "pairs"], columns
+    solves = [lv.solve for lv in report.levels]
+    return verdicts, jsonable(report), ["grid", "max_quotient", "pairs"], columns, solves
 
 
 def _cmd_oscillation_decay(cfg: RunConfig):
@@ -194,7 +202,8 @@ def _cmd_oscillation_decay(cfg: RunConfig):
     radius = np.repeat([r.shells[0] for r in reports], [len(r.shell_samples) for r in reports])
     samples = np.concatenate([r.shell_samples for r in reports])
     columns = [radius, *samples.T]
-    return verdicts, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns
+    solves = [r.solve for r in reports]
+    return verdicts, result, ["R", "ellipsoid_level", "x_n", "u_normalized"], columns, solves
 
 
 def _cmd_supersolution_scan(cfg: RunConfig):
@@ -205,7 +214,7 @@ def _cmd_supersolution_scan(cfg: RunConfig):
     result = {**jsonable(report), "rho": RHO, "s": ENVELOPE_DECAY, "amplitude": ENVELOPE_AMPLITUDE}
     columns = list(zip(*report.per_shell))
     verdicts = [verdict("R0", report.R0_empirical, (min(SCAN_SHELLS), max(SCAN_SHELLS)))]
-    return verdicts, result, ["R", "samples", "violations", "worst_value"], columns
+    return verdicts, result, ["R", "samples", "violations", "worst_value"], columns, []
 
 
 def _cmd_decay_fit(cfg: RunConfig):
@@ -220,7 +229,7 @@ def _cmd_decay_fit(cfg: RunConfig):
     columns = [report.ray_gauges, xn, u, u / xn]
     result = {**jsonable(report), "ray_window": list(RAY_WINDOW), "inner_radius": DECAY_INNER_RADIUS}
     verdicts = [verdict("slope_error", abs(report.fit.exponent - expected), (0.0, FIT_BAND * abs(expected)))]
-    return verdicts, result, ["gauge", "x_n", "u", "u_over_xn"], columns
+    return verdicts, result, ["gauge", "x_n", "u", "u_over_xn"], columns, [report.solve]
 
 
 def _cmd_global_bound(cfg: RunConfig):
@@ -232,7 +241,7 @@ def _cmd_global_bound(cfg: RunConfig):
     columns = list(report.interface_samples.T)
     gate = (-MARGIN_TOLERANCE, math.inf)
     verdicts = [verdict("worst_margin", report.worst_margin, gate, report.falsification_margin)]
-    return verdicts, result, ["tangential_norm", "x_n", "u", "supersolution"], columns
+    return verdicts, result, ["tangential_norm", "x_n", "u", "supersolution"], columns, [report.solve]
 
 
 _RUNNERS = {
@@ -263,10 +272,12 @@ def _summary(command: str, verdicts) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch one validated config; write report.json and samples.csv.  The run passes when
-    every verdict of its command passes; ``result["verdicts"]`` records them, and the summary
-    is written from them."""
-    verdicts, result, header, columns = _RUNNERS[cfg.command](cfg)
+    """Dispatch one validated config; write report.json, samples.csv and telemetry.json.  The
+    run passes when every verdict of its command passes; ``result["verdicts"]`` records them,
+    and the summary is written from them.  telemetry.json holds the wall time of this call and
+    of each solve, in the order the solves ran."""
+    start = time.perf_counter()
+    verdicts, result, header, columns, solves = _RUNNERS[cfg.command](cfg)
     passed = all(v["passed"] for v in verdicts)
     summary = _summary(cfg.command, verdicts)
     payload = {
@@ -283,6 +294,8 @@ def run(cfg: RunConfig) -> int:
     if not passed:
         failed = ", ".join(v["name"] for v in verdicts if not v["passed"])
         print(f"{cfg.command}: failed verdicts {failed}; see {cfg.output_dir / 'report.json'}", file=sys.stderr)
+    timings = {"wall_time_s": time.perf_counter() - start, "solve_wall_time_s": [s.wall_time_s for s in solves]}
+    write_json_report(cfg.output_dir / "telemetry.json", {"command": cfg.command, **timings})
     return 0 if passed else 1
 
 
@@ -305,7 +318,7 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError, MemoryError, ArithmeticError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,9 @@ through r avoids nesting fractional powers.  So one jet of r builds all three:
 the chain rule D f(g) = f'(g) Dg, D^2 f(g) = f'(g) D^2 g + f''(g) Dg (x) Dg
 gives r^k and w - w^{1+rho} from the jets of r and w, and the product rule
 gives x_n r^{-gamma}.  The unique exponent t != 0 with G(d^t) = 0 is
-t = 2 - Q (for the Laplacian, a = 0, this is the familiar |x|^{2-n}).
+t = 2 - Q (for the Laplacian, a = 0, this is the familiar |x|^{2-n}).  At
+Q = 2 (n = 2, a = 0) that exponent is 0, and the harmonic gauge function is
+log d, the limit of (d^t - 1)/t as t -> 0, as log|x| is in the plane.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "kernel_jet",
     "kernel_value_arrays",
     "gauge_power_jet",
+    "gauge_log_jet",
     "harmonic_gauge_power",
     "apply_grushin",
     "apply_operator",
@@ -170,8 +173,8 @@ def _times_normal(xn: np.ndarray, g):
     return xn * value, grad, hess
 
 
-def _r_power(xp: np.ndarray, xn: np.ndarray, p: GrushinParams, k: float):
-    """Jet of r^k, r = |x'|^2 + beta x_n^{2+2a}: the jet of r through the chain rule."""
+def _r_jet(xp: np.ndarray, xn: np.ndarray, p: GrushinParams):
+    """Jet of r = |x'|^2 + beta x_n^{2+2a}."""
     e = 2.0 + 2.0 * p.alpha
     r = np.sum(xp**2, axis=1) + p.beta * xn**e
     dr = np.empty((xn.size, p.n))
@@ -181,7 +184,14 @@ def _r_power(xp: np.ndarray, xn: np.ndarray, p: GrushinParams, k: float):
     diag = np.arange(p.n - 1)
     hr[:, diag, diag] = 2.0
     hr[:, -1, -1] = p.beta * e * (1.0 + 2.0 * p.alpha) * xn ** (2.0 * p.alpha)
-    return _chain((r, dr, hr), r**k, k * r ** (k - 1.0), k * (k - 1.0) * r ** (k - 2.0))
+    return r, dr, hr
+
+
+def _r_power(xp: np.ndarray, xn: np.ndarray, p: GrushinParams, k: float):
+    """Jet of r^k: the jet of r through the chain rule."""
+    g = _r_jet(xp, xn, p)
+    r = g[0]
+    return _chain(g, r**k, k * r ** (k - 1.0), k * (k - 1.0) * r ** (k - 2.0))
 
 
 def kernel_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> Jet2:
@@ -196,7 +206,9 @@ def kernel_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> 
 
 
 def harmonic_gauge_power(p: GrushinParams) -> float:
-    """The unique nonzero exponent t with G(d^t) = 0, namely t = 2 - Q."""
+    """The exponent t = 2 - Q, the unique nonzero t with G(d^t) = 0 when Q != 2.
+    At Q = 2 it is 0: d^0 = 1 is harmonic by construction, and ``gauge_log_jet``
+    gives the harmonic gauge function log d."""
     return 2.0 - p.Q
 
 
@@ -213,6 +225,18 @@ def gauge_power_jet(
     """
     xp, xn = _points(tangential, normal, p.n, singular_at_origin="gauge power jet")
     return Jet2(*_r_power(xp, xn, p, power / (2.0 * (1.0 + p.alpha))))
+
+
+def gauge_log_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> Jet2:
+    """2-jets of log d = log(r) / (2(1+a)), by the chain rule on the jet of r.
+
+    The Grushin operator annihilates log d exactly when Q = 2.
+    """
+    xp, xn = _points(tangential, normal, p.n, singular_at_origin="gauge log jet")
+    g = _r_jet(xp, xn, p)
+    c = 2.0 * (1.0 + p.alpha)
+    r = g[0]
+    return Jet2(*_chain(g, np.log(r) / c, 1.0 / (c * r), -1.0 / (c * r * r)))
 
 
 def apply_grushin(j: Jet2, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Any
 
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from .experiments import GridSpec
+from .fdsolver import MAX_NODES
 from .geometry import GrushinParams
 from .reports import jsonable
 
@@ -85,12 +86,14 @@ def _number(obj, path, key, default, *, lo=None, hi=None, lo_open=False, hi_open
     return value
 
 
-def _integer(obj, path, key, default, *, lo=None):
+def _integer(obj, path, key, default, *, lo=None, hi=None):
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{_join(path, key)}: must be an integer")
     if lo is not None and value < lo:
         raise ConfigError(f"{_join(path, key)}: must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{_join(path, key)}: must be <= {hi}")
     return int(value)
 
 
@@ -191,6 +194,11 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
     counts = _number_list(obj, "grid", "counts", None, length=n, lo=3, integer=True)
     if lo is None or hi is None or counts is None:
         raise ConfigError("grid: box_lo, box_hi and counts are all required")
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if not a < b:
+            raise ConfigError(f"grid.box_hi[{i}]: must be > box_lo[{i}]")
+    if lo[-1] != 0.0:
+        raise ConfigError(f"grid.box_lo[{n - 1}]: must be 0 (the box sits on the flat face)")
     return GridSpec(lo, hi, counts)
 
 
@@ -202,15 +210,15 @@ def _parse_experiment(raw: dict, command: str, n: int) -> dict:
     path = "experiment"
     out: dict[str, Any] = {}
     if command in ("verify-closed-forms", "audit-ellipticity"):
-        out["points"] = _integer(obj, path, "points", 1000, lo=10)
+        out["points"] = _integer(obj, path, "points", 1000, lo=10, hi=MAX_NODES)
     elif command == "holder-modulus":
         out["levels"] = _integer(obj, path, "levels", 3, lo=2)
-        out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100)
+        out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100, hi=MAX_NODES)
     elif command == "oscillation-decay":
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", (129,) * (n - 1) + (49,), length=n, lo=3, integer=True)
     elif command == "supersolution-scan":
-        out["samples_per_shell"] = _integer(obj, path, "samples_per_shell", 300, lo=10)
+        out["samples_per_shell"] = _integer(obj, path, "samples_per_shell", 300, lo=10, hi=MAX_NODES)
     elif command == "decay-fit":
         out["outer_radius"] = _number(obj, path, "outer_radius", 32.0, lo=0.0, lo_open=True)
         out["counts"] = _number_list(obj, path, "counts", (1025,) * (n - 1) + (65,), length=n, lo=3, integer=True)

@@ -41,6 +41,7 @@ from .fdsolver import (
     assemble,
     build_grid,
     grid_interpolator,
+    require_node_budget,
     solve,
 )
 from .geometry import (
@@ -323,9 +324,11 @@ def run_holder_modulus(
     """Two-point quotient maxima across a refinement sequence.
 
     At the natural exponent 1/(1+a) the maxima stabilise under refinement;
-    larger exponents blow up near the flat boundary (sharpness probe).
+    larger exponents blow up near the flat boundary (sharpness probe).  A
+    finest grid over the node budget is refused before the first assembly.
     """
     expo = 1.0 / (1.0 + p.alpha) if exponent is None else float(exponent)
+    require_node_budget(grid_spec.refined(2 ** (levels - 1)).counts)
     out: list[HolderLevel] = []
     for level in range(levels):
         spec = grid_spec.refined(2**level)

@@ -106,6 +106,7 @@ __all__ = [
     "SolveReport",
     "DmpReport",
     "build_grid",
+    "require_node_budget",
     "assemble",
     "solve",
     "check_dmp",
@@ -162,6 +163,13 @@ class AnisotropicGrid:
         return mask.ravel()
 
 
+def require_node_budget(counts) -> None:
+    """Refuse a grid of more than ``MAX_NODES`` nodes, counted exactly."""
+    total = math.prod(counts)
+    if total > MAX_NODES:
+        raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
+
+
 def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> AnisotropicGrid:
     """Build the tensor grid; normal nodes sit at H*(k/K)^grading_exponent.
 
@@ -183,9 +191,7 @@ def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> Anisotr
         raise ValueError(f"every axis needs at least 3 nodes, got {counts}")
     if grading_exponent < 1.0:
         raise ValueError(f"grading_exponent must be >= 1, got {grading_exponent}")
-    total = math.prod(counts)
-    if total > MAX_NODES:
-        raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
+    require_node_budget(counts)
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(lo.size - 1)]
     k = np.arange(counts[-1], dtype=float) / (counts[-1] - 1)
     axes.append(hi[-1] * k**grading_exponent)
@@ -319,7 +325,9 @@ def _stencil_product(offsets, weights: np.ndarray, u: np.ndarray, absolute: bool
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one linear solve; ``==`` ignores the wall time.
+    """Outcome of one linear solve.  ``==`` and ``jsonable`` leave out the
+    wall time: it is run-dependent, so the command writes it to
+    ``telemetry.json``, not to ``report.json``.
 
     ``method`` names the solver: ``"lu"``, ``"fast-diagonalization"``, or
     ``"dirichlet"`` when every node carries Dirichlet data.
@@ -332,7 +340,7 @@ class SolveReport:
     iterations: int
     final_residual: float
     dmp_ok: bool
-    wall_time_s: float = dc_field(compare=False)
+    wall_time_s: float = dc_field(compare=False, repr=False)
     converged: bool
     method: str = "lu"
     backward_error: float = float("nan")

@@ -19,7 +19,7 @@ import grushinlab
 from grushinlab import cli, experiments, reports
 from grushinlab.cli import main, run
 from grushinlab.config import COMMANDS, ConfigError, RunConfig, parse_config
-from grushinlab.fdsolver import solve
+from grushinlab.fdsolver import MAX_NODES, solve
 from grushinlab.reports import atomic_write_lines, canonical_json, content_hash, jsonable, write_csv
 
 # Every command at small sizes, for the rerun test.
@@ -202,6 +202,23 @@ class TestParseConfig:
                     "grid": {"box_lo": [0, 0], "box_hi": [1, 1], "counts": [5, 5.5]},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ({"box_lo": [1, 0.5], "box_hi": [3, 2]}, "grid.box_lo[1]: must be 0 (the box sits on the flat face)"),
+            ({"box_lo": [3, 0], "box_hi": [1, 2]}, "grid.box_hi[0]: must be > box_lo[0]"),
+        ],
+        ids=["off-the-flat-face", "swapped"],
+    )
+    def test_grid_box_errors_name_the_path(self, tmp_path, capsys, box, message):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "box.json"
+        cfgfile.write_text(json.dumps({"command": "solve", "grid": {**box, "counts": [9, 9]}, "output_dir": str(out)}))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"configuration error: {message}\n"
 
     def test_flag_override_beats_file(self):
         cfg = parse_config(
@@ -537,6 +554,67 @@ class TestMain:
         assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, dotted, value, message",
+        [
+            ("verify-closed-forms", "experiment.points", 10**15, "configuration error: experiment.points: must be <= 2000000"),
+            ("audit-ellipticity", "experiment.points", 10**15, "configuration error: experiment.points: must be <= 2000000"),
+            ("holder-modulus", "experiment.pairs", 10**15, "configuration error: experiment.pairs: must be <= 2000000"),
+            (
+                "supersolution-scan",
+                "experiment.samples_per_shell",
+                10**15,
+                "configuration error: experiment.samples_per_shell: must be <= 2000000",
+            ),
+            ("decay-fit", "experiment.outer_radius", 1e200, "runtime error: "),
+        ],
+        ids=["verify-closed-forms", "audit-ellipticity", "holder-modulus", "supersolution-scan", "decay-fit"],
+    )
+    def test_impossible_sizes_exit_2(self, tmp_path, capsys, command, dotted, value, message):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps(_with_value({"command": command, "output_dir": str(out)}, dotted, value)))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        if value == 10**15:  # the budget itself is accepted
+            parse_config(raw=_with_value({"command": command}, dotted, MAX_NODES))
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.1 PiB"), OverflowError("math range error")])
+    def test_memory_and_arithmetic_errors_exit_2(self, tmp_path, monkeypatch, capsys, error):
+        def runner(cfg):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "verify-closed-forms", runner)
+        out = tmp_path / "o"
+        assert main(["--command", "verify-closed-forms", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"runtime error: {error}\n"
+
+    def test_over_budget_holder_ladder_is_refused_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # Level 7 of the default 33x33 grid is 2049x2049: six levels fit, the last does not.
+        monkeypatch.setattr(experiments, "assemble", None)
+        monkeypatch.setattr(experiments, "solve", None)
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "levels.json"
+        cfgfile.write_text(json.dumps({"command": "holder-modulus", "experiment": {"levels": 7}, "output_dir": str(out)}))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "runtime error: grid has 4198401 nodes, exceeding the budget of 2000000\n"
+
+    def test_gauge_function_at_q_2_is_log_d(self, tmp_path):
+        # At n = 2, alpha = 0 the harmonic gauge power is 0, and d^0 = 1 would pass any operator.
+        for alpha, checked in ((0.0, "log d"), (1.0, "d^(2-Q)")):
+            out = tmp_path / str(alpha)
+            assert main(["--command", "verify-closed-forms", "--alpha", str(alpha), "--out", str(out)]) == 0
+            result = json.loads((out / "report.json").read_text())["result"]
+            assert result["gauge_function"] == checked
+            [gauge] = [v for v in result["verdicts"] if v["name"] == "max_gauge_power_residual"]
+            assert 0.0 < gauge["value"] < 1e-12 and gauge["passed"] is True
+
     def test_scan_hypothesis_violation_exits_2(self, tmp_path, monkeypatch, capsys):
         # rho = 1 breaks 0 < rho < min(s/(n-1), 1) = 1.
         monkeypatch.setattr(cli, "RHO", 1.0)
@@ -587,7 +665,7 @@ class TestMain:
         assert capsys.readouterr().out.endswith(f"final_change {change['value']:.6g} in [0, 0.001] -> FAIL\n")
         assert change["name"] == "final_change" and change["passed"] is False
         assert change["value"] == report["result"]["final_change"] > change["gate"][1]
-        assert (out / "samples.csv").exists()
+        assert (out / "samples.csv").exists() and (out / "telemetry.json").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_passed_is_every_verdict_and_sets_the_exit_code(self, tmp_path, command):
@@ -980,8 +1058,7 @@ class TestMain:
                 check=True,
             )
             blobs.append((out / "report.json").read_bytes())
-        wall_time = re.compile(rb'("wall_time_s": )[^,\n]+')
-        assert wall_time.sub(rb"\1null", blobs[0]) == wall_time.sub(rb"\1null", blobs[1])
+        assert blobs[0] == blobs[1]
 
     def test_solve_writes_grid_function(self, tmp_path):
         out = tmp_path / "solve"
@@ -999,27 +1076,38 @@ class TestMain:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_reruns_are_byte_identical(self, tmp_path, command):
-        out = tmp_path / "run"
-        cfg = parse_config(raw={"command": command, **SMALL_RAW[command], "seed": 5, "output_dir": str(out)})
-        files = ["report.json", "samples.csv"] + (["solution.txt"] if command == "solve" else [])
-        blobs = []
-        for _ in range(2):
-            run(cfg)
-            assert sorted(p.name for p in out.iterdir()) == sorted(files)
-            blobs.append([(out / name).read_bytes() for name in files])
-        wall_time = re.compile(rb'("wall_time_\w+": )[^,\n]+')
-        for first, second in zip(*blobs):
-            assert wall_time.sub(rb"\1null", first) == wall_time.sub(rb"\1null", second)
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_report_is_independent_of_output_dir(self, tmp_path, command):
+        # Two runs into two output directories; the timings alone go to telemetry.json.
+        outputs = ["report.json", "samples.csv"] + (["solution.txt"] if command == "solve" else [])
         blobs = []
         for name in ("a", "b/nested"):
             out = tmp_path / name
-            run(parse_config(raw={"command": command, **SMALL_RAW[command], "output_dir": str(out)}))
-            blobs.append((out / "report.json").read_bytes())
-        wall_time = re.compile(rb'("wall_time_s": )[^,\n]+')
-        assert wall_time.sub(rb"\1null", blobs[0]) == wall_time.sub(rb"\1null", blobs[1])
+            run(parse_config(raw={"command": command, **SMALL_RAW[command], "seed": 5, "output_dir": str(out)}))
+            assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["telemetry.json"])
+            blobs.append([(out / file).read_bytes() for file in outputs])
+        assert blobs[0] == blobs[1]
+        assert b"wall_time" not in blobs[0][0]
+
+    @pytest.mark.parametrize(
+        "command, count",
+        [
+            *((c, 0) for c in ("verify-closed-forms", "audit-ellipticity", "supersolution-scan")),
+            *((c, 1) for c in ("solve", "boundary-growth", "decay-fit", "global-bound")),
+            *((c, 3) for c in ("holder-modulus", "oscillation-decay")),
+        ],
+    )
+    def test_telemetry_times_the_run_and_each_solve(self, tmp_path, command, count):
+        # The small configs at the default counts of levels and radii, three each.
+        raw = json.loads(json.dumps(SMALL_RAW[command]))
+        for key in ("levels", "radii"):
+            raw.get("experiment", {}).pop(key, None)
+        out = tmp_path / command
+        run(parse_config(raw={"command": command, **raw, "output_dir": str(out)}))
+        telemetry = json.loads((out / "telemetry.json").read_text())
+        assert set(telemetry) == {"command", "wall_time_s", "solve_wall_time_s"}
+        assert telemetry["command"] == command
+        solves = telemetry["solve_wall_time_s"]
+        assert len(solves) == count
+        assert all(t > 0 for t in solves) and telemetry["wall_time_s"] > sum(solves)
 
     def test_solve_report_keys_match_across_commands(self, tmp_path):
         keys = []
@@ -1032,7 +1120,6 @@ class TestMain:
             "iterations",
             "final_residual",
             "dmp_ok",
-            "wall_time_s",
             "converged",
             "method",
             "backward_error",

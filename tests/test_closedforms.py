@@ -9,6 +9,7 @@ from grushinlab.closedforms import (
     apply_operator,
     boundary_barrier_jet,
     choose_barrier_constants,
+    gauge_log_jet,
     gauge_power_jet,
     grushin_term_scale,
     harmonic_gauge_power,
@@ -18,6 +19,7 @@ from grushinlab.closedforms import (
     supersolution_value_arrays,
 )
 from grushinlab.coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
+from grushinlab.fdsolver import componentwise_ratio
 from grushinlab.geometry import (
     GrushinParams,
     gauge_arrays,
@@ -210,6 +212,48 @@ class TestGaugePowerJet:
                 x = coords(xp, xn, k)
                 np.testing.assert_allclose(j.gradient[k], fd_gradient(fn, x), rtol=1e-7)
                 np.testing.assert_allclose(j.hessian[k], fd_hessian(fn, x), rtol=1e-7)
+
+
+class TestGaugeLogJet:
+    @staticmethod
+    def worst_residual(jet, p):
+        """The largest normalised residual over the sample of the verify-closed-forms verdict."""
+        xp, xn = sample_points_by_gauge(p, np.random.default_rng(0), 1000, 0.01, 100.0, min_normal_fraction=1e-6)
+        j = jet(xp, xn, p)
+        return float(np.max(componentwise_ratio(apply_grushin(j, xp, xn, p), grushin_term_scale(j, xp, xn, p))))
+
+    def test_log_gauge_is_harmonic_at_q_2_only(self):
+        p = GrushinParams(2, 0.0)
+        assert p.Q == 2.0 and harmonic_gauge_power(p) == 0.0
+        assert 0.0 < self.worst_residual(gauge_log_jet, p) < 1e-13
+        # The check measures something: a nearby power, or log d at Q != 2, fails it by far.
+        assert self.worst_residual(lambda xp, xn, p: gauge_power_jet(xp, xn, p, 0.1), p) > 0.5
+        for alpha in (0.5, 1.0):
+            assert self.worst_residual(gauge_log_jet, GrushinParams(2, alpha)) > 0.5
+
+    def test_value_is_log_gauge(self):
+        rng = np.random.default_rng(22)
+        for p in (GrushinParams(2, 0.0), GrushinParams(3, 2.0)):
+            xp, xn = random_points(p, rng, 350, 1e-1, 1e2, min_normal=0.0)
+            np.testing.assert_allclose(gauge_log_jet(xp, xn, p).value, np.log(gauge_arrays(xp, xn, p)), atol=1e-13)
+
+    def test_jet_matches_finite_differences(self):
+        for p in (GrushinParams(2, 0.0), GrushinParams(3, 0.5)):
+            xp = np.array([np.full(p.n - 1, 0.8), np.full(p.n - 1, -1.1)])
+            xn = np.array([0.6, 0.25])
+            j = gauge_log_jet(xp, xn, p)
+
+            def fn(v):
+                return float(np.log(np.dot(v[:-1], v[:-1]) + p.beta * v[-1] ** (2 + 2 * p.alpha)) / (2 + 2 * p.alpha))
+
+            for k in range(xn.size):
+                x = coords(xp, xn, k)
+                np.testing.assert_allclose(j.gradient[k], fd_gradient(fn, x), rtol=1e-7)
+                np.testing.assert_allclose(j.hessian[k], fd_hessian(fn, x), rtol=1e-7, atol=1e-8)
+
+    def test_rejects_origin(self):
+        with pytest.raises(ValueError, match="gauge log jet is singular at the origin"):
+            gauge_log_jet(*pts([[0.0]], [0.0]), GrushinParams(2, 0.0))
 
 
 class TestOperators:

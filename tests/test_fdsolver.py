@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from grushinlab.closedforms import kernel_value_arrays
 from grushinlab.coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
 from grushinlab.fdsolver import (
     DmpReport,
+    SolveReport,
     SparseSystem,
     assemble,
     build_grid,
@@ -21,6 +23,7 @@ from grushinlab.fdsolver import (
     write_grid_function,
 )
 from grushinlab.geometry import GrushinParams
+from grushinlab.reports import jsonable
 
 P21 = GrushinParams(2, 1.0)
 P31 = GrushinParams(3, 1.0)
@@ -444,6 +447,19 @@ class TestRefinementStop:
         _, rep = solve(sys)
         assert rep.method == "fast-diagonalization"
         assert rep.iterations == 1 and rep.backward_error_history[0] <= 1.0
+
+
+class TestSolveReport:
+    def test_benchmark_fields_keep_their_places(self):
+        # The benchmark builds reports positionally and reads these three fields.
+        names = [f.name for f in dataclasses.fields(SolveReport)]
+        assert names[:5] == ["iterations", "final_residual", "dmp_ok", "wall_time_s", "converged"]
+        rep = SolveReport(50, 1.2e-10, True, 0.1, False)
+        assert (rep.iterations, rep.final_residual, rep.converged) == (50, 1.2e-10, False)
+
+    def test_wall_time_is_left_out_of_reports_and_equality(self):
+        assert "wall_time_s" not in jsonable(SolveReport(3, 1e-13, True, 0.1, True))
+        assert SolveReport(3, 1e-13, True, 0.1, True) == SolveReport(3, 1e-13, True, 9.0, True)
 
 
 def assert_same_bits(got, expected):

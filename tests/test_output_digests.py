@@ -19,15 +19,15 @@ def changes(tmp_path, name, old, new):
     return digests.changes(digests._leaves(tmp_path / "old" / name), digests._leaves(tmp_path / "new" / name))
 
 
-def report(final_change, passed=True, wall=1.0):
-    result = {"final_change": final_change, "levels": [{"q": 2.0, "wall_time_s": wall}, {"q": 3.0}]}
+def report(final_change, passed=True):
+    result = {"final_change": final_change, "levels": [{"q": 2.0}, {"q": 3.0}]}
     return json.dumps({"passed": passed, "result": result, "summary": f"change {final_change:.3e}"})
 
 
 class TestChanges:
     def test_report_leaves_by_key(self, tmp_path):
-        # wall_time_s is left out, and the summary's "1.000e-05" is unchanged.
-        got = changes(tmp_path, "report.json", report(1.0e-5), report(1.0e-5 * (1 + 4e-9), wall=9.0))
+        # The summary's "1.000e-05" is unchanged.
+        got = changes(tmp_path, "report.json", report(1.0e-5), report(1.0e-5 * (1 + 4e-9)))
         assert [(key, where) for key, _, where in got] == [("result.final_change", "result.final_change")]
         assert float(got[0][1]) == pytest.approx(4e-9, rel=1e-2)
         got = changes(tmp_path, "report.json", report(1.0), report(1.25))

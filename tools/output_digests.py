@@ -7,11 +7,12 @@ prints one line per output::
 
     <seed> <job> <output> <sha256>
 
-The outputs are ``report.json`` with every ``wall_time_s`` key removed,
-``samples.csv``, ``solution.txt``, the exit code and stdout; a file a run
-did not write prints ``absent`` in place of the digest.  Two checkouts
-print the same lines exactly when those outputs are byte-identical, so the
-diff of two listings is the comparison::
+The outputs are ``report.json``, ``samples.csv``, ``solution.txt``, the
+exit code and stdout, each digested as written; a file a run did not write
+prints ``absent`` in place of the digest.  ``telemetry.json``, the run's
+timings, is no output here.  Two checkouts print the same lines exactly
+when those outputs are byte-identical, so the diff of two listings is the
+comparison::
 
     python3 tools/output_digests.py --seeds 0 1 2 3 > new.txt
     python3 tools/output_digests.py --root ../parent --seeds 0 1 2 3 > old.txt
@@ -33,10 +34,10 @@ nothing and exits 0 exactly when every output is byte-identical.
 
 The change is max |a - b| / max(|a|, |b|) over the numbers of the key,
 and the numeric lines of an output come largest change first.  The keys of
-``report.json`` are its leaves other than ``wall_time_s``, named by key
-path without list indices; ``<where>`` is the full path.  In
-``samples.csv`` a key is a column, in ``solution.txt`` a column ``col<c>``,
-in stdout a line ``line<i>``, and ``<where>`` is ``line:column``.  Before
+``report.json`` are its leaves, named by key path without list indices;
+``<where>`` is the full path.  In ``samples.csv`` a key is a column, in
+``solution.txt`` a column ``col<c>``, in stdout a line ``line<i>``, and
+``<where>`` is ``line:column``.  Before
 the numbers come, in this order: one line per key found on one side only,
 with ``removed`` or ``added`` in place of the change and the key's first
 ``<where>``; a ``layout text`` line when the keys both sides have do not
@@ -72,22 +73,8 @@ OUTPUTS = OUTPUT_FILES + ("exit_code", "stdout")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def _without_wall_times(obj):
-    if isinstance(obj, dict):
-        return {k: _without_wall_times(v) for k, v in obj.items() if k != "wall_time_s"}
-    if isinstance(obj, list):
-        return [_without_wall_times(v) for v in obj]
-    return obj
-
-
 def _file_bytes(path: Path) -> bytes | None:
-    if not path.is_file():
-        return None
-    data = path.read_bytes()
-    if path.name == "report.json":
-        report = _without_wall_times(json.loads(data))
-        data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
-    return data
+    return path.read_bytes() if path.is_file() else None
 
 
 def _load_workloads(root: Path):
