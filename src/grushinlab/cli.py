@@ -42,7 +42,7 @@ from .experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from .fdsolver import SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
+from .fdsolver import MAX_NODES, SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
 from .geometry import sample_points_by_gauge
 from .reports import content_hash, jsonable, write_csv, write_json_report
 
@@ -87,10 +87,15 @@ def _kernel_data(p):
 
 
 def _outer_radius(cfg: RunConfig, lowest: float) -> float:
-    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest``."""
+    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest`` and
+    its box half-width outer_radius^(1 + alpha) is a float."""
     outer = cfg.experiment["outer_radius"]
     if not outer > lowest:
         raise ConfigError(f"experiment.outer_radius: must be > {lowest:g}")
+    try:
+        outer ** (1.0 + cfg.params.alpha)
+    except OverflowError:
+        raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
     return outer
 
 
@@ -177,6 +182,13 @@ def _cmd_boundary_growth(cfg: RunConfig):
 
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
+    levels, fit = cfg.experiment["levels"], 0  # fit: the most levels whose finest grid is in budget
+    while math.prod(cfg.grid.refined(2**fit).counts) <= MAX_NODES:
+        fit += 1
+    if levels > fit:
+        raise ConfigError(
+            f"experiment.levels: {levels} levels refine the grid past MAX_NODES = {MAX_NODES} nodes; {fit} fit"
+        )
     field = cfg.build_field()
     report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]

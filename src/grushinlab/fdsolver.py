@@ -31,14 +31,20 @@ system alone.
   one tridiagonal system lambda x_n^{2a} + T_n in x_n per mode (Lynch,
   Rice & Thomas, *Numer. Math.* 6, 1964; Buzbee, Golub & Nielson, *SIAM J.
   Numer. Anal.* 7, 1970).  Each is a row diagonally dominant M-matrix, so
-  the Thomas sweep without pivoting is stable (Higham, *Accuracy and
-  Stability of Numerical Algorithms*, 2nd ed., Thm 9.9), and the DST-I is
-  orthogonal.  The obstacle nodes S are imposed by the capacitance matrix
-  C = (T^{-1})_SS (Buzbee, Dorr, George & Golub, *SIAM J. Numer. Anal.* 8,
-  1971; Proskurowski & Widlund, *Math. Comp.* 30, 1976): with w = T^{-1} f
-  and C beta = -w_S, T^{-1}(f + E_S beta) vanishes on S and solves the
-  other rows.  k^2 <= N is the cost crossover: the dense C is no larger
-  than one grid vector.
+  the Thomas sweep without pivoting is stable in either direction (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.9), and
+  the DST-I is orthogonal.  The obstacle nodes S are imposed by the
+  capacitance matrix C = (T^{-1})_SS (Buzbee, Dorr, George & Golub, *SIAM
+  J. Numer. Anal.* 8, 1971; Proskurowski & Widlund, *Math. Comp.* 30, 1976):
+  with w = T^{-1} f and C beta = -w_S, T^{-1}(f + E_S beta) vanishes on S
+  and solves the other rows.  k^2 <= N is the cost crossover: the dense C is
+  no larger than one grid vector.  The sweep eliminates from the far face
+  toward the flat face, so the entries of T^{-1} in the rows below ``top``,
+  the highest obstacle row plus one, need only the end of the elimination
+  and the start of the substitution (Meurant, *SIAM J. Matrix Anal. Appl.*
+  13, 1992): a column of C at height j eliminates rows j-1 .. 0 and
+  substitutes rows 0 .. top-1, and an application costs one full sweep
+  pair plus sweeps over the rows below ``top``, whatever the obstacle.
 * **SuperLU** everywhere else, under a symmetric minimum-degree ordering
   of A^T + A and no off-diagonal pivoting.  That is stable here too: where
   the DMP check passes, interior rows are weakly row diagonally dominant
@@ -586,10 +592,18 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     a with c nodes has the orthonormal DST-I (``_dst1``, a ``numpy.fft`` real
     FFT in O(c log c) per line, no dense basis) and eigenvalues (4/h^2)
     sin^2(pi k/(2(c-1))); each mode's tridiagonal system in x_n is factored
-    once by a Thomas sweep over all modes at once.  C is built from the k
-    obstacle rows of each basis (``modes``) and one Thomas solve per distinct
-    obstacle height, and each application solves with it by
-    ``numpy.linalg.solve`` (LAPACK's LU with partial pivoting).
+    once, over all modes at once, by eliminating from the last normal row
+    toward the flat face.  C is built from the k obstacle rows of each basis
+    (``modes``) and, per distinct obstacle height j, a unit vector's
+    elimination over rows j-1 .. 0 and substitution over rows 0 .. top-1.
+    An application eliminates its right-hand side in place, substitutes a
+    copy of the first ``top`` rows to read w_S, solves C beta = -w_S by
+    ``numpy.linalg.solve`` (LAPACK's LU with partial pivoting), adds the
+    elimination of E_S beta over those rows and substitutes once.  E_S beta
+    is summed by ``np.add.at``, not by a matrix product, which OpenBLAS
+    splits across threads at these sizes and whose workers then spin between
+    applications.  The product A_ID r_D is skipped when r_D = 0, as in every
+    refinement sweep.
     """
     grid, alpha = sys.separable.grid, sys.separable.alpha
     interior = ~sys.dirichlet_mask
@@ -613,18 +627,21 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     upper = -2.0 / (hp * (hm + hp))
     pivot = (2.0 / (hm * hp))[:, None] + (z[1:-1] ** (2.0 * alpha))[:, None] * eig
     ratio = np.zeros_like(pivot)
-    for j in range(1, pivot.shape[0]):
-        ratio[j] = lower[j] / pivot[j - 1]
-        pivot[j] -= ratio[j] * upper[j - 1]
+    for j in range(pivot.shape[0] - 2, -1, -1):
+        ratio[j] = upper[j] / pivot[j + 1]
+        pivot[j] -= ratio[j] * lower[j + 1]
 
     row = np.empty(pivot.shape[1:])
 
-    def thomas(y: np.ndarray) -> np.ndarray:
-        for j in range(1, y.shape[0]):
-            y[j] -= np.multiply(ratio[j], y[j - 1], out=row)
-        y[-1] /= pivot[-1]
+    def eliminate(y: np.ndarray) -> np.ndarray:  # rows len(y)-2 .. 0 of a vector that is 0 past y
         for j in range(y.shape[0] - 2, -1, -1):
-            np.subtract(y[j], np.multiply(upper[j], y[j + 1], out=row), out=row)
+            y[j] -= np.multiply(ratio[j], y[j + 1], out=row)
+        return y
+
+    def substitute(y: np.ndarray) -> np.ndarray:  # rows 0 .. len(y)-1 of the solution
+        y[0] /= pivot[0]
+        for j in range(1, y.shape[0]):
+            np.subtract(y[j], np.multiply(lower[j], y[j - 1], out=row), out=row)
             np.divide(row, pivot[j], out=y[j])
         return y
 
@@ -634,24 +651,28 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
         return g
 
     height = obstacle[-1]
-    if height.size:
-        capacitance = np.empty((height.size, height.size))
-        for level in np.unique(height):
-            unit = np.zeros(pivot.shape)
-            unit[level] = 1.0
-            capacitance[:, height == level] = (thomas(unit)[height] * modes) @ modes[height == level].T
+    top = height.max(initial=-1) + 1  # rows 0 .. top - 1 hold every obstacle node
+    capacitance = np.empty((height.size, height.size))
+    for level in np.unique(height):
+        unit = np.zeros((top,) + pivot.shape[1:])
+        unit[level] = 1.0
+        eliminate(unit[: level + 1])
+        capacitance[:, height == level] = (substitute(unit)[height] * modes) @ modes[height == level].T
 
     block = (slice(1, -1),) * grid.dim  # the non-face nodes, shaped ``inner``
 
     def apply(r: np.ndarray) -> np.ndarray:
         u = np.where(interior, 0.0, r)
-        f = (r - sys.matvec(u))[nonface].reshape(inner)  # zero on the obstacle rows
-        y = sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape)
+        f = (r - sys.matvec(u) if u.any() else r)[nonface].reshape(inner)  # zero on the obstacle rows
+        y = eliminate(sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape))
         del f  # dead: free it before the back transform
-        if height.size:
-            w = np.einsum("sm,sm->s", thomas(y.copy())[height], modes)
-            np.add.at(y, height, np.linalg.solve(capacitance, -w)[:, None] * modes)
-        y = sine_transform(thomas(y).reshape(inner[-1:] + inner[:-1]))
+        if top:
+            part = substitute(y[:top].copy())
+            w = np.einsum("sm,sm->s", part[height], modes)
+            part[...] = 0.0
+            np.add.at(part, height, np.linalg.solve(capacitance, -w)[:, None] * modes)
+            y[:top] += eliminate(part)
+        y = sine_transform(substitute(y).reshape(inner[-1:] + inner[:-1]))
         np.copyto(u.reshape(grid.shape)[block], np.moveaxis(y, 0, -1), where=free)
         return u
 

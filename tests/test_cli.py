@@ -566,9 +566,34 @@ class TestMain:
                 10**15,
                 "configuration error: experiment.samples_per_shell: must be <= 2000000",
             ),
-            ("decay-fit", "experiment.outer_radius", 1e200, "runtime error: "),
+            (
+                "holder-modulus",
+                "experiment.levels",
+                20000,  # its finest grid has a node count of over 6000 digits
+                "configuration error: experiment.levels: 20000 levels refine the grid past MAX_NODES = 2000000 nodes; 6 fit",
+            ),
+            (
+                "decay-fit",
+                "experiment.outer_radius",
+                1e200,
+                "configuration error: experiment.outer_radius: 1e+200^(1 + alpha), the box half-width, overflows",
+            ),
+            (
+                "global-bound",
+                "experiment.outer_radius",
+                1e200,
+                "configuration error: experiment.outer_radius: 1e+200^(1 + alpha), the box half-width, overflows",
+            ),
         ],
-        ids=["verify-closed-forms", "audit-ellipticity", "holder-modulus", "supersolution-scan", "decay-fit"],
+        ids=[
+            "verify-closed-forms",
+            "audit-ellipticity",
+            "holder-modulus",
+            "supersolution-scan",
+            "holder-modulus-levels",
+            "decay-fit",
+            "global-bound",
+        ],
     )
     def test_impossible_sizes_exit_2(self, tmp_path, capsys, command, dotted, value, message):
         out = tmp_path / "o"
@@ -577,7 +602,7 @@ class TestMain:
         assert main(["--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.err == message + "\n"
         if value == 10**15:  # the budget itself is accepted
             parse_config(raw=_with_value({"command": command}, dotted, MAX_NODES))
 
@@ -603,7 +628,9 @@ class TestMain:
         assert main(["--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err == "runtime error: grid has 4198401 nodes, exceeding the budget of 2000000\n"
+        assert captured.err == (
+            "configuration error: experiment.levels: 7 levels refine the grid past MAX_NODES = 2000000 nodes; 6 fit\n"
+        )
 
     def test_gauge_function_at_q_2_is_log_d(self, tmp_path):
         # At n = 2, alpha = 0 the harmonic gauge power is 0, and d^0 = 1 would pass any operator.

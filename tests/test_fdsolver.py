@@ -1,6 +1,11 @@
 import dataclasses
+import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from scipy import sparse
 from scipy.fft import dst
 from scipy.sparse.linalg import splu
 
+import grushinlab
 from grushinlab import fdsolver
 from grushinlab.closedforms import kernel_value_arrays
 from grushinlab.coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
@@ -791,6 +797,82 @@ class TestFastDiagonalization:
         assert rep.method == "fast-diagonalization"
         assert rep.converged and rep.iterations == 1
         assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("counts", [(9, 8), (6, 5, 7)], ids=str)
+    @pytest.mark.parametrize("shape", ["flat-face-row", "last-row", "gapped-heights"])
+    def test_capacitance_matches_dense_inverse(self, counts, shape):
+        # C = (T^-1)_SS is built from eliminations that stop at the highest
+        # obstacle row; T is the operator on the non-face nodes with no obstacle.
+        p = GrushinParams(len(counts), 1.0)
+        grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
+        last = counts[-1] - 3  # the last non-face row
+        rows = {"flat-face-row": [0, 0], "last-row": [1, last], "gapped-heights": [0, 2, 4]}[shape]
+        extra = np.zeros(counts, dtype=bool)
+        for i, j in enumerate(rows):
+            extra[(1 + i,) * (p.n - 1) + (1 + j,)] = True
+        field, bc = make_identity_field(p), lambda xp, xn: kernel_value_arrays(xp, xn, p)
+        sys_ = assemble(field, grid, p, bc, extra_dirichlet=extra.ravel())
+        assert sys_.separable is not None
+        inverse = fdsolver._fast_inverse(sys_)
+        capacitance = inspect.getclosurevars(inverse).nonlocals["capacitance"]
+
+        nonface = ~grid.face_mask()
+        t_dense = assemble(field, grid, p, bc).matrix.toarray()[np.ix_(nonface, nonface)]
+        obstacle = np.flatnonzero(extra.ravel()[nonface])
+        expected = np.linalg.inv(t_dense)[np.ix_(obstacle, obstacle)]
+        assert capacitance.shape == (len(rows), len(rows))
+        assert np.linalg.norm(capacitance - expected) <= 1e-13 * np.linalg.norm(expected)
+        dense = np.linalg.solve(sys_.matrix.toarray(), sys_.rhs)
+        assert np.linalg.norm(inverse(sys_.rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="reads /proc; needs 2 CPUs"
+    )
+    def test_solves_leave_blas_threads_idle(self, tmp_path):
+        # A BLAS call in the fast solver's applications, such as a matrix
+        # product for the capacitance correction, wakes OpenBLAS workers that
+        # spin between calls: in ten default global-bound solves they gained
+        # as much CPU time as the main thread.  Without one they gain none.
+        probe = """
+import os
+import numpy as np
+from grushinlab.cli import BOUND_INNER_RADIUS
+from grushinlab.config import parse_config
+from grushinlab.experiments import _exterior_problem
+from grushinlab.fdsolver import assemble, solve
+
+def ticks():  # utime + stime of each thread of this process
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rpartition(")")[2].split()
+        out[int(tid)] = int(fields[11]) + int(fields[12])
+    return out
+
+cfg = parse_config(raw={"command": "global-bound"})
+p, exp = cfg.params, cfg.experiment
+grid, inside, bc = _exterior_problem(
+    p, BOUND_INNER_RADIUS, exp["outer_radius"], exp["counts"], lambda xn: np.minimum(1.0, xn)
+)
+system = assemble(cfg.build_field(), grid, p, bc, extra_dirichlet=inside)
+before = ticks()
+for _ in range(10):
+    assert solve(system)[1].method == "fast-diagonalization"
+gained = {tid: t - before.get(tid, 0) for tid, t in ticks().items()}
+print(gained.pop(os.getpid()), sum(gained.values()))
+"""
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        main, workers = map(int, done.stdout.split())
+        assert main > 0 and workers < 0.1 * main
 
     @pytest.mark.parametrize(
         "counts, obstacles, perturbed, method",
