@@ -5,8 +5,8 @@ the outcome from them.  Exit codes partition outcomes: 0 every verdict
 passed, 1 the run completed but a verdict failed (the report is still
 written), 2 configuration or runtime error (no report).  stdout carries a
 one-line summary written from the verdicts, stderr the diagnostics.
-``report.json`` holds nothing run-dependent; the timings of the run go to
-``telemetry.json`` beside it.
+``report.json`` holds nothing run-dependent; the timings of the run and the
+LU fill of its solves go to ``telemetry.json`` beside it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .experiments import (
     RAY_WINDOW,
     SHELL_BAND,
     PreconditionError,
+    exterior_grid,
     require_monotone,
     run_boundary_growth,
     run_decay_fit,
@@ -87,15 +88,25 @@ def _kernel_data(p):
 
 
 def _outer_radius(cfg: RunConfig, lowest: float) -> float:
-    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest`` and
-    its box half-width outer_radius^(1 + alpha) is a float."""
-    outer = cfg.experiment["outer_radius"]
+    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest``, its
+    box half-width outer_radius^(1 + alpha) is a float and twice the square of each grid spacing
+    at ``experiment.counts``, the largest h_-(h_- + h_+) of the stencil, is finite."""
+    outer, counts = cfg.experiment["outer_radius"], cfg.experiment["counts"]
     if not outer > lowest:
         raise ConfigError(f"experiment.outer_radius: must be > {lowest:g}")
     try:
-        outer ** (1.0 + cfg.params.alpha)
+        half_width = outer ** (1.0 + cfg.params.alpha)
     except OverflowError:
         raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
+    squares = [math.inf]  # where the box width overflows, so do its spacings
+    if math.isfinite(2.0 * half_width):
+        with np.errstate(over="ignore"):
+            squares = [2.0 * np.max(np.diff(axis)) ** 2 for axis in exterior_grid(cfg.params, outer, counts).axes]
+    if not np.all(np.isfinite(squares)):
+        raise ConfigError(
+            f"experiment.outer_radius: {outer:g} spaces the grid of counts {list(counts)} so widely "
+            "that the squared spacing overflows"
+        )
     return outer
 
 
@@ -286,8 +297,8 @@ def _summary(command: str, verdicts) -> str:
 def run(cfg: RunConfig) -> int:
     """Dispatch one validated config; write report.json, samples.csv and telemetry.json.  The
     run passes when every verdict of its command passes; ``result["verdicts"]`` records them,
-    and the summary is written from them.  telemetry.json holds the wall time of this call and
-    of each solve, in the order the solves ran."""
+    and the summary is written from them.  telemetry.json holds the wall time of this call, and
+    the wall time and LU fill of each solve in the order the solves ran."""
     start = time.perf_counter()
     verdicts, result, header, columns, solves = _RUNNERS[cfg.command](cfg)
     passed = all(v["passed"] for v in verdicts)
@@ -306,8 +317,13 @@ def run(cfg: RunConfig) -> int:
     if not passed:
         failed = ", ".join(v["name"] for v in verdicts if not v["passed"])
         print(f"{cfg.command}: failed verdicts {failed}; see {cfg.output_dir / 'report.json'}", file=sys.stderr)
-    timings = {"wall_time_s": time.perf_counter() - start, "solve_wall_time_s": [s.wall_time_s for s in solves]}
-    write_json_report(cfg.output_dir / "telemetry.json", {"command": cfg.command, **timings})
+    telemetry = {
+        "command": cfg.command,
+        "wall_time_s": time.perf_counter() - start,
+        "solve_wall_time_s": [s.wall_time_s for s in solves],
+        "solve_fill": [s.fill for s in solves],
+    }
+    write_json_report(cfg.output_dir / "telemetry.json", telemetry)
     return 0 if passed else 1
 
 

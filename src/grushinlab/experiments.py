@@ -73,6 +73,7 @@ __all__ = [
     "fit_loglog",
     "decay_ray",
     "comparison_margin",
+    "exterior_grid",
     "run_boundary_growth",
     "run_holder_modulus",
     "run_oscillation_decay",
@@ -576,6 +577,19 @@ def decay_ray(
     return gauges, tang, norm
 
 
+def _box_half_widths(p: GrushinParams, radius: float) -> tuple[float, float]:
+    """Tangential and normal half-widths of the box of gauge radius ``radius``."""
+    return radius ** (1.0 + p.alpha), radius * (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
+
+
+def exterior_grid(p: GrushinParams, outer_radius: float, counts: tuple[int, ...]) -> AnisotropicGrid:
+    """The grid of an exterior problem: the box of gauge radius ``outer_radius``
+    on the flat face, graded with exponent 1 + alpha."""
+    outer_t, outer_n = _box_half_widths(p, outer_radius)
+    box_lo = (-outer_t,) * (p.n - 1) + (0.0,)
+    return GridSpec(box_lo, (outer_t,) * (p.n - 1) + (outer_n,), counts).build(p)
+
+
 def _exterior_problem(
     p: GrushinParams,
     inner_radius: float,
@@ -592,13 +606,8 @@ def _exterior_problem(
     """
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
-    stretch = (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
-    outer_t = outer_radius ** (1.0 + p.alpha)
-    outer_n = outer_radius * stretch
-    inner_t = inner_radius ** (1.0 + p.alpha)
-    inner_n = inner_radius * stretch
-    box_lo = (-outer_t,) * (p.n - 1) + (0.0,)
-    grid = GridSpec(box_lo, (outer_t,) * (p.n - 1) + (outer_n,), counts).build(p)
+    inner_t, inner_n = _box_half_widths(p, inner_radius)
+    grid = exterior_grid(p, outer_radius, counts)
 
     def in_box(xp, xn):
         return np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n)
@@ -715,15 +724,16 @@ def run_global_bound_check(
     interface = np.flatnonzero(sys.referenced_dirichlet() & inside)
     interface = interface[interface % grid.shape[-1] > 0]
     if interface.size == 0:
-        raise PreconditionError("inner box is invisible to the grid; refine or enlarge it")
+        raise PreconditionError(f"inner box is invisible to the grid (gauge radius {inner_radius:g}); refine the grid")
     *tang_index, norm_index = np.unravel_index(interface, grid.shape)
     tang_i = np.column_stack([axis[i] for axis, i in zip(grid.axes, tang_index)])
     norm_i = grid.axes[-1][norm_index]
     barrier_i = supersolution_value_arrays(tang_i, norm_i, rho, p)
     if np.min(barrier_i) <= 0.0:
+        largest = float(np.max(kernel_value_arrays(tang_i, norm_i, p)))
         raise PreconditionError(
-            "supersolution w - w^{1+rho} is not positive on the inner boundary; "
-            "increase inner_radius (w must be < 1 there)"
+            "supersolution w - w^{1+rho} is not positive on the inner boundary: w must be < 1 there, "
+            f"and the inner box of gauge radius {inner_radius:g} reaches w = {largest:.6g}"
         )
     u, report = _checked_solve(sys)
 

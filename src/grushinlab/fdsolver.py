@@ -45,14 +45,18 @@ system alone.
   13, 1992): a column of C at height j eliminates rows j-1 .. 0 and
   substitutes rows 0 .. top-1, and an application costs one full sweep
   pair plus sweeps over the rows below ``top``, whatever the obstacle.
-* **SuperLU** everywhere else, under a symmetric minimum-degree ordering
-  of A^T + A and no off-diagonal pivoting.  That is stable here too: where
-  the DMP check passes, interior rows are weakly row diagonally dominant
-  M-matrix rows and boundary rows are identity rows, so elimination on the
-  diagonal has growth factor at most 2 (same theorem).  Pivoting would
-  cost fill: a Dirichlet column holds interior entries of size 1/h^2
-  against a unit diagonal, so any positive pivot threshold leaves the
-  diagonal and breaks the symmetric ordering.
+* **SuperLU** everywhere else, on A_II alone: the rows and columns of the
+  free (non-Dirichlet) nodes, with the Dirichlet columns moved to the
+  right-hand side.  A_II is built from the stencil weights in a geometric
+  nested-dissection order of the tensor grid (George, *SIAM J. Numer.
+  Anal.* 10, 1973; Lipton, Rose & Tarjan, *SIAM J. Numer. Anal.* 16, 1979):
+  each depth bisects the longest axis of the index box, and the mid-plane
+  separator is ordered after both halves.  SuperLU factors it in that order
+  with no off-diagonal pivoting.  That is stable here too: where the DMP
+  check passes, the rows of A_II are weakly row diagonally dominant M-matrix
+  rows, so elimination on the diagonal has growth factor at most 2 (same
+  theorem).  Pivoting would cost fill, as any pivot off the diagonal breaks
+  the symmetric ordering.
 
 Either way every answer is checked against the assembled operator, on
 systems the DMP check flags as well, by its componentwise backward error
@@ -74,10 +78,9 @@ DMP check read those arrays directly, by contiguous slices of the grid
 vector, and |A| is taken one offset slice at a time, so no copy of the
 weights is made.  The fast path needs nothing else but ``numpy.fft`` (the
 DST-I) and ``numpy.linalg`` (the capacitance solve).  SciPy is imported
-only by the SuperLU branch, which builds the CSR form of the operator
-(``SparseSystem.matrix``) to factor it: the pointwise commands and every
-identity command whose solve is fast load no SciPy, which would be most of
-their start-up time.
+only by the SuperLU branch, which builds the CSR form of A_II to factor it:
+the pointwise commands and every identity command whose solve is fast load
+no SciPy, which would be most of their start-up time.
 
 ``solve`` takes its residual norms with numpy's pairwise sum, not a BLAS
 dot such as ``np.linalg.norm``: OpenBLAS splits a long dot product across
@@ -93,7 +96,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -125,6 +128,7 @@ MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
 MAX_REFINEMENTS = 50
 SOLVER_TOL = 1e-10  # componentwise backward error at which refinement stops; "converged" below it
 DST_BLOCK = 1 << 15  # doubles of odd extension per FFT call of the DST-I (256 KB): bounds its transient
+DISSECTION_LEAF = 8  # index boxes of at most this many nodes end the nested dissection (leaves of 64 fill more)
 
 BoundaryValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -243,8 +247,10 @@ class SparseSystem:
     its unit diagonal and zero weights elsewhere.  ``dmp`` is the DMP check
     of the rows, computed once by ``from_stencil``, and ``separable`` what the
     fast solver needs when the operator is separable (else ``None``).
-    ``matrix`` is the CSR form, built on first use; only the SuperLU branch
-    of ``solve`` needs it, and it alone imports SciPy.
+    ``shape`` is the tensor grid the nodes lie on, in C order; a system
+    built by hand is one axis of N nodes.  ``matrix`` is the CSR form of the
+    whole operator, built on first use and importing SciPy; ``solve`` does
+    not use it.
     """
 
     offsets: tuple[int, ...]
@@ -252,6 +258,7 @@ class SparseSystem:
     rhs: np.ndarray
     dirichlet_mask: np.ndarray
     dmp: DmpReport
+    shape: tuple[int, ...]
     separable: SeparableOperator | None = None
 
     @classmethod
@@ -262,11 +269,14 @@ class SparseSystem:
         rhs: np.ndarray,
         dirichlet_mask: np.ndarray,
         separable: SeparableOperator | None = None,
+        shape: tuple[int, ...] | None = None,
     ) -> "SparseSystem":
-        """The system of these stencil weights, with its DMP check."""
+        """The system of these stencil weights, with its DMP check; without a
+        grid ``shape`` the nodes are one axis of N."""
         offsets = tuple(offsets)
         dmp = _dmp_report(offsets, weights, ~dirichlet_mask)
-        return cls(offsets, weights, rhs, dirichlet_mask, dmp, separable)
+        shape = (rhs.size,) if shape is None else tuple(shape)
+        return cls(offsets, weights, rhs, dirichlet_mask, dmp, shape, separable)
 
     @property
     def mesh_ratio_offenders(self) -> np.ndarray:
@@ -289,9 +299,10 @@ class SparseSystem:
 
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
-        """Canonical CSR form: a Dirichlet row holds its unit diagonal, an
-        interior row one entry per offset whose column lies in the grid, in
-        increasing column order, zero weights kept."""
+        """Canonical CSR form of the whole operator, for tests and tracing:
+        a Dirichlet row holds its unit diagonal, an interior row one entry
+        per offset whose column lies in the grid, in increasing column
+        order, zero weights kept."""
         from scipy import sparse
 
         num = self.rhs.size
@@ -340,7 +351,9 @@ class SolveReport:
     ``backward_error`` is the componentwise backward error of the answer and
     ``backward_error_history`` its value after the first solve and after each
     refinement sweep (see ``solve``); a report built by hand without them
-    carries ``nan`` and an empty history.
+    carries ``nan`` and an empty history.  ``fill`` is the count of nonzeros
+    SuperLU stores in its factors (its ``nnz``), 0 for the other methods;
+    like the wall time it goes to ``telemetry.json`` only.
     """
 
     iterations: int
@@ -351,6 +364,7 @@ class SolveReport:
     method: str = "lu"
     backward_error: float = float("nan")
     backward_error_history: tuple[float, ...] = ()
+    fill: int = dc_field(default=0, compare=False, repr=False)
 
 
 def assemble(
@@ -403,7 +417,7 @@ def assemble(
     obstacles = int(np.count_nonzero(dirichlet & ~faces))
     offsets, weights, separable = _stencil_weights(field, grid, p, tang_all, norm_all, dirichlet, obstacles)
     del tang_all, norm_all  # the DMP check runs in the room they held
-    return SparseSystem.from_stencil(offsets, weights, rhs, dirichlet, separable)
+    return SparseSystem.from_stencil(offsets, weights, rhs, dirichlet, separable, grid.shape)
 
 
 def _node_spacings(axis: np.ndarray, a: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -662,8 +676,8 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     block = (slice(1, -1),) * grid.dim  # the non-face nodes, shaped ``inner``
 
     def apply(r: np.ndarray) -> np.ndarray:
-        u = np.where(interior, 0.0, r)
-        f = (r - sys.matvec(u) if u.any() else r)[nonface].reshape(inner)  # zero on the obstacle rows
+        u, f = _lifted(sys, r)
+        f = f[nonface].reshape(inner)  # zero on the obstacle rows
         y = eliminate(sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape))
         del f  # dead: free it before the back transform
         if top:
@@ -677,6 +691,80 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
         return u
 
     return apply
+
+
+def _dissection_order(shape: tuple[int, ...], free: np.ndarray) -> np.ndarray:
+    """The flat indices of the ``free`` nodes of the tensor grid ``shape`` in
+    geometric nested-dissection order (George, 1973).
+
+    Each depth bisects the longest axis of the index box at its middle; the
+    mid-plane is the separator, ordered after both halves, and boxes of at
+    most ``DISSECTION_LEAF`` nodes keep flat order.  Every box of one depth
+    is split along the same axis, so the node's side at each depth (0 low,
+    1 high, 2 separator) is one base-3 digit per axis, the digits of the
+    axes add into one key per node, and the free nodes are stable-sorted by
+    it.  One axis alone is banded and keeps flat order.
+    """
+    extents = list(shape)
+    splits = []  # the axis bisected at each depth
+    while len(shape) > 1 and math.prod(extents) > DISSECTION_LEAF:
+        axis = int(np.argmax(extents))
+        splits.append(axis)
+        extents[axis] //= 2
+    codes = [np.zeros(c, dtype=np.int64) for c in shape]
+    lo = [np.zeros(c, dtype=np.int64) for c in shape]
+    hi = [np.full(c, c, dtype=np.int64) for c in shape]
+    for depth, axis in enumerate(splits):
+        index = np.arange(shape[axis])
+        mid = (lo[axis] + hi[axis]) // 2  # a separator node keeps its own index as the middle
+        low, high = index < mid, index > mid
+        codes[axis] += np.where(low, 0, np.where(high, 1, 2)) * 3 ** (len(splits) - 1 - depth)
+        lo[axis] = np.where(high, mid + 1, np.where(low, lo[axis], mid))
+        hi[axis] = np.where(low, mid, np.where(high, hi[axis], mid + 1))
+    key = reduce(np.add.outer, codes).ravel()
+    nodes = np.flatnonzero(free)
+    return nodes[np.argsort(key[nodes], kind="stable")]
+
+
+def _lu_inverse(sys: SparseSystem) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Exact inverse by a SuperLU factorisation of A_II, the free rows and
+    columns, and the count of nonzeros SuperLU stores in its factors.
+
+    A_II is built straight from the stencil weights in ``_dissection_order``
+    and factored in that order (``NATURAL``), pivots kept on the diagonal.
+    Acts on full vectors like ``_fast_inverse``: u_D = r_D and u_I solves
+    A_II u_I = r_I - A_ID r_D, the product skipped when r_D = 0.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    free = ~sys.dirichlet_mask
+    order = _dissection_order(sys.shape, free)
+    position = np.empty(free.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    columns = order[:, None] + np.array(sys.offsets)
+    keep = (columns >= 0) & (columns < free.size)
+    keep[keep] = free[columns[keep]]
+    indptr = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    block = sparse.csr_matrix(
+        (sys.weights[:, order].T[keep], position[columns[keep]], indptr), shape=(order.size, order.size)
+    )
+    lu = splu(block.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        u, f = _lifted(sys, r)
+        u[order] = lu.solve(f[order])
+        return u
+
+    return apply, int(lu.nnz)
+
+
+def _lifted(sys: SparseSystem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = r on the Dirichlet nodes and 0 elsewhere, and r - A u, whose free
+    rows are the right-hand side of A_II; A u is skipped when it is 0."""
+    u = np.where(sys.dirichlet_mask, r, 0.0)
+    return u, (r - sys.matvec(u) if u.any() else r)
 
 
 def componentwise_ratio(value: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -694,7 +782,8 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     A separable system (``sys.separable`` set by ``assemble``: identity
     coefficients, k^2 <= N obstacle nodes) is solved by fast diagonalization
     plus a capacitance matrix, every other one by a SuperLU factorisation
-    with the ``MMD_AT_PLUS_A`` ordering and pivots kept on the diagonal
+    of the free block A_II in nested-dissection order (``_lu_inverse``,
+    ``permc_spec="NATURAL"``) with pivots kept on the diagonal
     (``diag_pivot_thresh=0``, ``SymmetricMode``); both are stable on these
     row diagonally dominant M-matrix rows (see the module docstring), and
     ``method`` names the one used.
@@ -717,27 +806,22 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     sweep, ``converged`` says whether w <= ``SOLVER_TOL``, and ``final_residual`` is
     the relative residual ||r||_2 / ||b||_2 of the answer returned (b = 0
     divides by 1), its norms taken by a pairwise sum, with no BLAS call.
-    Deterministic for identical inputs.  Only the SuperLU branch imports
-    SciPy and builds ``sys.matrix``.  A singular factorisation raises
+    ``fill`` is SuperLU's count of stored factor entries.  Deterministic for
+    identical inputs.  Only the SuperLU branch imports SciPy; it builds A_II
+    from the weights, not ``sys.matrix``.  A singular factorisation raises
     SuperLU's ``RuntimeError``.
     """
     start = time.perf_counter()
     b = sys.rhs
+    fill = 0
     if bool(sys.dirichlet_mask.all()):
         method, min_sweeps, inverse = "dirichlet", 0, np.copy
     elif sys.separable is not None:
         method, min_sweeps = "fast-diagonalization", 1
         inverse = _fast_inverse(sys)
     else:
-        from scipy.sparse.linalg import splu
-
         method, min_sweeps = "lu", 0
-        inverse = splu(
-            sys.matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ).solve
+        inverse, fill = _lu_inverse(sys)
     abs_b = np.abs(b)
 
     def backward_error(r: np.ndarray, u: np.ndarray) -> float:
@@ -767,6 +851,7 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
         method=method,
         backward_error=omega,
         backward_error_history=tuple(history),
+        fill=fill,
     )
     return u, report
 

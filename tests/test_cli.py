@@ -606,6 +606,43 @@ class TestMain:
         if value == 10**15:  # the budget itself is accepted
             parse_config(raw=_with_value({"command": command}, dotted, MAX_NODES))
 
+    @pytest.mark.parametrize(
+        "raw, counts",
+        [
+            ({"command": "decay-fit", "experiment": {"outer_radius": 1e150}}, [1025, 65]),
+            ({"command": "decay-fit", "params": {"alpha": 0}, "experiment": {"outer_radius": 1e200}}, [1025, 65]),
+            ({"command": "global-bound", "params": {"alpha": 0}, "experiment": {"outer_radius": 1e200}}, [2049, 81]),
+            ({"command": "global-bound", "params": {"alpha": 0}, "experiment": {"outer_radius": 9e307}}, [2049, 81]),
+        ],
+        ids=["decay-fit", "decay-fit-alpha-0", "global-bound-alpha-0", "global-bound-width"],
+    )
+    def test_overflowing_grid_spacing_is_refused_by_name(self, tmp_path, capsys, monkeypatch, raw, counts):
+        # The half-width is a float, but twice the square of a grid spacing is not.
+        monkeypatch.setattr(experiments, "assemble", None)  # refused before any assembly
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "wide.json"
+        cfgfile.write_text(json.dumps({**raw, "output_dir": str(out)}))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        outer = raw["experiment"]["outer_radius"]
+        assert captured.err == (
+            f"configuration error: experiment.outer_radius: {outer:g} spaces the grid of counts {counts} "
+            "so widely that the squared spacing overflows\n"
+        )
+
+    def test_global_bound_refusal_names_no_config_key(self, tmp_path, capsys):
+        # At alpha = 2, w > 1 on the inner box, whose radius is a constant of the code.
+        out = tmp_path / "o"
+        assert main(["--command", "global-bound", "--alpha", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: supersolution w - w^{1+rho} is not positive on the inner boundary")
+        assert f"inner box of gauge radius {cli.BOUND_INNER_RADIUS:g} reaches w = " in captured.err
+        paths = _non_null_defaults("global-bound") + ["experiment.inner_radius"]
+        names = {*paths, *(path.rpartition(".")[2] for path in paths)}
+        assert not [name for name in names if re.search(rf"\b{re.escape(name)}\b", captured.err)]
+
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.1 PiB"), OverflowError("math range error")])
     def test_memory_and_arithmetic_errors_exit_2(self, tmp_path, monkeypatch, capsys, error):
         def runner(cfg):
@@ -1130,11 +1167,14 @@ class TestMain:
         out = tmp_path / command
         run(parse_config(raw={"command": command, **raw, "output_dir": str(out)}))
         telemetry = json.loads((out / "telemetry.json").read_text())
-        assert set(telemetry) == {"command", "wall_time_s", "solve_wall_time_s"}
+        assert set(telemetry) == {"command", "wall_time_s", "solve_wall_time_s", "solve_fill"}
         assert telemetry["command"] == command
         solves = telemetry["solve_wall_time_s"]
-        assert len(solves) == count
+        assert len(solves) == len(telemetry["solve_fill"]) == count
         assert all(t > 0 for t in solves) and telemetry["wall_time_s"] > sum(solves)
+        # SuperLU's stored factor entries; no factors on the fast path.
+        lu = command == "oscillation-decay"
+        assert all(fill > 0 if lu else fill == 0 for fill in telemetry["solve_fill"])
 
     def test_solve_report_keys_match_across_commands(self, tmp_path):
         keys = []

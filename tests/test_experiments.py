@@ -297,7 +297,8 @@ class TestGlobalBound:
 
     def test_invisible_inner_box_is_refused(self, no_solve):
         # At 5x5 the inner box holds no node above the flat face.
-        with pytest.raises(PreconditionError, match="^inner box is invisible to the grid"):
+        # The inner radius is a constant of the command, so only refining is advised.
+        with pytest.raises(PreconditionError, match=r"^inner box is invisible to the grid \(gauge radius 2\); refine the grid$"):
             run_global_bound_check(IDENT, P21, 0.5, 2.0, 64.0, counts=(5, 5))
 
 

@@ -338,23 +338,96 @@ class TestFactorisation:
         assert rep.converged
         assert np.linalg.norm(u - dense) <= fdsolver.SOLVER_TOL * np.linalg.norm(dense)
 
-    def test_fill_is_below_the_default_ordering(self, factors):
-        # The symmetric minimum-degree ordering halves the fill of SuperLU's
-        # default (COLAMD with partial pivoting) on the 13^3 identity system
-        # with a 54-node inner box excised: 89,836 against 185,587 nonzeros in
-        # L + U.
-        g = build_grid([1, 1, 0], [3, 3, 2], (13, 13, 13), 2.0)
+    def test_fill_is_below_minimum_degree_and_colamd(self, factors):
+        # On the perturbed 17^3 box (19-point stencils) the nested-dissection
+        # order of the free nodes has 690,710 nonzeros in L + U, against
+        # 1,240,634 for the symmetric minimum-degree order of the same block
+        # and 2,061,039 for SuperLU's default (COLAMD with partial pivoting)
+        # on the full matrix.
+        g = build_grid([1, 1, 0], [3, 3, 2], (17, 17, 17), 2.0)
         bc = lambda xp, xn: kernel_value_arrays(xp, xn, P31)
-        sys = assemble(make_identity_field(P31), g, P31, bc, extra_dirichlet=inner_box(g))
-        solve(sys)
+        sys = assemble(make_decaying_perturbation(P31, 2.0, 0.3, 42), g, P31, bc)
+        _, rep = solve(sys)
         (lu,) = factors
-        default = splu(sys.matrix.tocsc())
-        assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
+        assert rep.method == "lu" and rep.converged and rep.fill == lu.nnz
+        free = np.flatnonzero(~sys.dirichlet_mask)
+        block = sys.matrix[free][:, free].tocsc()
+        options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        minimum_degree = splu(block, permc_spec="MMD_AT_PLUS_A", **options)
+        colamd = splu(sys.matrix.tocsc())
+        fill = lu.L.nnz + lu.U.nnz
+        assert fill <= 0.6 * (minimum_degree.L.nnz + minimum_degree.U.nnz)
+        assert fill <= 0.4 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_factors_the_free_block_only(self, factors):
+        # A_II alone, in the dissection order: u_D = b_D on the Dirichlet
+        # nodes, and A_II u_I = b_I - A_ID b_D on the free ones.
+        g = build_grid([1, 0], [3, 2], (33, 17), 2.0)
+        sys = assemble(make_decaying_perturbation(P21, 2.0, 0.3, 42), g, P21, bc_kernel)
+        u, rep = solve(sys)
+        (lu,) = factors
+        order = fdsolver._dissection_order(sys.shape, ~sys.dirichlet_mask)
+        assert lu.shape == (order.size, order.size) == (31 * 15, 31 * 15)
+        np.testing.assert_array_equal(lu.perm_c, np.arange(order.size))
+        block = sys.matrix[order][:, order].toarray()
+        np.testing.assert_allclose((lu.L @ lu.U).toarray(), block, rtol=0.0, atol=1e-12 * abs(block).max())
+        np.testing.assert_array_equal(u[sys.dirichlet_mask], sys.rhs[sys.dirichlet_mask])
+        assert rep.fill == lu.nnz > 0
+
+
+class TestDissectionOrder:
+    @staticmethod
+    def check_box(position, box):
+        """Recursively: a box of more than ``DISSECTION_LEAF`` nodes has a
+        longest axis whose mid-plane follows both halves; a leaf keeps flat
+        order.  ``position`` holds each node's place in the order."""
+        part = position[tuple(slice(lo, hi) for lo, hi in box)]
+        if part.size <= fdsolver.DISSECTION_LEAF:
+            assert np.all(np.diff(part.ravel()) > 0)
+            return
+        extents = [hi - lo for lo, hi in box]
+        for axis in np.flatnonzero(np.array(extents) == max(extents)):
+            lo, hi = box[axis]
+            mid = (lo + hi) // 2
+            halves = [(lo, mid), (mid + 1, hi)]
+            sides = [[*box[:axis], half, *box[axis + 1 :]] for half in halves]
+            plane = position[tuple(slice(l, h) if a != axis else mid for a, (l, h) in enumerate(box))]
+            before = [position[tuple(slice(l, h) for l, h in side)] for side in sides]
+            if all(b.size == 0 or b.max() < plane.min() for b in before):
+                for side in sides:
+                    TestDissectionOrder.check_box(position, side)
+                return
+        pytest.fail(f"no longest axis of {box} has its mid-plane after both halves")
+
+    @pytest.mark.parametrize("shape", [(15, 7), (31, 31), (7, 7, 3), (15, 15, 15)], ids=str)
+    def test_each_separator_follows_both_halves(self, shape):
+        # Axes of 2^k - 1 nodes: the halves of every box are equal.
+        order = fdsolver._dissection_order(shape, np.ones(math.prod(shape), dtype=bool))
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        self.check_box(position.reshape(shape), [(0, c) for c in shape])
+
+    @pytest.mark.parametrize("shape", [(257, 97), (33, 17), (9, 8, 7), (49, 49, 25)], ids=str)
+    def test_is_a_permutation_of_the_free_nodes(self, shape):
+        free = np.random.default_rng(3).random(math.prod(shape)) < 0.6
+        order = fdsolver._dissection_order(shape, free)
+        np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
+
+    def test_a_hand_built_system_keeps_flat_order(self):
+        sys = tiny_pivot_system()
+        assert sys.shape == (5,)
+        free = np.ones(40, dtype=bool)
+        free[[0, 17, 39]] = False
+        np.testing.assert_array_equal(fdsolver._dissection_order((40,), free), np.flatnonzero(free))
+
+    def test_assemble_records_the_grid_shape(self):
+        g = build_grid([1, 1, 0], [3, 3, 2], (9, 8, 7), 2.0)
+        assert assemble(make_identity_field(P31), g, P31, lambda xp, xn: xn).shape == (9, 8, 7)
 
 
 def tiny_pivot_system(pivot: float = 1e-20, coupling: float = 0.0) -> SparseSystem:
     """A tiny pivot kept on the diagonal and eliminated before nodes 1 and 2
-    (the minimum-degree order is 4, 0, 3, 1, 2): its Schur update swamps the
+    (a hand-built system is one axis, factored in flat order): its Schur update swamps the
     block of nodes 1 and 2.  At 1e-20 that block is lost, and refinement with
     those factors cannot restore it.  Every row is an interior row, and the
     stencil holds each diagonal of the matrix that has a nonzero entry."""
