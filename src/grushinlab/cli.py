@@ -30,11 +30,12 @@ from .closedforms import (
 from .coefficients import audit_ellipticity_arrays
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
+    BOUND_INNER_RADIUS,
+    DECAY_INNER_RADIUS,
     RAY_HEIGHT_FRACTION,
     RAY_WINDOW,
     SHELL_BAND,
     PreconditionError,
-    exterior_grid,
     require_monotone,
     run_boundary_growth,
     run_decay_fit,
@@ -43,7 +44,7 @@ from .experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from .fdsolver import MAX_NODES, SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
+from .fdsolver import SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
 from .geometry import sample_points_by_gauge
 from .reports import content_hash, jsonable, write_csv, write_json_report
 
@@ -67,8 +68,6 @@ RHO = 0.5  # supersolution-scan and global-bound: the supersolution w - w^{1+rho
 ENVELOPE_DECAY = 2.0  # supersolution-scan: the envelope amplitude * min(1, d^-s) ("s")
 ENVELOPE_AMPLITUDE = 1.0  # supersolution-scan: its amplitude ("amplitude")
 SCAN_SHELLS = tuple(2.0**k for k in range(11))  # supersolution-scan: gauge shells [R, 2R] ("shells_tested")
-DECAY_INNER_RADIUS = 1.0  # decay-fit: gauge radius of the inner box ("inner_radius")
-BOUND_INNER_RADIUS = 2.0  # global-bound: gauge radius of the inner box ("inner_radius")
 
 
 # (flag, config path, type, help) of each flag that overrides one config value.
@@ -85,29 +84,6 @@ def _kernel_data(p):
     """The kernel as Dirichlet data; it is NaN at the origin, where it is
     singular, with no warning, and ``assemble`` refuses it there."""
     return np.errstate(divide="ignore", invalid="ignore")(lambda xp, xn: kernel_value_arrays(xp, xn, p))
-
-
-def _outer_radius(cfg: RunConfig, lowest: float) -> float:
-    """``experiment.outer_radius``, refused before any assembly unless it exceeds ``lowest``, its
-    box half-width outer_radius^(1 + alpha) is a float and twice the square of each grid spacing
-    at ``experiment.counts``, the largest h_-(h_- + h_+) of the stencil, is finite."""
-    outer, counts = cfg.experiment["outer_radius"], cfg.experiment["counts"]
-    if not outer > lowest:
-        raise ConfigError(f"experiment.outer_radius: must be > {lowest:g}")
-    try:
-        half_width = outer ** (1.0 + cfg.params.alpha)
-    except OverflowError:
-        raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
-    squares = [math.inf]  # where the box width overflows, so do its spacings
-    if math.isfinite(2.0 * half_width):
-        with np.errstate(over="ignore"):
-            squares = [2.0 * np.max(np.diff(axis)) ** 2 for axis in exterior_grid(cfg.params, outer, counts).axes]
-    if not np.all(np.isfinite(squares)):
-        raise ConfigError(
-            f"experiment.outer_radius: {outer:g} spaces the grid of counts {list(counts)} so widely "
-            "that the squared spacing overflows"
-        )
-    return outer
 
 
 def verdict(name: str, value, gate, control=None) -> dict:
@@ -193,13 +169,6 @@ def _cmd_boundary_growth(cfg: RunConfig):
 
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
-    levels, fit = cfg.experiment["levels"], 0  # fit: the most levels whose finest grid is in budget
-    while math.prod(cfg.grid.refined(2**fit).counts) <= MAX_NODES:
-        fit += 1
-    if levels > fit:
-        raise ConfigError(
-            f"experiment.levels: {levels} levels refine the grid past MAX_NODES = {MAX_NODES} nodes; {fit} fit"
-        )
     field = cfg.build_field()
     report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
@@ -243,9 +212,7 @@ def _cmd_supersolution_scan(cfg: RunConfig):
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    # The ray runs over the gauges RAY_WINDOW[0] * inner to RAY_WINDOW[1] * outer: empty below this outer.
-    outer = _outer_radius(cfg, RAY_WINDOW[0] / RAY_WINDOW[1] * DECAY_INNER_RADIUS)
-    report = run_decay_fit(field, p, DECAY_INNER_RADIUS, outer, cfg.experiment["counts"])
+    report = run_decay_fit(field, p, DECAY_INNER_RADIUS, **cfg.experiment)
     expected = report.expected_exponent
     xn = np.asarray(report.ray_normals)
     u = np.asarray(report.ray_values)
@@ -258,8 +225,7 @@ def _cmd_decay_fit(cfg: RunConfig):
 def _cmd_global_bound(cfg: RunConfig):
     p = cfg.params
     field = cfg.build_field()
-    outer = _outer_radius(cfg, BOUND_INNER_RADIUS)
-    report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, outer, cfg.experiment["counts"])
+    report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, **cfg.experiment)
     result = {**jsonable(report), "rho": RHO, "inner_radius": BOUND_INNER_RADIUS}
     columns = list(report.interface_samples.T)
     gate = (-MARGIN_TOLERANCE, math.inf)

@@ -3,8 +3,11 @@
 A config is one JSON object; unknown keys anywhere are errors, type and
 range violations report the JSON path of the offending field, and so do
 the non-finite numbers ``NaN`` and ``Infinity`` that Python's JSON parser
-accepts and integers beyond the float range.  Every field has a documented
-default, so the minimal config is just
+accepts and integers beyond the float range.  Every size that cannot run
+(a grid over the node budget ``MAX_NODES``, a Hoelder ladder whose finest
+grid is over it, a radius whose box overflows) is refused here too, by its
+key, before any work: ``parse_config`` is the only validator.  Every field
+has a documented default, so the minimal config is just
 ``{"command": "verify-closed-forms"}``.  Command line flags override file
 values before validation.
 """
@@ -12,13 +15,16 @@ values before validation.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
-from .experiments import GridSpec
+from .experiments import BOUND_INNER_RADIUS, DECAY_INNER_RADIUS, RAY_WINDOW, GridSpec, exterior_grid
 from .fdsolver import MAX_NODES
 from .geometry import GrushinParams
 from .reports import jsonable
@@ -64,37 +70,30 @@ def _reject_unknown(obj: dict, path: str, allowed) -> None:
             raise ConfigError(f"{_join(path, key)}: unknown key")
 
 
-def _finite(value) -> bool:
-    """False for NaN, +-inf and an integer beyond the float range (an exact
-    comparison: no conversion that could overflow)."""
-    return abs(value) <= sys.float_info.max
-
-
-def _number(obj, path, key, default, *, lo=None, hi=None, lo_open=False, hi_open=False):
-    value = obj.get(key, default)
+def _checked(value, where, *, integer=False, lo=None, hi=None, lo_open=False, hi_open=False):
+    """``value``, refused by ``where`` unless it is a number, finite (an exact comparison with
+    the float range: no conversion that could overflow), an integer if ``integer``, and within
+    ``lo`` and ``hi`` (open where ``lo_open``/``hi_open``), checked in that order.  Returns an
+    int if ``integer``, else a float; a float bound is printed %g, an int bound as it is."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{_join(path, key)}: must be a number")
-    if not _finite(value):
-        raise ConfigError(f"{_join(path, key)}: must be finite")
-    value = float(value)
+        raise ConfigError(f"{where}: must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: must be finite")
+    if integer and not isinstance(value, int):
+        raise ConfigError(f"{where}: must be an integer")
+
+    def text(bound):
+        return f"{bound:g}" if isinstance(bound, float) else f"{bound}"
+
     if lo is not None and (value <= lo if lo_open else value < lo):
-        op = ">" if lo_open else ">="
-        raise ConfigError(f"{_join(path, key)}: must be {op} {lo:g}")
+        raise ConfigError(f"{where}: must be {'>' if lo_open else '>='} {text(lo)}")
     if hi is not None and (value >= hi if hi_open else value > hi):
-        op = "<" if hi_open else "<="
-        raise ConfigError(f"{_join(path, key)}: must be {op} {hi:g}")
-    return value
+        raise ConfigError(f"{where}: must be {'<' if hi_open else '<='} {text(hi)}")
+    return value if integer else float(value)
 
 
-def _integer(obj, path, key, default, *, lo=None, hi=None):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{_join(path, key)}: must be an integer")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{_join(path, key)}: must be >= {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{_join(path, key)}: must be <= {hi}")
-    return int(value)
+def _number(obj, path, key, default, **bounds):
+    return _checked(obj.get(key, default), _join(path, key), **bounds)
 
 
 def _string(obj, path, key, default, choices=None):
@@ -106,28 +105,26 @@ def _string(obj, path, key, default, choices=None):
     return value
 
 
-def _number_list(obj, path, key, default, *, length=None, lo=None, lo_open=False, integer=False):
+def _number_list(obj, path, key, default, *, length=None, **bounds):
     value = obj.get(key, default)
-    if value is None and default is None:
-        return None
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{_join(path, key)}: must be an array")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{_join(path, key)}[{i}]: must be a number")
-        if not _finite(item):
-            raise ConfigError(f"{_join(path, key)}[{i}]: must be finite")
-        if integer and not isinstance(item, int):
-            raise ConfigError(f"{_join(path, key)}[{i}]: must be an integer")
-        if lo is not None and (item <= lo if lo_open else item < lo):
-            raise ConfigError(f"{_join(path, key)}[{i}]: must be {'>' if lo_open else '>='} {lo}")
-        out.append(int(item) if integer else float(item))
+    out = tuple(_checked(item, f"{_join(path, key)}[{i}]", **bounds) for i, item in enumerate(value))
     if length is not None and len(out) != length:
         raise ConfigError(f"{_join(path, key)}: must have length {length}")
     if not out:
         raise ConfigError(f"{_join(path, key)}: must not be empty")
-    return tuple(out)
+    return out
+
+
+def _counts(obj, path, default, n):
+    """``counts`` of ``obj``: ``n`` integers >= 3, the node counts of the axes of a grid, whose
+    product, the node count of the grid, is at most ``MAX_NODES`` (the product is not printed:
+    it can have more digits than ``str`` converts)."""
+    counts = _number_list(obj, path, "counts", default, length=n, integer=True, lo=3)
+    if math.prod(counts) > MAX_NODES:
+        raise ConfigError(f"{_join(path, 'counts')}: must give at most MAX_NODES = {MAX_NODES} nodes")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ class RunConfig:
 def _parse_params(raw: dict) -> GrushinParams:
     obj = _object(raw.get("params", {}), "params")
     _reject_unknown(obj, "params", _field_names(GrushinParams))
-    n = _integer(obj, "params", "n", 2, lo=2)
+    n = _number(obj, "params", "n", 2, integer=True, lo=2)
     alpha = _number(obj, "params", "alpha", 1.0, lo=0.0)
     return GrushinParams(n, alpha)
 
@@ -174,26 +171,23 @@ def _parse_field(raw: dict, default_seed: int) -> FieldConfig:
     family = _string(obj, "field", "family", "identity", ("identity", "decaying-perturbation"))
     s = _number(obj, "field", "s", 2.0, lo=0.0, lo_open=True)
     amplitude = _number(obj, "field", "amplitude", 0.3, lo=0.0, hi=1.0, lo_open=True)
-    seed = _integer(obj, "field", "seed", default_seed, lo=0)
+    seed = _number(obj, "field", "seed", default_seed, integer=True, lo=0)
     return FieldConfig(family=family, s=s, amplitude=amplitude, seed=seed)
 
 
 def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
-    if "grid" not in raw:
-        if command in _GRID_COMMANDS:
-            lo = (1.0,) * (n - 1) + (0.0,)
-            hi = (3.0,) * (n - 1) + (2.0,)
-            return GridSpec(lo, hi, (33,) * n)
-        return None
     if command not in _GRID_COMMANDS:
-        raise ConfigError(f"grid: not accepted by command {command!r} (domain comes from experiment)")
-    obj = _object(raw["grid"], "grid")
+        if "grid" in raw:
+            raise ConfigError(f"grid: not accepted by command {command!r} (domain comes from experiment)")
+        return None
+    default = {"box_lo": [1.0] * (n - 1) + [0.0], "box_hi": [3.0] * (n - 1) + [2.0], "counts": [33] * n}
+    obj = _object(raw.get("grid", default), "grid")
     _reject_unknown(obj, "grid", _field_names(GridSpec))
+    if obj.keys() != default.keys():
+        raise ConfigError("grid: box_lo, box_hi and counts are all required")
     lo = _number_list(obj, "grid", "box_lo", None, length=n)
     hi = _number_list(obj, "grid", "box_hi", None, length=n)
-    counts = _number_list(obj, "grid", "counts", None, length=n, lo=3, integer=True)
-    if lo is None or hi is None or counts is None:
-        raise ConfigError("grid: box_lo, box_hi and counts are all required")
+    counts = _counts(obj, "grid", None, n)
     for i, (a, b) in enumerate(zip(lo, hi)):
         if not a < b:
             raise ConfigError(f"grid.box_hi[{i}]: must be > box_lo[{i}]")
@@ -202,29 +196,51 @@ def _parse_grid(raw: dict, n: int, command: str) -> GridSpec | None:
     return GridSpec(lo, hi, counts)
 
 
-def _parse_experiment(raw: dict, command: str, n: int) -> dict:
+def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: GridSpec | None) -> dict:
     """The ``experiment`` block of ``command``: its parse lines declare the
     allowed keys, each named as the keyword of the runner it configures
-    (``solve`` and ``boundary-growth`` take none)."""
+    (``solve`` and ``boundary-growth`` take none).  A size that cannot run
+    is refused here, by its key, before any work."""
     obj = _object(raw.get("experiment", {}), "experiment")
-    path = "experiment"
+    path, n = "experiment", params.n
     out: dict[str, Any] = {}
     if command in ("verify-closed-forms", "audit-ellipticity"):
-        out["points"] = _integer(obj, path, "points", 1000, lo=10, hi=MAX_NODES)
+        out["points"] = _number(obj, path, "points", 1000, integer=True, lo=10, hi=MAX_NODES)
     elif command == "holder-modulus":
-        out["levels"] = _integer(obj, path, "levels", 3, lo=2)
-        out["pairs"] = _integer(obj, path, "pairs", 100_000, lo=100, hi=MAX_NODES)
+        fit = 0  # the most levels whose finest grid, refined 2^(levels - 1) times, is in budget
+        while math.prod(grid.refined(2**fit).counts) <= MAX_NODES:
+            fit += 1
+        out["levels"] = _number(obj, path, "levels", 3, integer=True, lo=2, hi=fit)
+        out["pairs"] = _number(obj, path, "pairs", 100_000, integer=True, lo=100, hi=MAX_NODES)
     elif command == "oscillation-decay":
-        out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True)
-        out["counts"] = _number_list(obj, path, "counts", (129,) * (n - 1) + (49,), length=n, lo=3, integer=True)
+        # The far corner of the box of E_{4R}+ has ellipsoid level 4nR: a margin of 2 keeps it a float.
+        hi = sys.float_info.max / (8 * n)
+        out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True, hi=hi)
+        out["counts"] = _counts(obj, path, (129,) * (n - 1) + (49,), n)
     elif command == "supersolution-scan":
-        out["samples_per_shell"] = _integer(obj, path, "samples_per_shell", 300, lo=10, hi=MAX_NODES)
-    elif command == "decay-fit":
-        out["outer_radius"] = _number(obj, path, "outer_radius", 32.0, lo=0.0, lo_open=True)
-        out["counts"] = _number_list(obj, path, "counts", (1025,) * (n - 1) + (65,), length=n, lo=3, integer=True)
-    elif command == "global-bound":
-        out["outer_radius"] = _number(obj, path, "outer_radius", 64.0, lo=0.0, lo_open=True)
-        out["counts"] = _number_list(obj, path, "counts", (2049,) * (n - 1) + (81,), length=n, lo=3, integer=True)
+        out["samples_per_shell"] = _number(obj, path, "samples_per_shell", 300, integer=True, lo=10, hi=MAX_NODES)
+    elif command in ("decay-fit", "global-bound"):
+        if command == "decay-fit":
+            # The ray runs over the gauges RAY_WINDOW[0] * inner to RAY_WINDOW[1] * outer: empty below this outer.
+            outer, lowest, counts = 32.0, RAY_WINDOW[0] / RAY_WINDOW[1] * DECAY_INNER_RADIUS, (1025,) * (n - 1) + (65,)
+        else:
+            outer, lowest, counts = 64.0, BOUND_INNER_RADIUS, (2049,) * (n - 1) + (81,)
+        outer = out["outer_radius"] = _number(obj, path, "outer_radius", outer, lo=lowest, lo_open=True)
+        counts = out["counts"] = _counts(obj, path, counts, n)
+        # The box half-width outer^(1 + alpha) is a float, and so is twice the square of each grid
+        # spacing, the largest h_-(h_- + h_+) of the stencil; where the box width overflows, so do they.
+        try:
+            half_width = outer ** (1.0 + params.alpha)
+        except OverflowError:
+            raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
+        spacings = [math.inf]
+        if math.isfinite(2.0 * half_width):
+            spacings = [float(np.max(np.diff(axis))) for axis in exterior_grid(params, outer, counts).axes]
+        if not all(math.isfinite(2.0 * h * h) for h in spacings):
+            raise ConfigError(
+                f"experiment.outer_radius: {outer:g} spaces the grid of counts {list(counts)} so widely "
+                "that the squared spacing overflows"
+            )
     _reject_unknown(obj, path, out)
     return out
 
@@ -268,7 +284,7 @@ def parse_config(
         raise ConfigError("command: required")
     command = _string(raw, "", "command", None, COMMANDS)
 
-    seed = _integer(raw, "", "seed", 0, lo=0)
+    seed = _number(raw, "", "seed", 0, integer=True, lo=0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir: must be a string")
@@ -276,7 +292,7 @@ def parse_config(
     params = _parse_params(raw)
     field = _parse_field(raw, seed)
     grid = _parse_grid(raw, params.n, command)
-    experiment = _parse_experiment(raw, command, params.n)
+    experiment = _parse_experiment(raw, command, params, grid)
 
     effective = jsonable(
         {

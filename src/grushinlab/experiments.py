@@ -56,6 +56,8 @@ __all__ = [
     "SHELL_BAND",
     "RAY_HEIGHT_FRACTION",
     "RAY_WINDOW",
+    "DECAY_INNER_RADIUS",
+    "BOUND_INNER_RADIUS",
     "RAY_POINTS",
     "MIN_RAY_VALUE",
     "PreconditionError",
@@ -87,10 +89,13 @@ MIN_FIT_SAMPLES = 5  # fewest samples a log-log fit accepts; fewer make a runner
 RAY_POINTS = 13  # decay-fit: gauges sampled along the ray
 MIN_RAY_VALUE = 1e-10  # decay-fit: ray values at or below this are left out of the fit
 
-# Measurement windows.  Each is a constant, recorded in the result of its command.
+# Measurement windows and the inner radii of the exterior problems.  Each is a constant, recorded in
+# the result of its command.
 SHELL_BAND = 0.15  # oscillation-decay: nodes with |level - 2R| <= band * 2R form the middle shell
 RAY_HEIGHT_FRACTION = 0.25  # boundary-growth: the ray fit stops at this fraction of the box height
 RAY_WINDOW = (2.5, 0.35)  # decay-fit: the ray runs from 2.5 * inner to 0.35 * outer radius
+DECAY_INNER_RADIUS = 1.0  # decay-fit: gauge radius of the inner box ("inner_radius")
+BOUND_INNER_RADIUS = 2.0  # global-bound: gauge radius of the inner box ("inner_radius")
 
 
 class PreconditionError(ValueError):

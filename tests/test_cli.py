@@ -37,6 +37,9 @@ SMALL_RAW = {
 }
 
 
+BUDGET = f"must give at most MAX_NODES = {MAX_NODES} nodes"
+
+
 def _non_null_defaults(command):
     """Dotted path of every value of the default config that is not null,
     except ``command`` and the ``grid`` keys (declared with a null default)."""
@@ -135,9 +138,7 @@ class TestParseConfig:
                 if isinstance(value, list):
                     where, message, bad_value = f"{dotted}[0]", "must be finite", [bad, *value[1:]]
                 else:
-                    # An integer key rejects any float, so the type check names it.
-                    message = "must be an integer" if isinstance(value, int) else "must be finite"
-                    where, bad_value = dotted, bad
+                    where, message, bad_value = dotted, "must be finite", bad
                 raw = _with_value({"command": command, **SMALL_RAW[command]}, dotted, bad_value)
                 with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: {message}$"):
                     parse_config(raw=raw)
@@ -150,8 +151,9 @@ class TestParseConfig:
         [
             ("verify-closed-forms", "params.alpha", 10**400, "params.alpha"),
             ("oscillation-decay", "experiment.radii", [1, 10**400], "experiment.radii[1]"),
+            ("verify-closed-forms", "seed", 10**400, "seed"),
         ],
-        ids=["alpha", "radius"],
+        ids=["alpha", "radius", "seed"],
     )
     def test_integer_beyond_float_range_is_an_error(self, tmp_path, capsys, command, dotted, value, where):
         raw = _with_value({"command": command}, dotted, value)
@@ -570,7 +572,7 @@ class TestMain:
                 "holder-modulus",
                 "experiment.levels",
                 20000,  # its finest grid has a node count of over 6000 digits
-                "configuration error: experiment.levels: 20000 levels refine the grid past MAX_NODES = 2000000 nodes; 6 fit",
+                "configuration error: experiment.levels: must be <= 6",
             ),
             (
                 "decay-fit",
@@ -584,6 +586,14 @@ class TestMain:
                 1e200,
                 "configuration error: experiment.outer_radius: 1e+200^(1 + alpha), the box half-width, overflows",
             ),
+            ("solve", "grid", {**SMALL_BOX, "counts": [1415, 1415]}, f"configuration error: grid.counts: {BUDGET}"),
+            ("solve", "params.n", 14, f"configuration error: grid.counts: {BUDGET}"),
+            ("solve", "params.n", 3000, f"configuration error: grid.counts: {BUDGET}"),  # 4500 digits
+            ("oscillation-decay", "experiment.counts", [3000, 3000], f"configuration error: experiment.counts: {BUDGET}"),
+            ("decay-fit", "params.n", 3, f"configuration error: experiment.counts: {BUDGET}"),
+            ("global-bound", "params.n", 3, f"configuration error: experiment.counts: {BUDGET}"),
+            # The far corner of the box of E_{4R}+ has ellipsoid level 4nR.
+            ("oscillation-decay", "experiment.radii", [1e308], "configuration error: experiment.radii[0]: must be <= 1.12356e+307"),
         ],
         ids=[
             "verify-closed-forms",
@@ -593,12 +603,24 @@ class TestMain:
             "holder-modulus-levels",
             "decay-fit",
             "global-bound",
+            "solve-grid-counts",
+            "solve-n-14",
+            "solve-n-3000",
+            "oscillation-decay-counts",
+            "decay-fit-n-3",
+            "global-bound-n-3",
+            "oscillation-decay-radius",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_impossible_sizes_exit_2(self, tmp_path, capsys, command, dotted, value, message):
         out = tmp_path / "o"
+        raw = _with_value({"command": command, "output_dir": str(out)}, dotted, value)
+        with pytest.raises(ConfigError) as refused:  # parse_config alone refuses, naming the key
+            parse_config(raw=raw)
+        assert f"configuration error: {refused.value}" == message
         cfgfile = tmp_path / "huge.json"
-        cfgfile.write_text(json.dumps(_with_value({"command": command, "output_dir": str(out)}, dotted, value)))
+        cfgfile.write_text(json.dumps(raw))
         assert main(["--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
@@ -638,7 +660,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: supersolution w - w^{1+rho} is not positive on the inner boundary")
-        assert f"inner box of gauge radius {cli.BOUND_INNER_RADIUS:g} reaches w = " in captured.err
+        assert f"inner box of gauge radius {experiments.BOUND_INNER_RADIUS:g} reaches w = " in captured.err
         paths = _non_null_defaults("global-bound") + ["experiment.inner_radius"]
         names = {*paths, *(path.rpartition(".")[2] for path in paths)}
         assert not [name for name in names if re.search(rf"\b{re.escape(name)}\b", captured.err)]
@@ -665,9 +687,7 @@ class TestMain:
         assert main(["--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err == (
-            "configuration error: experiment.levels: 7 levels refine the grid past MAX_NODES = 2000000 nodes; 6 fit\n"
-        )
+        assert captured.err == "configuration error: experiment.levels: must be <= 6\n"
 
     def test_gauge_function_at_q_2_is_log_d(self, tmp_path):
         # At n = 2, alpha = 0 the harmonic gauge power is 0, and d^0 = 1 would pass any operator.

@@ -909,9 +909,8 @@ class TestFastDiagonalization:
         probe = """
 import os
 import numpy as np
-from grushinlab.cli import BOUND_INNER_RADIUS
 from grushinlab.config import parse_config
-from grushinlab.experiments import _exterior_problem
+from grushinlab.experiments import BOUND_INNER_RADIUS, _exterior_problem
 from grushinlab.fdsolver import assemble, solve
 
 def ticks():  # utime + stime of each thread of this process
