@@ -103,11 +103,11 @@ def _cmd_verify_closed_forms(cfg: RunConfig):
     xp, xn = sample_points_by_gauge(p, rng, cfg.experiment["points"], lo, hi, min_normal_fraction=1e-6)
     power = harmonic_gauge_power(p)
     jw = kernel_jet(xp, xn, p)
-    rw = componentwise_ratio(apply_grushin(jw, xp, xn, p), grushin_term_scale(jw, xp, xn, p))
+    rw = componentwise_ratio(apply_grushin(jw), grushin_term_scale(jw))
     # At Q = 2 the power is 0 and d^0 = 1 would pass whatever the operator; log d is checked instead.
     gauge_function = "log d" if power == 0.0 else "d^(2-Q)"
     jg = gauge_log_jet(xp, xn, p) if power == 0.0 else gauge_power_jet(xp, xn, p, power)
-    rg = componentwise_ratio(apply_grushin(jg, xp, xn, p), grushin_term_scale(jg, xp, xn, p))
+    rg = componentwise_ratio(apply_grushin(jg), grushin_term_scale(jg))
     worst_kernel = float(np.max(rw))
     worst_power = float(np.max(rg))
     columns = [*xp.T, xn, rw, rg]

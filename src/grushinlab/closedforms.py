@@ -11,7 +11,8 @@ C x_n + B|x'-x0'|^2 - (C/2) x_n^{2+a}.  The operators
 act on jets through ``apply_grushin`` and ``apply_operator``.
 
 Every function takes N points as coordinate arrays, tangential (N, n-1) and
-normal (N,), and a jet holds one row per point; every row is checked.
+normal (N,); every row is checked.  A jet holds one row per point and keeps
+the points and params it was taken at, so the operators take the jet alone.
 
 Writing r = |x'|^2 + beta x_n^{2+2a}, the kernel is w = x_n r^{-gamma} and a
 gauge power d^t equals r^{t/(2(1+a))} because Q = 2(1+a)*gamma; evaluating
@@ -55,36 +56,36 @@ _SYMMETRY_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class Jet2:
-    """Values (N,), gradients (N, n) and symmetric Hessians (N, n, n) at N points."""
+    """Values (N,), gradients (N, n) and symmetric Hessians (N, n, n) at N points,
+    tangential (N, n-1) and normal (N,), of the half space of ``params``."""
 
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
+    tangential: np.ndarray
+    normal: np.ndarray
+    params: GrushinParams
 
     def __post_init__(self) -> None:
         value = np.array(self.value, dtype=float)
         grad = np.array(self.gradient, dtype=float)
         hess = np.array(self.hessian, dtype=float)
-        if value.ndim != 1:
-            raise ValueError(f"value must be a vector of N rows, got shape {value.shape}")
-        if grad.ndim != 2 or grad.shape[0] != value.size:
-            raise ValueError(f"gradient must have shape ({value.size}, n), got {grad.shape}")
-        rows, n = grad.shape
+        xp, xn = (np.array(a) for a in _points(self.tangential, self.normal, self.params.n))
+        if value.shape != xn.shape:
+            raise ValueError(f"value must have one row per point, shape {xn.shape}, got {value.shape}")
+        rows, n = xn.size, self.params.n
+        if grad.shape != (rows, n):
+            raise ValueError(f"gradient must have shape ({rows}, {n}), got {grad.shape}")
         if hess.shape != (rows, n, n):
             raise ValueError(f"hessian must have shape ({rows}, {n}, {n}), got {hess.shape}")
         asym = np.abs(hess - np.swapaxes(hess, 1, 2))
         tol = _SYMMETRY_TOL * np.maximum(1.0, np.abs(hess))
         if np.any(asym > tol):
             raise ValueError("hessian is not symmetric within tolerance")
-        for array in (value, grad, hess):
+        arrays = {"value": value, "gradient": grad, "hessian": hess, "tangential": xp, "normal": xn}
+        for name, array in arrays.items():
             array.flags.writeable = False
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "gradient", grad)
-        object.__setattr__(self, "hessian", hess)
-
-    @property
-    def dim(self) -> int:
-        return self.gradient.shape[1]
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -134,16 +135,6 @@ def _points(tangential, normal, n: int | None, singular_at_origin=None, positive
         raise ValueError(f"{singular_at_origin} is singular at the origin")
     if positive_normal is not None and np.any(on_face):
         raise ValueError(positive_normal)
-    return xp, xn
-
-
-def _jet_points(j: Jet2, tangential, normal, p: GrushinParams):
-    """Checked points an operator evaluates a jet at, one per jet row."""
-    xp, xn = _points(tangential, normal, p.n)
-    if j.dim != p.n:
-        raise ValueError(f"jet has dimension {j.dim}, params have n={p.n}")
-    if j.value.size != xn.size:
-        raise ValueError(f"jet has {j.value.size} rows, got {xn.size} points")
     return xp, xn
 
 
@@ -202,7 +193,7 @@ def kernel_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> 
     rejected.
     """
     xp, xn = _points(tangential, normal, p.n, singular_at_origin="kernel jet")
-    return Jet2(*_times_normal(xn, _r_power(xp, xn, p, -p.gamma)))
+    return Jet2(*_times_normal(xn, _r_power(xp, xn, p, -p.gamma)), xp, xn, p)
 
 
 def harmonic_gauge_power(p: GrushinParams) -> float:
@@ -224,7 +215,7 @@ def gauge_power_jet(
     Grushin operator.
     """
     xp, xn = _points(tangential, normal, p.n, singular_at_origin="gauge power jet")
-    return Jet2(*_r_power(xp, xn, p, power / (2.0 * (1.0 + p.alpha))))
+    return Jet2(*_r_power(xp, xn, p, power / (2.0 * (1.0 + p.alpha))), xp, xn, p)
 
 
 def gauge_log_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> Jet2:
@@ -236,42 +227,36 @@ def gauge_log_jet(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) 
     g = _r_jet(xp, xn, p)
     c = 2.0 * (1.0 + p.alpha)
     r = g[0]
-    return Jet2(*_chain(g, np.log(r) / c, 1.0 / (c * r), -1.0 / (c * r * r)))
+    return Jet2(*_chain(g, np.log(r) / c, 1.0 / (c * r), -1.0 / (c * r * r)), xp, xn, p)
 
 
-def apply_grushin(j: Jet2, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
+def apply_grushin(j: Jet2) -> np.ndarray:
     """Grushin operator x_n^{2a} sum_{i<n} H_ii + H_nn applied to each jet row."""
-    _, xn = _jet_points(j, tangential, normal, p)
     h = j.hessian
     tang = np.trace(h[:, :-1, :-1], axis1=1, axis2=2)
-    return xn ** (2.0 * p.alpha) * tang + h[:, -1, -1]
+    return j.normal ** (2.0 * j.params.alpha) * tang + h[:, -1, -1]
 
 
-def grushin_term_scale(
-    j: Jet2, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams
-) -> np.ndarray:
+def grushin_term_scale(j: Jet2) -> np.ndarray:
     """Sum of absolute Grushin terms x_n^{2a} sum |H_ii| + |H_nn|, per jet row.
 
     Natural normaliser for residuals of identities like G(w) = 0: the
     cancellation happens among exactly these terms.
     """
-    _, xn = _jet_points(j, tangential, normal, p)
     h = j.hessian
     tang = np.sum(np.abs(np.diagonal(h, axis1=1, axis2=2)[:, :-1]), axis=1)
-    return xn ** (2.0 * p.alpha) * tang + np.abs(h[:, -1, -1])
+    return j.normal ** (2.0 * j.params.alpha) * tang + np.abs(h[:, -1, -1])
 
 
-def apply_operator(
-    field: CoefficientField, j: Jet2, tangential: np.ndarray, normal: np.ndarray, p: GrushinParams
-) -> np.ndarray:
+def apply_operator(field: CoefficientField, j: Jet2) -> np.ndarray:
     """Full operator x_n^{2a} sum a_ij H_ij + 2 x_n^a sum a_in H_in + H_nn, per jet row."""
-    xp, xn = _jet_points(j, tangential, normal, p)
+    xp, xn, alpha = j.tangential, j.normal, j.params.alpha
     a_t = np.asarray(field.tangential(xp, xn), dtype=float)
     a_m = np.asarray(field.mixed(xp, xn), dtype=float)
     h = j.hessian
     tang = np.sum(a_t * h[:, :-1, :-1], axis=(1, 2))
     mix = np.sum(a_m * h[:, :-1, -1], axis=1)
-    return xn ** (2.0 * p.alpha) * tang + 2.0 * xn**p.alpha * mix + h[:, -1, -1]
+    return xn ** (2.0 * alpha) * tang + 2.0 * xn**alpha * mix + h[:, -1, -1]
 
 
 def supersolution_value_arrays(
@@ -304,7 +289,7 @@ def supersolution_jet(
     w = _times_normal(xn, _r_power(xp, xn, p, -p.gamma))
     v = w[0]
     df = 1.0 - (1.0 + rho) * v**rho
-    return Jet2(*_chain(w, v - v ** (1.0 + rho), df, -rho * (1.0 + rho) * v ** (rho - 1.0)))
+    return Jet2(*_chain(w, v - v ** (1.0 + rho), df, -rho * (1.0 + rho) * v ** (rho - 1.0)), xp, xn, p)
 
 
 def boundary_barrier_jet(tangential: np.ndarray, normal: np.ndarray, spec: BarrierSpec) -> Jet2:
@@ -323,7 +308,7 @@ def boundary_barrier_jet(tangential: np.ndarray, normal: np.ndarray, spec: Barri
     diag = np.arange(n - 1)
     hess[:, diag, diag] = 2.0 * b
     hess[:, -1, -1] = -0.5 * c * (2.0 + alpha) * (1.0 + alpha) * xn**alpha
-    return Jet2(value, grad, hess)
+    return Jet2(value, grad, hess, xp, xn, GrushinParams(n, alpha))
 
 
 def choose_barrier_constants(

@@ -5,7 +5,8 @@ range violations report the JSON path of the offending field, and so do
 the non-finite numbers ``NaN`` and ``Infinity`` that Python's JSON parser
 accepts and integers beyond the float range.  Every size that cannot run
 (a grid over the node budget ``MAX_NODES``, a Hoelder ladder whose finest
-grid is over it, a radius whose box overflows) is refused here too, by its
+grid is over it, a radius whose box overflows, a sample of points whose
+n x n matrices would not fit in memory) is refused here too, by its
 key, before any work: ``parse_config`` is the only validator.  Every field
 has a documented default, so the minimal config is just
 ``{"command": "verify-closed-forms"}``.  Command line flags override file
@@ -122,9 +123,25 @@ def _counts(obj, path, default, n):
     product, the node count of the grid, is at most ``MAX_NODES`` (the product is not printed:
     it can have more digits than ``str`` converts)."""
     counts = _number_list(obj, path, "counts", default, length=n, integer=True, lo=3)
-    if math.prod(counts) > MAX_NODES:
-        raise ConfigError(f"{_join(path, 'counts')}: must give at most MAX_NODES = {MAX_NODES} nodes")
+    nodes = 1
+    for count in counts:  # every count is >= 3, so the product passes MAX_NODES within 14 factors
+        nodes *= count
+        if nodes > MAX_NODES:
+            raise ConfigError(f"{_join(path, 'counts')}: must give at most MAX_NODES = {MAX_NODES} nodes")
     return counts
+
+
+def _sample_size(obj, path, key, default, n):
+    """``key`` of ``obj``: the number of sampled points, at least 10, each of which holds n x n
+    matrices, so that points * n^2 <= 9 * MAX_NODES, the most n = 3 allows; a ``params.n`` at
+    which not even 10 points fit is refused by that key."""
+    hi = min(MAX_NODES, 9 * MAX_NODES // n**2)
+    if hi < 10:
+        raise ConfigError(
+            f"params.n: must be <= {math.isqrt(9 * MAX_NODES // 10)}, "
+            f"so that {_join(path, key)} can hold 10 points of n x n matrices"
+        )
+    return _number(obj, path, key, default, integer=True, lo=10, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -205,7 +222,7 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
     path, n = "experiment", params.n
     out: dict[str, Any] = {}
     if command in ("verify-closed-forms", "audit-ellipticity"):
-        out["points"] = _number(obj, path, "points", 1000, integer=True, lo=10, hi=MAX_NODES)
+        out["points"] = _sample_size(obj, path, "points", 1000, n)
     elif command == "holder-modulus":
         fit = 0  # the most levels whose finest grid, refined 2^(levels - 1) times, is in budget
         while math.prod(grid.refined(2**fit).counts) <= MAX_NODES:
@@ -218,7 +235,7 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
         out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True, hi=hi)
         out["counts"] = _counts(obj, path, (129,) * (n - 1) + (49,), n)
     elif command == "supersolution-scan":
-        out["samples_per_shell"] = _number(obj, path, "samples_per_shell", 300, integer=True, lo=10, hi=MAX_NODES)
+        out["samples_per_shell"] = _sample_size(obj, path, "samples_per_shell", 300, n)
     elif command in ("decay-fit", "global-bound"):
         if command == "decay-fit":
             # The ray runs over the gauges RAY_WINDOW[0] * inner to RAY_WINDOW[1] * outer: empty below this outer.

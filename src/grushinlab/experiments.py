@@ -526,7 +526,7 @@ def run_supersolution_scan(
             xn ** (2.0 * p.alpha) * np.sum(np.abs(hess[:, :-1, :-1]), axis=(1, 2))
             + 2.0 * xn**p.alpha * np.sum(np.abs(hess[:, :-1, -1]), axis=1)
         )
-        value = apply_grushin(jet, xp, xn, p) + adversarial
+        value = apply_grushin(jet) + adversarial
         bad = np.flatnonzero(value > 0.0)
         violations.extend(ScanViolation(R, tuple(xp[k]), float(xn[k]), float(value[k])) for k in bad)
         per_shell.append((R, int(xn.size), int(bad.size), float(np.max(value))))

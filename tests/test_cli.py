@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -241,6 +242,47 @@ class TestParseConfig:
                     "grid": {"box_lo": [0, 0], "box_hi": [1, 1], "counts": [5, 5]},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "command, n, key, value, message",
+        [
+            ("verify-closed-forms", 800, "points", None, "experiment.points: must be <= 28"),
+            ("audit-ellipticity", 800, "points", None, "experiment.points: must be <= 28"),
+            ("verify-closed-forms", 200, "points", None, "experiment.points: must be <= 450"),
+            ("supersolution-scan", 4, "samples_per_shell", 2_000_000, "experiment.samples_per_shell: must be <= 1125000"),
+            (
+                "audit-ellipticity",
+                1342,
+                "points",
+                10,
+                "params.n: must be <= 1341, so that experiment.points can hold 10 points of n x n matrices",
+            ),
+        ],
+    )
+    def test_pointwise_sample_is_bounded_by_its_matrices(self, command, n, key, value, message):
+        # points * n^2 <= 9 * MAX_NODES: the jets and the audit hold an n x n matrix per point.
+        experiment = {} if value is None else {key: value}
+        with pytest.raises(ConfigError) as refused:
+            parse_config(raw={"command": command, "params": {"n": n}, "experiment": experiment})
+        assert str(refused.value) == message
+        hi = min(MAX_NODES, 9 * MAX_NODES // n**2)
+        if hi >= 10:  # the bound itself is accepted
+            cfg = parse_config(raw={"command": command, "params": {"n": n}, "experiment": {key: hi}})
+            assert cfg.experiment[key] == hi
+        # At n <= 3 the bound is MAX_NODES, as before.
+        for small in (2, 3):
+            parse_config(raw={"command": command, "params": {"n": small}, "experiment": {key: MAX_NODES}})
+
+    def test_counts_parse_in_linear_time(self):
+        # The node count stops multiplying once it passes MAX_NODES, so a long counts list costs
+        # only its item checks (the whole product of 200000 counts took seconds, quadratically).
+        seconds = {}
+        for n in (100_000, 200_000):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=re.escape(f"grid.counts: {BUDGET}")):
+                parse_config(raw={"command": "solve", "params": {"n": n}})
+            seconds[n] = time.perf_counter() - start
+        assert seconds[200_000] < 3.0 or seconds[200_000] / seconds[100_000] < 3.0
 
     def test_effective_config_echoes_defaults(self):
         cfg = parse_config(raw={"command": "supersolution-scan"})

@@ -48,19 +48,39 @@ def random_points(p, rng, count, gauge_lo=0.3, gauge_hi=3.0, min_normal=0.05):
 
 
 class TestJet2:
+    XP, XN = pts([[1.0], [-2.0]], [0.5, 0.0])
+
     def test_rejects_asymmetric_hessian(self):
         good = np.eye(2)
         bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
         with pytest.raises(ValueError):
-            Jet2(np.zeros(2), np.zeros((2, 2)), np.stack([good, bad]))
+            Jet2(np.zeros(2), np.zeros((2, 2)), np.stack([good, bad]), self.XP, self.XN, P21)
         with pytest.raises(ValueError):
-            Jet2(np.zeros(2), np.zeros((2, 2)), np.eye(2))  # one Hessian for two rows
+            Jet2(np.zeros(2), np.zeros((2, 2)), np.eye(2), self.XP, self.XN, P21)  # one Hessian for two rows
 
     def test_accepts_symmetric(self):
-        j = Jet2(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.stack([np.eye(2)] * 2))
-        assert j.dim == 2
+        xp, xn = self.XP.copy(), self.XN.copy()
+        j = Jet2(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.stack([np.eye(2)] * 2), xp, xn, P21)
+        assert j.params.n == 2
         assert j.value.shape == (2,) and j.hessian.shape == (2, 2, 2)
         assert not j.hessian.flags.writeable
+        # The jet keeps read-only copies of its points; the caller's arrays stay writeable.
+        assert not j.tangential.flags.writeable and not j.normal.flags.writeable
+        xn[0] = 7.0
+        assert j.normal[0] == 0.5 and xp.flags.writeable
+
+    def test_rejects_points_that_do_not_match(self):
+        zeros = np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2, 2))
+        with pytest.raises(ValueError, match=r"value must have one row per point, shape \(1,\), got \(2,\)"):
+            Jet2(*zeros, self.XP[:1], self.XN[:1], P21)
+        with pytest.raises(ValueError, match="point has dimension 3, params have n=2"):
+            Jet2(*zeros, np.ones((2, 2)), self.XN, P21)
+        with pytest.raises(ValueError, match=r"gradient must have shape \(2, 3\)"):
+            Jet2(*zeros, np.ones((2, 2)), self.XN, GrushinParams(3, 1.0))
+        with pytest.raises(ValueError, match="normal coordinate must be finite and >= 0"):
+            Jet2(*zeros, self.XP, np.array([0.5, -0.7]), P21)
+        with pytest.raises(ValueError, match="expected tangential"):
+            Jet2(*zeros, self.XP, self.XN[:, None], P21)
 
 
 class TestKernelJet:
@@ -137,9 +157,9 @@ class TestKernelJet:
         rng = np.random.default_rng(11)
         xp, xn = sample_points_by_gauge(p, rng, 500, 1e-2, 1e3, min_normal_fraction=1e-9)
         j = kernel_jet(xp, xn, p)
-        residual = np.abs(apply_grushin(j, xp, xn, p))
+        residual = np.abs(apply_grushin(j))
         assert residual.shape == (500,)
-        assert np.all(residual <= 1e-9 * grushin_term_scale(j, xp, xn, p))
+        assert np.all(residual <= 1e-9 * grushin_term_scale(j))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [2, 3])
@@ -184,8 +204,8 @@ class TestGaugePowerJet:
         rng = np.random.default_rng(31)
         xp, xn = sample_points_by_gauge(p, rng, 500, 1e-2, 1e3, min_normal_fraction=1e-9)
         j = gauge_power_jet(xp, xn, p, power)
-        residual = np.abs(apply_grushin(j, xp, xn, p))
-        assert np.all(residual <= 1e-9 * grushin_term_scale(j, xp, xn, p))
+        residual = np.abs(apply_grushin(j))
+        assert np.all(residual <= 1e-9 * grushin_term_scale(j))
 
     @pytest.mark.parametrize("power_shift", [-0.5, 0.5, 2.0])
     def test_other_powers_are_not_harmonic(self, power_shift):
@@ -193,8 +213,8 @@ class TestGaugePowerJet:
         power = harmonic_gauge_power(P21) + power_shift
         assert power != 0.0  # zero power is the trivial constant
         j = gauge_power_jet(xp, xn, P21, power)
-        residual = np.abs(apply_grushin(j, xp, xn, P21))
-        assert np.all(residual > 1e-3 * grushin_term_scale(j, xp, xn, P21))
+        residual = np.abs(apply_grushin(j))
+        assert np.all(residual > 1e-3 * grushin_term_scale(j))
 
     def test_jet_matches_finite_differences(self):
         for p, power in [(P21, P21.Q), (GrushinParams(3, 0.5), 2.0 - GrushinParams(3, 0.5).Q)]:
@@ -220,7 +240,7 @@ class TestGaugeLogJet:
         """The largest normalised residual over the sample of the verify-closed-forms verdict."""
         xp, xn = sample_points_by_gauge(p, np.random.default_rng(0), 1000, 0.01, 100.0, min_normal_fraction=1e-6)
         j = jet(xp, xn, p)
-        return float(np.max(componentwise_ratio(apply_grushin(j, xp, xn, p), grushin_term_scale(j, xp, xn, p))))
+        return float(np.max(componentwise_ratio(apply_grushin(j), grushin_term_scale(j))))
 
     def test_log_gauge_is_harmonic_at_q_2_only(self):
         p = GrushinParams(2, 0.0)
@@ -258,27 +278,28 @@ class TestGaugeLogJet:
 
 class TestOperators:
     def test_linear_function_is_harmonic(self):
-        j = Jet2(np.array([0.7, -1.0]), np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros((2, 2, 2)))
-        np.testing.assert_array_equal(apply_grushin(j, *pts([[2.0], [0.1]], [0.3, 4.0]), P21), 0.0)
+        xp, xn = pts([[2.0], [0.1]], [0.3, 4.0])
+        j = Jet2(np.array([0.7, -1.0]), np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros((2, 2, 2)), xp, xn, P21)
+        np.testing.assert_array_equal(apply_grushin(j), 0.0)
 
     def test_normal_square(self):
         xp, xn = pts([[2.0], [-1.0]], [0.3, 1.5])
-        j = Jet2(xn**2, np.column_stack([0 * xn, 2 * xn]), np.stack([np.diag([0.0, 2.0])] * 2))
-        np.testing.assert_array_equal(apply_grushin(j, xp, xn, P21), 2.0)
+        j = Jet2(xn**2, np.column_stack([0 * xn, 2 * xn]), np.stack([np.diag([0.0, 2.0])] * 2), xp, xn, P21)
+        np.testing.assert_array_equal(apply_grushin(j), 2.0)
 
     def test_identity_field_reduces_to_grushin(self):
         rng = np.random.default_rng(17)
         field = make_identity_field(P21)
         m = rng.normal(size=(100, 2, 2))
-        j = Jet2(rng.normal(size=100), rng.normal(size=(100, 2)), m + np.swapaxes(m, 1, 2))
-        xp, xn = random_points(P21, rng, 100)
-        np.testing.assert_array_equal(apply_operator(field, j, xp, xn, P21), apply_grushin(j, xp, xn, P21))
+        values, grads = rng.normal(size=100), rng.normal(size=(100, 2))
+        j = Jet2(values, grads, m + np.swapaxes(m, 1, 2), *random_points(P21, rng, 100), P21)
+        np.testing.assert_array_equal(apply_operator(field, j), apply_grushin(j))
 
     def test_degenerate_factor_kills_tangential_terms(self):
         field = make_decaying_perturbation(P21, 2.0, 0.5, 3)
         m = np.array([[[3.0, 1.0], [1.0, 2.0]], [[-1.0, 4.0], [4.0, 5.0]]])
-        j = Jet2(np.zeros(2), np.zeros((2, 2)), m)
-        got = apply_operator(field, j, *pts([[1.0], [-0.3]], [0.0, 0.0]), P21)
+        j = Jet2(np.zeros(2), np.zeros((2, 2)), m, *pts([[1.0], [-0.3]], [0.0, 0.0]), P21)
+        got = apply_operator(field, j)
         np.testing.assert_array_equal(got, m[:, -1, -1])
 
     def test_single_perturbed_entry_term_by_term(self):
@@ -302,19 +323,9 @@ class TestOperators:
         )
         j = kernel_jet(xp, xn, p)
         expected = (
-            apply_grushin(j, xp, xn, p) + gauge_arrays(xp, xn, p) ** -s * xn**2 * j.hessian[:, 0, 0]
+            apply_grushin(j) + gauge_arrays(xp, xn, p) ** -s * xn**2 * j.hessian[:, 0, 0]
         )
-        np.testing.assert_allclose(apply_operator(field, j, xp, xn, p), expected, rtol=1e-14)
-
-    def test_rejects_mismatched_points(self):
-        xp, xn = pts([[1.0], [2.0]], [0.5, 0.7])
-        j = kernel_jet(xp, xn, P21)
-        with pytest.raises(ValueError, match="jet has 2 rows, got 1 points"):
-            apply_grushin(j, xp[:1], xn[:1], P21)
-        with pytest.raises(ValueError, match="jet has dimension 2, params have n=3"):
-            apply_grushin(j, np.ones((2, 2)), xn, GrushinParams(3, 1.0))
-        with pytest.raises(ValueError, match="normal coordinate must be finite and >= 0"):
-            grushin_term_scale(j, xp, np.array([0.5, -0.7]), P21)
+        np.testing.assert_allclose(apply_operator(field, j), expected, rtol=1e-14)
 
 
 class TestSupersolution:
@@ -372,7 +383,7 @@ class TestSupersolution:
                 w, dw = base.value, base.gradient
                 grad_sq = xn ** (2 * p.alpha) * np.sum(dw[:, :-1] ** 2, axis=1) + dw[:, -1] ** 2
                 expect = -rho * (1 + rho) * w ** (rho - 1.0) * grad_sq
-                got = apply_grushin(j, xp, xn, p)
+                got = apply_grushin(j)
                 np.testing.assert_allclose(got, expect, rtol=1e-9)
                 assert np.all(got <= 0.0)
 
@@ -428,4 +439,4 @@ class TestBarrier:
             xp = rng.uniform(-1, 1, (1000, n - 1))
             xn = rng.uniform(1e-6, 1.0, 1000)
             j = boundary_barrier_jet(xp, xn, spec)
-            assert np.all(apply_operator(field, j, xp, xn, p) <= 1e-12)
+            assert np.all(apply_operator(field, j) <= 1e-12)
