@@ -5,10 +5,11 @@ range violations report the JSON path of the offending field, and so do
 the non-finite numbers ``NaN`` and ``Infinity`` that Python's JSON parser
 accepts and integers beyond the float range.  Every size that cannot run
 (a grid over the node budget ``MAX_NODES``, a Hoelder ladder whose finest
-grid is over it, a radius whose box overflows, a sample of points whose
-n x n matrices would not fit in memory) is refused here too, by its
-key, before any work: ``parse_config`` is the only validator.  Every field
-has a documented default, so the minimal config is just
+grid is over it, a radius whose box overflows, a grid spaced so finely that
+its stencil weights overflow, a sample of points whose n x n matrices would
+not fit in memory) is refused here too, by its key, before any work:
+``parse_config`` is the only validator.  Every field has a documented
+default, so the minimal config is just
 ``{"command": "verify-closed-forms"}``.  Command line flags override file
 values before validation.
 """
@@ -25,8 +26,8 @@ from typing import Any
 import numpy as np
 
 from .coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
-from .experiments import BOUND_INNER_RADIUS, DECAY_INNER_RADIUS, RAY_WINDOW, GridSpec, exterior_grid
-from .fdsolver import MAX_NODES
+from .experiments import BOUND_INNER_RADIUS, DECAY_INNER_RADIUS, RAY_WINDOW, GridSpec, annulus_grid, exterior_grid
+from .fdsolver import MAX_NODES, SpacingError
 from .geometry import GrushinParams
 from .reports import jsonable
 
@@ -131,6 +132,16 @@ def _counts(obj, path, default, n):
     return counts
 
 
+def _spaced(params: GrushinParams, build, tangential_key: str):
+    """``build()``, a grid the command will build; where ``build_grid`` refuses an axis whose
+    stencil weights overflow, the grid is refused by the key behind that axis: ``params.alpha`` for
+    the normal axis, graded with exponent 1 + alpha, and ``tangential_key`` for the others."""
+    try:
+        return build()
+    except SpacingError as err:
+        raise ConfigError(f"{'params.alpha' if err.axis == params.n - 1 else tangential_key}: {err}") from None
+
+
 def _sample_size(obj, path, key, default, n):
     """``key`` of ``obj``: the number of sampled points, at least 10, each of which holds n x n
     matrices, so that points * n^2 <= 9 * MAX_NODES, the most n = 3 allows; a ``params.n`` at
@@ -227,13 +238,15 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
         fit = 0  # the most levels whose finest grid, refined 2^(levels - 1) times, is in budget
         while math.prod(grid.refined(2**fit).counts) <= MAX_NODES:
             fit += 1
-        out["levels"] = _number(obj, path, "levels", 3, integer=True, lo=2, hi=fit)
+        out["levels"] = _number(obj, path, "levels", min(3, fit), integer=True, lo=2, hi=fit)
         out["pairs"] = _number(obj, path, "pairs", 100_000, integer=True, lo=100, hi=MAX_NODES)
     elif command == "oscillation-decay":
         # The far corner of the box of E_{4R}+ has ellipsoid level 4nR: a margin of 2 keeps it a float.
         hi = sys.float_info.max / (8 * n)
-        out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True, hi=hi)
-        out["counts"] = _counts(obj, path, (129,) * (n - 1) + (49,), n)
+        radii = out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True, hi=hi)
+        counts = out["counts"] = _counts(obj, path, (129,) * (n - 1) + (49,), n)
+        smallest = radii.index(min(radii))  # its annulus has the smallest spacings
+        _spaced(params, lambda: annulus_grid(params, radii[smallest], counts), f"{path}.radii[{smallest}]")
     elif command == "supersolution-scan":
         out["samples_per_shell"] = _sample_size(obj, path, "samples_per_shell", 300, n)
     elif command in ("decay-fit", "global-bound"):
@@ -252,12 +265,15 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
             raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
         spacings = [math.inf]
         if math.isfinite(2.0 * half_width):
-            spacings = [float(np.max(np.diff(axis))) for axis in exterior_grid(params, outer, counts).axes]
+            exterior = _spaced(params, lambda: exterior_grid(params, outer, counts), f"{path}.outer_radius")
+            spacings = [float(np.max(np.diff(axis))) for axis in exterior.axes]
         if not all(math.isfinite(2.0 * h * h) for h in spacings):
             raise ConfigError(
                 f"experiment.outer_radius: {outer:g} spaces the grid of counts {list(counts)} so widely "
                 "that the squared spacing overflows"
             )
+    if grid is not None:  # the finest grid of solve, boundary-growth and holder-modulus
+        _spaced(params, lambda: grid.refined(2 ** (out.get("levels", 1) - 1)).build(params), "grid.box_hi")
     _reject_unknown(obj, path, out)
     return out
 

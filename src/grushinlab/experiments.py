@@ -41,7 +41,6 @@ from .fdsolver import (
     assemble,
     build_grid,
     grid_interpolator,
-    require_node_budget,
     solve,
 )
 from .geometry import (
@@ -49,6 +48,7 @@ from .geometry import (
     ellipsoid_level_arrays,
     gauge_arrays,
     quasi_distance_arrays,
+    scaling_factors,
 )
 
 __all__ = [
@@ -75,6 +75,7 @@ __all__ = [
     "fit_loglog",
     "decay_ray",
     "comparison_margin",
+    "annulus_grid",
     "exterior_grid",
     "run_boundary_growth",
     "run_holder_modulus",
@@ -334,11 +335,10 @@ def run_holder_modulus(
     finest grid over the node budget is refused before the first assembly.
     """
     expo = 1.0 / (1.0 + p.alpha) if exponent is None else float(exponent)
-    require_node_budget(grid_spec.refined(2 ** (levels - 1)).counts)
+    # The finest grid is built first, so a ladder over the node budget is refused before any assembly.
+    grids = [grid_spec.refined(2**level).build(p) for level in reversed(range(levels))]
     out: list[HolderLevel] = []
-    for level in range(levels):
-        spec = grid_spec.refined(2**level)
-        grid = spec.build(p)
+    for level, grid in enumerate(reversed(grids)):
         sys = assemble(field, grid, p, bc)
         require_monotone(sys)
         if np.max(np.abs(_flat_face_data(sys, grid))) > 1e-12:
@@ -393,19 +393,17 @@ def run_oscillation_decay(
     and flat_value on the flat ring; returns 1 - sup u over the nodes within
     ``SHELL_BAND`` (relative) of the middle shell E_{2R}.
 
-    Realised on the bounding box of E_{4R}+ with the inner/outer regions
-    excised by Dirichlet masks; the mixed-term mesh-ratio condition is not
-    required here (perturbed fields legitimately break it near the flat
-    face), so the solve proceeds with ``solve.dmp_ok`` merely reported.
+    Realised on the bounding box of E_{4R}+ (``annulus_grid``) with the
+    inner/outer regions excised by Dirichlet masks; the mixed-term
+    mesh-ratio condition is not required here (perturbed fields
+    legitimately break it near the flat face), so the solve proceeds with
+    ``solve.dmp_ok`` merely reported.
     """
     if R <= 0.0:
         raise ValueError(f"shell scale R must be > 0, got {R}")
     if not 0.0 <= flat_value <= curved_value <= 1.0:
         raise ValueError("need 0 <= flat_value <= curved_value <= 1")
-    half_width = (4.0 * R) ** 0.5
-    height = (4.0 * R) ** (1.0 / (2.0 + 2.0 * p.alpha))
-    box_lo = (-half_width,) * (p.n - 1) + (0.0,)
-    grid = GridSpec(box_lo, (half_width,) * (p.n - 1) + (height,), counts).build(p)
+    grid = annulus_grid(p, R, counts)
     tang, norm = grid.node_coordinates()
     level = ellipsoid_level_arrays(tang, norm, p)
     outer_cut = 4.0 * R * (1.0 - 1e-12)
@@ -420,7 +418,7 @@ def run_oscillation_decay(
 
     shell = np.abs(level - 2.0 * R) <= SHELL_BAND * 2.0 * R
     if not shell.any():
-        raise PreconditionError("no grid nodes fall on the measured middle shell; refine the grid")
+        raise PreconditionError("no grid nodes fall on the measured middle shell; raise experiment.counts")
     u, report = _checked_solve(assemble(field, grid, p, bc, extra_dirichlet=hole))
     sup = float(np.max(u[shell]))
     return OscillationReport(
@@ -463,8 +461,7 @@ def _shell_sample(
     p: GrushinParams, R: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rejection sample of points with gauge in [R, 2R], x_n > 0 and w < 1."""
-    lim_t = (2.0 * R) ** (1.0 + p.alpha)
-    lim_n = 2.0 * R * (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
+    lim_t, lim_n = _box_half_widths(p, 2.0 * R)
     got_t, got_n, got_d = [], [], []
     need = count
     for _ in range(200):
@@ -587,12 +584,22 @@ def _box_half_widths(p: GrushinParams, radius: float) -> tuple[float, float]:
     return radius ** (1.0 + p.alpha), radius * (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
 
 
+def _flat_box_grid(p: GrushinParams, half_width: float, height: float, counts: tuple[int, ...]) -> AnisotropicGrid:
+    """The grid of the box |x'_i| <= half_width, 0 <= x_n <= height, graded with exponent 1 + alpha."""
+    box_lo = (-half_width,) * (p.n - 1) + (0.0,)
+    return GridSpec(box_lo, (half_width,) * (p.n - 1) + (height,), counts).build(p)
+
+
 def exterior_grid(p: GrushinParams, outer_radius: float, counts: tuple[int, ...]) -> AnisotropicGrid:
     """The grid of an exterior problem: the box of gauge radius ``outer_radius``
     on the flat face, graded with exponent 1 + alpha."""
-    outer_t, outer_n = _box_half_widths(p, outer_radius)
-    box_lo = (-outer_t,) * (p.n - 1) + (0.0,)
-    return GridSpec(box_lo, (outer_t,) * (p.n - 1) + (outer_n,), counts).build(p)
+    return _flat_box_grid(p, *_box_half_widths(p, outer_radius), counts)
+
+
+def annulus_grid(p: GrushinParams, R: float, counts: tuple[int, ...]) -> AnisotropicGrid:
+    """The grid of ``run_oscillation_decay`` at scale ``R``: the bounding box of
+    E_{4R}+, whose half-width and height are the factors of the dilation F_{4R}."""
+    return _flat_box_grid(p, *scaling_factors(4.0 * R, p), counts)
 
 
 def _exterior_problem(
@@ -729,7 +736,10 @@ def run_global_bound_check(
     interface = np.flatnonzero(sys.referenced_dirichlet() & inside)
     interface = interface[interface % grid.shape[-1] > 0]
     if interface.size == 0:
-        raise PreconditionError(f"inner box is invisible to the grid (gauge radius {inner_radius:g}); refine the grid")
+        raise PreconditionError(
+            f"inner box is invisible to the grid (gauge radius {inner_radius:g}); "
+            "raise experiment.counts or lower experiment.outer_radius"
+        )
     *tang_index, norm_index = np.unravel_index(interface, grid.shape)
     tang_i = np.column_stack([axis[i] for axis, i in zip(grid.axes, tang_index)])
     norm_i = grid.axes[-1][norm_index]

@@ -80,7 +80,9 @@ weights is made.  The fast path needs nothing else but ``numpy.fft`` (the
 DST-I) and ``numpy.linalg`` (the capacitance solve).  SciPy is imported
 only by the SuperLU branch, which builds the CSR form of A_II to factor it:
 the pointwise commands and every identity command whose solve is fast load
-no SciPy, which would be most of their start-up time.
+no SciPy, which would be most of their start-up time.  One builder lays out
+both CSR forms, A_II and the whole operator of ``SparseSystem.matrix``, so
+A_II is that matrix restricted to the free rows and columns, bit for bit.
 
 ``solve`` takes its residual norms with numpy's pairwise sum, not a BLAS
 dot such as ``np.linalg.norm``: OpenBLAS splits a long dot product across
@@ -114,8 +116,8 @@ __all__ = [
     "SeparableOperator",
     "SolveReport",
     "DmpReport",
+    "SpacingError",
     "build_grid",
-    "require_node_budget",
     "assemble",
     "solve",
     "check_dmp",
@@ -125,6 +127,7 @@ __all__ = [
 ]
 
 MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
+MIN_SPACING = math.nextafter(math.sqrt(2.0 / np.finfo(float).max), math.inf)  # least h with 2/h^2 finite
 MAX_REFINEMENTS = 50
 SOLVER_TOL = 1e-10  # componentwise backward error at which refinement stops; "converged" below it
 DST_BLOCK = 1 << 15  # doubles of odd extension per FFT call of the DST-I (256 KB): bounds its transient
@@ -173,18 +176,25 @@ class AnisotropicGrid:
         return mask.ravel()
 
 
-def require_node_budget(counts) -> None:
-    """Refuse a grid of more than ``MAX_NODES`` nodes, counted exactly."""
-    total = math.prod(counts)
-    if total > MAX_NODES:
-        raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
+class SpacingError(ValueError):
+    """Grid axis number ``axis``, of ``nodes`` nodes, has a spacing h below ``MIN_SPACING``."""
+
+    def __init__(self, axis: int, nodes: int, h: float):
+        super().__init__(
+            f"axis {axis} of {nodes} nodes has smallest spacing {h:.3g} < MIN_SPACING = {MIN_SPACING:.3g}, "
+            "below which the stencil weight 2/h^2 overflows"
+        )
+        self.axis = axis
 
 
 def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> AnisotropicGrid:
     """Build the tensor grid; normal nodes sit at H*(k/K)^grading_exponent.
 
     Tangential axes are uniform.  Grading 1 is uniform in x_n too; larger
-    exponents concentrate nodes near the degenerate face {x_n = 0}.
+    exponents concentrate nodes near the degenerate face {x_n = 0}.  A grid
+    of more than ``MAX_NODES`` nodes, counted exactly, is refused, and so is
+    an axis whose smallest spacing h is below ``MIN_SPACING``, where the
+    largest stencil weight 2/h^2 overflows (``SpacingError``).
     """
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
@@ -201,13 +211,16 @@ def build_grid(box_lo, box_hi, counts, grading_exponent: float = 1.0) -> Anisotr
         raise ValueError(f"every axis needs at least 3 nodes, got {counts}")
     if grading_exponent < 1.0:
         raise ValueError(f"grading_exponent must be >= 1, got {grading_exponent}")
-    require_node_budget(counts)
+    total = math.prod(counts)
+    if total > MAX_NODES:
+        raise ValueError(f"grid has {total} nodes, exceeding the budget of {MAX_NODES}")
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(lo.size - 1)]
     k = np.arange(counts[-1], dtype=float) / (counts[-1] - 1)
     axes.append(hi[-1] * k**grading_exponent)
-    for ax in axes:
-        if np.any(np.diff(ax) <= 0.0):
-            raise ValueError("grid axes must be strictly increasing")
+    for a, ax in enumerate(axes):
+        h = float(np.min(np.diff(ax)))
+        if not h >= MIN_SPACING:
+            raise SpacingError(a, ax.size, h)
     return AnisotropicGrid(
         box_lo=lo,
         box_hi=hi,
@@ -303,15 +316,24 @@ class SparseSystem:
         a Dirichlet row holds its unit diagonal, an interior row one entry
         per offset whose column lies in the grid, in increasing column
         order, zero weights kept."""
-        from scipy import sparse
+        nodes = np.arange(self.rhs.size)
+        return _csr(self, nodes, nodes)
 
-        num = self.rhs.size
-        offsets = np.array(self.offsets)
-        columns = np.arange(num)[:, None] + offsets
-        keep = (columns >= 0) & (columns < num) & ~self.dirichlet_mask[:, None] | (offsets == 0)
-        indptr = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return sparse.csr_matrix((self.weights.T[keep], columns[keep], indptr), shape=(num, num))
+
+def _csr(sys: SparseSystem, rows: np.ndarray, position: np.ndarray) -> sparse.csr_matrix:
+    """CSR form of the operator's ``rows``, in that order, column j renumbered ``position[j]`` and
+    dropped where that is -1: a Dirichlet row keeps its diagonal alone, and zero weights are kept."""
+    from scipy import sparse
+
+    offsets = np.array(sys.offsets)
+    columns = rows[:, None] + offsets
+    keep = (columns >= 0) & (columns < position.size) & (~sys.dirichlet_mask[rows, None] | (offsets == 0))
+    renumbered = position[columns[keep]]
+    keep[keep] = renumbered >= 0
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    shape = (rows.size, np.count_nonzero(position >= 0))
+    return sparse.csr_matrix((sys.weights[:, rows].T[keep], renumbered[renumbered >= 0], indptr), shape=shape)
 
 
 def _rows_in_grid(offset: int, num: int) -> tuple[int, int]:
@@ -730,27 +752,19 @@ def _lu_inverse(sys: SparseSystem) -> tuple[Callable[[np.ndarray], np.ndarray], 
     """Exact inverse by a SuperLU factorisation of A_II, the free rows and
     columns, and the count of nonzeros SuperLU stores in its factors.
 
-    A_II is built straight from the stencil weights in ``_dissection_order``
+    A_II is built straight from the stencil weights by ``_csr``, its rows
+    and columns in ``_dissection_order`` and the Dirichlet columns dropped,
     and factored in that order (``NATURAL``), pivots kept on the diagonal.
     Acts on full vectors like ``_fast_inverse``: u_D = r_D and u_I solves
     A_II u_I = r_I - A_ID r_D, the product skipped when r_D = 0.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    free = ~sys.dirichlet_mask
-    order = _dissection_order(sys.shape, free)
-    position = np.empty(free.size, dtype=np.int64)
+    order = _dissection_order(sys.shape, ~sys.dirichlet_mask)
+    position = np.full(sys.rhs.size, -1, dtype=np.int64)
     position[order] = np.arange(order.size)
-    columns = order[:, None] + np.array(sys.offsets)
-    keep = (columns >= 0) & (columns < free.size)
-    keep[keep] = free[columns[keep]]
-    indptr = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    block = sparse.csr_matrix(
-        (sys.weights[:, order].T[keep], position[columns[keep]], indptr), shape=(order.size, order.size)
-    )
-    lu = splu(block.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    block = _csr(sys, order, position).tocsc()
+    lu = splu(block, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def apply(r: np.ndarray) -> np.ndarray:
         u, f = _lifted(sys, r)
@@ -808,7 +822,7 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     divides by 1), its norms taken by a pairwise sum, with no BLAS call.
     ``fill`` is SuperLU's count of stored factor entries.  Deterministic for
     identical inputs.  Only the SuperLU branch imports SciPy; it builds A_II
-    from the weights, not ``sys.matrix``.  A singular factorisation raises
+    from the weights and never builds ``sys.matrix``.  A singular factorisation raises
     SuperLU's ``RuntimeError``.
     """
     start = time.perf_counter()

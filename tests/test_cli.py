@@ -731,6 +731,93 @@ class TestMain:
         assert captured.out == "" and not out.exists()
         assert captured.err == "configuration error: experiment.levels: must be <= 6\n"
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--command", "solve", "--alpha", "102"], "params.alpha"),  # the first alpha whose weights overflow
+            (["--command", "solve", "--alpha", "120"], "params.alpha"),
+            (["--command", "solve", "--alpha", "220"], "params.alpha"),  # the first normal spacing is 0
+            (["--command", "boundary-growth", "--alpha", "120"], "params.alpha"),
+            (["--command", "holder-modulus", "--alpha", "100"], "params.alpha"),  # at the finest level, 129 nodes
+            (["--command", "oscillation-decay", "--alpha", "120"], "params.alpha"),
+            (["--command", "decay-fit", "--alpha", "100"], "params.alpha"),
+            (["--command", "global-bound", "--alpha", "100"], "params.alpha"),
+            ({"command": "oscillation-decay", "experiment": {"radii": [4, 1e-320]}}, "experiment.radii[1]"),
+            ({"command": "solve", "grid": {"box_lo": [0, 0], "box_hi": [1e-160, 2], "counts": [33, 33]}}, "grid.box_hi"),
+        ],
+        ids=[
+            "solve-102",
+            "solve-120",
+            "solve-220",
+            "boundary-growth",
+            "holder-modulus",
+            "oscillation-decay",
+            "decay-fit",
+            "global-bound",
+            "oscillation-decay-radius",
+            "solve-narrow-box",
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_stencil_weights_are_refused_by_key(self, tmp_path, capsys, monkeypatch, args, key):
+        # The smallest spacing h of every axis keeps the stencil weight 2/h^2 finite.
+        monkeypatch.setattr(experiments, "assemble", None)  # refused before any assembly
+        out = tmp_path / "o"
+        if isinstance(args, dict):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(args))
+            args = ["--config", str(cfgfile)]
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert re.fullmatch(
+            rf"configuration error: {re.escape(key)}: axis \d of \d+ nodes has smallest spacing \S+ "
+            r"< MIN_SPACING = 1.05e-154, below which the stencil weight 2/h\^2 overflows\n",
+            captured.err,
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_last_alpha_whose_weights_are_finite_solves(self, tmp_path):
+        assert main(["--command", "solve", "--alpha", "101", "--out", str(tmp_path / "o")]) == 0
+
+    def test_holder_levels_default_to_what_fits(self, tmp_path, capsys):
+        # 33^3 nodes refined twice is 129^3, over the budget: the default of 3 levels drops to 2.
+        out = tmp_path / "o"
+        assert main(["--command", "holder-modulus", "--n", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["experiment"]["levels"] == 2
+        assert parse_config(raw={"command": "holder-modulus"}).experiment["levels"] == 3
+        # An explicit level count keeps its bound.
+        with pytest.raises(ConfigError, match=r"^experiment.levels: must be <= 2$"):
+            parse_config(raw={"command": "holder-modulus", "params": {"n": 3}, "experiment": {"levels": 3}})
+
+    @pytest.mark.parametrize(
+        "raw, advice, followed",
+        [
+            (
+                {"command": "oscillation-decay", "experiment": {"counts": [3, 3]}},
+                "no grid nodes fall on the measured middle shell; raise experiment.counts",
+                [{"counts": [9, 5]}],
+            ),
+            (
+                {"command": "global-bound", "experiment": {"counts": [5, 5]}},
+                "inner box is invisible to the grid (gauge radius 2); "
+                "raise experiment.counts or lower experiment.outer_radius",
+                [{"counts": [5, 9]}, {"counts": [5, 5], "outer_radius": 3}],
+            ),
+        ],
+        ids=["oscillation-decay", "global-bound"],
+    )
+    def test_refusal_advice_gets_past_the_refusal(self, tmp_path, capsys, raw, advice, followed):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {advice}\n"
+        for change in followed:
+            cfgfile.write_text(json.dumps({**raw, "experiment": {**raw["experiment"], **change}}))
+            main(["--config", str(cfgfile), "--out", str(out)])
+            assert advice not in capsys.readouterr().err
+
     def test_gauge_function_at_q_2_is_log_d(self, tmp_path):
         # At n = 2, alpha = 0 the harmonic gauge power is 0, and d^0 = 1 would pass any operator.
         for alpha, checked in ((0.0, "log d"), (1.0, "d^(2-Q)")):

@@ -22,7 +22,7 @@ from grushinlab.experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from grushinlab.fdsolver import solve
+from grushinlab.fdsolver import SpacingError, solve
 from grushinlab.geometry import GrushinParams
 
 P21 = GrushinParams(2, 1.0)
@@ -152,6 +152,15 @@ class TestHolderModulus:
         with pytest.raises(PreconditionError, match="^Hoelder runs need u = 0 on the flat face$"):
             run_holder_modulus(IDENT, P21, WBOX, lambda xp, xn: 0.25 * np.ones(np.shape(xn)), levels=2)
 
+    def test_unbuildable_finest_grid_is_refused_before_any_assembly(self, monkeypatch):
+        # Level 7 of the 33x33 grid is 2049x2049, over the node budget; alpha = 80 grades the
+        # normal axis of level 3, 129 nodes, below the smallest spacing.
+        monkeypatch.setattr(experiments, "assemble", None)
+        with pytest.raises(ValueError, match="^grid has 4198401 nodes, exceeding the budget"):
+            run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=7)
+        with pytest.raises(SpacingError, match="^axis 1 of 129 nodes"):
+            run_holder_modulus(IDENT, GrushinParams(2, 80.0), WBOX, bc_kernel, levels=3)
+
     def test_zero_data_is_refused(self):
         # u = 0 makes every quotient 0, so the relative change has no denominator.
         with pytest.raises(PreconditionError, match="every sampled two-point quotient is 0 on the 33x33 grid"):
@@ -184,8 +193,20 @@ class TestOscillationDecay:
 
     def test_empty_middle_shell_is_refused(self, no_solve):
         # A 3x3 grid has no node within SHELL_BAND of the middle shell.
-        with pytest.raises(PreconditionError, match="^no grid nodes fall on the measured middle shell"):
+        with pytest.raises(PreconditionError, match="^no grid nodes fall on the measured middle shell; raise experiment.counts$"):
             run_oscillation_decay(IDENT, P21, 1.0, counts=(3, 3))
+
+    def test_box_is_the_dilation_of_the_unit_box(self):
+        # The annulus box and the scan shell's limits equal the powers written out, bit for bit.
+        rng = np.random.default_rng(5)
+        for R, alpha in zip(np.exp(rng.uniform(-100.0, 100.0, 2000)).tolist(), rng.uniform(0.0, 5.0, 2000).tolist()):
+            p = GrushinParams(2, alpha)
+            half_width = (4.0 * R) ** 0.5
+            height = (4.0 * R) ** (1.0 / (2.0 + 2.0 * alpha))
+            grid = experiments.annulus_grid(p, R, (3, 3))
+            assert (grid.box_lo[0], grid.box_hi[0], grid.box_hi[1]) == (-half_width, half_width, height)
+            limits = ((2.0 * R) ** (1.0 + alpha), 2.0 * R * (1.0 + alpha) ** (1.0 / (1.0 + alpha)))
+            assert experiments._box_half_widths(p, 2.0 * R) == limits
 
 
 class TestSupersolutionScan:
@@ -296,9 +317,13 @@ class TestGlobalBound:
             run_global_bound_check(IDENT, P21, 0.5, 1.0, 16.0, counts=(257, 33))
 
     def test_invisible_inner_box_is_refused(self, no_solve):
-        # At 5x5 the inner box holds no node above the flat face.
-        # The inner radius is a constant of the command, so only refining is advised.
-        with pytest.raises(PreconditionError, match=r"^inner box is invisible to the grid \(gauge radius 2\); refine the grid$"):
+        # At 5x5 the inner box holds no node above the flat face.  The inner radius is a constant
+        # of the command, so the advice names the keys that space the grid more finely.
+        with pytest.raises(
+            PreconditionError,
+            match=r"^inner box is invisible to the grid \(gauge radius 2\); "
+            r"raise experiment.counts or lower experiment.outer_radius$",
+        ):
             run_global_bound_check(IDENT, P21, 0.5, 2.0, 64.0, counts=(5, 5))
 
 

@@ -17,6 +17,7 @@ import grushinlab
 from grushinlab import fdsolver
 from grushinlab.closedforms import kernel_value_arrays
 from grushinlab.coefficients import CoefficientField, make_decaying_perturbation, make_identity_field
+from grushinlab.experiments import annulus_grid
 from grushinlab.fdsolver import (
     DmpReport,
     SolveReport,
@@ -28,7 +29,7 @@ from grushinlab.fdsolver import (
     solve,
     write_grid_function,
 )
-from grushinlab.geometry import GrushinParams
+from grushinlab.geometry import GrushinParams, ellipsoid_level_arrays
 from grushinlab.reports import jsonable
 
 P21 = GrushinParams(2, 1.0)
@@ -103,6 +104,25 @@ class TestBuildGrid:
             build_grid([0, 0], [0, 1], (3, 3))  # degenerate box
         with pytest.raises(ValueError, match="budget"):
             build_grid([0, 0], [1, 1], (1500, 1500))  # over the node budget
+
+    def test_spacing_rule(self):
+        # MIN_SPACING is the least spacing h whose largest stencil weight 2/h^2 is finite.
+        smallest, below = np.float64(fdsolver.MIN_SPACING), np.float64(math.nextafter(fdsolver.MIN_SPACING, 0.0))
+        with np.errstate(over="ignore"):
+            assert np.isfinite(2.0 / smallest**2) and np.isinf(2.0 / below**2)
+        # Three tangential nodes at 0, h and 2h are spaced by exactly h.
+        assert np.diff(build_grid([0, 0], [2 * smallest, 1], (3, 3)).axes[0]).min() == smallest
+        with pytest.raises(fdsolver.SpacingError, match="^axis 0 of 3 nodes has smallest spacing 1.05e-154 < MIN_SPACING") as refused:
+            build_grid([0, 0], [2 * below, 1], (3, 3))
+        assert refused.value.axis == 0
+        # 33 normal nodes on a height of 2, graded 1 + alpha: alpha = 101 is the last that fits.
+        build_grid([1, 0], [3, 2], (33, 33), 102.0)
+        with pytest.raises(fdsolver.SpacingError, match="^axis 1 of 33 nodes has smallest spacing 1.86e-155") as refused:
+            build_grid([1, 0], [3, 2], (33, 33), 103.0)
+        assert refused.value.axis == 1
+        # Normal nodes whose spacing underflows to 0 are refused by the same rule.
+        with pytest.raises(fdsolver.SpacingError, match="smallest spacing 0 < MIN_SPACING"):
+            build_grid([1, 0], [3, 2], (33, 33), 221.0)
 
     def test_node_budget_is_an_exact_count(self):
         # 33**13 nodes wrap round in int64 to a negative count; the exact product is refused.
@@ -373,6 +393,36 @@ class TestFactorisation:
         np.testing.assert_allclose((lu.L @ lu.U).toarray(), block, rtol=0.0, atol=1e-12 * abs(block).max())
         np.testing.assert_array_equal(u[sys.dirichlet_mask], sys.rhs[sys.dirichlet_mask])
         assert rep.fill == lu.nnz > 0
+
+
+@pytest.mark.parametrize("case", ["annulus", "box"])
+def test_free_block_is_the_matrix_restricted(monkeypatch, case):
+    # One builder lays out both CSR forms: the A_II that SuperLU factors is the whole matrix
+    # restricted to the free rows and columns in the dissection order, bit for bit.
+    given = []
+
+    def record(block, **kwargs):
+        given.append(block)
+        return splu(block, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", record)
+    if case == "annulus":  # the perturbed R = 1 annulus of oscillation-decay, with its hole excised
+        p, grid = P21, annulus_grid(P21, 1.0, (65, 33))
+        level = ellipsoid_level_arrays(*grid.node_coordinates(), P21)
+        extra = (level <= 1.0) | (level >= 4.0 * (1.0 - 1e-12))
+    else:
+        p, grid, extra = P31, build_grid([1, 1, 0], [3, 3, 2], (9, 8, 7), 2.0), None
+    field = make_decaying_perturbation(p, 2.0, 0.3, 42)
+    sys = assemble(field, grid, p, lambda xp, xn: np.ones(xn.shape), extra_dirichlet=extra)
+    assert solve(sys)[1].method == "lu"
+    (block,) = given
+    order = fdsolver._dissection_order(sys.shape, ~sys.dirichlet_mask)
+    restricted = sys.matrix[order][:, order].tocsc()
+    assert block.shape == restricted.shape == (order.size, order.size)
+    assert np.count_nonzero(block.data == 0.0) > 0  # zero weights are kept in both
+    np.testing.assert_array_equal(block.indptr, restricted.indptr)
+    np.testing.assert_array_equal(block.indices, restricted.indices)
+    assert_same_bits(block.data, restricted.data)
 
 
 class TestDissectionOrder:
