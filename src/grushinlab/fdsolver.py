@@ -73,9 +73,10 @@ offset, built in place.  ``assemble`` computes each stencil term at every
 node at once, broadcasting the 1-D node spacings of each axis against the
 coefficients over the tensor grid, sums the terms into one preallocated
 (offsets, N) array and then resets the Dirichlet rows to identity rows; it
-gathers and scatters nothing node by node.  Products with A and |A| and the
+gathers and scatters nothing node by node.  The products with A and the
 DMP check read those arrays directly, by contiguous slices of the grid
-vector, and |A| is taken one offset slice at a time, so no copy of the
+vector, and the backward-error check sums A u and |A||u| in the same pass
+over them, a cache-sized block of rows at a time, so no copy of the
 weights is made.  The fast path needs nothing else but ``numpy.fft`` (the
 DST-I) and ``numpy.linalg`` (the capacitance solve).  SciPy is imported
 only by the SuperLU branch, which builds the CSR form of A_II to factor it:
@@ -85,7 +86,8 @@ both CSR forms, A_II and the whole operator of ``SparseSystem.matrix``, so
 A_II is that matrix restricted to the free rows and columns, bit for bit.
 
 ``solve`` takes its residual norms with numpy's pairwise sum, not a BLAS
-dot such as ``np.linalg.norm``: OpenBLAS splits a long dot product across
+dot such as ``np.linalg.norm`` (divided by max |x| first only where the sum
+of squares overflows): OpenBLAS splits a long dot product across
 threads, whose rounding then depends on the thread count, and whose idle
 workers spin between solves, doubling the CPU time of a solver run.  The
 pairwise sum is single-threaded and its error bound grows only with
@@ -130,6 +132,7 @@ MAX_NODES = 2_000_000  # node budget of one grid; build_grid refuses larger ones
 MIN_SPACING = math.nextafter(math.sqrt(2.0 / np.finfo(float).max), math.inf)  # least h with 2/h^2 finite
 MAX_REFINEMENTS = 50
 SOLVER_TOL = 1e-10  # componentwise backward error at which refinement stops; "converged" below it
+STENCIL_BLOCK = 1 << 15  # rows per block of a stencil product (256 KB per vector): its slices stay in cache
 DST_BLOCK = 1 << 15  # doubles of odd extension per FFT call of the DST-I (256 KB): bounds its transient
 DISSECTION_LEAF = 8  # index boxes of at most this many nodes end the nested dissection (leaves of 64 fill more)
 
@@ -341,24 +344,36 @@ def _rows_in_grid(offset: int, num: int) -> tuple[int, int]:
     return max(0, -offset), min(num, num - offset)
 
 
-def _stencil_product(offsets, weights: np.ndarray, u: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """sum_k weights[k, i] u[i + offsets[k]] for every row i, or with
-    |weights[k, i]| in place of the weights when ``absolute`` is set.
+def _stencil_product(
+    offsets, weights: np.ndarray, u: np.ndarray, magnitudes: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_k weights[k, i] u[i + offsets[k]] for every row i; given a zeroed
+    buffer ``magnitudes``, the same pass adds sum_k |weights[k, i] u[i + offsets[k]]|,
+    row i of |A||u|, into it.
 
     Each row is summed in increasing offset order starting from +0.0, as
     SciPy's ``csr_matvec`` sums a canonical CSR row, so for finite u the
-    result equals the product with the CSR form (of A, or of |A|) bit for
-    bit, signed zeros included: the zero weights of a Dirichlet row add only
-    zeros.  |w| is taken one offset slice at a time into the term buffer, so
-    |A| u costs no more memory than A u.
+    result equals the product with the CSR form bit for bit, signed zeros
+    included: the zero weights of a Dirichlet row add only zeros.  Rounding
+    is symmetric, so |fl(w u)| = fl(|w| |u|) and ``magnitudes`` equals the
+    product of the CSR form of |A| with |u| bit for bit; the weights are
+    read once for both sums, and no copy of |A| or of |u| is made.  The rows
+    are taken ``STENCIL_BLOCK`` at a time, every offset per block, so a
+    block's slices stay in cache between the offsets; a row's sum is the
+    same either way.
     """
     out = np.zeros(u.size)
-    term = np.empty(u.size)
-    for offset, w in zip(offsets, weights):
-        lo, hi = _rows_in_grid(offset, u.size)
-        factor = np.abs(w[lo:hi], out=term[lo:hi]) if absolute else w[lo:hi]
-        np.multiply(factor, u[lo + offset : hi + offset], out=term[lo:hi])
-        out[lo:hi] += term[lo:hi]
+    term = np.empty(min(u.size, STENCIL_BLOCK))
+    for start in range(0, u.size, STENCIL_BLOCK):
+        for offset, w in zip(offsets, weights):
+            lo, hi = _rows_in_grid(offset, u.size)
+            lo = max(lo, start)
+            hi = max(lo, min(hi, start + STENCIL_BLOCK))
+            t = term[: hi - lo]
+            np.multiply(w[lo:hi], u[lo + offset : hi + offset], out=t)
+            out[lo:hi] += t
+            if magnitudes is not None:
+                magnitudes[lo:hi] += np.abs(t, out=t)
     return out
 
 
@@ -414,7 +429,9 @@ def assemble(
     offset; the Dirichlet rows are then reset to identity rows.  Which cross
     terms exist and whether the system is separable are read at the
     interior nodes only.  Those arrays, zero weights kept, are the returned
-    operator.
+    operator.  An axis whose largest weight 2 C/(h_- h_+), coefficient C
+    included, is not finite is a ``ValueError`` naming the axis, raised
+    before any of its weights is computed.
     """
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
@@ -477,7 +494,8 @@ def _stencil_weights(
     a_t = np.asarray(field.tangential(tang_all, norm_all), dtype=float).reshape(shape + (m, m))
     a_m = np.asarray(field.mixed(tang_all, norm_all), dtype=float).reshape(shape + (m,))
     xn = grid.axes[-1].reshape(h_minus[-1].shape)
-    xn_2a = xn ** (2.0 * p.alpha)
+    with np.errstate(over="ignore"):  # an infinite x_n^{2a} is refused with the weights below
+        xn_2a = xn ** (2.0 * p.alpha)
     xn_a = xn**p.alpha
     separable = None
     if (
@@ -511,10 +529,19 @@ def _stencil_weights(
         else:
             rows[col_offset] += values
 
-    # Second differences: -C * D_aa u.
+    # Second differences: -C * D_aa u.  Every weight of axis a is at most its
+    # diagonal 2 C / (h_- h_+) in size, so that bound is checked first.
     for a in range(n):
-        coeff = a_t[..., a, a] * xn_2a if a < m else 1.0
         hm, hp = h_minus[a], h_plus[a]
+        with np.errstate(over="ignore"):
+            coeff = a_t[..., a, a] * xn_2a if a < m else 1.0
+            largest_coeff = np.max(np.abs(coeff))
+            largest = 2.0 * largest_coeff / np.min(hm * hp)
+        if not np.isfinite(largest):
+            raise ValueError(
+                f"axis {a} has a stencil weight 2 C/(h_- h_+) that overflows: coefficient C up to "
+                f"{largest_coeff:.3g} at spacing {np.min(np.diff(grid.axes[a])):.3g}"
+            )
         span = hm + hp
         push(-strides[a], -2.0 * coeff / (hm * span))
         push(0, 2.0 * coeff / (hm * hp))
@@ -562,7 +589,10 @@ def _dmp_report(offsets, weights: np.ndarray, interior: np.ndarray) -> DmpReport
 
     bad_diag = np.flatnonzero(interior & (diag <= 0.0))
     bad_off = _positive_offdiagonal_rows(offsets, weights, interior, tol)
-    row_sums = _stencil_product(offsets, weights, np.ones(diag.size))
+    row_sums = np.zeros(diag.size)  # the in-grid weights of each row, in offset order: A times ones
+    for offset, w in zip(offsets, weights):
+        lo, hi = _rows_in_grid(offset, diag.size)
+        row_sums[lo:hi] += w[lo:hi]
     bad_sum = np.flatnonzero(interior & (row_sums < -tol))
     ok = bad_diag.size == 0 and bad_off.size == 0 and bad_sum.size == 0
     return DmpReport(
@@ -591,8 +621,10 @@ def _sine_rows(c: int, rows: np.ndarray) -> np.ndarray:
     return table[np.outer(rows + 1, k) % (2 * (c - 1))]
 
 
-def _dst1(g: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the last axis of ``g`` (two axes or more), its own inverse.
+def _dst1(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I along the last axis of ``g`` (two axes or more), its
+    own inverse, written into ``out`` (a new array by default; ``g`` itself
+    is allowed).
 
     The real FFT of the odd extension [0, g, 0, -g reversed], of length
     2(M+1), has imaginary part -2 sum_j g_j sin(pi j k/(M+1)); it is scaled
@@ -602,13 +634,14 @@ def _dst1(g: np.ndarray) -> np.ndarray:
     time as fit in ``DST_BLOCK`` values (at least one), so the transform
     holds that buffer and its spectrum beside the result, not two copies of
     g; each line's FFT is the same either way, and the cache-sized calls are
-    no slower than one call for all of g.
+    no slower than one call for all of g.  A block of slabs is copied into
+    the buffer before its result is written, so ``out=g`` transforms in place.
     """
     m = g.shape[-1]
     scale = -float(1 / np.sqrt(np.longdouble(2 * (m + 1))))
     slab = g.shape[1:-1] + (2 * (m + 1),)
     slabs = max(1, DST_BLOCK // int(np.prod(slab)))
-    out = np.empty(g.shape)
+    out = np.empty(g.shape) if out is None else out
     odd = np.zeros((min(slabs, len(g)),) + slab)
     for start in range(0, len(g), slabs):
         part = g[start : start + slabs]
@@ -617,6 +650,15 @@ def _dst1(g: np.ndarray) -> np.ndarray:
         np.negative(part[..., ::-1], out=ext[..., m + 2 :])
         np.multiply(np.fft.rfft(ext).imag[..., 1 : m + 1], scale, out=out[start : start + len(part)])
     return out
+
+
+def _add_rows(target: np.ndarray, rows: np.ndarray, coefficients: np.ndarray, vectors: np.ndarray) -> None:
+    """target[rows[s]] += coefficients[s] * vectors[s] for s = 0, 1, ... in
+    turn: ``np.add.at(target, rows, coefficients[:, None] * vectors)`` bit
+    for bit, one row at a time, without the (k, M) array of products."""
+    product = np.empty(vectors.shape[1:])
+    for row, coefficient, vector in zip(rows, coefficients, vectors):
+        target[row] += np.multiply(coefficient, vector, out=product)
 
 
 def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -635,11 +677,13 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
     An application eliminates its right-hand side in place, substitutes a
     copy of the first ``top`` rows to read w_S, solves C beta = -w_S by
     ``numpy.linalg.solve`` (LAPACK's LU with partial pivoting), adds the
-    elimination of E_S beta over those rows and substitutes once.  E_S beta
-    is summed by ``np.add.at``, not by a matrix product, which OpenBLAS
-    splits across threads at these sizes and whose workers then spin between
-    applications.  The product A_ID r_D is skipped when r_D = 0, as in every
-    refinement sweep.
+    elimination of E_S beta over those rows, substitutes once and
+    transforms back in place.  E_S beta is added one obstacle row at a
+    time in obstacle order (``_add_rows``), not by a matrix product, which
+    OpenBLAS splits across threads at these sizes and whose workers then
+    spin between applications.  The product A_ID r_D is skipped when
+    r_D = 0, as in every refinement sweep, and the argument is never
+    written.
     """
     grid, alpha = sys.separable.grid, sys.separable.alpha
     interior = ~sys.dirichlet_mask
@@ -681,9 +725,9 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
             np.divide(row, pivot[j], out=y[j])
         return y
 
-    def sine_transform(g: np.ndarray) -> np.ndarray:  # normal axis first; its own inverse
+    def sine_transform(g: np.ndarray, out: np.ndarray) -> np.ndarray:  # normal axis first; its own inverse
         for axis in range(1, g.ndim):
-            g = np.moveaxis(_dst1(np.moveaxis(g, axis, -1)), -1, axis)
+            g = np.moveaxis(_dst1(np.moveaxis(g, axis, -1), out=np.moveaxis(out, axis, -1)), -1, axis)
         return g
 
     height = obstacle[-1]
@@ -699,16 +743,17 @@ def _fast_inverse(sys: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     def apply(r: np.ndarray) -> np.ndarray:
         u, f = _lifted(sys, r)
-        f = f[nonface].reshape(inner)  # zero on the obstacle rows
-        y = eliminate(sine_transform(np.moveaxis(f, -1, 0)).reshape(pivot.shape))
+        f = np.moveaxis(f.reshape(grid.shape)[block], -1, 0)  # zero on the obstacle rows
+        y = eliminate(sine_transform(f, out=np.empty(f.shape)).reshape(pivot.shape))
         del f  # dead: free it before the back transform
         if top:
             part = substitute(y[:top].copy())
             w = np.einsum("sm,sm->s", part[height], modes)
             part[...] = 0.0
-            np.add.at(part, height, np.linalg.solve(capacitance, -w)[:, None] * modes)
+            _add_rows(part, height, np.linalg.solve(capacitance, -w), modes)
             y[:top] += eliminate(part)
-        y = sine_transform(substitute(y).reshape(inner[-1:] + inner[:-1]))
+        y = substitute(y).reshape(inner[-1:] + inner[:-1])
+        sine_transform(y, out=y)
         np.copyto(u.reshape(grid.shape)[block], np.moveaxis(y, 0, -1), where=free)
         return u
 
@@ -781,13 +826,28 @@ def _lifted(sys: SparseSystem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, (r - sys.matvec(u) if u.any() else r)
 
 
-def componentwise_ratio(value: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """|value_i| / scale_i per entry; a zero scale gives 0 where the value is 0, else inf."""
+def componentwise_ratio(value: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|value_i| / scale_i per entry, written into ``out`` (a new array by
+    default; ``scale`` itself is allowed); a zero scale gives 0 where the
+    value is 0, else inf."""
     zero = scale == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(value) / scale
+        ratio = np.divide(np.abs(value), scale, out=out)
     ratio[zero] = np.where(value[zero] == 0.0, 0.0, np.inf)
     return ratio
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 as the square root of numpy's pairwise sum of x_i^2.  Only where
+    that sum overflows and x is finite is x first divided by max |x|, so the
+    bits are those of the plain sum wherever it is finite."""
+    with np.errstate(over="ignore"):
+        total = np.sum(x * x)
+    if np.isfinite(total) or not np.all(np.isfinite(x)):
+        return float(np.sqrt(total))
+    largest = np.max(np.abs(x))
+    x = x / largest
+    return float(largest * np.sqrt(np.sum(x * x)))
 
 
 def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
@@ -803,7 +863,7 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     ``method`` names the one used.
 
     The first answer u is followed by sweeps of fixed-precision iterative
-    refinement against the assembled operator, u += inverse(b - A u), while
+    refinement against the assembled operator, u += inverse(b - A u) in place, while
     its componentwise backward error w = max_i |r_i| / (|A||u| + |b|)_i
     (``componentwise_ratio``; Oettli & Prager, *Numer. Math.* 6, 1964: the
     least w with u solving some (A + dA) u = b + db, |dA| <= w|A|,
@@ -813,13 +873,16 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     LU one.  One sweep usually brings w to the round-off level (Skeel,
     *Math. Comp.* 35, 1980), while a relative residual ||r|| / ||b|| has a
     floor that grows with ||A|| ||u|| / ||b|| and may never reach ``SOLVER_TOL``.
-    |A||u| is summed one offset at a time (``_stencil_product`` with
-    ``absolute``) and |b| is taken once per solve, so no copy of |A| is made.
+    Each check is one pass over the weights (``_stencil_product`` with
+    ``magnitudes``) that sums A u and |A||u| together; r and then the ratio
+    are written into that pass's own two buffers, and |b| is taken once per
+    solve, so no copy of |A| is made.
     ``iterations`` counts the sweeps, ``backward_error`` is the final w and
     ``backward_error_history`` holds w of the first answer and after each
     sweep, ``converged`` says whether w <= ``SOLVER_TOL``, and ``final_residual`` is
     the relative residual ||r||_2 / ||b||_2 of the answer returned (b = 0
-    divides by 1), its norms taken by a pairwise sum, with no BLAS call.
+    divides by 1), its norms taken by a pairwise sum, with no BLAS call
+    (``_norm``, which rescales only a sum of squares that overflows).
     ``fill`` is SuperLU's count of stored factor entries.  Deterministic for
     identical inputs.  Only the SuperLU branch imports SciPy; it builds A_II
     from the weights and never builds ``sys.matrix``.  A singular factorisation raises
@@ -838,27 +901,29 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
         inverse, fill = _lu_inverse(sys)
     abs_b = np.abs(b)
 
-    def backward_error(r: np.ndarray, u: np.ndarray) -> float:
-        scale = _stencil_product(sys.offsets, sys.weights, np.abs(u), absolute=True) + abs_b
-        return float(np.max(componentwise_ratio(r, scale)))
+    def check(u: np.ndarray) -> tuple[np.ndarray, float]:  # r = b - A u and the backward error of u
+        scale = np.zeros(b.size)
+        r = _stencil_product(sys.offsets, sys.weights, u, magnitudes=scale)
+        np.subtract(b, r, out=r)
+        scale += abs_b
+        return r, float(np.max(componentwise_ratio(r, scale, out=scale)))
 
     u = inverse(b)
-    r = b - sys.matvec(u)
-    history = [backward_error(r, u)]
+    r, omega = check(u)
+    history = [omega]
     halved = True
     # len(history) - 1 sweeps are done.
     while len(history) <= MAX_REFINEMENTS and (
         len(history) <= min_sweeps or (history[-1] > SOLVER_TOL and halved)
     ):
-        u = u + inverse(r)
-        r = b - sys.matvec(u)
-        history.append(backward_error(r, u))
+        u += inverse(r)
+        r, omega = check(u)
+        history.append(omega)
         halved = history[-1] <= 0.5 * history[-2]
 
-    omega = history[-1]
     report = SolveReport(
         iterations=len(history) - 1,
-        final_residual=float(np.sqrt(np.sum(r * r))) / (float(np.sqrt(np.sum(b * b))) or 1.0),
+        final_residual=_norm(r) / (_norm(b) or 1.0),
         dmp_ok=sys.dmp.ok,
         wall_time_s=time.perf_counter() - start,
         converged=bool(omega <= SOLVER_TOL),

@@ -780,6 +780,28 @@ class TestMain:
     def test_last_alpha_whose_weights_are_finite_solves(self, tmp_path):
         assert main(["--command", "solve", "--alpha", "101", "--out", str(tmp_path / "o")]) == 0
 
+    def test_overflowing_coefficient_weight_is_refused_by_assemble(self, tmp_path):
+        # The tangential spacing 1.1e-154 keeps 2/h^2 finite, but not 2 x_n^2/h^2 at x_n near 2.
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "o"
+        grid = {"box_lo": [1e-140, 0], "box_hi": [1e-140 + 32 * 1.1e-154, 2], "counts": [33, 33]}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"command": "solve", "grid": grid, "output_dir": str(out)}))
+        probe = "import sys; from grushinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "--config", str(cfgfile)],
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == "" and not out.exists()
+        assert done.stderr == (
+            "runtime error: axis 0 has a stencil weight 2 C/(h_- h_+) that overflows: "
+            "coefficient C up to 4 at spacing 1.1e-154\n"
+        )
+
     def test_holder_levels_default_to_what_fits(self, tmp_path, capsys):
         # 33^3 nodes refined twice is 129^3, over the budget: the default of 3 levels drops to 2.
         out = tmp_path / "o"

@@ -124,6 +124,23 @@ class TestBuildGrid:
         with pytest.raises(fdsolver.SpacingError, match="smallest spacing 0 < MIN_SPACING"):
             build_grid([1, 0], [3, 2], (33, 33), 221.0)
 
+    @pytest.mark.parametrize(
+        "box_lo, box_hi, alpha, message",
+        [
+            # 2/h^2 is finite at h = 1.1e-154, but the coefficient x_n^2 reaches 4.
+            ([1e-140, 0], [1e-140 + 32 * 1.1e-154, 2], 1.0, "coefficient C up to 4 at spacing 1.1e-154"),
+            # x_n^{2a} itself overflows at the top of a box of height 1e10.
+            ([1, 0], [3, 1e10], 16.0, "coefficient C up to inf at spacing 0.0625"),
+        ],
+        ids=["narrow", "tall"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_is_refused_before_it_is_computed(self, box_lo, box_hi, alpha, message):
+        p = GrushinParams(2, alpha)
+        grid = build_grid(box_lo, box_hi, (33, 33))
+        with pytest.raises(ValueError, match=rf"^axis 0 has a stencil weight 2 C/\(h_- h_\+\) that overflows: {message}$"):
+            assemble(make_identity_field(p), grid, p, lambda xp, xn: np.zeros(xn.shape))
+
     def test_node_budget_is_an_exact_count(self):
         # 33**13 nodes wrap round in int64 to a negative count; the exact product is refused.
         with pytest.raises(ValueError, match="^grid has 55040353993448503713 nodes, exceeding the budget"):
@@ -533,6 +550,19 @@ class TestRefinementStop:
         assert exact > 0.0
         assert abs(rep.final_residual - exact) <= 1e-15 * exact
 
+    @pytest.mark.filterwarnings("error")
+    def test_final_residual_of_huge_data_is_finite(self):
+        # |b| near 1e200: the sums of squares overflow, so both norms are
+        # taken of x / max |x|.
+        weights = np.array([[-1.0] * 9, [2.5] * 9, [-1.0] * 9])
+        rhs = 1e200 * np.random.default_rng(9).uniform(1.0, 2.0, 9)
+        sys_ = SparseSystem.from_stencil((-1, 0, 1), weights, rhs, np.zeros(9, dtype=bool))
+        u, rep = solve(sys_)
+        r = sys_.rhs - sys_.matrix @ u
+        exact = math.sqrt(math.fsum((r / 1e200) ** 2)) / math.sqrt(math.fsum((rhs / 1e200) ** 2))
+        assert rep.converged and np.isfinite(rep.final_residual)
+        assert abs(rep.final_residual - exact) <= 1e-14 * exact
+
     def test_zero_data_divide_by_one(self):
         g = build_grid([1, 0], [3, 2], (17, 17), 2.0)
         sys = assemble(IDENT, g, P21, lambda xp, xn: np.zeros(xn.shape))
@@ -621,7 +651,7 @@ class TestStencilOperator:
     @pytest.mark.parametrize("grading", [1.0, 2.0], ids=["uniform", "graded"])
     @pytest.mark.parametrize("perturbed", [False, True], ids=["identity", "perturbed"])
     @pytest.mark.parametrize("p, counts", [(P21, (33, 17)), (P31, (9, 8, 7))], ids=["2d", "3d"])
-    def test_matches_csr_bit_for_bit(self, p, counts, perturbed, grading, excise):
+    def test_matches_csr_bit_for_bit(self, monkeypatch, p, counts, perturbed, grading, excise):
         field = make_decaying_perturbation(p, 2.0, 0.3, 42) if perturbed else make_identity_field(p)
         grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, grading)
         extra = inner_box(grid) if excise else None
@@ -632,10 +662,14 @@ class TestStencilOperator:
         u[3::7] = -0.0
         ones = np.ones(grid.num_nodes)
 
-        assert_same_bits(sys.matvec(u), matrix @ u)
-        abs_product = fdsolver._stencil_product(sys.offsets, sys.weights, np.abs(u), absolute=True)
-        assert_same_bits(abs_product, abs(matrix) @ np.abs(u))
-        assert_same_bits(fdsolver._stencil_product(sys.offsets, sys.weights, ones), matrix @ ones)
+        for block in (fdsolver.STENCIL_BLOCK, 61):  # one block, and blocks shorter than some offsets
+            monkeypatch.setattr(fdsolver, "STENCIL_BLOCK", block)
+            assert_same_bits(sys.matvec(u), matrix @ u)
+            magnitudes = np.zeros(grid.num_nodes)  # the fused pass of the backward-error check
+            product = fdsolver._stencil_product(sys.offsets, sys.weights, u, magnitudes=magnitudes)
+            assert_same_bits(product, matrix @ u)
+            assert_same_bits(magnitudes, abs(matrix) @ np.abs(u))
+            assert_same_bits(fdsolver._stencil_product(sys.offsets, sys.weights, ones), matrix @ ones)
 
         expected = self.copied_report(matrix, ~sys.dirichlet_mask)
         assert expected.ok == (not perturbed or grading == 1.0)  # grading breaks the mesh ratio
@@ -866,6 +900,43 @@ class TestFastDiagonalization:
         # The fast solver transforms moved-axis views of 3-D arrays.
         g = np.moveaxis(np.random.default_rng(3).standard_normal((99, 130, 4)), 0, -1)  # blocks of 40 slabs
         assert_same_bits(fdsolver._dst1(g), dst(g, type=1, norm="ortho", axis=-1))
+
+    @pytest.mark.parametrize("shape, axis", [((400, 95), 1), ((99, 130, 4), 0), ((9, 8, 7), 1)], ids=str)
+    def test_sine_transform_in_place(self, shape, axis):
+        # In place, on a contiguous array and on the moved-axis views that the
+        # back transform of the fast solver writes, across DST_BLOCK blocks.
+        g = np.random.default_rng(len(shape)).standard_normal(shape)
+        g[0, 0] = -0.0
+        view = np.moveaxis(g, axis, -1)
+        expected = fdsolver._dst1(view)
+        assert fdsolver._dst1(view, out=view) is view
+        assert_same_bits(view, expected)
+
+    def test_capacitance_rows_add_as_add_at(self):
+        # Several obstacle nodes per height, heights out of order, as the
+        # capacitance correction adds beta_s times row s of the sine basis.
+        rng = np.random.default_rng(5)
+        heights = np.array([3, 0, 3, 1, 3, 0, 2, 1, 3])
+        coefficients = rng.standard_normal(heights.size)
+        vectors = rng.standard_normal((heights.size, 31))
+        vectors[:, 0] = -0.0
+        got = np.zeros((5, 31))
+        fdsolver._add_rows(got, heights, coefficients, vectors)
+        expected = np.zeros((5, 31))
+        np.add.at(expected, heights, coefficients[:, None] * vectors)
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("method", ["fast", "lu"])
+    def test_inverse_leaves_its_argument_unchanged(self, method):
+        # ``solve`` passes its residual to the inverse and then overwrites it.
+        g = build_grid([1, 0], [3, 2], (33, 17), 2.0)
+        extra = inner_box(g) if method == "lu" else None
+        sys_ = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=extra)
+        inverse = fdsolver._fast_inverse(sys_) if method == "fast" else fdsolver._lu_inverse(sys_)[0]
+        for r in (sys_.rhs, np.where(sys_.dirichlet_mask, 0.0, sys_.rhs + 1.0)):  # A u is lifted, then skipped
+            kept = r.copy()
+            inverse(r)
+            assert_same_bits(r, kept)
 
     def test_exterior_solve_builds_no_dense_basis(self):
         # One dense basis at 2049 nodes is 2047^2 doubles, 33.5 MB.
