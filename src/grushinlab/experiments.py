@@ -318,6 +318,31 @@ def _holder_pairs(
     return a[keep], b[keep]
 
 
+def _require_separated_nodes(grid: AnisotropicGrid, p: GrushinParams, expo: float) -> None:
+    """Refuse a grid on which the quotient |u(y) - u(z)| / d(y, z)^expo of
+    two distinct sampled nodes divides by 0.  Distinct nodes are at least
+    the smallest tangential spacing or the smallest gap of y_n^{1+alpha}
+    between normal nodes of the inner half-box apart; at large alpha that
+    power underflows, and distinct heights lie 0 apart."""
+    normal = grid.axes[-1][grid.axes[-1] <= 0.5 * grid.box_hi[-1]]
+    gaps = np.diff(normal ** (1.0 + p.alpha))
+    nearest = min([float(np.min(gaps))] + [float(np.min(np.diff(ax))) for ax in grid.axes[:-1]])
+    if nearest**expo > 0.0:
+        return
+    grid_text = "x".join(str(c) for c in grid.counts)
+    if nearest == 0.0:
+        i = int(np.argmin(gaps))
+        why = (
+            f"the nodes x_n = {normal[i]:.3g} and {normal[i + 1]:.3g} have the same y_n^(1+alpha) = "
+            f"{normal[i] ** (1.0 + p.alpha):.3g} at params.alpha = {p.alpha:g}; lower params.alpha or grid.counts"
+        )
+    else:
+        why = (
+            f"the smallest quasi-distance {nearest:.3g} of two nodes to the power {expo:g} is 0; lower the exponent"
+        )
+    raise PreconditionError(f"the Hoelder quotient of two distinct nodes of the {grid_text} grid divides by 0: {why}")
+
+
 def run_holder_modulus(
     field: CoefficientField,
     p: GrushinParams,
@@ -337,6 +362,8 @@ def run_holder_modulus(
     expo = 1.0 / (1.0 + p.alpha) if exponent is None else float(exponent)
     # The finest grid is built first, so a ladder over the node budget is refused before any assembly.
     grids = [grid_spec.refined(2**level).build(p) for level in reversed(range(levels))]
+    for grid in grids:
+        _require_separated_nodes(grid, p, expo)
     out: list[HolderLevel] = []
     for level, grid in enumerate(reversed(grids)):
         sys = assemble(field, grid, p, bc)

@@ -827,12 +827,15 @@ def _lifted(sys: SparseSystem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def componentwise_ratio(value: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|value_i| / scale_i per entry, written into ``out`` (a new array by
-    default; ``scale`` itself is allowed); a zero scale gives 0 where the
-    value is 0, else inf."""
+    """|value_i| / scale_i per entry for a nonnegative scale, written into
+    ``out`` (a new array by default; ``scale`` itself is allowed); a zero
+    scale gives 0 where the value is 0, else inf.  The quotient is taken
+    first and its sign dropped in place, the bits of |value_i| / scale_i
+    without a temporary for |value|."""
     zero = scale == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(np.abs(value), scale, out=out)
+        ratio = np.divide(value, scale, out=out)
+    np.abs(ratio, out=ratio)
     ratio[zero] = np.where(value[zero] == 0.0, 0.0, np.inf)
     return ratio
 

@@ -1,11 +1,13 @@
 """Report serialisation: canonical JSON, content hashes, atomic file writes.
 
-Every output file is written whole or not at all (lines streamed into a temp
+Every output file is written whole or not at all (bytes streamed into a temp
 file in the target directory, then renamed).  ``write_csv`` alone turns
 numbers into table text, one format per column, so reruns of the same config
 produce byte-identical files.  Its floats carry 17 significant digits, the
-exact text of ``'%.17g' % x``: an exact vectorised decimal conversion makes
-it for 1e-4 <= |x| < 1e16, and ``%`` formats each other float one at a time.
+exact text of ``'%.17g' % x``: a vectorised decimal conversion, exact or
+checked, makes it for zeros, nan, inf and every normal double, and ``%``
+formats only subnormals and the rare cells whose rounding that conversion
+cannot decide.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -62,8 +65,9 @@ def content_hash(payload: Any) -> str:
     return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
-def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Stream ``lines`` into a sibling temp file, then rename it over ``path``.
+def atomic_write_lines(path: Path, lines: Iterable[bytes]) -> None:
+    """Stream the byte strings ``lines`` into a sibling temp file, then rename
+    it over ``path``.
 
     Readers never see a partial file: on any error the temp file is removed
     and ``path`` keeps its old content.  The file gets the mode that
@@ -76,7 +80,7 @@ def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(lines)
         os.replace(tmp, path)
@@ -87,7 +91,7 @@ def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def write_json_report(path: Path, payload: Any) -> None:
-    atomic_write_lines(path, [json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"])
+    atomic_write_lines(path, [(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 # Rows are formatted a block at a time: memory stays bounded by a block
@@ -100,12 +104,14 @@ _PAD = 0xFF
 _FLOAT_WIDTH = 24  # the longest '%.17g' text: "-1.2345678901234567e-300"
 _BOOLS = np.frombuffer(b"false" + b"true\xff", np.uint8).reshape(2, 5)
 
-# The exact conversion covers 1e-4 <= |x| < 1e16, where '%.17g' writes fixed
-# notation with a decimal exponent X in [-4, 15].  The 17 digits of x are
-# the integer D = round(|x| 10**(16 - X)), and 10**(16 - X) is an exact double.
-_LOW, _HIGH, _X_MIN, _X_MAX = 1e-4, 1e16, -4, 15
-_EXPONENTS = _X_MAX - _X_MIN + 1
-_POW10 = np.cumprod(np.full(_EXPONENTS, 10.0))[::-1]  # 10**(16 - X), X = _X_MIN + row
+# '%.17g' writes a double x as its 17 digits, the integer
+# D = round(|x| 10**(16 - X)) in [10**16, 10**17), and its decimal exponent
+# X: in fixed notation for _X_MIN <= X <= _X_MAX, else as d.ddd...e+XX.  A
+# normal double has _E_MIN <= X <= _E_MAX.
+_X_MIN, _X_MAX = -4, 16
+_E_MIN, _E_MAX = -308, 308
+_TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+_GUARD = 2.0**-30  # a checked product decides D when its fraction is this far from 1/2
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,47 +121,125 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+# The powers 10**j for j = _J_MIN ... _J_MAX: 10**(16 - X) and 10**X for
+# every normal X, and 10**(X + 1).  |x| 10**(16 - X) is formed as it is for
+# _PLAIN_MIN <= X <= _PLAIN_MAX, where Veltkamp's split of both factors
+# stays finite; past that range, both are scaled by powers of 2 first.
+# 10**(16 - X) is a double for _EXACT_MIN <= X <= 16.
+_J_MIN, _J_MAX = _E_MIN, 16 - _E_MIN
+_PLAIN_MIN, _PLAIN_MAX = -283, 299
+_EXACT_MIN = 16 - 22
+
+
+def _power_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**j = 2**t (hi + lo) for each j from _J_MIN to _J_MAX: t = 0 for
+    16 - _PLAIN_MAX <= j <= 16 - _PLAIN_MIN and +-128 past it, hi the
+    double nearest to 10**j / 2**t and lo the rest to within 2**-116 hi,
+    with the rest's sign; lo = 0 exactly where 10**j is a double.
+
+    Made from Python's integers: v is 10**j 2**e truncated to 118 bits (or
+    a bit past) and made odd when the truncation drops anything, so that
+    float(v) is correctly rounded and v - float(v) is 0 only for an exact
+    power.
+    """
+    shifts, highs, lows = [], [], []
+    for j in range(_J_MIN, _J_MAX + 1):
+        if j >= 0:
+            num = 10**j
+            e = 118 - num.bit_length()
+            v = num << e if e >= 0 else (num >> -e) | (num & ((1 << -e) - 1) != 0)
+        else:
+            e = 117 + (10**-j).bit_length()
+            v, rest = divmod(1 << e, 10**-j)
+            v |= rest != 0
+        t = 128 if j > 16 - _PLAIN_MIN else -128 if j < 16 - _PLAIN_MAX else 0
+        high = float(v)
+        shifts.append(t)
+        highs.append(math.ldexp(high, -e - t))
+        lows.append(math.ldexp(float(v - int(high)), -e - t))
+    return np.array(shifts, np.int32), np.array(highs), np.array(lows)
+
+
+_SHIFT, _POW_HI, _POW_LO = _power_table()
+_POW_HI_HI, _POW_HI_LO = _split(_POW_HI)
+with np.errstate(over="ignore"):
+    _AT_LEAST = np.ldexp(_POW_HI, _SHIFT)  # the double nearest to 10**j (inf past the range)
+# ... then the least double >= 10**j: one step up where that double is below 10**j.
+_AT_LEAST = np.where(_POW_LO > 0, np.nextafter(_AT_LEAST, np.inf), _AT_LEAST)
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """The 4 ASCII digits of each n < 10**4 as one uint32, then the word of
     bytes FF FF FF "0"; and the place (0-3) of the last digit of n other
     than 0, far below 0 for n = 0."""
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    words = np.append(48 + digits, [[_PAD, _PAD, _PAD, 48]], axis=0).astype(np.uint8).view(np.uint32).ravel()
-    last = np.where(digits.any(axis=1), 3 - np.argmax(digits[:, ::-1] != 0, axis=1), -99)
+    digits = np.indices((10, 10, 10, 10)).reshape(4, -1)  # digit i of each n, in the order of n
+    words = np.vstack([48 + digits.T, [_PAD, _PAD, _PAD, 48]]).astype(np.uint8, order="C").view(np.uint32).ravel()
+    last = np.select(digits[::-1] != 0, np.arange(3, -1, -1), -99)
     return words, last.astype(np.int8)
 
 
 _DIGITS4, _LAST4 = _digit_tables()
 
+# A cell's layout class: fixed notation at X = _X_MIN + class, then
+# exponent notation, and the cells whose text is their layout alone.
+_EXPONENT = _X_MAX - _X_MIN + 1
+_ZERO, _INF, _NAN = _EXPONENT + 1, _EXPONENT + 2, _EXPONENT + 3
+_CLASSES = _NAN + 1
+_SPECIAL_TEXT = {_ZERO: b"0", _INF: b"inf", _NAN: b"nan"}
 
-def _fixed_layouts() -> list[np.ndarray]:
-    """Byte masks giving the fixed-notation text of each (sign, X, last).
 
-    ``last`` is the place in D of its last digit other than 0.  A cell's
-    body Z = "0000" + the 17 digits of D comes twice: ``left`` holds Z[j]
-    at byte 1 + j and ``right`` at byte 2 + j.  The text is ``left`` before
-    the decimal point and ``right`` after it, and the sign, the point or
+def _layouts() -> list[np.ndarray]:
+    """Byte masks giving the text of each (sign, class, last).
+
+    ``last`` is the place in D of its last digit other than 0.  The six
+    digit words of a cell spell Z = "0000" + the 17 digits of D, from its
+    fourth byte in fixed notation and from its first in exponent notation
+    (the words move one to the left).  Z comes twice: ``left`` holds digit
+    i of D at byte o + i and ``right`` at byte o + 1 + i, o = 5 in fixed
+    notation and 1 in exponent notation.  The text is ``left`` before the
+    decimal point and ``right`` after it, and the sign, the point or
     padding elsewhere: ``(left & L) | (right & R) | F`` with the rows
-    ``(sign * _EXPONENTS + X - _X_MIN) * 17 + last`` of the tables L, R, F.
+    ``(sign * _CLASSES + class) * 17 + last`` of the tables L, R, F.  In
+    exponent notation F leaves bytes 19-23 at 0 for the exponent's text.
     """
-    neg, x, last = np.indices((2, _EXPONENTS, 17))[..., None]
-    x = x + _X_MIN
+    neg, cls, last = np.indices((2, _CLASSES, 17))[..., None]
+    fixed, exponent = cls < _EXPONENT, cls == _EXPONENT
+    x = np.where(fixed, cls + _X_MIN, 0)  # digits before the point, less one
+    o = np.where(fixed, 5, 1)
     pos = np.arange(_FLOAT_WIDTH)
-    dot = 6 + x  # the point follows digit X of D
+    dot = o + 1 + x  # the point follows digit X of D (digit 0 in exponent notation)
     fraction = last > x  # a digit other than 0 follows the point
-    end = np.where(fraction, 7 + last, dot)  # trailing zeros are dropped, as %g does
-    take_left = (5 + np.minimum(x, 0) <= pos) & (pos < dot)  # one 0 before the point if X < 0
-    take_right = (dot < pos) & (pos < end)
-    sign = np.where(neg, ord("-"), _PAD)
+    end = np.where(fraction, o + 2 + last, dot)  # trailing zeros are dropped, as %g does
+    take_left = (fixed | exponent) & (o + np.minimum(x, 0) <= pos) & (pos < dot)  # "0" before the point if X < 0
+    take_right = (fixed | exponent) & (dot < pos) & (pos < end)
+    sign = np.where(neg & (cls != _NAN), ord("-"), _PAD)
     fill = np.where(pos == 0, sign, np.where((pos == dot) & fraction, ord("."), _PAD))
+    fill = np.where(exponent & (pos >= 19), 0, fill)
+    for special, text in _SPECIAL_TEXT.items():
+        fill[:, special, :, 1 : 1 + len(text)] = np.frombuffer(text, np.uint8)
     layouts = (np.where(take_left, _PAD, 0), np.where(take_right, _PAD, 0), np.where(take_left | take_right, 0, fill))
     return [m.astype(np.uint8).reshape(-1, _FLOAT_WIDTH) for m in layouts]
 
 
-_LAYOUTS = _fixed_layouts()
+_LAYOUTS = _layouts()
+
+
+def _exponent_suffixes() -> np.ndarray:
+    """Bytes 16-23 of each cell for X = _E_MIN ... _E_MAX, as one uint64:
+    "e+XX" or "e-XXX" from byte 19 in exponent notation, 0 in fixed."""
+    x = np.arange(_E_MIN, _E_MAX + 1)
+    size = np.abs(x)
+    digits = size[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    short = size < 100  # two exponent digits, then padding
+    text = np.zeros((x.size, 8), np.uint8)
+    text[:, 3] = ord("e")
+    text[:, 4] = np.where(x < 0, ord("-"), ord("+"))
+    text[:, 5:] = np.where(short[:, None], np.append(digits[:, 1:], np.full((x.size, 1), _PAD), axis=1), digits)
+    text[(_X_MIN <= x) & (x <= _X_MAX)] = 0
+    return text.view(np.uint64).ravel()
+
+
+_SUFFIXES = _exponent_suffixes()
 
 
 def _padded(strings: np.ndarray) -> np.ndarray:
@@ -165,79 +249,147 @@ def _padded(strings: np.ndarray) -> np.ndarray:
     return np.where(keep, cells, np.uint8(_PAD))
 
 
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """The '%.17g' text of each float as a padded byte row.
+class _Scratch:
+    """The buffers of one ``write_csv`` call, reused by each of its blocks:
+    the joined row matrix, the digit words and the layout masks of a float
+    column's cells."""
 
-    For 1e-4 <= |x| < 1e16, with k = floor(log10|x|), Dekker's two-product
-    gives |x| 10**(16 - k) exactly as hi + lo.  When 10**16 <= hi + lo and
-    D = hi + rint(lo) < 10**17, k is the exponent X and D the 17 digits,
-    rounded half to even as '%' rounds them (hi is an even integer, being
-    past 2**53).  Every other cell is formatted by '%' itself: the cells
-    outside that window (zeros, subnormals, nan, inf, huge values), and
-    the rare ones whose k missed, such as the last doubles below a power of
-    ten, where log10 rounds up.
+    def __init__(self, rows: int):
+        self.words = np.full((rows + 1, 6), _DIGITS4[-1])  # one spare row that ``left`` may read into
+        self.masks = [np.empty((rows, _FLOAT_WIDTH), np.uint8) for _ in _LAYOUTS]
+        self.joined = np.empty(0, np.uint8)
+
+    def rows(self, n: int, width: int) -> np.ndarray:
+        """An (n, width) byte matrix on the reused buffer, grown when short."""
+        if self.joined.size < n * width:
+            self.joined = np.empty(n * width, np.uint8)
+        return self.joined[: n * width].reshape(n, width)
+
+
+def _float_cells(values: np.ndarray, out: np.ndarray | None = None, scratch: _Scratch | None = None) -> np.ndarray:
+    """The '%.17g' text of each float as a padded byte row, written into
+    ``out`` (a new (n, _FLOAT_WIDTH) matrix by default).
+
+    For a normal double x, k = floor(log10|x|) is guessed from ``log10``
+    and made exact by comparing |x| with the least double >= 10**k.  Then
+    |x| 10**(16 - k) = hi + lo with Dekker's two-product of |x| 2**t and
+    the double-double 10**(16 - k) / 2**t (t = 0 but at the ends of the
+    exponent range, ``_power_table``).  Where 10**(16 - k) is a double the
+    product is exact, and D = hi + rint(lo) is rounded half to even as '%'
+    rounds it (hi is an even integer, being past 2**53).  Elsewhere its
+    error is below 1e-13, so D is decided when the fraction of lo is more
+    than ``_GUARD`` away from 1/2.  A D that rounds up to 10**17 is 10**16
+    with X = k + 1.  Zeros, nan and inf are made by their layout alone.
+    Only subnormals and the undecided cells are formatted by '%' itself.
     """
-    x = values.astype(np.float64)
+    x = values.astype(np.float64, copy=False)
     n = len(x)
+    scratch = scratch or _Scratch(n)
+    out = np.empty((n, _FLOAT_WIDTH), np.uint8) if out is None else out
     a = np.abs(x)
-    inside = (a >= _LOW) & (a < _HIGH)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX)
-    row = np.where(inside, k - _X_MIN, 0).astype(np.intp)
-    a = np.where(inside, a, 1.0)
-    a_hi, a_lo = _split(a)
-    hi = a * _POW10[row]
-    p_hi, p_lo = _POW10_HI[row], _POW10_LO[row]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    exact = inside & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
-    digits = np.where(exact, hi, 1e16).astype(np.int64) + np.rint(lo).astype(np.int64)
-    exact &= digits < 10**17
-    digits[~exact] = 10**16
+    normal = (a >= _TINY) & (a <= _HUGE)
+    special = None if normal.all() else ~normal
+    if special is not None:
+        subnormal = special & (a > 0.0) & (a < _TINY)
+        cls_special = _ZERO + (a > _HUGE) + 2 * (a != a)  # 0, inf, nan
+        a[special] = 1.0
+    # log10 is off by far less than 1e-12, so k is X or X + 1 until |x| is
+    # compared with the least double >= 10**k.
+    k = np.floor(np.log10(a) + 1e-12).astype(np.int32)
+    k -= a < _AT_LEAST.take(k - _J_MIN, mode="clip")
+    lowest, highest = int(k.min()), int(k.max())
+    row = 16 - _J_MIN - k
+    plain = _PLAIN_MIN <= lowest and highest <= _PLAIN_MAX
+    scaled = a if plain else np.ldexp(a, _SHIFT.take(row, mode="clip"))
+    hi = scaled * _POW_HI.take(row, mode="clip")
+    s_hi, s_lo = _split(scaled)
+    p_hi, p_lo = _POW_HI_HI.take(row, mode="clip"), _POW_HI_LO.take(row, mode="clip")
+    lo = ((s_hi * p_hi - hi) + s_hi * p_lo + s_lo * p_hi) + s_lo * p_lo
+    exact = _EXACT_MIN <= lowest and highest <= 16
+    if not exact:
+        rest = _POW_LO.take(row, mode="clip")
+        lo += scaled * rest
+    rounded = np.rint(lo)
+    digits = hi.astype(np.int64) + rounded.astype(np.int64)
+    carry = digits == 10**17  # 99999999999999999.5 and up: 10**16 at the next exponent
+    k += carry
+    digits[carry] = 10**16
+    undecided = (digits < 10**16) | (digits >= 10**17)
+    if not exact:
+        undecided |= (rest != 0.0) & (np.abs(lo - rounded) > 0.5 - _GUARD)
+    cls = np.minimum((k - _X_MIN).view(np.uint32), _EXPONENT)  # X < _X_MIN wraps past _EXPONENT
+    exponent = cls == _EXPONENT
+    if special is not None:
+        undecided &= normal
+        undecided |= subnormal
+        cls[special] = cls_special[special]
+    digits[undecided] = 10**16
 
-    # Z as six digit words per cell ("___0", "000d", four of "dddd"), and
-    # one spare cell so that ``left`` may read two bytes past the last.
-    # Word ``column`` > 1 holds digits 4 * column - 7 to 4 * column - 4 of D.
-    z = np.full((n + 1, 6), _DIGITS4[-1])
+    # Six digit words per cell ("___0", "000d", four of "dddd"): word
+    # ``column`` > 1 holds digits 4 * column - 7 to 4 * column - 4 of D.  In
+    # exponent notation each word sits one to the left, word 5 being spare.
+    words = scratch.words[: n + 1]
+    shift = int(exponent.all())
+    mixed = not shift and exponent.any()
     last = np.zeros(n, np.int8)
-    for column in range(5, 1, -1):
-        quotient = digits // 10_000
-        group = digits - quotient * 10_000
-        digits = quotient
-        z[:n, column] = _DIGITS4.take(group)
-        np.maximum(last, _LAST4.take(group) + np.int8(4 * column - 7), out=last)
-    z[:n, 1] = _DIGITS4.take(digits)
-    z = z.view(np.uint8).ravel()
-    left, right = z[2 : 2 + n * _FLOAT_WIDTH], z[1 : 1 + n * _FLOAT_WIDTH]
-    key = (np.signbit(x) * _EXPONENTS + row) * 17 + last
-    cells, right_mask, fill = (table.take(key, axis=0).ravel() for table in _LAYOUTS)
-    cells &= left
-    right_mask &= right
-    cells |= right_mask
-    cells |= fill
-    cells = cells.reshape(n, _FLOAT_WIDTH)
+    moved = _DIGITS4[-1]
+    for column in range(5, 0, -1):
+        if column > 1:
+            quotient = digits // 10_000
+            group = digits - quotient * 10_000
+            digits = quotient
+            np.maximum(last, _LAST4.take(group) + np.int8(4 * column - 7), out=last)
+        else:
+            group = digits
+        word = _DIGITS4.take(group)
+        words[:n, column - shift] = word
+        if mixed:
+            np.copyto(words[:n, column], moved, where=exponent)
+        moved = word
+    if not shift:
+        words[:n, 0] = _DIGITS4[-1]
+    if mixed:
+        np.copyto(words[:n, 0], moved, where=exponent)
+    z = words.view(np.uint8).ravel()
+    left = z[2 : 2 + n * _FLOAT_WIDTH].reshape(n, _FLOAT_WIDTH)
+    right = z[1 : 1 + n * _FLOAT_WIDTH].reshape(n, _FLOAT_WIDTH)
 
-    missed = np.flatnonzero(~exact)
+    key = (np.signbit(x) * _CLASSES + cls) * 17 + last
+    left_mask, right_mask, fill = (
+        np.take(table, key, axis=0, out=mask[:n], mode="clip") for table, mask in zip(_LAYOUTS, scratch.masks)
+    )
+    left_mask &= left
+    right_mask &= right
+    left_mask |= right_mask
+    if shift or mixed:
+        fill.view(np.uint64)[:, 2] |= _SUFFIXES.take(k - _E_MIN, mode="clip")
+    np.bitwise_or(left_mask, fill, out=out)
+
+    missed = np.flatnonzero(undecided)
     if missed.size:
         text = np.array(["%.17g" % v for v in x[missed].tolist()], dtype=f"S{_FLOAT_WIDTH}")
-        cells[missed] = _padded(text)
-    return cells
+        out[missed] = _padded(text)
+    return out
 
 
-def _cells(index: int, column: Sequence[Any]) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """A column as a 1-d array, and the function giving a block's byte rows."""
+def _column(index: int, column: Sequence[Any]) -> np.ndarray:
+    """A column as a 1-d array of a kind ``write_csv`` writes."""
     values = np.asarray(column)
     if values.ndim != 1:
         raise ValueError(f"column {index} must be 1-d, got shape {values.shape}")
-    kind = values.dtype.kind
-    if kind == "f":
-        return values, _float_cells
+    if values.dtype.kind not in "fbiuU":
+        raise ValueError(f"column {index} has unsupported dtype {values.dtype}")
+    return values
+
+
+def _text_cells(block: np.ndarray) -> np.ndarray:
+    """The padded byte rows of a block of bools, integers or strings."""
+    kind = block.dtype.kind
     if kind == "b":
-        return values, lambda block: _BOOLS.take(block.view(np.uint8), axis=0)
+        return _BOOLS.take(block.view(np.uint8), axis=0)
     if kind in "iu":
-        return values, lambda block: _padded(block.astype("S"))
-    if kind == "U":
-        return values, lambda block: _padded(np.char.encode(block, "utf-8"))
-    raise ValueError(f"column {index} has unsupported dtype {values.dtype}")
+        return _padded(block.astype("S"))
+    return _padded(np.char.encode(block, "utf-8"))
 
 
 def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: str = ",") -> None:
@@ -246,33 +398,45 @@ def write_csv(path: Path, header: Sequence[str] | None, columns: Sequence, sep: 
     Float columns carry 17 significant digits, byte for byte the text of
     ``'%.17g' % x``; bool columns are ``true``/``false``, integer and string
     columns ``str``; any other dtype raises ``ValueError``.  ``header=None``
-    writes no header line.  A block of rows at a time, each column becomes
-    a byte matrix of fixed-width cells padded with 0xFF, the columns are
-    joined with ``sep`` and newlines, and the padding is deleted.  Floats
-    with 1e-4 <= |x| < 1e16 go through an exact vectorised conversion
-    (Dekker's two-product, rounded half to even); ``%`` formats any other
-    float one cell at a time.  Memory does not grow with the table beyond
-    the columns themselves.
+    writes no header line.  A block of rows at a time, each column's cells
+    are written as fixed-width byte rows padded with 0xFF into one row
+    matrix, between ``sep`` and before a newline, and the padding is
+    deleted from its bytes.  Floats go through a vectorised conversion
+    (Dekker's two-product with exact or double-double powers of ten,
+    rounded half to even; zeros, nan and inf by their layout); ``%``
+    formats only subnormals and the rare products too near a tie to
+    decide.  The buffers are reused from block to block, so memory does
+    not grow with the table beyond the columns themselves.
     """
-    converted = [_cells(i, c) for i, c in enumerate(columns)]
+    converted = [_column(i, c) for i, c in enumerate(columns)]
     if header is not None and len(header) != len(converted):
         raise ValueError(f"header has {len(header)} names for {len(converted)} columns")
-    lengths = [len(values) for values, _ in converted]
+    lengths = [len(values) for values in converted]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns have unequal lengths {lengths}")
+    total = lengths[0] if lengths else 0
     sep_bytes = np.frombuffer(sep.encode("utf-8"), np.uint8)
+    scratch = _Scratch(min(total, _BLOCK_ROWS))
 
-    def block_text(start: int) -> str:
-        parts = []
-        for values, cells in converted:
-            block = cells(values[start : start + _BLOCK_ROWS])
-            if parts:
-                parts.append(np.broadcast_to(sep_bytes, (len(block), sep_bytes.size)))
-            parts.append(block)
-        parts.append(np.full((len(block), 1), ord("\n"), np.uint8))
-        return np.concatenate(parts, axis=1).tobytes().translate(None, b"\xff").decode("utf-8")
+    def block_bytes(start: int) -> bytes:
+        blocks = [values[start : start + _BLOCK_ROWS] for values in converted]
+        texts = [None if block.dtype.kind == "f" else _text_cells(block) for block in blocks]
+        widths = [_FLOAT_WIDTH if text is None else text.shape[1] for text in texts]
+        rows = scratch.rows(len(blocks[0]), sum(widths) + sep_bytes.size * (len(widths) - 1) + 1)
+        col = 0
+        for block, text, width in zip(blocks, texts, widths):
+            if col:
+                rows[:, col : col + sep_bytes.size] = sep_bytes
+                col += sep_bytes.size
+            if text is None:
+                _float_cells(block, rows[:, col : col + width], scratch)
+            else:
+                rows[:, col : col + width] = text
+            col += width
+        rows[:, col] = ord("\n")
+        return rows.tobytes().translate(None, b"\xff")
 
-    lines = map(block_text, range(0, lengths[0] if lengths else 0, _BLOCK_ROWS))
+    lines = map(block_bytes, range(0, total, _BLOCK_ROWS))
     if header is not None:
-        lines = itertools.chain([sep.join(header) + "\n"], lines)
+        lines = itertools.chain([(sep.join(header) + "\n").encode("utf-8")], lines)
     atomic_write_lines(path, lines)

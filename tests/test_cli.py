@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -362,11 +363,29 @@ def per_row_csv(header, columns, sep=","):
     return "".join(line + "\n" for line in lines)
 
 
-# Powers of ten around the exact window 1e-4 <= |x| < 1e16 and the doubles
-# either side of them, where floor(log10|x|) can miss; subnormals and extremes.
-POWERS = 10.0 ** np.arange(-5, 18)
-EXTREMES = [5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+# The doubles nearest the powers of ten over the whole exponent range and the
+# doubles either side of them, where floor(log10|x|) can miss; the largest
+# subnormal, the smallest normal and the largest double.
+POWERS = np.array([float(f"1e{k}") for k in range(-307, 309)])
+EXTREMES = [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
 EDGE_FLOATS = np.concatenate([POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf), EXTREMES])
+
+
+def cell_text(cells):
+    """The text of padded byte rows."""
+    return [bytes(row).replace(b"\xff", b"").decode() for row in cells]
+
+
+def exact_ties(rng, count):
+    """Doubles x = M 2**-e (M odd) whose exact decimal value has 18
+    significant digits, the last a 5: halfway between two 17-digit texts.
+    Such ties exist only for 2 <= e <= 25, where 10**17 <= M 5**e < 10**18."""
+    ties = []
+    for e in range(2, 26):
+        lo, hi = -(-(10**17) // 5**e), min((10**18 - 1) // 5**e, 2**53 - 1)
+        ms = {int(m) | 1 for m in rng.integers(lo, hi + 1, count)} | {lo | 1}
+        ties += [math.ldexp(m, -e) for m in sorted(ms) if lo <= m <= hi]
+    return np.array(ties)
 
 
 class TestReports:
@@ -469,8 +488,8 @@ class TestReports:
     @pytest.mark.parametrize("error", [-1e-9, 1e-9], ids=["low", "high"])
     def test_csv_survives_a_log10_that_misses(self, tmp_path, monkeypatch, error):
         # A log10 that is not correctly rounded can put the exponent guess one
-        # off either side of a power of ten; those cells must still come out
-        # as '%.17g' writes them.
+        # off either side of a power of ten, anywhere in the exponent range;
+        # those cells must still come out as '%.17g' writes them.
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
         values = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS])
@@ -478,17 +497,88 @@ class TestReports:
         assert (tmp_path / "t.csv").read_text() == per_row_csv(["x"], [values])
 
     def test_exact_window_needs_no_percent(self, monkeypatch):
-        # Inside 1e-4 <= |x| < 1e16 the vectorised conversion makes the cells
-        # (bar the last doubles below a power of ten, where log10 rounds up);
-        # the cells outside it are formatted by '%'.
+        # The vectorised conversion makes every cell but subnormals and the
+        # products too near a tie to decide: +-0, nan, +-inf, a sample of every
+        # decade of normal doubles, and the powers of ten with their neighbours.
         rng = np.random.default_rng(0)
-        spread = rng.uniform(-1, 1, 4096) * 10.0 ** rng.uniform(-3, 16, 4096)
-        window = np.concatenate([POWERS, np.nextafter(POWERS, np.inf), spread])
-        window = window[(np.abs(window) >= 1e-4) & (np.abs(window) < 1e16)]
+        with np.errstate(over="ignore"):
+            spread = (rng.uniform(1, 10, (16, POWERS.size)) * POWERS).ravel()
+        spread = spread[np.isfinite(spread)]
+        specials = [0.0, np.nan, -np.nan, np.inf]
+        values = np.concatenate([POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf), spread, specials])
+        values = np.concatenate([values, -values])
         monkeypatch.setattr(reports, "_padded", lambda strings: pytest.fail(f"'%' formatted {strings}"))
-        reports._float_cells(window)
+        assert cell_text(reports._float_cells(values)) == ["%.17g" % v for v in values.tolist()]
         with pytest.raises(pytest.fail.Exception, match="'%' formatted"):
-            reports._float_cells(np.array([0.5, 0.0]))
+            reports._float_cells(np.array([0.5, 2.2250738585072009e-308]))  # a subnormal
+
+    def test_csv_exponent_range_ties_match_percent_g(self, tmp_path, monkeypatch):
+        # Exact ties are rounded half to even where 10**(16 - X) is a double
+        # (X >= -6, fixed notation and e-05, e-06) and sent to '%' where the
+        # power is a double-double (X = -7, -8).  The doubles nearest to the
+        # ties (2D + 1) 10**k / 2 of 17-digit D over the whole exponent range
+        # are no ties, but sit near them.
+        rng = np.random.default_rng(5)
+        ties = exact_ties(rng, 40)
+        exponent = np.floor(np.log10(ties))
+        assert set(exponent.tolist()) == set(range(-8, 16))
+        odd = (2 * rng.integers(10**16, 10**17, 4 * 614) + 1).tolist()
+        powers = np.repeat(np.arange(-323, 291), 4).tolist()
+        near = np.array([float(Fraction(t, 2) * Fraction(10) ** k) for t, k in zip(odd, powers)])
+        values = np.concatenate([ties, near, -ties])
+        write_csv(tmp_path / "t.csv", ["x"], [values])
+        assert (tmp_path / "t.csv").read_text() == per_row_csv(["x"], [values])
+        formatted, padded = [], reports._padded
+        monkeypatch.setattr(reports, "_padded", lambda strings: formatted.extend(strings) or padded(strings))
+        reports._float_cells(ties)
+        assert sorted(float(t) for t in formatted) == sorted(ties[exponent < -6].tolist())
+
+    @pytest.mark.parametrize("guard", [0.25, 0.5])
+    def test_csv_undecided_products_go_to_percent(self, tmp_path, monkeypatch, guard):
+        # A wider guard sends more of the double-double products to '%'; the text does not change.
+        monkeypatch.setattr(reports, "_GUARD", guard)
+        rng = np.random.default_rng(7)
+        values = rng.uniform(1, 10, 20_000) * POWERS[rng.integers(0, POWERS.size - 1, 20_000)]
+        columns = [values, np.concatenate([EDGE_FLOATS, -values[: -EDGE_FLOATS.size]])]
+        write_csv(tmp_path / "t.csv", None, columns)
+        assert (tmp_path / "t.csv").read_text() == per_row_csv(None, columns)
+
+    def test_csv_matches_percent_g_on_a_million_doubles(self, tmp_path):
+        # Every bit pattern is as likely: exponents over the whole range,
+        # subnormals, nan and inf included.
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        write_csv(tmp_path / "t.csv", None, [values])
+        expected = "".join("%.17g\n" % v for v in values.tolist())
+        assert (tmp_path / "t.csv").read_text() == expected
+
+    def test_formatting_blocks_takes_no_page_faults(self):
+        # In a fresh process, where glibc has freed no large block yet, a block
+        # of float cells reuses the buffers of the blocks before it, so after
+        # the first it touches no new pages.
+        resource = pytest.importorskip("resource")
+        del resource
+        probe = (
+            "import resource, numpy as np\n"
+            "from grushinlab import reports\n"
+            "n = reports._BLOCK_ROWS\n"
+            "x = (np.arange(n) + 0.5) * 1.37\n"
+            "scratch = reports._Scratch(n)\n"
+            "out = np.empty((n, reports._FLOAT_WIDTH), np.uint8)\n"
+            "faults = []\n"
+            "for _ in range(12):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    reports._float_cells(x, out, scratch)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(sorted(faults[1:])[5])\n"
+        )
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 4
 
     def test_csv_integer_extremes_strings_and_separators(self, tmp_path):
         columns = [
@@ -535,7 +625,7 @@ class TestReports:
         path.write_text("old\n")
 
         def lines():
-            yield "new\n"
+            yield b"new\n"
             raise RuntimeError("disk gone")
 
         with pytest.raises(RuntimeError, match="disk gone"):
@@ -800,6 +890,29 @@ class TestMain:
         assert done.stderr == (
             "runtime error: axis 0 has a stencil weight 2 C/(h_- h_+) that overflows: "
             "coefficient C up to 4 at spacing 1.1e-154\n"
+        )
+
+    @pytest.mark.parametrize("alpha, node", [(30, "9.5e-66"), (60, "5.77e-129")])
+    def test_holder_grid_whose_heights_collapse_is_refused(self, tmp_path, alpha, node):
+        # At large alpha y_n^{1+alpha} underflows at the lowest nodes: two distinct
+        # nodes would be 0 apart, and the quotient 0/0 would make the verdict nan.
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "o"
+        probe = "import sys; from grushinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "--command", "holder-modulus"]
+            + ["--alpha", str(alpha), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == "" and not out.exists()
+        assert done.stderr == (
+            "error: the Hoelder quotient of two distinct nodes of the 129x129 grid divides by 0: the nodes "
+            f"x_n = 0 and {node} have the same y_n^(1+alpha) = 0 at params.alpha = {alpha}; "
+            "lower params.alpha or grid.counts\n"
         )
 
     def test_holder_levels_default_to_what_fits(self, tmp_path, capsys):

@@ -161,6 +161,15 @@ class TestHolderModulus:
         with pytest.raises(SpacingError, match="^axis 1 of 129 nodes"):
             run_holder_modulus(IDENT, GrushinParams(2, 80.0), WBOX, bc_kernel, levels=3)
 
+    def test_nodes_zero_apart_are_refused_before_any_assembly(self, monkeypatch):
+        # alpha = 30 puts the lowest two normal nodes at the same y_n^{1+alpha} = 0; at
+        # alpha = 1 an exponent of 400 takes the smallest distance to 0.
+        monkeypatch.setattr(experiments, "assemble", None)
+        with pytest.raises(PreconditionError, match=r"65x65 grid divides by 0: the nodes x_n = 0 and 2\.04e-56 "):
+            run_holder_modulus(IDENT, GrushinParams(2, 30.0), WBOX, bc_kernel, levels=2)
+        with pytest.raises(PreconditionError, match=r"quasi-distance 2\.38e-07 of two nodes to the power 400 is 0"):
+            run_holder_modulus(IDENT, P21, WBOX, bc_kernel, exponent=400.0, levels=2)
+
     def test_zero_data_is_refused(self):
         # u = 0 makes every quotient 0, so the relative change has no denominator.
         with pytest.raises(PreconditionError, match="every sampled two-point quotient is 0 on the 33x33 grid"):

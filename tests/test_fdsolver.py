@@ -577,6 +577,23 @@ class TestRefinementStop:
         assert fdsolver.componentwise_ratio(np.array([1e-300, 0.0]), scale).tolist() == [np.inf, 0.0]
         assert fdsolver.componentwise_ratio(np.array([np.nan, np.nan]), scale)[0] == np.inf
 
+    def test_ratio_bits_are_those_of_abs_over_scale(self):
+        # Dividing first and dropping the sign after gives |v| / s bit for bit for s >= 0.
+        rng = np.random.default_rng(3)
+        value = rng.normal(size=4000) * 10.0 ** rng.integers(-320, 300, 4000)
+        value[:6] = [-0.0, 0.0, np.inf, -np.inf, np.nan, -5e-324]
+        scale = np.abs(rng.normal(size=4000)) * 10.0 ** rng.integers(-320, 300, 4000)
+        scale[6:12] = [np.inf, 5e-324, 0.0, -0.0, 1e-310, np.inf]
+        nonzero = scale != 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            expected = np.abs(value) / scale
+            got = fdsolver.componentwise_ratio(value, scale)
+            shared = scale.copy()
+            fdsolver.componentwise_ratio(value, shared, out=shared)
+        for ratio in (got, shared):
+            assert ratio[nonzero].tobytes() == expected[nonzero].tobytes()
+            assert ratio[~nonzero].tolist() == [0.0 if v == 0.0 else np.inf for v in value[~nonzero].tolist()]
+
     def test_stagnation_stops_unconverged(self):
         sys = tiny_pivot_system()
         u, rep = solve(sys)
