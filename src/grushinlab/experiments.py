@@ -748,8 +748,9 @@ def run_global_bound_check(
     command judges both: the bound holds when the worst margin is about
     nonnegative and the control's is not, showing the check bites.
     Refuses before the solve a grid whose inner box holds no interface node,
-    a supersolution that is not positive on the interface (inner radius too
-    small) and a system that fails the discrete maximum principle.
+    a supersolution that is not a positive number on the interface (inner
+    radius too small, or w = inf where the kernel's base underflows at large
+    alpha) and a system that fails the discrete maximum principle.
     """
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
@@ -770,9 +771,13 @@ def run_global_bound_check(
     *tang_index, norm_index = np.unravel_index(interface, grid.shape)
     tang_i = np.column_stack([axis[i] for axis, i in zip(grid.axes, tang_index)])
     norm_i = grid.axes[-1][norm_index]
-    barrier_i = supersolution_value_arrays(tang_i, norm_i, rho, p)
-    if np.min(barrier_i) <= 0.0:
-        largest = float(np.max(kernel_value_arrays(tang_i, norm_i, p)))
+    # At large alpha the kernel's base underflows to 0 at the lowest interface
+    # nodes: w = inf there and the barrier is nan, which is no positive number.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        barrier_i = supersolution_value_arrays(tang_i, norm_i, rho, p)
+    if not np.all(barrier_i > 0.0):
+        with np.errstate(divide="ignore"):
+            largest = float(np.max(kernel_value_arrays(tang_i, norm_i, p)))
         raise PreconditionError(
             "supersolution w - w^{1+rho} is not positive on the inner boundary: w must be < 1 there, "
             f"and the inner box of gauge radius {inner_radius:g} reaches w = {largest:.6g}"

@@ -809,7 +809,14 @@ def _lu_inverse(sys: SparseSystem) -> tuple[Callable[[np.ndarray], np.ndarray], 
     position = np.full(sys.rhs.size, -1, dtype=np.int64)
     position[order] = np.arange(order.size)
     block = _csr(sys, order, position).tocsc()
-    lu = splu(block, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        lu = splu(block, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except SystemError as err:
+        # "gstrf was called with invalid arguments", seen on a 3-D grid of 815,409 nodes.
+        shape = "x".join(map(str, sys.shape))
+        raise RuntimeError(
+            f"SuperLU could not factor the free block of the {shape} grid ({order.size} free unknowns): {err}"
+        ) from err
 
     def apply(r: np.ndarray) -> np.ndarray:
         u, f = _lifted(sys, r)
@@ -889,7 +896,8 @@ def solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     ``fill`` is SuperLU's count of stored factor entries.  Deterministic for
     identical inputs.  Only the SuperLU branch imports SciPy; it builds A_II
     from the weights and never builds ``sys.matrix``.  A singular factorisation raises
-    SuperLU's ``RuntimeError``.
+    SuperLU's ``RuntimeError``, and a ``SystemError`` of SuperLU becomes one
+    that names the grid and its free unknowns.
     """
     start = time.perf_counter()
     b = sys.rhs

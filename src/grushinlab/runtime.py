@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 THREADS_ENV = "GRUSHINLAB_THREADS"
@@ -27,7 +26,8 @@ def map_chunks(fn: Callable[[int, int], T], total: int, workers: int | None = No
     """Apply ``fn(start, stop)`` over contiguous chunks of range(total), in order.
 
     With workers > 1 the chunks run on a thread pool but the returned list is
-    always in chunk order, so reductions over it are deterministic.
+    always in chunk order, so reductions over it are deterministic.  The
+    pool's module (and ``logging`` with it) is imported only then.
     """
     if workers is None:
         workers = thread_budget()
@@ -37,5 +37,7 @@ def map_chunks(fn: Callable[[int, int], T], total: int, workers: int | None = No
         return [fn(0, total)]
     edges = [total * k // workers for k in range(workers + 1)]
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         return list(pool.map(lambda span: fn(*span), spans))

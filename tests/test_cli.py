@@ -892,6 +892,65 @@ class TestMain:
             "coefficient C up to 4 at spacing 1.1e-154\n"
         )
 
+    @pytest.mark.parametrize("alpha", [30, 60])
+    def test_global_bound_refuses_an_infinite_barrier(self, tmp_path, alpha):
+        # At large alpha the kernel's base underflows to 0 at the lowest interface
+        # nodes, so w = inf and the barrier w - w^(1+rho) is nan there.
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "o"
+        probe = "import sys; from grushinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "--command", "global-bound"]
+            + ["--alpha", str(alpha), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == "" and not out.exists()
+        assert done.stderr == (
+            "error: supersolution w - w^{1+rho} is not positive on the inner boundary: w must be < 1 there, "
+            "and the inner box of gauge radius 2 reaches w = inf\n"
+        )
+
+    def test_superlu_system_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # SuperLU reports "gstrf was called with invalid arguments" as a SystemError,
+        # which no handler of main catches; the solver turns it into a runtime error.
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise SystemError("gstrf was called with invalid arguments")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        out = tmp_path / "o"
+        field = {"family": "decaying-perturbation", "s": 2.0, "amplitude": 0.3}
+        raw = {"command": "oscillation-decay", **SMALL_RAW["oscillation-decay"], "field": field}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "runtime error: SuperLU could not factor the free block of the 33x13 grid (193 free unknowns): "
+            "gstrf was called with invalid arguments\n"
+        )
+
+    def test_cli_import_leaves_out_the_thread_pool(self, tmp_path):
+        # concurrent.futures (and logging with it) loads only when the audit runs threads.
+        src = str(Path(grushinlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = "import sys, grushinlab.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "False\n"
+
     @pytest.mark.parametrize("alpha, node", [(30, "9.5e-66"), (60, "5.77e-129")])
     def test_holder_grid_whose_heights_collapse_is_refused(self, tmp_path, alpha, node):
         # At large alpha y_n^{1+alpha} underflows at the lowest nodes: two distinct

@@ -1,6 +1,12 @@
+import itertools
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_fdsolver import assert_same_bits
 
+from grushinlab import coefficients
 from grushinlab.coefficients import (
     CoefficientField,
     audit_ellipticity_arrays,
@@ -245,3 +251,122 @@ class TestThreading:
         assert serial == threaded
         np.testing.assert_array_equal(serial.lambda_min, threaded.lambda_min)
         np.testing.assert_array_equal(serial.lambda_max, threaded.lambda_max)
+
+
+def lower_blocks(d1, e, d2, upper=None):
+    """Stacked 2x2 blocks with lower triangle (d1, e, d2); the upper entry,
+    which the spectra never read, is ``upper`` (default: e)."""
+    mats = np.empty(np.shape(d1) + (2, 2))
+    mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1] = d1, e, d2
+    mats[..., 0, 1] = e if upper is None else upper
+    return mats
+
+
+class TestClosedFormSpectrum:
+    def test_random_blocks_match_eigvalsh_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        count = 200_000
+
+        def wide():  # mixed signs, exponents -300..300
+            sign = rng.choice([-1.0, 1.0], count)
+            return sign * rng.uniform(1.0, 2.0, count) * 2.0 ** rng.integers(-300, 301, count)
+
+        diag = wide()
+        sets = [
+            (wide(), wide(), wide()),
+            (diag, wide(), diag),  # equal diagonals: |d1 - d2| = 0
+            (wide(), np.zeros(count), wide()),
+            (diag, diag * rng.uniform(-1e-17, 1e-17, count), wide()),  # below the split test
+            tuple(rng.integers(-4, 5, (3, count)).astype(float)),
+        ]
+        mats = np.concatenate([lower_blocks(*s) for s in sets])
+        mats[:, 0, 1] = rng.permutation(mats[:, 1, 0])  # an upper triangle that disagrees is not read
+        assert mats.shape == (10**6, 2, 2)
+        assert_same_bits(coefficients._eigvalsh(mats), np.linalg.eigvalsh(mats))
+
+    def test_signed_zeros_subnormals_infinities_and_nan(self):
+        values = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]
+        values += [np.inf, -np.inf, np.nan]
+        mats = lower_blocks(*np.array(list(itertools.product(values, repeat=3))).T)
+        assert mats.shape == (2197, 2, 2)
+        assert_same_bits(coefficients._eigvalsh(mats), np.linalg.eigvalsh(mats))
+
+    def test_edges_of_the_unscaled_window(self):
+        # Just inside and just outside the range where LAPACK leaves the block unscaled.
+        rows = []
+        for edge in coefficients._UNSCALED:
+            tops = edge * np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+            for top, e, d2 in itertools.product(tops, (0.5, 1e-3, 0.7), (0.3, -1.0, 0.999, 1e-8)):
+                rows += [(top, e * edge, d2 * edge), (d2 * edge, top, e * edge)]
+        mats = lower_blocks(*np.array(rows).T)
+        assert_same_bits(coefficients._eigvalsh(mats), np.linalg.eigvalsh(mats))
+
+    def test_one_by_one_and_larger_blocks(self):
+        ones = np.array([0.0, -0.0, -2.5, 5e-324, np.inf, np.nan, 1e300]).reshape(-1, 1, 1)
+        assert_same_bits(coefficients._eigvalsh(ones), np.linalg.eigvalsh(ones))
+        threes = np.random.default_rng(21).normal(size=(50, 3, 3))
+        assert_same_bits(coefficients._eigvalsh(threes), np.linalg.eigvalsh(threes))
+
+
+def marked_field(p, low_at, asym_at, mixed_at):
+    """Identity-like field marked by the value of x_1: the tangential block
+    is -0.1 I where x_1 = ``low_at`` (below lambda, and below the strip bound
+    or 0 off the flat face) and gains 1e-6 in its last column, off the
+    diagonal for n > 2, where x_1 = ``asym_at``; the mixed row is 0.9 where x_1 = ``mixed_at``, which breaks
+    the mixed condition, and 0.2 elsewhere."""
+    m = p.n - 1
+
+    def tangential(xp, xn):
+        out = np.where((xp[:, 0] == low_at)[:, None, None], -0.1, 1.0) * np.eye(m)
+        out[:, 0, -1] += np.where(xp[:, 0] == asym_at, 1e-6, 0.0)
+        return out
+
+    def mixed(xp, xn):
+        return np.where((xp[:, 0] == mixed_at)[:, None], 0.9, np.full(xp.shape, 0.2))
+
+    return CoefficientField(tangential, mixed, 1.0, 1.0, 0.5, np.inf)
+
+
+class TestAuditBlocks:
+    @pytest.mark.parametrize("p", [P21, P31], ids=["n2", "n3"])
+    def test_block_edges_leave_report_unchanged(self, monkeypatch, p):
+        block = coefficients._AUDIT_BLOCK
+        count = 2 * block + 3
+        xp, xn = unit_box_sample(p, count, 22)
+        xn[block - 2 : block + 2] = [0.0, 0.7, 0.2, 0.0]
+        low = [block - 1, block, 2 * block - 1, 2 * block, count - 1]
+        asym = [0, block - 2, block + 1, 2 * block + 1]
+        xp[low, 0], xp[asym, 0], xp[block + 5, 0] = 0.25, -0.25, 0.5
+        field = marked_field(p, 0.25, -0.25, 0.5)
+        monkeypatch.setenv("GRUSHINLAB_THREADS", "1")
+        monkeypatch.setattr(coefficients, "_AUDIT_BLOCK", count)
+        whole = audit_ellipticity_arrays(field, p, 0.5, xp, xn)
+        kinds = {v.kind for v in whole.violations}
+        # At n = 2 the 1x1 block takes the mark on its diagonal: 1 + 1e-6 > Lambda.
+        marked = "tangential-asymmetry" if p.n > 2 else "rayleigh-upper"
+        assert kinds == {"rayleigh-lower", marked, "strip-bound", "interior-positivity", "mixed-condition"}
+        assert {v.index for v in whole.violations if v.kind == "rayleigh-lower"} == set(low)
+        monkeypatch.setattr(coefficients, "_AUDIT_BLOCK", block)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GRUSHINLAB_THREADS", threads)
+            # More threads than cores, switching often, write one pair of output arrays.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                rep = audit_ellipticity_arrays(field, p, 0.5, xp, xn)
+            finally:
+                sys.setswitchinterval(interval)
+            assert rep == whole
+            assert_same_bits(rep.lambda_min, whole.lambda_min)
+            assert_same_bits(rep.lambda_max, whole.lambda_max)
+
+    def test_peak_memory_stays_near_the_outputs(self):
+        f = make_decaying_perturbation(P31, 2.0, 0.3, 23)
+        xp, xn = unit_box_sample(P31, 200_000, 24)
+        tracemalloc.start()
+        try:
+            rep = audit_ellipticity_arrays(f, P31, 0.5, xp, xn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (rep.lambda_min.nbytes + rep.lambda_max.nbytes)
