@@ -28,7 +28,7 @@ from .closedforms import (
     kernel_value_arrays,
 )
 from .coefficients import audit_ellipticity_arrays
-from .config import ConfigError, RunConfig, parse_config
+from .config import GAUGE_RANGE, ConfigError, RunConfig, parse_config
 from .experiments import (
     BOUND_INNER_RADIUS,
     DECAY_INNER_RADIUS,
@@ -36,6 +36,7 @@ from .experiments import (
     RAY_WINDOW,
     SHELL_BAND,
     PreconditionError,
+    Problem,
     require_monotone,
     run_boundary_growth,
     run_decay_fit,
@@ -44,7 +45,7 @@ from .experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from .fdsolver import SOLVER_TOL, assemble, componentwise_ratio, solve, write_grid_function
+from .fdsolver import SOLVER_TOL, componentwise_ratio, solve, write_grid_function
 from .geometry import sample_points_by_gauge
 from .reports import content_hash, jsonable, write_csv, write_json_report
 
@@ -57,9 +58,6 @@ STABILIZATION = 0.25  # holder-modulus: the relative quotient change stays below
 CROSS_SCALE_TOL = 0.2  # oscillation-decay: largest relative c0 spread
 FIT_BAND = 0.15  # decay-fit: largest relative slope error
 MARGIN_TOLERANCE = 1e-6  # global-bound: the worst margin is >= -tolerance, its halved-C control below
-
-# Measurement window, recorded in the result like the gates.
-GAUGE_RANGE = (0.01, 100.0)  # verify-closed-forms: gauges of the sampled points ("gauge_range")
 
 # Problem constants, recorded in the result like the gates.  Besides these, the data of the grid
 # commands are the kernel (``_kernel_data``), and each grid is graded with exponent 1 + alpha.
@@ -144,9 +142,7 @@ def _cmd_audit_ellipticity(cfg: RunConfig):
 
 def _cmd_solve(cfg: RunConfig):
     p = cfg.params
-    grid = cfg.grid.build(p)
-    field = cfg.build_field()
-    sys_ = assemble(field, grid, p, _kernel_data(p))
+    grid, sys_ = Problem(cfg.grid, _kernel_data(p)).at(p, cfg.build_field())
     require_monotone(sys_)
     u, report = solve(sys_)
     write_grid_function(cfg.output_dir / "solution.txt", grid, u)
@@ -159,8 +155,7 @@ def _cmd_solve(cfg: RunConfig):
 
 def _cmd_boundary_growth(cfg: RunConfig):
     p = cfg.params
-    field = cfg.build_field()
-    report = run_boundary_growth(field, p, cfg.grid, _kernel_data(p))
+    report = run_boundary_growth(cfg.build_field(), p, cfg.grid, _kernel_data(p))
     result = {**jsonable(report), "ray_height_fraction": RAY_HEIGHT_FRACTION}
     columns = [report.ray_heights, report.ray_values]
     verdicts = [verdict("ray_exponent", report.fit.exponent, GROWTH_BAND)]
@@ -169,8 +164,7 @@ def _cmd_boundary_growth(cfg: RunConfig):
 
 def _cmd_holder_modulus(cfg: RunConfig):
     p = cfg.params
-    field = cfg.build_field()
-    report = run_holder_modulus(field, p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
+    report = run_holder_modulus(cfg.build_field(), p, cfg.grid, _kernel_data(p), seed=cfg.seed, **cfg.experiment)
     grids = ["x".join(str(c) for c in lv.counts) for lv in report.levels]
     columns = [grids, [lv.max_quotient for lv in report.levels], [lv.pair_count for lv in report.levels]]
     verdicts = [verdict("final_change", report.final_change, (0.0, math.nextafter(STABILIZATION, 0.0)))]
@@ -211,8 +205,7 @@ def _cmd_supersolution_scan(cfg: RunConfig):
 
 def _cmd_decay_fit(cfg: RunConfig):
     p = cfg.params
-    field = cfg.build_field()
-    report = run_decay_fit(field, p, DECAY_INNER_RADIUS, **cfg.experiment)
+    report = run_decay_fit(cfg.build_field(), p, DECAY_INNER_RADIUS, **cfg.experiment)
     expected = report.expected_exponent
     xn = np.asarray(report.ray_normals)
     u = np.asarray(report.ray_values)
@@ -224,8 +217,7 @@ def _cmd_decay_fit(cfg: RunConfig):
 
 def _cmd_global_bound(cfg: RunConfig):
     p = cfg.params
-    field = cfg.build_field()
-    report = run_global_bound_check(field, p, RHO, BOUND_INNER_RADIUS, **cfg.experiment)
+    report = run_global_bound_check(cfg.build_field(), p, RHO, BOUND_INNER_RADIUS, **cfg.experiment)
     result = {**jsonable(report), "rho": RHO, "inner_radius": BOUND_INNER_RADIUS}
     columns = list(report.interface_samples.T)
     gate = (-MARGIN_TOLERANCE, math.inf)

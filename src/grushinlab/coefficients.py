@@ -17,11 +17,14 @@ The audit assembles the full degenerate matrix
              [ a_in x_n^a,    1          ]]
 
 at sample points and compares its spectrum against the closed-form strip
-bound min{(1-tau) lambda eps0^{2a}, 1 - (1-delta)/tau} for x_n >= eps0,
-checking bare positivity below the strip.  It streams the sample in blocks
-of ``_AUDIT_BLOCK`` points, so its temporaries do not grow with the sample,
-and takes the spectra of 1x1 and 2x2 blocks (a_ij for n <= 3, A~ for n = 2)
-in closed form, bit for bit those of ``np.linalg.eigvalsh`` (``_eigvalsh``).
+bound min{(1-tau) lambda eps0^{2a}, 1 - (1-delta)/tau} for x_n >= eps0.
+Below the strip, A~ = D [[a_ij, a_in], [a_in^T, 1]] D with D = diag(x_n^a I,
+1) is positive definite for x_n > 0 exactly when the Schur complement a_ij -
+a_in a_in^T is (Sylvester's law of inertia), and that is checked.  The audit
+streams the sample in blocks of ``_AUDIT_BLOCK`` points, so its temporaries
+do not grow with the sample, and takes the spectra of 1x1 and 2x2 blocks
+(a_ij and the complement for n <= 3, A~ for n = 2) in closed form, bit for
+bit those of ``np.linalg.eigvalsh`` (``_eigvalsh``).
 """
 
 from __future__ import annotations
@@ -290,12 +293,13 @@ def audit_ellipticity_arrays(
 
     Violations are collected into the report rather than raised; a passing
     audit has an empty ``violations`` tuple, else they are sorted by (index,
-    kind).  The sample must be nonempty, finite and inside the closed unit
-    half-box.
+    kind); an ``interior-positivity`` value is the smallest eigenvalue of the
+    Schur complement.  The sample must be nonempty, finite and inside the
+    closed unit half-box.
 
     ``runtime.map_chunks`` splits the sample among the worker threads, and
     each chunk walks its points in blocks of ``_AUDIT_BLOCK``: a block
-    evaluates the field, the asymmetry of a_ij and both spectra
+    evaluates the field, the asymmetry of a_ij and three spectra
     (``_eigvalsh``), writes lambda_min and lambda_max of A~ into the
     report's arrays and keeps only its violations and its column maxima of
     |a_in|, so memory beyond the sample and the two outputs does not grow
@@ -340,6 +344,7 @@ def audit_ellipticity_arrays(
             # flagged via ``asym`` rather than poisoning the eigenvalues.
             eig_t = _eigvalsh(a_t)
             eig_f = _eigvalsh(_degenerate_matrix(a_t, a_m, bxn, p))
+            schur = _eigvalsh(a_t - a_m[:, :, None] * a_m[:, None, :])[:, 0]
             low = eig_f[:, 0]
             lam_min[lo:hi] = low
             lam_max[lo:hi] = eig_f[:, -1]
@@ -350,7 +355,7 @@ def audit_ellipticity_arrays(
                 ("rayleigh-lower", eig_t[:, 0] < lam - _RAYLEIGH_SLACK, eig_t[:, 0], lam),
                 ("rayleigh-upper", eig_t[:, -1] > big + _RAYLEIGH_SLACK, eig_t[:, -1], big),
                 ("strip-bound", on_strip & (low < formula - _BOUND_SLACK), low, formula),
-                ("interior-positivity", ~on_strip & (bxn > 0.0) & (low <= 0.0), low, 0.0),
+                ("interior-positivity", ~on_strip & (bxn > 0.0) & (schur <= 0.0), schur, 0.0),
                 ("boundary-nonnegativity", (bxn == 0.0) & (low < -_BOUND_SLACK), low, 0.0),
             )
             for kind, hit, value, bound in checks:

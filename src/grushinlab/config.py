@@ -46,6 +46,7 @@ COMMANDS = (
 )
 
 _GRID_COMMANDS = ("solve", "boundary-growth", "holder-modulus")
+GAUGE_RANGE = (0.01, 100.0)  # verify-closed-forms: gauges of the sampled points, recorded as "gauge_range"
 
 
 class ConfigError(ValueError):
@@ -132,14 +133,21 @@ def _counts(obj, path, default, n):
     return counts
 
 
-def _spaced(params: GrushinParams, build, tangential_key: str):
-    """``build()``, a grid the command will build; where ``build_grid`` refuses an axis whose
+def _spaced(params: GrushinParams, spec: GridSpec, tangential_key: str):
+    """The grid of ``spec`` that the command will build; where ``build_grid`` refuses an axis whose
     stencil weights overflow, the grid is refused by the key behind that axis: ``params.alpha`` for
     the normal axis, graded with exponent 1 + alpha, and ``tangential_key`` for the others."""
     try:
-        return build()
+        return spec.build(params)
     except SpacingError as err:
         raise ConfigError(f"{'params.alpha' if err.axis == params.n - 1 else tangential_key}: {err}") from None
+
+
+def _jets_are_floats(p: GrushinParams) -> bool:
+    """Whether gamma (gamma + 1) d^-(Q + 4(1 + alpha)) is a float: the kernel's gamma (gamma + 1) r^(-gamma - 2),
+    r = d^(2(1 + alpha)), at the smallest gauge d = GAUGE_RANGE[0], the largest term of both jets there."""
+    log_term = math.log(p.gamma * (p.gamma + 1.0)) - (p.Q + 4.0 * (1.0 + p.alpha)) * math.log(GAUGE_RANGE[0])
+    return log_term <= math.log(sys.float_info.max)
 
 
 def _sample_size(obj, path, key, default, n):
@@ -234,6 +242,11 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
     out: dict[str, Any] = {}
     if command in ("verify-closed-forms", "audit-ellipticity"):
         out["points"] = _sample_size(obj, path, "points", 1000, n)
+        if command == "verify-closed-forms" and not _jets_are_floats(params):
+            fits = [m for m in range(2, n) if _jets_are_floats(GrushinParams(m, params.alpha))]
+            bound = f"params.n: must be <= {fits[-1]}, the largest that" if fits else "params.alpha: no params.n"
+            finite = f"keeps the kernel jet finite at gauge {GAUGE_RANGE[0]:g} at params.alpha = {params.alpha:g}"
+            raise ConfigError(f"{bound} {finite}")
     elif command == "holder-modulus":
         fit = 0  # the most levels whose finest grid, refined 2^(levels - 1) times, is in budget
         while math.prod(grid.refined(2**fit).counts) <= MAX_NODES:
@@ -246,7 +259,7 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
         radii = out["radii"] = _number_list(obj, path, "radii", (1.0, 4.0, 16.0), lo=0.0, lo_open=True, hi=hi)
         counts = out["counts"] = _counts(obj, path, (129,) * (n - 1) + (49,), n)
         smallest = radii.index(min(radii))  # its annulus has the smallest spacings
-        _spaced(params, lambda: annulus_grid(params, radii[smallest], counts), f"{path}.radii[{smallest}]")
+        _spaced(params, annulus_grid(params, radii[smallest], counts), f"{path}.radii[{smallest}]")
     elif command == "supersolution-scan":
         out["samples_per_shell"] = _sample_size(obj, path, "samples_per_shell", 300, n)
     elif command in ("decay-fit", "global-bound"):
@@ -260,20 +273,19 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
         # The box half-width outer^(1 + alpha) is a float, and so is twice the square of each grid
         # spacing, the largest h_-(h_- + h_+) of the stencil; where the box width overflows, so do they.
         try:
-            half_width = outer ** (1.0 + params.alpha)
+            spec = exterior_grid(params, outer, counts)
         except OverflowError:
             raise ConfigError(f"experiment.outer_radius: {outer:g}^(1 + alpha), the box half-width, overflows") from None
         spacings = [math.inf]
-        if math.isfinite(2.0 * half_width):
-            exterior = _spaced(params, lambda: exterior_grid(params, outer, counts), f"{path}.outer_radius")
-            spacings = [float(np.max(np.diff(axis))) for axis in exterior.axes]
+        if math.isfinite(2.0 * spec.box_hi[0]):
+            spacings = [float(np.max(np.diff(axis))) for axis in _spaced(params, spec, f"{path}.outer_radius").axes]
         if not all(math.isfinite(2.0 * h * h) for h in spacings):
             raise ConfigError(
                 f"experiment.outer_radius: {outer:g} spaces the grid of counts {list(counts)} so widely "
                 "that the squared spacing overflows"
             )
     if grid is not None:  # the finest grid of solve, boundary-growth and holder-modulus
-        _spaced(params, lambda: grid.refined(2 ** (out.get("levels", 1) - 1)).build(params), "grid.box_hi")
+        _spaced(params, grid.refined(2 ** (out.get("levels", 1) - 1)), "grid.box_hi")
     _reject_unknown(obj, path, out)
     return out
 

@@ -1,9 +1,9 @@
 """Desk-scale experiments probing the operator's quantitative behaviour.
 
-Each runner poses a Dirichlet problem (or evaluates closed forms), measures
-one phenomenon, and returns a frozen report carrying the measured numbers
-plus the raw samples used, so reports can be serialised and rerun
-bit-identically from (seed, config):
+Each runner poses a Dirichlet problem, a ``Problem`` that ``Problem.at``
+assembles at any refinement level (or evaluates closed forms), measures one
+phenomenon, and returns a frozen report of its numbers and raw samples, so
+reports can be serialised and rerun bit-identically from (seed, config):
 
 * ``run_boundary_growth`` -- the linear growth |u| <= C x_n off the flat
   boundary and the normal-ray exponent (expected 1).
@@ -36,6 +36,7 @@ from .coefficients import CoefficientField
 from .fdsolver import (
     SOLVER_TOL,
     AnisotropicGrid,
+    BoundaryValues,
     SolveReport,
     SparseSystem,
     assemble,
@@ -64,6 +65,7 @@ __all__ = [
     "require_monotone",
     "FitResult",
     "GridSpec",
+    "Problem",
     "BoundaryGrowthReport",
     "HolderLevel",
     "HolderReport",
@@ -146,8 +148,7 @@ def fit_loglog(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Portable grid description; ``build`` grades it towards the flat face
-    with exponent 1 + alpha."""
+    """The box and node counts of a grid; ``build`` grades it towards the flat face with exponent 1 + alpha."""
 
     box_lo: tuple[float, ...]
     box_hi: tuple[float, ...]
@@ -159,6 +160,21 @@ class GridSpec:
     def refined(self, factor: int) -> "GridSpec":
         counts = tuple((c - 1) * factor + 1 for c in self.counts)
         return GridSpec(self.box_lo, self.box_hi, counts)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """A Dirichlet problem on the box of ``grid``: ``data(tangential, normal)`` on its Dirichlet nodes,
+    the excised ones among them, given by the mask ``hole(tangential, normal)`` (``None``: none)."""
+
+    grid: GridSpec
+    data: BoundaryValues
+    hole: BoundaryValues | None = None
+
+    def at(self, p: GrushinParams, field: CoefficientField, level: int = 0) -> tuple[AnisotropicGrid, SparseSystem]:
+        """The grid of counts refined by 2^level and its system, DMP report included."""
+        grid = self.grid.refined(2**level).build(p)
+        return grid, assemble(field, grid, p, self.data, extra_dirichlet=self.hole)
 
 
 def require_monotone(sys: SparseSystem) -> None:
@@ -195,9 +211,10 @@ def _checked_solve(sys: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     return u, report
 
 
-def _flat_face_data(sys: SparseSystem, grid: AnisotropicGrid) -> np.ndarray:
-    """The Dirichlet data of the nodes on the flat face x_n = 0 (normal index 0)."""
-    return sys.rhs.reshape(-1, grid.shape[-1])[:, 0]
+def _require_zero_flat_face(sys: SparseSystem, grid: AnisotropicGrid, runs: str) -> None:
+    """Refuse Dirichlet data that are not 0 on the flat face x_n = 0 (normal index 0)."""
+    if np.max(np.abs(sys.rhs.reshape(-1, grid.shape[-1])[:, 0])) > 1e-12:
+        raise PreconditionError(f"{runs} need u = 0 on the flat face")
 
 
 # ----------------------------------------------------------------------
@@ -230,11 +247,9 @@ def run_boundary_growth(
     height; the run is refused when fewer than ``MIN_FIT_SAMPLES`` ray nodes
     carry |u| > 1e-12.
     """
-    grid = grid_spec.build(p)
-    sys = assemble(field, grid, p, bc)
+    grid, sys = Problem(grid_spec, bc).at(p, field)
     require_monotone(sys)
-    if np.max(np.abs(_flat_face_data(sys, grid))) > 1e-12:
-        raise PreconditionError("boundary-growth problems need u = 0 on the flat face")
+    _require_zero_flat_face(sys, grid, "boundary-growth problems")
     if np.max(np.abs(sys.rhs[sys.dirichlet_mask])) > 1.0 + 1e-9:
         raise PreconditionError("boundary-growth problems need |bc| <= 1")
     u, report = _checked_solve(sys)
@@ -360,16 +375,15 @@ def run_holder_modulus(
     finest grid over the node budget is refused before the first assembly.
     """
     expo = 1.0 / (1.0 + p.alpha) if exponent is None else float(exponent)
+    problem = Problem(grid_spec, bc)
     # The finest grid is built first, so a ladder over the node budget is refused before any assembly.
-    grids = [grid_spec.refined(2**level).build(p) for level in reversed(range(levels))]
-    for grid in grids:
-        _require_separated_nodes(grid, p, expo)
+    for level in reversed(range(levels)):
+        _require_separated_nodes(problem.grid.refined(2**level).build(p), p, expo)
     out: list[HolderLevel] = []
-    for level, grid in enumerate(reversed(grids)):
-        sys = assemble(field, grid, p, bc)
+    for level in range(levels):
+        grid, sys = problem.at(p, field, level)
         require_monotone(sys)
-        if np.max(np.abs(_flat_face_data(sys, grid))) > 1e-12:
-            raise PreconditionError("Hoelder runs need u = 0 on the flat face")
+        _require_zero_flat_face(sys, grid, "Hoelder runs")
         u, report = _checked_solve(sys)
         tang, norm = grid.node_coordinates()
         rng = np.random.default_rng(seed + level)
@@ -421,7 +435,7 @@ def run_oscillation_decay(
     ``SHELL_BAND`` (relative) of the middle shell E_{2R}.
 
     Realised on the bounding box of E_{4R}+ (``annulus_grid``) with the
-    inner/outer regions excised by Dirichlet masks; the mixed-term
+    inner/outer regions excised as the problem's hole; the mixed-term
     mesh-ratio condition is not required here (perturbed fields
     legitimately break it near the flat face), so the solve proceeds with
     ``solve.dmp_ok`` merely reported.
@@ -430,23 +444,23 @@ def run_oscillation_decay(
         raise ValueError(f"shell scale R must be > 0, got {R}")
     if not 0.0 <= flat_value <= curved_value <= 1.0:
         raise ValueError("need 0 <= flat_value <= curved_value <= 1")
-    grid = annulus_grid(p, R, counts)
+    outer_cut = 4.0 * R * (1.0 - 1e-12)
+
+    def hole(xp, xn):
+        level = ellipsoid_level_arrays(xp, xn, p)
+        return (level <= R) | (level >= outer_cut)
+
+    def data(xp, xn):  # the ellipsoid level of a node on the flat face x_n = 0 is |x'|^2
+        flat_level = np.sum(xp**2, axis=-1)
+        return np.where((xn == 0.0) & (flat_level > R) & (flat_level < outer_cut), flat_value, curved_value)
+
+    grid, sys = Problem(annulus_grid(p, R, counts), data, hole).at(p, field)
     tang, norm = grid.node_coordinates()
     level = ellipsoid_level_arrays(tang, norm, p)
-    outer_cut = 4.0 * R * (1.0 - 1e-12)
-    hole = (level <= R) | (level >= outer_cut)
-
-    def bc(xp, xn):
-        lev = ellipsoid_level_arrays(xp, xn, p)
-        values = np.full(xn.shape, curved_value)
-        ring = (xn == 0.0) & (lev > R) & (lev < outer_cut)
-        values[ring] = flat_value
-        return values
-
     shell = np.abs(level - 2.0 * R) <= SHELL_BAND * 2.0 * R
     if not shell.any():
         raise PreconditionError("no grid nodes fall on the measured middle shell; raise experiment.counts")
-    u, report = _checked_solve(assemble(field, grid, p, bc, extra_dirichlet=hole))
+    u, report = _checked_solve(sys)
     sup = float(np.max(u[shell]))
     return OscillationReport(
         sup_inner=sup,
@@ -611,53 +625,41 @@ def _box_half_widths(p: GrushinParams, radius: float) -> tuple[float, float]:
     return radius ** (1.0 + p.alpha), radius * (1.0 + p.alpha) ** (1.0 / (1.0 + p.alpha))
 
 
-def _flat_box_grid(p: GrushinParams, half_width: float, height: float, counts: tuple[int, ...]) -> AnisotropicGrid:
-    """The grid of the box |x'_i| <= half_width, 0 <= x_n <= height, graded with exponent 1 + alpha."""
-    box_lo = (-half_width,) * (p.n - 1) + (0.0,)
-    return GridSpec(box_lo, (half_width,) * (p.n - 1) + (height,), counts).build(p)
+def _flat_box(p: GrushinParams, half_width: float, height: float, counts: tuple[int, ...]) -> GridSpec:
+    """The grid spec of the box |x'_i| <= half_width, 0 <= x_n <= height."""
+    return GridSpec((-half_width,) * (p.n - 1) + (0.0,), (half_width,) * (p.n - 1) + (height,), counts)
 
 
-def exterior_grid(p: GrushinParams, outer_radius: float, counts: tuple[int, ...]) -> AnisotropicGrid:
-    """The grid of an exterior problem: the box of gauge radius ``outer_radius``
-    on the flat face, graded with exponent 1 + alpha."""
-    return _flat_box_grid(p, *_box_half_widths(p, outer_radius), counts)
+def exterior_grid(p: GrushinParams, outer_radius: float, counts: tuple[int, ...]) -> GridSpec:
+    """The grid spec of an exterior problem: the box of gauge radius ``outer_radius``."""
+    return _flat_box(p, *_box_half_widths(p, outer_radius), counts)
 
 
-def annulus_grid(p: GrushinParams, R: float, counts: tuple[int, ...]) -> AnisotropicGrid:
-    """The grid of ``run_oscillation_decay`` at scale ``R``: the bounding box of
-    E_{4R}+, whose half-width and height are the factors of the dilation F_{4R}."""
-    return _flat_box_grid(p, *scaling_factors(4.0 * R, p), counts)
+def annulus_grid(p: GrushinParams, R: float, counts: tuple[int, ...]) -> GridSpec:
+    """The grid spec of ``run_oscillation_decay`` at scale ``R``: the bounding box
+    of E_{4R}+, whose half-width and height are the factors of the dilation F_{4R}."""
+    return _flat_box(p, *scaling_factors(4.0 * R, p), counts)
 
 
 def _exterior_problem(
-    p: GrushinParams,
-    inner_radius: float,
-    outer_radius: float,
-    counts: tuple[int, ...],
-    inner_data,
-):
-    """Grid, excised inner box and boundary data of an exterior problem.
-
-    The domain is the box of gauge radius ``outer_radius`` minus the inner box
-    of gauge radius ``inner_radius``.  Data are ``inner_data(x_n)`` on the
-    inner-box nodes with x_n > 0 and 0 on the flat face and the far faces.
-    Returns (grid, inside mask, bc).
-    """
+    p: GrushinParams, inner_radius: float, outer_radius: float, counts: tuple[int, ...], inner_data
+) -> Problem:
+    """The box of gauge radius ``outer_radius`` with the inner box of gauge radius ``inner_radius`` as its
+    hole.  Data are ``inner_data(x_n)`` on the inner-box nodes with x_n > 0 and 0 on the other faces."""
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
     inner_t, inner_n = _box_half_widths(p, inner_radius)
-    grid = exterior_grid(p, outer_radius, counts)
 
     def in_box(xp, xn):
         return np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n)
 
-    def bc(xp, xn):
+    def data(xp, xn):
         values = np.zeros(xn.shape)
         box = in_box(xp, xn) & (xn > 0.0)
         values[box] = inner_data(xn[box])
         return values
 
-    return grid, in_box(*grid.node_coordinates()), bc
+    return Problem(exterior_grid(p, outer_radius, counts), data, in_box)
 
 
 def run_decay_fit(
@@ -678,10 +680,7 @@ def run_decay_fit(
     ray values above ``MIN_RAY_VALUE``; the run is refused when fewer than
     ``MIN_FIT_SAMPLES`` remain.
     """
-    grid, inside, bc = _exterior_problem(
-        p, inner_radius, outer_radius, counts, lambda xn: 1.0
-    )
-    sys = assemble(field, grid, p, bc, extra_dirichlet=inside)
+    grid, sys = _exterior_problem(p, inner_radius, outer_radius, counts, lambda xn: 1.0).at(p, field)
     require_monotone(sys)
     u, report = _checked_solve(sys)
 
@@ -754,15 +753,12 @@ def run_global_bound_check(
     """
     if rho <= 0.0:
         raise PreconditionError(f"rho must be > 0, got {rho}")
-    grid, inside, bc = _exterior_problem(
-        p, inner_radius, outer_radius, counts, lambda xn: np.minimum(1.0, xn)
-    )
-    sys = assemble(field, grid, p, bc, extra_dirichlet=inside)
+    problem = _exterior_problem(p, inner_radius, outer_radius, counts, lambda xn: np.minimum(1.0, xn))
+    grid, sys = problem.at(p, field)
     require_monotone(sys)
-    # Interface: the inner-box nodes above the flat face (normal index > 0) that some interior
-    # row references.  Only their coordinates are read before the solve, which needs the room.
-    interface = np.flatnonzero(sys.referenced_dirichlet() & inside)
-    interface = interface[interface % grid.shape[-1] > 0]
+    # Interface: the inner-box nodes off the box faces, all of them above the flat face, that some
+    # interior row references.  Only their coordinates are read before the solve, which needs the room.
+    interface = np.flatnonzero(sys.referenced_dirichlet() & ~grid.face_mask())
     if interface.size == 0:
         raise PreconditionError(
             f"inner box is invisible to the grid (gauge radius {inner_radius:g}); "
@@ -787,7 +783,7 @@ def run_global_bound_check(
     tang, norm = grid.node_coordinates()
     with np.errstate(divide="ignore", invalid="ignore"):
         barrier = supersolution_value_arrays(tang, norm, rho, p)
-    exterior = ~inside
+    exterior = ~problem.hole(tang, norm)
 
     constant = float(np.max(np.abs(u[interface]) / barrier_i))
     far = sys.dirichlet_mask & exterior

@@ -169,13 +169,8 @@ class AnisotropicGrid:
 
     def face_mask(self) -> np.ndarray:
         """Boolean mask of nodes lying on any face of the box."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis, count in enumerate(self.counts):
-            index = [slice(None)] * self.dim
-            index[axis] = 0
-            mask[tuple(index)] = True
-            index[axis] = count - 1
-            mask[tuple(index)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = False
         return mask.ravel()
 
 
@@ -409,16 +404,16 @@ def assemble(
     grid: AnisotropicGrid,
     p: GrushinParams,
     bc: BoundaryValues,
-    extra_dirichlet: np.ndarray | None = None,
+    extra_dirichlet: BoundaryValues | None = None,
 ) -> SparseSystem:
     """Assemble -L with Dirichlet data ``bc`` on the box faces (and extras).
 
     ``bc(tangential, normal)`` is evaluated on every Dirichlet node, and a
-    value that is not finite there is a ``ValueError``; ``extra_dirichlet``
-    is an optional flat boolean mask of additional Dirichlet nodes (e.g. the
-    nodes of an excised inner obstacle), valued by the same ``bc``.  The
-    field evaluation is assumed to have passed the ellipticity audit on this
-    grid's nodes.  The system is marked separable
+    value that is not finite there is a ``ValueError``; the optional
+    predicate ``extra_dirichlet(tangential, normal)`` masks additional
+    Dirichlet nodes (e.g. an excised inner obstacle), valued by the same
+    ``bc``.  The field evaluation is assumed to have passed the ellipticity
+    audit on this grid's nodes.  The system is marked separable
     (``separable`` set) when the evaluated coefficients are exactly the
     identity at every interior node and the k Dirichlet nodes off the box
     faces satisfy k^2 <= N, the number of non-face nodes (the capacitance
@@ -436,15 +431,15 @@ def assemble(
     if grid.dim != p.n:
         raise ValueError(f"grid dimension {grid.dim} does not match params n={p.n}")
     num = grid.num_nodes
+    tang_all, norm_all = grid.node_coordinates()
     faces = grid.face_mask()
     dirichlet = faces
     if extra_dirichlet is not None:
-        extra = np.asarray(extra_dirichlet, dtype=bool).ravel()
+        extra = np.asarray(extra_dirichlet(tang_all, norm_all), dtype=bool).ravel()
         if extra.size != num:
             raise ValueError(f"extra_dirichlet must have {num} entries, got {extra.size}")
         dirichlet = faces | extra
 
-    tang_all, norm_all = grid.node_coordinates()
     rhs = np.zeros(num)
     rhs[dirichlet] = np.asarray(bc(tang_all[dirichlet], norm_all[dirichlet]), dtype=float)
     bad = np.flatnonzero(~np.isfinite(rhs))

@@ -267,7 +267,10 @@ class TestParseConfig:
             parse_config(raw={"command": command, "params": {"n": n}, "experiment": experiment})
         assert str(refused.value) == message
         hi = min(MAX_NODES, 9 * MAX_NODES // n**2)
-        if hi >= 10:  # the bound itself is accepted
+        if hi >= 10 and command == "verify-closed-forms":  # the bound passes; the jets' range refuses n
+            with pytest.raises(ConfigError, match=r"^params\.n: must be <= 72, the largest that keeps the kernel jet finite "):
+                parse_config(raw={"command": command, "params": {"n": n}, "experiment": {key: hi}})
+        elif hi >= 10:  # the bound itself is accepted
             cfg = parse_config(raw={"command": command, "params": {"n": n}, "experiment": {key: hi}})
             assert cfg.experiment[key] == hi
         # At n <= 3 the bound is MAX_NODES, as before.
@@ -1011,6 +1014,32 @@ class TestMain:
             cfgfile.write_text(json.dumps({**raw, "experiment": {**raw["experiment"], **change}}))
             main(["--config", str(cfgfile), "--out", str(out)])
             assert advice not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n", "74"], "params.n: must be <= 72, the largest that keeps the kernel jet finite at gauge 0.01 at params.alpha = 1"),
+            (["--n", "48", "--alpha", "2"], "params.n: must be <= 47, the largest that keeps the kernel jet finite at gauge 0.01 at params.alpha = 2"),
+            (["--alpha", "30"], "params.alpha: no params.n keeps the kernel jet finite at gauge 0.01 at params.alpha = 30"),
+        ],
+        ids=["n-74", "alpha-2", "alpha-30"],
+    )
+    def test_overflowing_jets_are_refused_by_key(self, tmp_path, capsys, monkeypatch, args, message):
+        # gamma (gamma + 1) d^-(Q + 4(1 + alpha)) at d = 0.01 leaves the float range: refused before any jet.
+        monkeypatch.setattr(cli, "kernel_jet", None)
+        out = tmp_path / "o"
+        assert main(["--command", "verify-closed-forms", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("alpha, n", [(1, 72), (2, 47)])
+    def test_largest_admitted_n_passes(self, tmp_path, alpha, n):
+        # RuntimeWarnings fail the test (pyproject.toml); 1000 points reach gauges near 0.01.
+        for seed in range(4):
+            out = tmp_path / str(seed)
+            args = ["--command", "verify-closed-forms", "--alpha", str(alpha), "--n", str(n), "--seed", str(seed)]
+            assert main([*args, "--out", str(out)]) == 0
 
     def test_gauge_function_at_q_2_is_log_d(self, tmp_path):
         # At n = 2, alpha = 0 the harmonic gauge power is 0, and d^0 = 1 would pass any operator.

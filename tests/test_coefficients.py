@@ -187,6 +187,32 @@ class TestAudit:
         rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
         assert not rep.violations
 
+    def test_interior_positivity_reads_the_schur_complement(self):
+        # At n = 3, alpha = 2.5 the smallest eigenvalue of A~ drowns in round-off near the flat face:
+        # the command's sample holds points where it reads <= 0 while a_ij - a_in a_in^T is positive.
+        p = GrushinParams(3, 2.5)
+        field = make_decaying_perturbation(p, 1.5, 0.9, 0)
+        rng = np.random.default_rng(0)
+        xp, xn = rng.uniform(-1.0, 1.0, (30_000, 2)), rng.uniform(0.0, 1.0, 30_000)
+        xn[:600] = 0.0
+        rep = audit_ellipticity_arrays(field, p, 0.5, xp, xn)
+        assert not rep.violations
+        assert np.count_nonzero((rep.lambda_min <= 0.0) & (xn > 0.0)) == 6  # A~'s arrays, as written to the CSV
+
+    def test_indefinite_schur_complement_is_flagged(self):
+        # a_11 = 1, a_12 = 1.5: the Schur complement 1 - 1.5^2 < 0, so A~ is indefinite off the face.
+        field = CoefficientField(
+            tangential=lambda xp, xn: np.ones(xn.shape + (1, 1)),
+            mixed=lambda xp, xn: np.full(xn.shape + (1,), 1.5),
+            lambda_const=1.0,
+            Lambda_const=1.0,
+            delta_const=0.5,
+            decay_s=0.0,
+        )
+        rep = audit_ellipticity_arrays(field, P21, 0.5, np.array([[0.1], [0.2]]), np.array([0.25, 0.0]))
+        [hit] = [v for v in rep.violations if v.kind == "interior-positivity"]
+        assert (hit.index, hit.value, hit.bound) == (0, 1.0 - 1.5**2, 0.0)
+
     def test_lying_declaration_is_reported_not_raised(self):
         honest = make_identity_field(P21)
         liar = CoefficientField(

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from test_fdsolver import three_node_system
+from test_fdsolver import assert_same_bits, fixed_mask, three_node_system
 
 from grushinlab import cli, experiments
 from grushinlab.closedforms import kernel_value_arrays, supersolution_value_arrays
@@ -22,8 +25,8 @@ from grushinlab.experiments import (
     run_oscillation_decay,
     run_supersolution_scan,
 )
-from grushinlab.fdsolver import SpacingError, solve
-from grushinlab.geometry import GrushinParams
+from grushinlab.fdsolver import SpacingError, assemble, solve
+from grushinlab.geometry import GrushinParams, ellipsoid_level_arrays, scaling_factors
 
 P21 = GrushinParams(2, 1.0)
 IDENT = make_identity_field(P21)
@@ -370,3 +373,110 @@ class TestSolverSelection:
         monkeypatch.setattr(experiments, "solve", stuck)
         with pytest.raises(PreconditionError, match="did not converge"):
             run_oscillation_decay(IDENT, P21, 1.0, counts=(33, 13))
+
+
+class TestProblem:
+    """``Problem.at`` gives every solve site the system it assembled before the
+    record existed (built below as it was then), bit for bit."""
+
+    @staticmethod
+    def assembled(monkeypatch, run):
+        """The (grid, system) of each assembly while ``run()`` runs."""
+        got = []
+
+        def capture(*args, **kwargs):
+            got.append((args[1], assemble(*args, **kwargs)))
+            return got[-1][1]
+
+        monkeypatch.setattr(experiments, "assemble", capture)
+        run()
+        return got
+
+    @staticmethod
+    def assert_same_system(got, want):
+        assert got.offsets == want.offsets and got.shape == want.shape
+        assert_same_bits(got.weights, want.weights)
+        assert_same_bits(got.rhs, want.rhs)
+        np.testing.assert_array_equal(got.dirichlet_mask, want.dirichlet_mask)
+
+    def test_box_sites(self, monkeypatch, tmp_path):
+        p31 = GrushinParams(3, 1.0)
+        box3 = GridSpec((1.0, 1.0, 0.0), (3.0, 3.0, 2.0), (9, 9, 9))
+        config = tmp_path / "solve.json"
+        raw = {"command": "solve", "params": {"n": 3}, "grid": dataclasses.asdict(box3), "output_dir": str(tmp_path)}
+        config.write_text(json.dumps(raw))
+        runs = [
+            (P21, WBOX, bc_linear, lambda: run_boundary_growth(IDENT, P21, WBOX, bc_linear)),
+            (p31, box3, cli._kernel_data(p31), lambda: cli.main(["--config", str(config)])),
+        ]
+        for p, spec, bc, run in runs:
+            [(grid, got)] = self.assembled(monkeypatch, run)
+            want = assemble(make_identity_field(p), spec.build(p), p, bc)
+            assert grid.counts == spec.counts
+            self.assert_same_system(got, want)
+
+    def test_holder_levels(self, monkeypatch):
+        got = self.assembled(monkeypatch, lambda: run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=3, pairs=300))
+        assert [grid.counts for grid, _ in got] == [(33, 33), (65, 65), (129, 129)]
+        for level, (_, system) in enumerate(got):
+            self.assert_same_system(system, assemble(IDENT, WBOX.refined(2**level).build(P21), P21, bc_kernel))
+
+    @pytest.mark.parametrize("R", [1.0, 4.0])
+    def test_annulus(self, monkeypatch, R):
+        field = make_decaying_perturbation(P21, 2.0, 0.3, 42)
+        [(_, got)] = self.assembled(monkeypatch, lambda: run_oscillation_decay(field, P21, R, (129, 49)))
+        half_width, height = scaling_factors(4.0 * R, P21)
+        grid = GridSpec((-half_width, 0.0), (half_width, height), (129, 49)).build(P21)
+        level = ellipsoid_level_arrays(*grid.node_coordinates(), P21)
+        cut = 4.0 * R * (1.0 - 1e-12)
+
+        def bc(xp, xn):
+            lev = ellipsoid_level_arrays(xp, xn, P21)
+            values = np.ones(xn.shape)
+            values[(xn == 0.0) & (lev > R) & (lev < cut)] = 0.5
+            return values
+
+        self.assert_same_system(got, assemble(field, grid, P21, bc, extra_dirichlet=fixed_mask((level <= R) | (level >= cut))))
+
+    @pytest.mark.parametrize(
+        "run, inner, outer, counts, inner_data",
+        [
+            (lambda: run_decay_fit(IDENT, P21, 1.0, 32.0, (1025, 65)), 1.0, 32.0, (1025, 65), lambda xn: 1.0),
+            (
+                lambda: run_global_bound_check(IDENT, P21, 0.5, 2.0, 64.0, (2049, 81)),
+                2.0,
+                64.0,
+                (2049, 81),
+                lambda xn: np.minimum(1.0, xn),
+            ),
+        ],
+        ids=["decay-fit", "global-bound"],
+    )
+    def test_exterior(self, monkeypatch, run, inner, outer, counts, inner_data):
+        [(_, got)] = self.assembled(monkeypatch, run)
+        grid = GridSpec((-(outer**2), 0.0), (outer**2, outer * 2.0**0.5), counts).build(P21)
+        inner_t, inner_n = inner**2, inner * 2.0**0.5
+
+        def in_box(xp, xn):
+            return np.all(np.abs(xp) <= inner_t, axis=1) & (xn <= inner_n)
+
+        def bc(xp, xn):
+            values = np.zeros(xn.shape)
+            box = in_box(xp, xn) & (xn > 0.0)
+            values[box] = inner_data(xn[box])
+            return values
+
+        self.assert_same_system(got, assemble(IDENT, grid, P21, bc, extra_dirichlet=fixed_mask(in_box(*grid.node_coordinates()))))
+
+    def test_one_assembly_call_site(self):
+        # Every solver system of the runners and the command line is assembled in Problem.at.
+        def sites(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = f"{where}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else where
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "assemble":
+                    yield inner
+                yield from sites(child, inner)
+
+        src = Path(experiments.__file__).parent
+        found = [site for name in ("experiments", "cli") for site in sites(ast.parse((src / f"{name}.py").read_text()), name)]
+        assert found == ["experiments.Problem.at"]

@@ -172,7 +172,7 @@ class TestAssembleAndSolve:
 
     def test_all_dirichlet_returns_bc_in_zero_iterations(self):
         g = build_grid([0, 0], [1, 1], (3, 3), 1.0)
-        sys = assemble(IDENT, g, P21, lambda xp, xn: xp[:, 0] + xn, extra_dirichlet=np.ones(9, bool))
+        sys = assemble(IDENT, g, P21, lambda xp, xn: xp[:, 0] + xn, extra_dirichlet=fixed_mask(np.ones(9, bool)))
         u, rep = solve(sys)
         assert rep.iterations == 0
         np.testing.assert_array_equal(u, sys.rhs)
@@ -190,7 +190,7 @@ class TestAssembleAndSolve:
             return np.where((xp[:, 0] == 0.0) & (xn == 0.5), np.inf, 0.0)
 
         with pytest.raises(ValueError, match=r"at 1 Dirichlet node\(s\); the first is node 40 at \(0, 0\.5\)$"):
-            assemble(IDENT, g, P21, inf_at_obstacle, extra_dirichlet=obstacle)
+            assemble(IDENT, g, P21, inf_at_obstacle, extra_dirichlet=fixed_mask(obstacle))
 
     def test_singular_factorisation_raises(self):
         # Interior row 1 is all zeros.
@@ -316,7 +316,7 @@ class TestAssembleAndSolve:
         box = (np.abs(tang[:, 0]) <= 0.03) & (norm <= 1.0)
         tracemalloc.start()
         try:
-            sys = assemble(IDENT, grid, P21, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), box)
+            sys = assemble(IDENT, grid, P21, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), fixed_mask(box))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,7 +365,7 @@ class TestFactorisation:
         # on the diagonal has growth factor <= 2 (Higham, 2nd ed., Thm 9.9).
         grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, 2.0)
         extra = inner_box(grid) if excise else None
-        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
+        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=fixed_mask(extra))
         u, rep = solve(sys)
         assert rep.method == "lu"
         (lu,) = factors
@@ -424,13 +424,13 @@ def test_free_block_is_the_matrix_restricted(monkeypatch, case):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", record)
     if case == "annulus":  # the perturbed R = 1 annulus of oscillation-decay, with its hole excised
-        p, grid = P21, annulus_grid(P21, 1.0, (65, 33))
+        p, grid = P21, annulus_grid(P21, 1.0, (65, 33)).build(P21)
         level = ellipsoid_level_arrays(*grid.node_coordinates(), P21)
         extra = (level <= 1.0) | (level >= 4.0 * (1.0 - 1e-12))
     else:
         p, grid, extra = P31, build_grid([1, 1, 0], [3, 3, 2], (9, 8, 7), 2.0), None
     field = make_decaying_perturbation(p, 2.0, 0.3, 42)
-    sys = assemble(field, grid, p, lambda xp, xn: np.ones(xn.shape), extra_dirichlet=extra)
+    sys = assemble(field, grid, p, lambda xp, xn: np.ones(xn.shape), extra_dirichlet=fixed_mask(extra))
     assert solve(sys)[1].method == "lu"
     (block,) = given
     order = fdsolver._dissection_order(sys.shape, ~sys.dirichlet_mask)
@@ -526,7 +526,7 @@ class TestRefinementStop:
         # scale, which counts as 0.
         g = build_grid([1, 0], [3, 2], (33, 33), 2.0)
         extra = inner_box(g) if excise else None
-        sys = assemble(IDENT, g, P21, lambda xp, xn: np.sin(3.0 * xp[:, 0]) * xn, extra_dirichlet=extra)
+        sys = assemble(IDENT, g, P21, lambda xp, xn: np.sin(3.0 * xp[:, 0]) * xn, extra_dirichlet=fixed_mask(extra))
         u, rep = solve(sys)
         scale = abs(sys.matrix) @ np.abs(u) + np.abs(sys.rhs)
         assert np.count_nonzero(scale == 0.0) > 0
@@ -543,7 +543,7 @@ class TestRefinementStop:
         # has a relative error bound growing with log n, and no thread count
         # enters it.
         g = build_grid([1, 0], [3, 2], counts, 2.0)
-        sys = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=inner_box(g))
+        sys = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=fixed_mask(inner_box(g)))
         u, rep = solve(sys)
         r = sys.rhs - sys.matrix @ u
         exact = math.sqrt(math.fsum(r * r)) / math.sqrt(math.fsum(sys.rhs * sys.rhs))
@@ -638,6 +638,11 @@ class TestSolveReport:
         assert SolveReport(3, 1e-13, True, 0.1, True) == SolveReport(3, 1e-13, True, 9.0, True)
 
 
+def fixed_mask(mask):
+    """The excision predicate whose mask is ``mask`` at any node coordinates (``None``: none)."""
+    return None if mask is None else lambda tangential, normal: mask
+
+
 def assert_same_bits(got, expected):
     """Equal as IEEE bit patterns: the sign of a zero counts."""
     assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
@@ -672,7 +677,7 @@ class TestStencilOperator:
         field = make_decaying_perturbation(p, 2.0, 0.3, 42) if perturbed else make_identity_field(p)
         grid = build_grid([1] * (p.n - 1) + [0], [3] * (p.n - 1) + [2], counts, grading)
         extra = inner_box(grid) if excise else None
-        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=extra)
+        sys = assemble(field, grid, p, lambda xp, xn: kernel_value_arrays(xp, xn, p), extra_dirichlet=fixed_mask(extra))
         matrix = sys.matrix
         u = np.random.default_rng(sum(counts)).standard_normal(grid.num_nodes)
         u[::7] = 0.0
@@ -802,7 +807,7 @@ class TestAssemblyBits:
             p, field = P21, IDENT
             grid = build_grid([0, 0], [1, 1], (4, 3), 1.0)
             bc, extra = (lambda xp, xn: xp[:, 0] - xn), np.ones(12, dtype=bool)
-        sys = assemble(field, grid, p, bc, extra_dirichlet=extra)
+        sys = assemble(field, grid, p, bc, extra_dirichlet=fixed_mask(extra))
         (offsets, weights, rhs, dirichlet), separable = reference_assembly(field, grid, p, bc, extra)
         expected = SparseSystem.from_stencil(offsets, weights, rhs, dirichlet)
 
@@ -843,7 +848,7 @@ class TestMemory:
         # extension, at 3.3x.  Now they peak at 2.5x and 1.9x.
         root2 = math.sqrt(2.0)
         grid, bc, box = exterior_identity_problem((1025, 65), 1024.0, 32.0 * root2, 1.0, root2)
-        sys, assembly_peak = self.traced(assemble, IDENT, grid, P21, bc, box)
+        sys, assembly_peak = self.traced(assemble, IDENT, grid, P21, bc, fixed_mask(box))
         (_, rep), solve_peak = self.traced(solve, sys)
         assert sys.separable is not None and rep.method == "fast-diagonalization" and rep.converged
         assert assembly_peak < 3.0 * sys.weights.nbytes
@@ -881,7 +886,7 @@ class TestFastDiagonalization:
             (IDENT, faces_only, "fast-diagonalization"),
         ]
         for field, extra, method in cases:
-            sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=extra)
+            sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=fixed_mask(extra))
             assert (sys.separable is not None) == (method != "lu")
             _, rep = solve(sys)
             assert rep.method == method and rep.converged
@@ -948,7 +953,7 @@ class TestFastDiagonalization:
         # ``solve`` passes its residual to the inverse and then overwrites it.
         g = build_grid([1, 0], [3, 2], (33, 17), 2.0)
         extra = inner_box(g) if method == "lu" else None
-        sys_ = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=extra)
+        sys_ = assemble(IDENT, g, P21, bc_kernel, extra_dirichlet=fixed_mask(extra))
         inverse = fdsolver._fast_inverse(sys_) if method == "fast" else fdsolver._lu_inverse(sys_)[0]
         for r in (sys_.rhs, np.where(sys_.dirichlet_mask, 0.0, sys_.rhs + 1.0)):  # A u is lifted, then skipped
             kept = r.copy()
@@ -963,7 +968,7 @@ class TestFastDiagonalization:
         box = (np.abs(tang[:, 0]) <= 0.03) & (norm <= 1.0)  # 15 x 8 obstacle nodes
         tracemalloc.start()
         try:
-            sys = assemble(make_identity_field(p), grid, p, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), box)
+            sys = assemble(make_identity_field(p), grid, p, lambda xp, xn: np.where(xn > 0, 1.0, 0.0), fixed_mask(box))
             u, rep = solve(sys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -998,7 +1003,7 @@ class TestFastDiagonalization:
         for node in nodes:
             extra[node] = True
         bc = lambda xp, xn: kernel_value_arrays(xp, xn, p)
-        sys = assemble(make_identity_field(p), grid, p, bc, extra_dirichlet=extra.ravel())
+        sys = assemble(make_identity_field(p), grid, p, bc, extra_dirichlet=fixed_mask(extra.ravel()))
         assert sys.separable is not None
         dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
         first = fdsolver._fast_inverse(sys)(sys.rhs)
@@ -1022,7 +1027,7 @@ class TestFastDiagonalization:
         for i, j in enumerate(rows):
             extra[(1 + i,) * (p.n - 1) + (1 + j,)] = True
         field, bc = make_identity_field(p), lambda xp, xn: kernel_value_arrays(xp, xn, p)
-        sys_ = assemble(field, grid, p, bc, extra_dirichlet=extra.ravel())
+        sys_ = assemble(field, grid, p, bc, extra_dirichlet=fixed_mask(extra.ravel()))
         assert sys_.separable is not None
         inverse = fdsolver._fast_inverse(sys_)
         capacitance = inspect.getclosurevars(inverse).nonlocals["capacitance"]
@@ -1049,7 +1054,7 @@ import os
 import numpy as np
 from grushinlab.config import parse_config
 from grushinlab.experiments import BOUND_INNER_RADIUS, _exterior_problem
-from grushinlab.fdsolver import assemble, solve
+from grushinlab.fdsolver import solve
 
 def ticks():  # utime + stime of each thread of this process
     out = {}
@@ -1061,10 +1066,10 @@ def ticks():  # utime + stime of each thread of this process
 
 cfg = parse_config(raw={"command": "global-bound"})
 p, exp = cfg.params, cfg.experiment
-grid, inside, bc = _exterior_problem(
+problem = _exterior_problem(
     p, BOUND_INNER_RADIUS, exp["outer_radius"], exp["counts"], lambda xn: np.minimum(1.0, xn)
 )
-system = assemble(cfg.build_field(), grid, p, bc, extra_dirichlet=inside)
+grid, system = problem.at(p, cfg.build_field())
 before = ticks()
 for _ in range(10):
     assert solve(system)[1].method == "fast-diagonalization"
@@ -1099,7 +1104,7 @@ print(gained.pop(os.getpid()), sum(gained.values()))
         field = make_decaying_perturbation(P21, 2.0, 0.3, 42) if perturbed else IDENT
         extra = np.zeros(grid.num_nodes, dtype=bool)
         extra[np.flatnonzero(~grid.face_mask())[:obstacles]] = True
-        sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=extra)
+        sys = assemble(field, grid, P21, bc_kernel, extra_dirichlet=fixed_mask(extra))
         u, rep = solve(sys)
         assert rep.method == method and rep.converged
         assert len(factors) == (method == "lu")

@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -99,3 +101,39 @@ class TestAgainstExitStatus:
         monkeypatch.chdir(tmp_path)
         code, out = self.run(monkeypatch, capsys, "u\n1.5\n", "u\n1.50\n")
         assert (code, out) == (1, "0 pointwise samples.csv bytes text file\n")
+
+
+class TestDigests:
+    @staticmethod
+    def job(tmp_path):
+        return [("extra/probe", {"command": "solve", "output_dir": str(tmp_path / "probe")})]
+
+    def test_stderr_is_digested_with_its_output_directory_replaced(self, tmp_path):
+        class Cli:
+            @staticmethod
+            def main(argv):
+                out = json.loads(Path(argv[1]).read_text())["output_dir"]
+                print(f"error: see {out}/report.json", file=sys.stderr)
+                return 2
+
+        got = {output: digest for _, output, digest in digests.digests(Cli, self.job(tmp_path))}
+        assert (tmp_path / "probe" / "stderr").read_text() == "error: see <out>/report.json\n"
+        assert got["stderr"] == hashlib.sha256(b"error: see <out>/report.json\n").hexdigest()
+        assert got["report.json"] == "absent" and got["exit_code"] == hashlib.sha256(b"2").hexdigest()
+
+    def test_a_warning_stops_the_tool(self, tmp_path):
+        class Cli:
+            @staticmethod
+            def main(argv):
+                return int(np.float64(1.0) / 0.0 > 0)  # RuntimeWarning: divide by zero
+
+        with pytest.raises(AssertionError, match="^extra/probe raised RuntimeWarning: divide by zero"):
+            list(digests.digests(Cli, self.job(tmp_path)))
+
+    def test_extra_runs_are_listed_per_seed(self, tmp_path):
+        class Workloads:
+            WORKLOADS = {}
+
+        jobs = digests._jobs(Workloads, ["solve"], 3, tmp_path)
+        assert [label for label, _ in jobs] == ["default/solve"] + [f"extra/{name}" for name, _ in digests.EXTRA]
+        assert all(raw["seed"] == 3 for _, raw in jobs)

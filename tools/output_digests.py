@@ -1,16 +1,19 @@
 """SHA-256 digests of every output of the default commands and the benchmark jobs.
 
-For each seed given, runs the nine commands at their default configs and
-every job of ``perfbench/workloads.py`` (``WORKLOADS``, seeded as the
-benchmark seeds them) through ``grushinlab.cli.main`` in this process, and
-prints one line per output::
+For each seed given, runs the nine commands at their default configs, every
+job of ``perfbench/workloads.py`` (``WORKLOADS``, seeded as the benchmark
+seeds them) and the fixed configs of ``EXTRA`` (3-D grids, alpha = 2 and
+refusals of the solver commands) through ``grushinlab.cli.main`` in this
+process, and prints one line per output::
 
     <seed> <job> <output> <sha256>
 
 The outputs are ``report.json``, ``samples.csv``, ``solution.txt``, the
-exit code and stdout, each digested as written; a file a run did not write
+exit code, stdout and stderr, each digested as written, stderr with the
+job's output directory replaced by ``<out>``; a file a run did not write
 prints ``absent`` in place of the digest.  ``telemetry.json``, the run's
-timings, is no output here.  Two checkouts print the same lines exactly
+timings, is no output here.  A job that raises a Python warning stops the
+tool with an ``AssertionError``.  Two checkouts print the same lines exactly
 when those outputs are byte-identical, so the diff of two listings is the
 comparison::
 
@@ -20,9 +23,9 @@ comparison::
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/workloads.py``
 are run (default: the one holding this file).  ``--outputs DIR`` keeps every
-job's outputs under ``DIR/seed<seed>/<job>/`` (stdout and the exit code as
-the files ``stdout`` and ``exit_code``); otherwise nothing is written outside
-a temporary directory.
+job's outputs under ``DIR/seed<seed>/<job>/`` (stdout, stderr and the exit
+code as the files ``stdout``, ``stderr`` and ``exit_code``); otherwise
+nothing is written outside a temporary directory.
 
 ``--against OLD_ROOT`` runs both checkouts, each in its own process, and
 for each output whose bytes differ prints one line per changed key::
@@ -36,7 +39,7 @@ The change is max |a - b| / max(|a|, |b|) over the numbers of the key,
 and the numeric lines of an output come largest change first.  The keys of
 ``report.json`` are its leaves, named by key path without list indices;
 ``<where>`` is the full path.  In ``samples.csv`` a key is a column, in
-``solution.txt`` a column ``col<c>``, in stdout a line ``line<i>``, and
+``solution.txt`` a column ``col<c>``, in stdout and stderr a line ``line<i>``, and
 ``<where>`` is ``line:column``.  Before
 the numbers come, in this order: one line per key found on one side only,
 with ``removed`` or ``added`` in place of the change and the key's first
@@ -65,11 +68,33 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
 OUTPUT_FILES = ("report.json", "samples.csv", "solution.txt")
-OUTPUTS = OUTPUT_FILES + ("exit_code", "stdout")
+OUTPUTS = OUTPUT_FILES + ("exit_code", "stdout", "stderr")
+PERTURBED = {"family": "decaying-perturbation"}
+BOX_3D = {"box_lo": [1, 1, 0], "box_hi": [3, 3, 2]}
+# (name, config) of the cheap non-default runs: the solver commands in 3-D, decay-fit at alpha = 2,
+# and the perturbed field on each box command, which the DMP check refuses.
+EXTRA = (
+    ("solve-3d", {"command": "solve", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 9]}}),
+    ("boundary-growth-3d", {"command": "boundary-growth", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 17]}}),
+    (
+        "holder-modulus-3d",
+        {
+            "command": "holder-modulus",
+            "params": {"n": 3},
+            "grid": {**BOX_3D, "counts": [9, 9, 9]},
+            "experiment": {"levels": 2, "pairs": 300},
+        },
+    ),
+    ("decay-fit-alpha-2", {"command": "decay-fit", "params": {"alpha": 2}, "experiment": {"counts": [129, 17], "outer_radius": 8}}),
+    ("solve-perturbed", {"command": "solve", "field": PERTURBED}),
+    ("boundary-growth-perturbed", {"command": "boundary-growth", "field": PERTURBED}),
+    ("holder-modulus-perturbed", {"command": "holder-modulus", "field": PERTURBED}),
+)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -85,7 +110,7 @@ def _load_workloads(root: Path):
 
 
 def _jobs(workloads, commands, seed: int, out_root: Path) -> list[tuple[str, dict]]:
-    """(label, raw config) of every default command and benchmark job at ``seed``."""
+    """(label, raw config) of every default command, benchmark job and ``EXTRA`` run at ``seed``."""
     out = []
     for command in commands:
         raw = {"command": command, "seed": seed, "output_dir": str(out_root / "default" / command)}
@@ -93,6 +118,8 @@ def _jobs(workloads, commands, seed: int, out_root: Path) -> list[tuple[str, dic
     for name in workloads.WORKLOADS:
         for raw in workloads.jobs(name, seed, out_root / name):
             out.append((f"{name}/{Path(raw['output_dir']).name}", raw))
+    for name, base in EXTRA:
+        out.append((f"extra/{name}", {**base, "seed": seed, "output_dir": str(out_root / "extra" / name)}))
     return out
 
 
@@ -103,11 +130,16 @@ def digests(cli, jobs: list[tuple[str, dict]]):
         out_dir.mkdir(parents=True)
         config = out_dir / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(["--config", str(config)])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["--config", str(config)])
+        if caught:
+            raise AssertionError(f"{label} raised {caught[0].category.__name__}: {caught[0].message}")
         (out_dir / "exit_code").write_text(str(code), encoding="utf-8")
         (out_dir / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
+        (out_dir / "stderr").write_text(stderr.getvalue().replace(str(out_dir), "<out>"), encoding="utf-8")
         for name in OUTPUTS:
             data = _file_bytes(out_dir / name)
             digest = "absent" if data is None else hashlib.sha256(data).hexdigest()
