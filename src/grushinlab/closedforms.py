@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientField
-from .geometry import GrushinParams
+from .geometry import GrushinParams, gauge_level_arrays
 
 __all__ = [
     "Jet2",
@@ -140,10 +140,8 @@ def _points(tangential, normal, n: int | None, singular_at_origin=None, positive
 
 def kernel_value_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
     """Kernel values x_n / (|x'|^2 + beta x_n^{2+2a})^gamma, vectorised."""
-    tangential = np.asarray(tangential, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    base = np.sum(tangential**2, axis=-1) + p.beta * normal ** (2.0 + 2.0 * p.alpha)
-    return normal * base ** (-p.gamma)
+    return normal * gauge_level_arrays(tangential, normal, p) ** (-p.gamma)
 
 
 def _chain(g, f: np.ndarray, df: np.ndarray, d2f: np.ndarray):
@@ -165,9 +163,9 @@ def _times_normal(xn: np.ndarray, g):
 
 
 def _r_jet(xp: np.ndarray, xn: np.ndarray, p: GrushinParams):
-    """Jet of r = |x'|^2 + beta x_n^{2+2a}."""
+    """Jet of the gauge level r = |x'|^2 + beta x_n^{2+2a} (``gauge_level_arrays``)."""
     e = 2.0 + 2.0 * p.alpha
-    r = np.sum(xp**2, axis=1) + p.beta * xn**e
+    r = gauge_level_arrays(xp, xn, p)
     dr = np.empty((xn.size, p.n))
     dr[:, :-1] = 2.0 * xp
     dr[:, -1] = p.beta * e * xn ** (1.0 + 2.0 * p.alpha)

@@ -17,10 +17,11 @@ The audit assembles the full degenerate matrix
              [ a_in x_n^a,    1          ]]
 
 at sample points and compares its spectrum against the closed-form strip
-bound min{(1-tau) lambda eps0^{2a}, 1 - (1-delta)/tau} for x_n >= eps0.
-Below the strip, A~ = D [[a_ij, a_in], [a_in^T, 1]] D with D = diag(x_n^a I,
-1) is positive definite for x_n > 0 exactly when the Schur complement a_ij -
-a_in a_in^T is (Sylvester's law of inertia), and that is checked.  The audit
+bound min{(1-tau) lambda eps0^{2a}, 1 - (1-delta)/tau} for x_n >= eps0, at
+the constant tau = 1 - delta/2 that the report records.  Below the strip,
+A~ = D [[a_ij, a_in], [a_in^T, 1]] D with D = diag(x_n^a I, 1) is positive
+definite for x_n > 0 exactly when the Schur complement a_ij - a_in a_in^T
+is (Sylvester's law of inertia), and that is checked.  The audit
 streams the sample in blocks of ``_AUDIT_BLOCK`` points, so its temporaries
 do not grow with the sample, and takes the spectra of 1x1 and 2x2 blocks
 (a_ij and the complement for n <= 3, A~ for n = 2) in closed form, bit for
@@ -287,7 +288,6 @@ def audit_ellipticity_arrays(
     epsilon0: float,
     tangential: np.ndarray,
     normal: np.ndarray,
-    tau: float | None = None,
 ) -> EllipticityReport:
     """Run the ellipticity audit of ``field`` over points (N, n-1) and (N,).
 
@@ -308,10 +308,7 @@ def audit_ellipticity_arrays(
     if not 0.0 < epsilon0 < 1.0:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
     delta = field.delta_const
-    if tau is None:
-        tau = 1.0 - delta / 2.0
-    if not 1.0 - delta < tau < 1.0:
-        raise ValueError(f"tau must lie in (1 - delta, 1) = ({1 - delta}, 1), got {tau}")
+    tau = 1.0 - delta / 2.0  # in (1 - delta, 1), where the strip bound is positive
     xp = np.atleast_2d(np.asarray(tangential, dtype=float))
     xn = np.atleast_1d(np.asarray(normal, dtype=float))
     if xn.size == 0:

@@ -187,7 +187,15 @@ class RunConfig:
     experiment: dict
     seed: int
     output_dir: Path
-    effective: dict
+
+    @property
+    def effective(self) -> dict:
+        """The config echo: every field as JSON but ``output_dir``, and ``grid`` only when set."""
+        echo = jsonable(self)
+        del echo["output_dir"]
+        if self.grid is None:
+            del echo["grid"]
+        return echo
 
     def build_field(self) -> CoefficientField:
         return self.field.build(self.params)
@@ -251,6 +259,11 @@ def _parse_experiment(raw: dict, command: str, params: GrushinParams, grid: Grid
         fit = 0  # the most levels whose finest grid, refined 2^(levels - 1) times, is in budget
         while math.prod(grid.refined(2**fit).counts) <= MAX_NODES:
             fit += 1
+        if fit < 2:
+            raise ConfigError(
+                f"grid.counts: must give at most MAX_NODES = {MAX_NODES} nodes once refined, "
+                "as the Hoelder ladder's second level"
+            )
         out["levels"] = _number(obj, path, "levels", min(3, fit), integer=True, lo=2, hi=fit)
         out["pairs"] = _number(obj, path, "pairs", 100_000, integer=True, lo=100, hi=MAX_NODES)
     elif command == "oscillation-decay":
@@ -338,19 +351,6 @@ def parse_config(
     field = _parse_field(raw, seed)
     grid = _parse_grid(raw, params.n, command)
     experiment = _parse_experiment(raw, command, params, grid)
-
-    effective = jsonable(
-        {
-            "command": command,
-            "params": params,
-            "field": field,
-            "experiment": experiment,
-            "seed": seed,
-        }
-    )
-    if grid is not None:
-        effective["grid"] = jsonable(grid)
-
     return RunConfig(
         command=command,
         params=params,
@@ -359,5 +359,4 @@ def parse_config(
         experiment=experiment,
         seed=seed,
         output_dir=Path(output_dir),
-        effective=effective,
     )

@@ -10,7 +10,8 @@ reports can be serialised and rerun bit-identically from (seed, config):
 * ``run_holder_modulus`` -- two-point quotients in the quasi-distance metric
   at a tested exponent (expected stable at 1/(1+a)).
 * ``run_oscillation_decay`` -- the drop 1 - c0 of the sup on the middle
-  shell of an ellipsoid annulus, at several scales.
+  shell of an ellipsoid annulus with data 1 on its curved parts and 1/2 on
+  its flat ring, at several scales.
 * ``run_supersolution_scan`` -- adversarial-envelope sign scan of
   L(w - w^{1+rho}) over gauge shells, locating the radius R0 past which the
   supersolution inequality holds.
@@ -376,9 +377,9 @@ def run_holder_modulus(
     """
     expo = 1.0 / (1.0 + p.alpha) if exponent is None else float(exponent)
     problem = Problem(grid_spec, bc)
-    # The finest grid is built first, so a ladder over the node budget is refused before any assembly.
-    for level in reversed(range(levels)):
-        _require_separated_nodes(problem.grid.refined(2**level).build(p), p, expo)
+    # Refinement by 2 keeps every coarse node, so no coarser grid has closer nodes than the finest:
+    # it alone is checked, and built first, so a ladder over the node budget is refused before any assembly.
+    _require_separated_nodes(grid_spec.refined(2 ** (levels - 1)).build(p), p, expo)
     out: list[HolderLevel] = []
     for level in range(levels):
         grid, sys = problem.at(p, field, level)
@@ -427,12 +428,10 @@ def run_oscillation_decay(
     p: GrushinParams,
     R: float,
     counts: tuple[int, ...],
-    curved_value: float = 1.0,
-    flat_value: float = 0.5,
 ) -> OscillationReport:
-    """Annulus E_{4R}+ minus E_R+ with data curved_value on the curved parts
-    and flat_value on the flat ring; returns 1 - sup u over the nodes within
-    ``SHELL_BAND`` (relative) of the middle shell E_{2R}.
+    """Annulus E_{4R}+ minus E_R+ with data 1 on the curved parts and 1/2 on
+    the flat ring; returns 1 - sup u over the nodes within ``SHELL_BAND``
+    (relative) of the middle shell E_{2R}.
 
     Realised on the bounding box of E_{4R}+ (``annulus_grid``) with the
     inner/outer regions excised as the problem's hole; the mixed-term
@@ -442,8 +441,6 @@ def run_oscillation_decay(
     """
     if R <= 0.0:
         raise ValueError(f"shell scale R must be > 0, got {R}")
-    if not 0.0 <= flat_value <= curved_value <= 1.0:
-        raise ValueError("need 0 <= flat_value <= curved_value <= 1")
     outer_cut = 4.0 * R * (1.0 - 1e-12)
 
     def hole(xp, xn):
@@ -452,7 +449,7 @@ def run_oscillation_decay(
 
     def data(xp, xn):  # the ellipsoid level of a node on the flat face x_n = 0 is |x'|^2
         flat_level = np.sum(xp**2, axis=-1)
-        return np.where((xn == 0.0) & (flat_level > R) & (flat_level < outer_cut), flat_value, curved_value)
+        return np.where((xn == 0.0) & (flat_level > R) & (flat_level < outer_cut), 0.5, 1.0)
 
     grid, sys = Problem(annulus_grid(p, R, counts), data, hole).at(p, field)
     tang, norm = grid.node_coordinates()

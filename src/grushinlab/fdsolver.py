@@ -584,10 +584,7 @@ def _dmp_report(offsets, weights: np.ndarray, interior: np.ndarray) -> DmpReport
 
     bad_diag = np.flatnonzero(interior & (diag <= 0.0))
     bad_off = _positive_offdiagonal_rows(offsets, weights, interior, tol)
-    row_sums = np.zeros(diag.size)  # the in-grid weights of each row, in offset order: A times ones
-    for offset, w in zip(offsets, weights):
-        lo, hi = _rows_in_grid(offset, diag.size)
-        row_sums[lo:hi] += w[lo:hi]
+    row_sums = _stencil_product(offsets, weights, np.broadcast_to(1.0, diag.size))  # A times ones
     bad_sum = np.flatnonzero(interior & (row_sums < -tol))
     ok = bad_diag.size == 0 and bad_off.size == 0 and bad_sum.size == 0
     return DmpReport(

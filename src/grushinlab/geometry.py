@@ -6,8 +6,10 @@ The natural geometry of the operator
 
 on the upper half space {x_n >= 0} is not Euclidean: tangential directions
 and the normal direction scale differently.  This module provides the exact
-closed-form pieces of that geometry: the gauge d(x), the quasi-distance
-d_a(y, z), the anisotropic dilations F_h and the comparison ellipsoids E_h.
+closed-form pieces of that geometry: the gauge level r(x), read by the gauge
+d(x) = r^{1/(2(alpha+1))} and by the kernel and its jets in ``closedforms``,
+the quasi-distance d_a(y, z), the anisotropic dilations F_h and the
+comparison ellipsoids E_h about the origin.
 
 Points are coordinate arrays: ``tangential`` of shape (..., n-1) holds x'
 and ``normal`` of shape (...,) holds x_n; every function broadcasts over the
@@ -23,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "GrushinParams",
+    "gauge_level_arrays",
     "gauge_arrays",
     "quasi_distance_arrays",
     "scaling_factors",
@@ -69,16 +72,19 @@ class GrushinParams:
         return (self.alpha + 1.0) * (self.n - 1) + 1.0
 
 
-def gauge_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
-    """Gauge d(x) = (|x'|^2 + beta * x_n^{2(alpha+1)})^{1/(2(alpha+1))}, vectorised.
+def gauge_level_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
+    """Gauge level r(x) = |x'|^2 + beta * x_n^{2(alpha+1)} = d(x)^{2(alpha+1)}, vectorised.
 
     ``tangential`` has shape (..., n-1), ``normal`` shape (...,).
     """
     tangential = np.asarray(tangential, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    e = 2.0 * (p.alpha + 1.0)
-    level = np.sum(tangential**2, axis=-1) + p.beta * normal**e
-    return level ** (1.0 / e)
+    return np.sum(tangential**2, axis=-1) + p.beta * normal ** (2.0 * (p.alpha + 1.0))
+
+
+def gauge_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
+    """Gauge d(x) = r(x)^{1/(2(alpha+1))} of the gauge level r, vectorised."""
+    return gauge_level_arrays(tangential, normal, p) ** (1.0 / (2.0 * (p.alpha + 1.0)))
 
 
 def quasi_distance_arrays(
@@ -100,19 +106,10 @@ def scaling_factors(h: float, p: GrushinParams) -> tuple[float, float]:
     return float(h) ** 0.5, float(h) ** (1.0 / (2.0 * (1.0 + p.alpha)))
 
 
-def ellipsoid_level_arrays(
-    tangential: np.ndarray,
-    normal: np.ndarray,
-    p: GrushinParams,
-    center_tangential: np.ndarray | None = None,
-    center_normal: float = 0.0,
-) -> np.ndarray:
-    """Level |x'-c'|^2 + |x_n-c_n|^{2(1+alpha)}; x lies in E_h(c) iff it is < h."""
+def ellipsoid_level_arrays(tangential: np.ndarray, normal: np.ndarray, p: GrushinParams) -> np.ndarray:
+    """Level |x'|^2 + |x_n|^{2(1+alpha)}; x lies in E_h, about the origin, iff it is < h."""
     tangential = np.asarray(tangential, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    if center_tangential is not None:
-        tangential = tangential - np.asarray(center_tangential, dtype=float)
-    normal = normal - center_normal
     return np.sum(tangential**2, axis=-1) + np.abs(normal) ** (2.0 * (1.0 + p.alpha))
 
 

@@ -293,6 +293,24 @@ class TestParseConfig:
         assert cfg.effective["experiment"] == {"samples_per_shell": 300}
         assert set(cfg.effective) == {"command", "params", "field", "experiment", "seed"}
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_effective_is_derived_from_the_fields(self, command):
+        # The echo the parser once wrote out key by key, with and without a grid.
+        gridded = command in ("solve", "boundary-growth", "holder-modulus")
+        raws = [{"command": command}]
+        if gridded:
+            raws.append({"command": command, "grid": {"box_lo": [0, 0], "box_hi": [2, 1], "counts": [17, 9]}})
+        for raw in raws:
+            cfg = parse_config(raw=raw)
+            literal = jsonable(
+                {"command": cfg.command, "params": cfg.params, "field": cfg.field, "experiment": cfg.experiment, "seed": cfg.seed}
+            )
+            if cfg.grid is not None:
+                literal["grid"] = jsonable(cfg.grid)
+            assert cfg.effective == literal
+            assert ("grid" in cfg.effective) == gridded
+        assert "effective" not in {f.name for f in dataclasses.fields(RunConfig)}
+
     def test_settable_values_are_pinned(self):
         # Every value a config can set: the keys each command's effective
         # config echoes (an experiment key once per command), and output_dir,
@@ -986,6 +1004,27 @@ class TestMain:
         # An explicit level count keeps its bound.
         with pytest.raises(ConfigError, match=r"^experiment.levels: must be <= 2$"):
             parse_config(raw={"command": "holder-modulus", "params": {"n": 3}, "experiment": {"levels": 3}})
+
+    def test_holder_grid_with_no_room_for_a_second_level_is_refused_by_its_counts(self, tmp_path, capsys):
+        # 1025^2 nodes refined once is 2049^2, over the budget; the config sets no levels.
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "counts.json"
+        grid = {"box_lo": [1, 0], "box_hi": [3, 2], "counts": [1025, 1025]}
+        cfgfile.write_text(json.dumps({"command": "holder-modulus", "grid": grid, "output_dir": str(out)}))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"configuration error: grid.counts: must give at most MAX_NODES = {MAX_NODES} nodes once refined, "
+            "as the Hoelder ladder's second level\n"
+        )
+
+    def test_holder_levels_past_a_fit_of_two_are_refused_by_levels(self):
+        # 513^2 refined once is 1025^2, in budget; refined twice it is 2049^2, over it.
+        raw = {"command": "holder-modulus", "grid": {"box_lo": [1, 0], "box_hi": [3, 2], "counts": [513, 513]}}
+        assert parse_config(raw=raw).experiment["levels"] == 2
+        with pytest.raises(ConfigError, match=r"^experiment.levels: must be <= 2$"):
+            parse_config(raw={**raw, "experiment": {"levels": 3}})
 
     @pytest.mark.parametrize(
         "raw, advice, followed",

@@ -228,11 +228,9 @@ class TestAudit:
         assert rep.violations
         assert any(v.kind == "rayleigh-lower" for v in rep.violations)
 
-    def test_tau_validation(self):
+    def test_epsilon0_validation(self):
         f = make_identity_field(P21)
         xp, xn = unit_box_sample(P21, 10, 15)
-        with pytest.raises(ValueError):
-            audit_ellipticity_arrays(f, P21, 0.5, xp, xn, tau=0.3)  # <= 1 - delta
         with pytest.raises(ValueError):
             audit_ellipticity_arrays(f, P21, 1.5, xp, xn)
 
@@ -241,16 +239,24 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_ellipticity_arrays(f, P21, 0.5, np.array([[2.0]]), np.array([0.5]))
 
-    def test_tau_family_reproduces_intermediate_bounds(self):
+    @pytest.mark.parametrize(
+        "tau, expected",
+        [(0.6, 0.1), (0.75, 0.0625), (0.9, 0.025), (0.52, 1.0 - 0.5 / 0.52)],
+        ids=["0.6", "0.75", "0.9", "0.52"],
+    )
+    def test_strip_bound_closed_form(self, tau, expected):
+        # lambda = 1, delta = 1/2, eps0 = 1/2, alpha = 1: min{(1 - tau)/4, 1 - 1/(2 tau)};
+        # the second term is the smaller below tau = (sqrt(17) - 3)/2 = 0.56.
+        assert strip_bound(1.0, 0.5, 0.5, 1.0, tau) == pytest.approx(expected, rel=1e-15)
+
+    def test_audit_takes_tau_at_the_midpoint(self):
         f = make_decaying_perturbation(P21, 2.0, 0.3, 29)
         xp, xn = unit_box_sample(P21, 300, 16, strip_only=True)
-        delta = f.delta_const
-        for tau in (1.0 - delta + 0.05, 1.0 - delta / 2.0, 0.95):
-            rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn, tau=tau)
-            assert rep.lower_bound_formula == pytest.approx(
-                strip_bound(f.lambda_const, delta, 0.5, P21.alpha, tau), rel=1e-15
-            )
-            assert not rep.violations
+        rep = audit_ellipticity_arrays(f, P21, 0.5, xp, xn)
+        tau = 1.0 - f.delta_const / 2.0
+        assert rep.tau == tau
+        assert rep.lower_bound_formula == strip_bound(f.lambda_const, f.delta_const, 0.5, P21.alpha, tau)
+        assert not rep.violations
 
 
 class TestThreading:

@@ -15,6 +15,8 @@ from grushinlab.experiments import (
     FitResult,
     GridSpec,
     PreconditionError,
+    Problem,
+    annulus_grid,
     comparison_margin,
     decay_ray,
     fit_loglog,
@@ -164,6 +166,16 @@ class TestHolderModulus:
         with pytest.raises(SpacingError, match="^axis 1 of 129 nodes"):
             run_holder_modulus(IDENT, GrushinParams(2, 80.0), WBOX, bc_kernel, levels=3)
 
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_each_grid_is_built_once_past_the_finest(self, monkeypatch, levels):
+        # The separation check builds the finest grid alone; Problem.at then builds each level's.
+        built = []
+        real = experiments.build_grid
+        monkeypatch.setattr(experiments, "build_grid", lambda *args: built.append(args[2]) or real(*args))
+        run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=levels, pairs=300)
+        ladder = [WBOX.refined(2**level).counts for level in range(levels)]
+        assert built == ladder[-1:] + ladder
+
     def test_nodes_zero_apart_are_refused_before_any_assembly(self, monkeypatch):
         # alpha = 30 puts the lowest two normal nodes at the same y_n^{1+alpha} = 0; at
         # alpha = 1 an exponent of 400 takes the smallest distance to 0.
@@ -186,11 +198,17 @@ class TestHolderModulus:
 
 class TestOscillationDecay:
     def test_constant_data_gives_half(self):
-        rep = run_oscillation_decay(
-            IDENT, P21, 1.0, counts=(65, 33), curved_value=0.5, flat_value=0.5
-        )
-        assert rep.sup_inner == pytest.approx(0.5, abs=1e-12)
-        assert rep.c0_empirical == pytest.approx(0.5, abs=1e-12)
+        # The runner's annulus problem (same grid, same excised hole) with data 1/2 everywhere.
+        def hole(xp, xn):
+            level = ellipsoid_level_arrays(xp, xn, P21)
+            return (level <= 1.0) | (level >= 4.0 * (1.0 - 1e-12))
+
+        problem = Problem(annulus_grid(P21, 1.0, (65, 33)), lambda xp, xn: np.full(xn.shape, 0.5), hole)
+        grid, sys = problem.at(P21, IDENT)
+        assert np.count_nonzero(~sys.dirichlet_mask) > 100
+        u, report = solve(sys)
+        assert report.converged
+        np.testing.assert_allclose(u, 0.5, rtol=0.0, atol=1e-12)
 
     def test_positive_drop_and_scale_invariance(self):
         reports = [run_oscillation_decay(IDENT, P21, R, counts=(65, 33)) for R in (1.0, 4.0, 16.0)]

@@ -1179,6 +1179,26 @@ class TestDmp:
             u_hi, _ = solve(assemble(field, square, p, hi))
             assert np.all(u_lo <= u_hi + 1e-9)
 
+    @pytest.mark.parametrize("p, counts, stencil", [(P21, (65, 33), 9), (P31, (9, 9, 9), 19)], ids=["2d", "3d"])
+    def test_row_sums_are_the_offset_loop(self, p, counts, stencil):
+        # The DMP row sums, A times ones, against each row's in-grid weights summed in offset
+        # order, on a perturbed field whose weights are jittered so that some sums go negative.
+        box_lo, box_hi = [1.0] * (p.n - 1) + [0.0], [3.0] * (p.n - 1) + [2.0]
+        field = make_decaying_perturbation(p, 2.0, 0.3, 42)
+        sys = assemble(field, build_grid(box_lo, box_hi, counts, 2.0), p, lambda xp, xn: np.zeros(xn.shape))
+        assert len(sys.offsets) == stencil
+        weights = sys.weights * (1.0 + 1e-3 * np.random.default_rng(0).standard_normal(sys.weights.shape))
+        loop = np.zeros(sys.rhs.size)
+        for offset, w in zip(sys.offsets, weights):
+            lo, hi = fdsolver._rows_in_grid(offset, loop.size)
+            loop[lo:hi] += w[lo:hi]
+        assert_same_bits(fdsolver._stencil_product(sys.offsets, weights, np.broadcast_to(1.0, loop.size)), loop)
+        diag = weights[sys.offsets.index(0)]
+        expected = np.flatnonzero(~sys.dirichlet_mask & (loop < -1e-13 * np.maximum(np.abs(diag), 1.0)))
+        assert expected.size > 0
+        jittered = SparseSystem.from_stencil(sys.offsets, weights, sys.rhs, sys.dirichlet_mask, shape=sys.shape)
+        np.testing.assert_array_equal(jittered.dmp.negative_rowsum_rows, expected)
+
     def test_zero_data_uniqueness(self):
         g = build_grid([1, 0], [3, 2], (21, 21), 2.0)
         sys = assemble(IDENT, g, P21, lambda xp, xn: np.zeros(xn.shape))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grushinlab.closedforms import kernel_jet, kernel_value_arrays
 from grushinlab.geometry import (
     GrushinParams,
     ellipsoid_level_arrays,
     gauge_arrays,
+    gauge_level_arrays,
     quasi_distance_arrays,
     sample_points_by_gauge,
     scaling_factors,
@@ -81,6 +83,31 @@ class TestGauge:
         lhs = gauge_arrays(*dilate(h, xp, xn, p), p)
         rhs = h ** (1.0 / (2.0 * (1.0 + alpha))) * gauge_arrays(xp, xn, p)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.7])
+    def test_one_gauge_level_for_gauge_kernel_and_jet(self, n, alpha):
+        # The gauge, the kernel and the kernel jet each wrote the level out; all read
+        # gauge_level_arrays now, bit for bit the same numbers.
+        p = GrushinParams(n, alpha)
+        rng = np.random.default_rng(n)
+        xp = rng.uniform(-3.0, 3.0, (400, n - 1))
+        xn = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 399)])
+        level = gauge_level_arrays(xp, xn, p)
+        e = 2.0 * (p.alpha + 1.0)
+        old_gauge = np.sum(xp**2, axis=-1) + p.beta * xn**e
+        old_kernel = np.sum(xp**2, axis=-1) + p.beta * xn ** (2.0 + 2.0 * p.alpha)
+        old_jet = np.sum(xp**2, axis=1) + p.beta * xn ** (2.0 + 2.0 * p.alpha)
+        for old in (old_gauge, old_kernel, old_jet):
+            assert level.tobytes() == old.tobytes()
+        assert gauge_arrays(xp, xn, p).tobytes() == (old_gauge ** (1.0 / e)).tobytes()
+        kernel = xn * old_kernel ** (-p.gamma)
+        assert kernel_value_arrays(xp, xn, p).tobytes() == kernel.tobytes()
+        assert kernel_jet(xp, xn, p).value.tobytes() == kernel.tobytes()
+
+    def test_level_exponents_are_one_double(self):
+        alphas = np.random.default_rng(0).uniform(0.0, 100.0, 20_000)
+        assert np.array_equal(2.0 + 2.0 * alphas, 2.0 * (alphas + 1.0))
 
 
 class TestQuasiDistance:
@@ -174,12 +201,6 @@ class TestScaling:
 
 
 class TestEllipsoid:
-    def test_center_is_inside(self):
-        xp, xn = split([(0.3, 0.2), (0.3 + 1e-6, 0.2), (0.3, 0.2 - 1e-3)])
-        level = ellipsoid_level_arrays(xp, xn, P21, center_tangential=[0.3], center_normal=0.2)
-        assert level[0] == 0.0
-        assert np.all(level < 1e-9)
-
     def test_boundary_point_excluded(self):
         # E_1 about the origin is open: boundary points have level exactly 1.
         level = ellipsoid_level_arrays(*split([(0.0, 1.0), (1.0, 0.0), (-1.0, 0.0)]), P21)

@@ -2,9 +2,9 @@
 
 For each seed given, runs the nine commands at their default configs, every
 job of ``perfbench/workloads.py`` (``WORKLOADS``, seeded as the benchmark
-seeds them) and the fixed configs of ``EXTRA`` (3-D grids, alpha = 2 and
-refusals of the solver commands) through ``grushinlab.cli.main`` in this
-process, and prints one line per output::
+seeds them) and the fixed configs of ``EXTRA`` (3-D grids and spectra,
+alpha = 2 and 30, and refusals of the solver commands) through
+``grushinlab.cli.main`` in this process, and prints one line per output::
 
     <seed> <job> <output> <sha256>
 
@@ -77,7 +77,9 @@ OUTPUTS = OUTPUT_FILES + ("exit_code", "stdout", "stderr")
 PERTURBED = {"family": "decaying-perturbation"}
 BOX_3D = {"box_lo": [1, 1, 0], "box_hi": [3, 3, 2]}
 # (name, config) of the cheap non-default runs: the solver commands in 3-D, decay-fit at alpha = 2,
-# and the perturbed field on each box command, which the DMP check refuses.
+# the perturbed field on each box command, which the DMP check refuses, the audit's 3-D spectra
+# on the perturbed field, an annulus scaling that is no power of 2, and holder-modulus's refusal
+# of nodes zero apart.
 EXTRA = (
     ("solve-3d", {"command": "solve", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 9]}}),
     ("boundary-growth-3d", {"command": "boundary-growth", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 17]}}),
@@ -94,6 +96,12 @@ EXTRA = (
     ("solve-perturbed", {"command": "solve", "field": PERTURBED}),
     ("boundary-growth-perturbed", {"command": "boundary-growth", "field": PERTURBED}),
     ("holder-modulus-perturbed", {"command": "holder-modulus", "field": PERTURBED}),
+    (
+        "audit-ellipticity-3d-perturbed",
+        {"command": "audit-ellipticity", "params": {"n": 3}, "field": PERTURBED, "experiment": {"points": 2000}},
+    ),
+    ("oscillation-decay-radii-1-3", {"command": "oscillation-decay", "experiment": {"radii": [1, 3], "counts": [33, 13]}}),
+    ("holder-modulus-alpha-30", {"command": "holder-modulus", "params": {"alpha": 30}}),
 )
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
