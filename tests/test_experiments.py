@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,74 @@ class TestHolderModulus:
         a = run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=10_000, seed=3)
         b = run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=10_000, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, counts, pairs, seed, exponent",
+        [
+            # 33,333 pairs a stratum: four full blocks and a partial one.
+            (2, (33, 33), 100_000, 0, None),
+            # 100 pairs a stratum, less than a block, at a non-default exponent.
+            (2, (33, 33), 300, 5, 0.7),
+            (3, (9, 9, 9), 300, 0, None),
+            # The coarse 5x5 grid's strata hold few nodes: over a tenth of its draws are one node twice.
+            (2, (5, 5), 20_000, 7, None),
+        ],
+        ids=["33x33-100000", "33x33-300-exponent", "9x9x9-300", "5x5-20000"],
+    )
+    def test_blocked_maximum_is_the_whole_sample_maximum(self, monkeypatch, n, counts, pairs, seed, exponent):
+        # Rebuild each level's quotients at once from the strata the runner drew, as one array of
+        # distinct pairs; its maximum and size are the runner's, bit for bit.
+        p = GrushinParams(n, 1.0)
+        spec = GridSpec((1.0,) * (n - 1) + (0.0,), (3.0,) * (n - 1) + (2.0,), counts)
+        draws, solutions = [], []
+        real_pairs, real_solve = experiments._holder_pairs, experiments._checked_solve
+
+        def recorded_pairs(grid, tang, norm, rng, pairs):
+            draws.append((tang, norm, real_pairs(grid, tang, norm, rng, pairs)))
+            return draws[-1][2]
+
+        def recorded_solve(sys):
+            solutions.append(real_solve(sys))
+            return solutions[-1]
+
+        monkeypatch.setattr(experiments, "_holder_pairs", recorded_pairs)
+        monkeypatch.setattr(experiments, "_checked_solve", recorded_solve)
+        rep = run_holder_modulus(
+            make_identity_field(p), p, spec, lambda xp, xn: kernel_value_arrays(xp, xn, p),
+            exponent=exponent, levels=2, pairs=pairs, seed=seed,
+        )
+        same_node = 0
+        for level, (tang, norm, strata), (u, _) in zip(rep.levels, draws, solutions, strict=True):
+            assert [a.size for a, _ in strata] == [pairs // 3] * 3
+            a, b = np.concatenate([a for a, _ in strata]), np.concatenate([b for _, b in strata])
+            same_node += np.count_nonzero(a == b)
+            keep = a != b
+            a, b = a[keep], b[keep]
+            dist = experiments.quasi_distance_arrays(tang[a], norm[a], tang[b], norm[b], p.alpha)
+            assert level.max_quotient == float(np.max(np.abs(u[a] - u[b]) / dist**rep.exponent))
+            assert level.pair_count == a.size
+        assert same_node > 0  # the dropped pairs are exercised
+
+    def test_no_distinct_pair_is_refused(self, monkeypatch):
+        # Unreachable with the real strata; a sample of one node twice has no quotient, and no -inf.
+        monkeypatch.setattr(
+            experiments, "_holder_pairs", lambda grid, tang, norm, rng, pairs: ((np.zeros(9000, dtype=int),) * 2,) * 3
+        )
+        with pytest.raises(PreconditionError, match="^no sampled pair of the 33x33 grid has two distinct nodes$"):
+            run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=300)
+
+    def test_memory_grows_with_the_draws_alone(self):
+        # The draws are 16 bytes a pair; the quotients, evaluated a block at a time, add no
+        # more per pair.  Evaluated all at once they took about 89 bytes a pair.
+        peaks = []
+        for pairs in (30_000, 300_000):
+            tracemalloc.start()
+            try:
+                run_holder_modulus(IDENT, P21, WBOX, bc_kernel, levels=2, pairs=pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 30 * 270_000
 
 
 class TestOscillationDecay:

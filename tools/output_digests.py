@@ -78,8 +78,9 @@ PERTURBED = {"family": "decaying-perturbation"}
 BOX_3D = {"box_lo": [1, 1, 0], "box_hi": [3, 3, 2]}
 # (name, config) of the cheap non-default runs: the solver commands in 3-D, decay-fit at alpha = 2,
 # the perturbed field on each box command, which the DMP check refuses, the audit's 3-D spectra
-# on the perturbed field, an annulus scaling that is no power of 2, and holder-modulus's refusal
-# of nodes zero apart.
+# on the perturbed field, an annulus scaling that is no power of 2, holder-modulus's refusal
+# of nodes zero apart, and a 3-D Hoelder sample whose strata of 33,333 pairs each span four full
+# blocks of quotients and a partial one.
 EXTRA = (
     ("solve-3d", {"command": "solve", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 9]}}),
     ("boundary-growth-3d", {"command": "boundary-growth", "params": {"n": 3}, "grid": {**BOX_3D, "counts": [9, 9, 17]}}),
@@ -90,6 +91,15 @@ EXTRA = (
             "params": {"n": 3},
             "grid": {**BOX_3D, "counts": [9, 9, 9]},
             "experiment": {"levels": 2, "pairs": 300},
+        },
+    ),
+    (
+        "holder-modulus-3d-blocks",
+        {
+            "command": "holder-modulus",
+            "params": {"n": 3},
+            "grid": {**BOX_3D, "counts": [9, 9, 9]},
+            "experiment": {"levels": 2, "pairs": 100001},
         },
     ),
     ("decay-fit-alpha-2", {"command": "decay-fit", "params": {"alpha": 2}, "experiment": {"counts": [129, 17], "outer_radius": 8}}),
